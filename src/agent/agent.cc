@@ -1,7 +1,6 @@
 #include "src/agent/agent.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/event/wire.h"
 #include "src/plan/vectorized.h"
@@ -17,7 +16,7 @@ void ScrubAgent::InstallQuery(const HostPlan& plan) {
   }
   auto [it, inserted] = queries_.emplace(
       plan.query_id, ActiveQuery(plan, config_.staging_capacity));
-  // Joins stage columnar too: one batch per source plus the explicit
+  // Joins stage columnar too: one row list per source plus the explicit
   // arrival-order interleave (kColumnarJoin), which is what keeps the
   // central join's fold order identical across pipelines. The wire format
   // caps the per-batch section count, so wider joins keep the row path.
@@ -136,6 +135,10 @@ int64_t ScrubAgent::LogEventImpl(const Event& event, Event* owned) {
     const HostSourcePlan* sp = nullptr;
   };
   StageTarget deferred;
+  // Columnar staging copies the event once, when the first query keeps it;
+  // every keeping query then records the same row of the shared batch.
+  bool appended = false;
+  uint32_t shared_row = 0;
   for (auto& [qid, q] : queries_) {
     // Span check: cheap, and implements local self-expiry.
     if (ts < q.plan.start_time || ts >= q.plan.end_time) {
@@ -148,8 +151,9 @@ int64_t ScrubAgent::LogEventImpl(const Event& event, Event* owned) {
     ++q.stats.events_considered;
 
     // Window counters: M_i before anything else.
-    WindowCounter& counter = q.pending_counters[WindowStartFor(q, ts)];
-    counter.window_start = WindowStartFor(q, ts);
+    const TimeMicros window_start = WindowStartFor(q, ts);
+    WindowCounter& counter = q.pending_counters[window_start];
+    counter.window_start = window_start;
     ++counter.seen;
 
     // 1. Event sampling, before any predicate work.
@@ -185,22 +189,20 @@ int64_t ScrubAgent::LogEventImpl(const Event& event, Event* owned) {
       continue;
     }
 
-    // Columnar path: append the sampled event to its source's column
-    // builder and defer selection + projection to the vectorized flush
-    // pre-pass. Only the enqueue cost is paid at log() time; the predicate
-    // and projection charges move to flush, where the work actually runs.
+    // Columnar path: record the sampled event's row in the shared staging
+    // batch of its type and defer selection + projection to the vectorized
+    // flush pre-pass. Only the enqueue cost is paid at log() time; the
+    // predicate and projection charges move to flush, where the work
+    // actually runs. Capacity and budget stay per query.
     if (q.use_columns) {
       ns += c.enqueue_ns;
       const size_t si = static_cast<size_t>(sp - q.plan.sources.data());
       if (q.columns.empty()) {
         q.columns.resize(q.plan.sources.size());
       }
-      if (q.columns[si] == nullptr) {
-        q.columns[si] = std::make_unique<ColumnBatch>(event.schema());
-      }
       if (StagedColumnRows(q) >= config_.staging_capacity) {
         ++q.stats.events_dropped;
-        CountShed(q, ts);
+        ++counter.shed;
       } else if (staging_accountant_.active() &&
                  !staging_accountant_.TryCharge(q.plan.query_id,
                                                 event.WireSize())) {
@@ -208,9 +210,17 @@ int64_t ScrubAgent::LogEventImpl(const Event& event, Event* owned) {
         // pre-pass, so the budget is charged at the full wire size —
         // conservative relative to the row path's projected charge.
         ++q.stats.events_dropped;
-        CountShed(q, ts);
+        ++counter.shed;
       } else {
-        q.columns[si]->AppendEvent(event);
+        if (!appended) {
+          ColumnBatch& shared =
+              staging_.try_emplace(event.type_name(), event.schema())
+                  .first->second;
+          shared_row = static_cast<uint32_t>(shared.rows());
+          shared.AppendEvent(event);
+          appended = true;
+        }
+        q.columns[si].push_back(shared_row);
         if (q.plan.sources.size() > 1) {
           q.staging_order.push_back(static_cast<uint8_t>(si));
         }
@@ -270,8 +280,16 @@ void ScrubAgent::HoldForRetransmit(ActiveQuery& q, QueryId query_id,
 
 size_t ScrubAgent::StagedColumnRows(const ActiveQuery& q) const {
   size_t rows = 0;
-  for (const std::unique_ptr<ColumnBatch>& b : q.columns) {
-    rows += b == nullptr ? 0 : b->rows();
+  for (const std::vector<uint32_t>& r : q.columns) {
+    rows += r.size();
+  }
+  return rows;
+}
+
+size_t ScrubAgent::shared_staged_rows() const {
+  size_t rows = 0;
+  for (const auto& [type, batch] : staging_) {
+    rows += batch.rows();
   }
   return rows;
 }
@@ -279,21 +297,20 @@ size_t ScrubAgent::StagedColumnRows(const ActiveQuery& q) const {
 void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
                               TimeMicros now,
                               std::vector<EventBatch>* batches) {
-  if (q.columns.empty() || q.columns[0] == nullptr ||
-      q.columns[0]->rows() == 0) {
+  if (q.columns.empty() || q.columns[0].empty()) {
     return;
   }
   const CostModel& c = config_.costs;
   const HostSourcePlan& sp = q.plan.sources[0];
-  ColumnBatch cols = std::move(*q.columns[0]);
-  *q.columns[0] = ColumnBatch(cols.schema());
+  const ColumnBatch& cols = staging_.at(sp.event_type);
 
-  // Vectorized selection: each conjunct compacts the selection vector, the
-  // batch twin of the row path's per-event short-circuit loop — and the
-  // cost accounting matches it: a conjunct is only charged for the rows
-  // that reached it.
-  std::vector<uint32_t> selection(cols.rows());
-  std::iota(selection.begin(), selection.end(), 0U);
+  // Vectorized selection over the query's own rows: each conjunct compacts
+  // the selection vector, the batch twin of the row path's per-event
+  // short-circuit loop — and the cost accounting matches it: a conjunct is
+  // only charged for the rows that reached it.
+  std::vector<uint32_t> selection = std::move(q.columns[0]);
+  q.columns[0].clear();
+  const size_t staged = selection.size();
   int64_t ns = 0;
   if (sp.never_matches) {
     selection.clear();
@@ -306,7 +323,7 @@ void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
           static_cast<int64_t>(selection.size());
     EvalProgramPredicateBatch(program, cols, &selection);
   }
-  q.stats.events_filtered += cols.rows() - selection.size();
+  q.stats.events_filtered += staged - selection.size();
   q.stats.events_staged += selection.size();
   // Projection is column selection on the wire: charged per surviving row,
   // never materialized.
@@ -354,24 +371,25 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
   }
   const CostModel& c = config_.costs;
   const size_t num_sources = q.plan.sources.size();
-  std::vector<std::unique_ptr<ColumnBatch>> staged = std::move(q.columns);
+  std::vector<std::vector<uint32_t>> staged = std::move(q.columns);
   q.columns.clear();
   std::vector<uint8_t> order = std::move(q.staging_order);
   q.staging_order.clear();
 
-  // Per-source vectorized selection, with the same charge pattern as the
-  // single-source pre-pass: a conjunct is charged only for the rows that
-  // reached it, projection per surviving row.
+  // Per-source vectorized selection over the query's own rows, with the
+  // same charge pattern as the single-source pre-pass: a conjunct is
+  // charged only for the rows that reached it, projection per surviving row.
   int64_t ns = 0;
+  std::vector<const ColumnBatch*> source_batch(num_sources, nullptr);
   std::vector<std::vector<bool>> survived(num_sources);
   for (size_t si = 0; si < num_sources; ++si) {
-    if (staged[si] == nullptr || staged[si]->rows() == 0) {
+    if (staged[si].empty()) {
       continue;
     }
     const HostSourcePlan& sp = q.plan.sources[si];
-    ColumnBatch& cols = *staged[si];
-    std::vector<uint32_t> selection(cols.rows());
-    std::iota(selection.begin(), selection.end(), 0U);
+    const ColumnBatch& cols = staging_.at(sp.event_type);
+    source_batch[si] = &cols;
+    std::vector<uint32_t> selection = staged[si];
     if (sp.never_matches) {
       selection.clear();
     }
@@ -383,7 +401,7 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
             static_cast<int64_t>(selection.size());
       EvalProgramPredicateBatch(program, cols, &selection);
     }
-    q.stats.events_filtered += cols.rows() - selection.size();
+    q.stats.events_filtered += staged[si].size() - selection.size();
     q.stats.events_staged += selection.size();
     ns += c.projection_per_field_ns * sp.kept_fields *
           static_cast<int64_t>(selection.size());
@@ -404,7 +422,7 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
   std::vector<Arrival> arrivals;
   std::vector<uint32_t> cursor(num_sources, 0);
   for (const uint8_t s : order) {
-    const uint32_t r = cursor[s]++;
+    const uint32_t r = staged[s][cursor[s]++];
     if (!survived[s].empty() && survived[s][r]) {
       arrivals.push_back({s, r});
     }
@@ -438,7 +456,7 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
       }
       section_of[si] = static_cast<int>(sections.size());
       ColumnJoinSection section;
-      section.batch = staged[si].get();
+      section.batch = source_batch[si];
       section.selection = chunk_rows[si].data();
       section.selected = chunk_rows[si].size();
       section.keep_field = &q.plan.sources[si].keep_field;
@@ -648,7 +666,7 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
       }
     }
     // A flush drains the query's staging completely (row buffer above, the
-    // column batch in FlushColumns), so its whole byte charge comes back.
+    // row lists in FlushColumns), so its whole byte charge comes back.
     if (staging_accountant_.active()) {
       staging_accountant_.ReleaseAll(it->first);
     }
@@ -674,6 +692,11 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
     } else {
       ++it;
     }
+  }
+  // Every query's row list was drained above (and removed queries took
+  // theirs with them), so nothing references the shared rows any more.
+  for (auto& [type, batch] : staging_) {
+    batch.Clear();
   }
   return batches;
 }

@@ -14,6 +14,12 @@
 //    deactivates the query locally even if the teardown message is in
 //    flight, so a forgotten query cannot load the host.
 //
+// On the columnar path the staging work is shared across queries: the agent
+// copies each logged event at most once, into one staging ColumnBatch per
+// event type, and each query that keeps the event records only its row
+// index. Host cost therefore grows with the number of live queries by a
+// per-query index push, not by a per-query copy of the event.
+//
 // Every unit of work is charged to the host's CostMeter in simulated
 // nanoseconds; LogEvent returns the charge so the application can add it to
 // the request's latency (that is how E7/E8 measure the paper's 2.5% CPU /
@@ -25,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -109,8 +114,9 @@ struct AgentConfig {
   // per in-span query, so ScrubCentral can tell "host reachable, nothing to
   // report" from "host silent" — the basis of completeness accounting.
   bool flush_heartbeats = false;
-  // Columnar data plane: queries stage events in per-source ColumnBatches
-  // and run selection/projection vectorized at flush time. Single-source
+  // Columnar data plane: queries stage row indices into the agent's shared
+  // per-type ColumnBatches and run selection/projection vectorized at flush
+  // time. Single-source
   // queries ship the columnar wire format; joins ship one columnar section
   // per source plus the explicit arrival-order interleave (kColumnarJoin),
   // so the central join replays the exact event sequence the row path would
@@ -176,15 +182,18 @@ class ScrubAgent {
   // The application-facing instrumentation point. Processes the event
   // against every active query, charges the host CostMeter, and returns the
   // simulated nanoseconds spent (so callers can fold it into request
-  // latency). The event is shared across queries by const reference; staged
-  // copies are projected. The rvalue overload lets the last staging query
-  // steal the caller's field values instead of deep-copying them.
+  // latency). The event is shared across queries by const reference. Row
+  // staging keeps one projected copy per query; the rvalue overload lets the
+  // last row-staging query steal the caller's field values instead of
+  // deep-copying them. Columnar staging copies the event at most once, into
+  // the shared batch of its type, however many queries keep it.
   int64_t LogEvent(const Event& event);
   int64_t LogEvent(Event&& event);
 
   // Drains staged events into batches (at most max_batch_events each) and
   // emits counter deltas. Also retires queries whose span has passed
-  // `now` (returns their ids in `expired` if non-null).
+  // `now` (returns their ids in `expired` if non-null). Every flush ends
+  // with the shared columnar staging batches empty.
   std::vector<EventBatch> Flush(TimeMicros now,
                                 std::vector<QueryId>* expired = nullptr);
 
@@ -222,25 +231,28 @@ class ScrubAgent {
 
   const AgentQueryStats* StatsFor(QueryId query_id) const;
   uint64_t total_events_logged() const { return total_events_logged_; }
+  // Rows held across the shared columnar staging batches (zero after every
+  // Flush).
+  size_t shared_staged_rows() const;
 
  private:
   struct ActiveQuery {
     HostPlan plan;
     BoundedBuffer<Event> staged;  // row path
-    // Columnar path: sampled events append here un-filtered; selection and
-    // projection run vectorized at flush. Lazily created from the first
-    // matching event's schema (the agent holds no SchemaRegistry).
+    // Columnar path: sampled events are staged un-filtered in the agent's
+    // shared per-type batch (`staging_`); selection and projection run
+    // vectorized at flush.
     bool use_columns = false;
-    // One staging batch per plan source (lazily sized to plan.sources, each
-    // batch lazily created from its first matching event's schema — the
-    // agent holds no SchemaRegistry). Single-source plans use slot 0; joins
+    // Per plan source (lazily sized to plan.sources), this query's staged
+    // row indices into the shared batch of that source's event type, in
+    // ascending (arrival) order. Single-source plans use slot 0; joins
     // stage every source and record the arrival interleave in
     // `staging_order` so the central join replays the row path's exact
     // event sequence.
-    std::vector<std::unique_ptr<ColumnBatch>> columns;
+    std::vector<std::vector<uint32_t>> columns;
     // Source index of each column-staged event, in arrival order. Only
     // maintained for multi-source plans (a single source's arrival order is
-    // its batch's row order).
+    // its row list's order).
     std::vector<uint8_t> staging_order;
     // Counter deltas keyed by window start, flushed incrementally.
     std::map<TimeMicros, WindowCounter> pending_counters;
@@ -285,8 +297,8 @@ class ScrubAgent {
                 Event* owned);
 
   // Vectorized flush pre-pass for a single-source columnar query: filter +
-  // project the staged ColumnBatch and append the resulting wire batches to
-  // `batches`.
+  // project the query's rows of the shared staging batch and append the
+  // resulting wire batches to `batches`.
   void FlushColumns(QueryId query_id, ActiveQuery& q, TimeMicros now,
                     std::vector<EventBatch>* batches);
 
@@ -298,7 +310,7 @@ class ScrubAgent {
   void FlushColumnJoin(QueryId query_id, ActiveQuery& q, TimeMicros now,
                        std::vector<EventBatch>* batches);
 
-  // Total rows staged across a columnar query's per-source batches.
+  // Total rows staged across a columnar query's per-source row lists.
   size_t StagedColumnRows(const ActiveQuery& q) const;
 
   // Per-query flush chunk cap: the adaptive override when set, else the
@@ -338,9 +350,16 @@ class ScrubAgent {
   Rng retry_rng_;
   uint64_t epoch_;
   // Logical bytes staged per query, against staging_budget_bytes. Released
-  // when a flush drains the query's staging (row buffer or column batch).
+  // when a flush drains the query's staging (row buffer or row list).
   MemoryAccountant staging_accountant_;
   std::unordered_map<QueryId, ActiveQuery> queries_;
+  // Columnar staging shared by every query: one batch per event type, each
+  // created from the first kept event's schema (the agent holds no
+  // SchemaRegistry). An event enters its type's batch at most once, when
+  // the first query keeps it; queries hold row indices into it. Cleared
+  // (capacity kept) at the end of every Flush, when no row list references
+  // it any more.
+  std::unordered_map<std::string, ColumnBatch> staging_;
   std::unordered_map<QueryId, AgentQueryStats> retired_stats_;
   // Retransmit buffers outlive query retirement: the final flush's batches
   // are still owed to ScrubCentral. They drain via ack or deadline.

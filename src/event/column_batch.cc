@@ -59,6 +59,25 @@ void ColumnBatch::Reserve(size_t rows) {
   }
 }
 
+void ColumnBatch::Clear() {
+  request_ids_.clear();
+  timestamps_.clear();
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    Column& col = columns_[i];
+    col.rep = RepFor(schema_->field(i).type);
+    col.bools.clear();
+    col.ints.clear();
+    col.doubles.clear();
+    col.offsets.clear();
+    col.arena.clear();
+    col.generic.clear();
+    col.nulls.clear();
+    if (col.rep == Rep::kString) {
+      col.offsets.push_back(0);
+    }
+  }
+}
+
 void ColumnBatch::AppendEvent(const Event& event) {
   request_ids_.push_back(event.request_id());
   timestamps_.push_back(static_cast<int64_t>(event.timestamp()));

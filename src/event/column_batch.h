@@ -85,6 +85,10 @@ class ColumnBatch {
   const Column& column(size_t field) const { return columns_[field]; }
 
   void Reserve(size_t rows);
+  // Drops every row and restores each column's schema-derived
+  // representation (undoing generic migrations), keeping the allocated
+  // capacity so a reused staging batch does not reallocate.
+  void Clear();
 
   // Appends one row, copying the event's field values into the columns.
   void AppendEvent(const Event& event);

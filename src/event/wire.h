@@ -101,7 +101,7 @@ Result<ColumnBatch> DecodeColumnBatch(const SchemaRegistry& registry,
 
 // ---- Columnar join batch format (BatchFormat::kColumnarJoin) ---------------
 //
-// Multi-source plans stage one ColumnBatch per source at the agent, but the
+// Multi-source plans stage one row list per source at the agent, but the
 // central join folds events in arrival order, so the wire carries both: the
 // per-source columnar sections AND the explicit interleave that says which
 // source each staged event came from. Layout:

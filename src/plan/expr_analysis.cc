@@ -468,7 +468,13 @@ ProgramAnalysis AnalyzeProgram(const ExprProgram& p) {
       continue;
     }
     AbstractValue fact;
-    const AbstractValue& fa = regs[in.a];
+    // Constants and loads have no register operand (a load's `a` is a source
+    // index, not a register), so only the other ops read regs[in.a].
+    static const AbstractValue kNoOperand;
+    const bool reads_a =
+        in.op != IrOp::kConst && in.op != IrOp::kLoadField &&
+        in.op != IrOp::kLoadRequestId && in.op != IrOp::kLoadTimestamp;
+    const AbstractValue& fa = reads_a ? regs[in.a] : kNoOperand;
     switch (in.op) {
       case IrOp::kConst:
         fact = ConstFact(p.consts[static_cast<size_t>(in.imm)]);

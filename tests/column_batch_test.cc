@@ -112,6 +112,42 @@ TEST_F(ColumnBatchTest, TypeMismatchMigratesColumnToGeneric) {
   EXPECT_EQ(batch.ValueAt(1, 2), Value("not-a-number"));
 }
 
+TEST_F(ColumnBatchTest, ClearRestoresTypedColumnsAndKeepsCapacity) {
+  ColumnBatch batch(schema_);
+  for (uint64_t i = 0; i < 100; ++i) {
+    batch.AppendEvent(MakeBid(i, static_cast<int64_t>(i), 1.0, "US"));
+  }
+  Event drifted = MakeBid(100, 0, 3.0, "FR");
+  drifted.SetField(1, Value("not-a-number"));
+  drifted.SetField(3, Value());
+  batch.AppendEvent(drifted);
+  ASSERT_EQ(batch.column(1).rep, ColumnBatch::Rep::kGeneric);
+  const size_t double_capacity = batch.column(2).doubles.capacity();
+
+  batch.Clear();
+  EXPECT_EQ(batch.rows(), 0u);
+  EXPECT_EQ(batch.column(1).rep, ColumnBatch::Rep::kInt);
+  EXPECT_TRUE(batch.column(1).generic.empty());
+  EXPECT_TRUE(batch.column(3).nulls.empty());
+  EXPECT_EQ(batch.column(3).offsets.size(), 1u);  // rows()+1 invariant
+  EXPECT_GE(batch.column(2).doubles.capacity(), double_capacity);
+
+  // A cleared batch behaves like a fresh one, wire bytes included.
+  ColumnBatch fresh(schema_);
+  for (uint64_t i = 0; i < 3; ++i) {
+    const Event e = MakeBid(i, static_cast<int64_t>(i), 2.5, "DE");
+    batch.AppendEvent(e);
+    fresh.AppendEvent(e);
+  }
+  EXPECT_EQ(batch.column(1).rep, ColumnBatch::Rep::kInt);
+  EXPECT_EQ(batch.ValueAt(3, 2), Value("DE"));
+  std::string cleared_bytes;
+  std::string fresh_bytes;
+  EncodeColumnBatch(batch, nullptr, batch.rows(), nullptr, &cleared_bytes);
+  EncodeColumnBatch(fresh, nullptr, fresh.rows(), nullptr, &fresh_bytes);
+  EXPECT_EQ(cleared_bytes, fresh_bytes);
+}
+
 TEST_F(ColumnBatchTest, MaterializeEventRoundTrips) {
   ColumnBatch batch(schema_);
   Event original = MakeBid(42, 9000, 3.75, "JP");

@@ -232,6 +232,31 @@ TEST_F(ExprIrTest, AnalysisClassifiesTautologyAndNullCompare) {
   EXPECT_EQ(analysis.notes[0].kind, AnalysisNoteKind::kNullOrderedCompare);
 }
 
+TEST_F(ExprIrTest, AnalysisOfSecondSourceLoadStaysInRegisterBounds) {
+  // The argument of a join's `SUM(impression.cost)`: one load from source
+  // 1 into a one-register program. A load's `a` operand is a source index,
+  // so the analysis must not read it as a register (regs[1] is out of
+  // range here; bounds-checked builds abort on it).
+  const SchemaPtr impression = *EventSchema::Builder("impression")
+                                    .AddField("line_item_id", FieldType::kLong)
+                                    .AddField("cost", FieldType::kDouble)
+                                    .Build();
+  CompiledExpr cost;
+  cost.kind = CompiledKind::kField;
+  cost.source = 1;
+  cost.field_index = 1;
+  const ExprProgram p = LowerExpr(cost, {schema_, impression});
+  ASSERT_TRUE(VerifyProgram(p).ok()) << VerifyProgram(p).ToString();
+  ASSERT_EQ(p.num_regs, 1u);
+  ASSERT_EQ(p.insts.size(), 1u);
+  ASSERT_EQ(p.insts[0].op, IrOp::kLoadField);
+  ASSERT_EQ(p.insts[0].a, 1u);
+  const ProgramAnalysis analysis = AnalyzeProgram(p);
+  EXPECT_EQ(analysis.result.types, p.insts[0].types);
+  EXPECT_FALSE(analysis.result.constant.has_value());
+  EXPECT_TRUE(analysis.notes.empty());
+}
+
 TEST_F(ExprIrTest, AnalysisFlagsProvableDivisionByZero) {
   const ExprProgram p = LowerExpr(
       Bin(BinaryOp::kDiv, FieldRef(2), Lit(Value(int64_t{0}))), schemas_,

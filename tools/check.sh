@@ -149,6 +149,16 @@ else
   done
 fi
 
+# ------------------------------------------------- scrubbench smoke ----------
+# The end-to-end benchmark's own correctness checks: its oracle on every
+# workload (5 simulated seconds each) and --check-driver's stepped-driver vs
+# ScrubSystem transcript comparison. run.sh builds its own Release tree in
+# build-scrubbench/ and exits nonzero if either check fails.
+note "scrubbench smoke (oracle + --check-driver)"
+if ! "${REPO}/bench/scrubbench/run.sh" --smoke; then
+  fail "scrubbench smoke failed (re-run: bench/scrubbench/run.sh --smoke)"
+fi
+
 # ------------------------------------------------- benchmark regression ------
 note "benchmark suite vs committed baseline (parallel-central + ingest + fleet)"
 if [ -f "${REPO}/BENCH_scrub.json" ]; then

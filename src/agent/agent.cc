@@ -14,17 +14,11 @@ void ScrubAgent::InstallQuery(const HostPlan& plan) {
   if (queries_.count(plan.query_id) > 0) {
     return;
   }
-  auto [it, inserted] = queries_.emplace(
-      plan.query_id, ActiveQuery(plan, config_.staging_capacity));
-  // Joins stage columnar too: one row list per source plus the explicit
-  // arrival-order interleave (kColumnarJoin), which is what keeps the
-  // central join's fold order identical across pipelines. The wire format
-  // caps the per-batch section count, so wider joins keep the row path.
-  it->second.use_columns = config_.columnar && !plan.preaggregate &&
-                           plan.sources.size() <= kMaxColumnJoinSections;
-  it->second.stats.columnar_staging = it->second.use_columns;
+  ActiveQuery& q = queries_.emplace(plan.query_id, ActiveQuery(plan))
+                       .first->second;
+  q.stats.preaggregated = plan.preaggregate;
   for (const HostSourcePlan& sp : plan.sources) {
-    it->second.stats.source_types.push_back(sp.event_type);
+    q.stats.source_types.push_back(sp.event_type);
   }
 }
 
@@ -38,18 +32,6 @@ void ScrubAgent::SetBatchOverride(QueryId query_id, size_t max_batch_events) {
   if (it != queries_.end()) {
     it->second.batch_override = max_batch_events;
   }
-}
-
-void ScrubAgent::SetPipelineOverride(QueryId query_id, bool columnar) {
-  const auto it = queries_.find(query_id);
-  if (it != queries_.end()) {
-    it->second.pending_pipeline = columnar ? 1 : 0;
-  }
-}
-
-bool ScrubAgent::UsesColumns(QueryId query_id) const {
-  const auto it = queries_.find(query_id);
-  return it != queries_.end() && it->second.use_columns;
 }
 
 size_t ScrubAgent::BatchLimitFor(QueryId query_id) const {
@@ -73,50 +55,7 @@ TimeMicros ScrubAgent::WindowStartFor(const ActiveQuery& q,
   return q.plan.start_time + (rel / grid) * grid;
 }
 
-void ScrubAgent::CountShed(ActiveQuery& q, TimeMicros ts) {
-  const TimeMicros start = WindowStartFor(q, ts);
-  WindowCounter& counter = q.pending_counters[start];
-  counter.window_start = start;
-  ++counter.shed;
-}
-
-void ScrubAgent::StageRow(ActiveQuery& q, const HostSourcePlan& sp,
-                          const Event& event, Event* owned) {
-  Event projected(event.schema(), event.request_id(), event.timestamp());
-  for (size_t i = 0; i < sp.keep_field.size(); ++i) {
-    if (sp.keep_field[i]) {
-      projected.SetField(i, owned != nullptr ? owned->TakeField(i)
-                                             : Value(event.field(i)));
-    }
-  }
-  // Byte budget first (logical wire size), then the entry-count cap. Both
-  // degrade the same way: drop, count, never block the application thread.
-  const size_t bytes =
-      staging_accountant_.active() ? projected.WireSize() : 0;
-  if (bytes > 0 &&
-      !staging_accountant_.TryCharge(q.plan.query_id, bytes)) {
-    ++q.stats.events_dropped;
-    CountShed(q, projected.timestamp());
-    return;
-  }
-  if (q.staged.TryPush(std::move(projected))) {
-    ++q.stats.events_staged;
-  } else {
-    staging_accountant_.Release(q.plan.query_id, bytes);
-    ++q.stats.events_dropped;
-    CountShed(q, event.timestamp());
-  }
-}
-
 int64_t ScrubAgent::LogEvent(const Event& event) {
-  return LogEventImpl(event, nullptr);
-}
-
-int64_t ScrubAgent::LogEvent(Event&& event) {
-  return LogEventImpl(event, &event);
-}
-
-int64_t ScrubAgent::LogEventImpl(const Event& event, Event* owned) {
   ++total_events_logged_;
   const CostModel& c = config_.costs;
   // Fixed cost of the instrumentation point itself: metadata stamping plus
@@ -127,16 +66,8 @@ int64_t ScrubAgent::LogEventImpl(const Event& event, Event* owned) {
                c.log_per_field_ns * static_cast<int64_t>(event.field_count());
 
   const TimeMicros ts = event.timestamp();
-  // Row staging is deferred so the last staging query can move the caller's
-  // field values instead of copying them; only the final StageRow may
-  // consume `owned`.
-  struct StageTarget {
-    ActiveQuery* q = nullptr;
-    const HostSourcePlan* sp = nullptr;
-  };
-  StageTarget deferred;
-  // Columnar staging copies the event once, when the first query keeps it;
-  // every keeping query then records the same row of the shared batch.
+  // The event is copied once, when the first query keeps it; every keeping
+  // query then records the same row of the shared batch.
   bool appended = false;
   uint32_t shared_row = 0;
   for (auto& [qid, q] : queries_) {
@@ -156,7 +87,7 @@ int64_t ScrubAgent::LogEventImpl(const Event& event, Event* owned) {
     counter.window_start = window_start;
     ++counter.seen;
 
-    // 1. Event sampling, before any predicate work.
+    // 1. Event sampling, before any other per-query work.
     if (q.plan.event_sample_rate < 1.0) {
       ns += c.sample_flip_ns;
       if (!rng_.NextBool(q.plan.event_sample_rate)) {
@@ -166,10 +97,10 @@ int64_t ScrubAgent::LogEventImpl(const Event& event, Event* owned) {
     }
     ++counter.sampled;
 
-    // Pre-aggregation path: selection runs here on the folded IR (same
-    // charges as the row path), then the event folds into its slot's delta
-    // cells — the same arithmetic central's accumulator update runs, so
-    // shipping deltas changes bytes, never results.
+    // Pre-aggregation path: selection runs here on the folded IR, then the
+    // event folds into its slot's delta cells — the same arithmetic
+    // central's accumulator update runs, so shipping deltas changes bytes,
+    // never results.
     if (q.plan.preaggregate) {
       bool selected = !sp->never_matches;
       for (const ExprProgram& program : sp->programs) {
@@ -189,75 +120,64 @@ int64_t ScrubAgent::LogEventImpl(const Event& event, Event* owned) {
       continue;
     }
 
-    // Columnar path: record the sampled event's row in the shared staging
-    // batch of its type and defer selection + projection to the vectorized
-    // flush pre-pass. Only the enqueue cost is paid at log() time; the
-    // predicate and projection charges move to flush, where the work
-    // actually runs. Capacity and budget stay per query.
-    if (q.use_columns) {
-      ns += c.enqueue_ns;
-      const size_t si = static_cast<size_t>(sp - q.plan.sources.data());
-      if (q.columns.empty()) {
-        q.columns.resize(q.plan.sources.size());
-      }
-      if (StagedColumnRows(q) >= config_.staging_capacity) {
-        ++q.stats.events_dropped;
-        ++counter.shed;
-      } else if (staging_accountant_.active() &&
-                 !staging_accountant_.TryCharge(q.plan.query_id,
-                                                event.WireSize())) {
-        // Columnar staging keeps the un-projected event until the flush
-        // pre-pass, so the budget is charged at the full wire size —
-        // conservative relative to the row path's projected charge.
-        ++q.stats.events_dropped;
-        ++counter.shed;
-      } else {
-        if (!appended) {
-          ColumnBatch& shared =
-              staging_.try_emplace(event.type_name(), event.schema())
-                  .first->second;
-          shared_row = static_cast<uint32_t>(shared.rows());
-          shared.AppendEvent(event);
-          appended = true;
-        }
-        q.columns[si].push_back(shared_row);
-        if (q.plan.sources.size() > 1) {
-          q.staging_order.push_back(static_cast<uint8_t>(si));
-        }
-      }
-      continue;
+    // 2. Staging: record the sampled event's row in the shared staging
+    // batch of its type and defer selection + projection to the flush,
+    // where they run vectorized. Only the enqueue cost is paid at log()
+    // time; the predicate and projection charges move to flush, where the
+    // work actually runs. Capacity and budget are per query; shedding,
+    // never blocking.
+    ns += c.enqueue_ns;
+    const size_t si = static_cast<size_t>(sp - q.plan.sources.data());
+    if (q.columns.empty()) {
+      q.columns.resize(q.plan.sources.size());
     }
-
-    // 2. Selection, on the folded IR programs (always-true conjuncts are
-    // already pruned; a provably unsatisfiable filter ships nothing).
-    bool pass = !sp->never_matches;
-    for (const ExprProgram& program : sp->programs) {
-      if (!pass) {
-        break;
+    if (StagedRows(q) >= config_.staging_capacity) {
+      ++q.stats.events_dropped;
+      ++counter.shed;
+    } else if (staging_accountant_.active() &&
+               !staging_accountant_.TryCharge(q.plan.query_id,
+                                              event.WireSize())) {
+      // Staging keeps the un-projected event until the flush, so the budget
+      // is charged at the full wire size.
+      ++q.stats.events_dropped;
+      ++counter.shed;
+    } else {
+      if (!appended) {
+        ColumnBatch& shared =
+            staging_.try_emplace(event.type_name(), event.schema())
+                .first->second;
+        shared_row = static_cast<uint32_t>(shared.rows());
+        shared.AppendEvent(event);
+        appended = true;
       }
-      ns += c.predicate_term_ns * static_cast<int64_t>(program.insts.size());
-      if (!EvalProgramPredicateSingle(program, event)) {
-        pass = false;
+      q.columns[si].push_back(shared_row);
+      if (q.plan.sources.size() > 1) {
+        q.staging_order.push_back(static_cast<uint8_t>(si));
       }
     }
-    if (!pass) {
-      ++q.stats.events_filtered;
-      continue;
-    }
-
-    // 3. Projection + staging. Shedding, never blocking.
-    ns += c.projection_per_field_ns * sp->kept_fields + c.enqueue_ns;
-    if (deferred.q != nullptr) {
-      StageRow(*deferred.q, *deferred.sp, event, nullptr);
-    }
-    deferred = {&q, sp};
-  }
-  if (deferred.q != nullptr) {
-    StageRow(*deferred.q, *deferred.sp, event, owned);
   }
 
   meter_->ChargeScrub(ns);
   return ns;
+}
+
+void ScrubAgent::Ship(QueryId query_id, ActiveQuery& q, EventBatch batch,
+                      TimeMicros now, std::vector<EventBatch>* batches) {
+  batch.query_id = query_id;
+  batch.host = host_;
+  batch.seq = ++next_seq_[query_id];
+  batch.epoch = epoch_;
+  for (auto& [window_start, counter] : q.pending_counters) {
+    batch.counters.push_back(counter);
+  }
+  q.pending_counters.clear();
+  q.stats.events_shipped += batch.event_count;
+  // Serialization is Scrub work on the host.
+  meter_->ChargeScrub(static_cast<int64_t>(batch.payload.size()) *
+                      config_.costs.serialize_per_byte_ns);
+  ++q.stats.batches_sent;
+  HoldForRetransmit(q, query_id, batch, now);
+  batches->push_back(std::move(batch));
 }
 
 void ScrubAgent::HoldForRetransmit(ActiveQuery& q, QueryId query_id,
@@ -278,7 +198,7 @@ void ScrubAgent::HoldForRetransmit(ActiveQuery& q, QueryId query_id,
   }
 }
 
-size_t ScrubAgent::StagedColumnRows(const ActiveQuery& q) const {
+size_t ScrubAgent::StagedRows(const ActiveQuery& q) const {
   size_t rows = 0;
   for (const std::vector<uint32_t>& r : q.columns) {
     rows += r.size();
@@ -294,51 +214,46 @@ size_t ScrubAgent::shared_staged_rows() const {
   return rows;
 }
 
+int64_t ScrubAgent::SelectStaged(const HostSourcePlan& sp,
+                                 const ColumnBatch& cols,
+                                 std::vector<uint32_t>* selection,
+                                 AgentQueryStats* stats) const {
+  const CostModel& c = config_.costs;
+  const size_t staged = selection->size();
+  int64_t ns = 0;
+  if (sp.never_matches) {
+    selection->clear();
+  }
+  for (const ExprProgram& program : sp.programs) {
+    if (selection->empty()) {
+      break;
+    }
+    ns += c.predicate_term_ns * static_cast<int64_t>(program.insts.size()) *
+          static_cast<int64_t>(selection->size());
+    EvalProgramPredicateBatch(program, cols, selection);
+  }
+  stats->events_filtered += staged - selection->size();
+  stats->events_staged += selection->size();
+  return ns + c.projection_per_field_ns * sp.kept_fields *
+                  static_cast<int64_t>(selection->size());
+}
+
 void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
                               TimeMicros now,
                               std::vector<EventBatch>* batches) {
   if (q.columns.empty() || q.columns[0].empty()) {
     return;
   }
-  const CostModel& c = config_.costs;
   const HostSourcePlan& sp = q.plan.sources[0];
   const ColumnBatch& cols = staging_.at(sp.event_type);
-
-  // Vectorized selection over the query's own rows: each conjunct compacts
-  // the selection vector, the batch twin of the row path's per-event
-  // short-circuit loop — and the cost accounting matches it: a conjunct is
-  // only charged for the rows that reached it.
   std::vector<uint32_t> selection = std::move(q.columns[0]);
   q.columns[0].clear();
-  const size_t staged = selection.size();
-  int64_t ns = 0;
-  if (sp.never_matches) {
-    selection.clear();
-  }
-  for (const ExprProgram& program : sp.programs) {
-    if (selection.empty()) {
-      break;
-    }
-    ns += c.predicate_term_ns * static_cast<int64_t>(program.insts.size()) *
-          static_cast<int64_t>(selection.size());
-    EvalProgramPredicateBatch(program, cols, &selection);
-  }
-  q.stats.events_filtered += staged - selection.size();
-  q.stats.events_staged += selection.size();
-  // Projection is column selection on the wire: charged per surviving row,
-  // never materialized.
-  ns += c.projection_per_field_ns * sp.kept_fields *
-        static_cast<int64_t>(selection.size());
-  meter_->ChargeScrub(ns);
+  meter_->ChargeScrub(SelectStaged(sp, cols, &selection, &q.stats));
 
   const size_t max_batch = EffectiveBatch(q);
   for (size_t start = 0; start < selection.size(); start += max_batch) {
     const size_t n = std::min(max_batch, selection.size() - start);
     EventBatch batch;
-    batch.query_id = query_id;
-    batch.host = host_;
-    batch.seq = ++next_seq_[query_id];
-    batch.epoch = epoch_;
     batch.format = BatchFormat::kColumnar;
     batch.event_count = n;
     if (q.stats.last_encodings.empty()) {
@@ -346,20 +261,7 @@ void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
     }
     EncodeColumnBatch(cols, selection.data() + start, n, &sp.keep_field,
                       &batch.payload, &q.stats.last_encodings[0]);
-    q.stats.events_shipped += n;
-    // Counters ride with the first batch of the flush (same contract as the
-    // row path; a counters-only flush falls through to the row drain loop).
-    if (start == 0 && !q.pending_counters.empty()) {
-      for (auto& [window_start, counter] : q.pending_counters) {
-        batch.counters.push_back(counter);
-      }
-      q.pending_counters.clear();
-    }
-    meter_->ChargeScrub(static_cast<int64_t>(batch.payload.size()) *
-                        c.serialize_per_byte_ns);
-    ++q.stats.batches_sent;
-    HoldForRetransmit(q, query_id, batch, now);
-    batches->push_back(std::move(batch));
+    Ship(query_id, q, std::move(batch), now, batches);
   }
 }
 
@@ -369,16 +271,13 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
   if (q.staging_order.empty()) {
     return;
   }
-  const CostModel& c = config_.costs;
   const size_t num_sources = q.plan.sources.size();
   std::vector<std::vector<uint32_t>> staged = std::move(q.columns);
   q.columns.clear();
   std::vector<uint8_t> order = std::move(q.staging_order);
   q.staging_order.clear();
 
-  // Per-source vectorized selection over the query's own rows, with the
-  // same charge pattern as the single-source pre-pass: a conjunct is
-  // charged only for the rows that reached it, projection per surviving row.
+  // Per-source selection over the query's own rows.
   int64_t ns = 0;
   std::vector<const ColumnBatch*> source_batch(num_sources, nullptr);
   std::vector<std::vector<bool>> survived(num_sources);
@@ -390,21 +289,7 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
     const ColumnBatch& cols = staging_.at(sp.event_type);
     source_batch[si] = &cols;
     std::vector<uint32_t> selection = staged[si];
-    if (sp.never_matches) {
-      selection.clear();
-    }
-    for (const ExprProgram& program : sp.programs) {
-      if (selection.empty()) {
-        break;
-      }
-      ns += c.predicate_term_ns * static_cast<int64_t>(program.insts.size()) *
-            static_cast<int64_t>(selection.size());
-      EvalProgramPredicateBatch(program, cols, &selection);
-    }
-    q.stats.events_filtered += staged[si].size() - selection.size();
-    q.stats.events_staged += selection.size();
-    ns += c.projection_per_field_ns * sp.kept_fields *
-          static_cast<int64_t>(selection.size());
+    ns += SelectStaged(sp, cols, &selection, &q.stats);
     survived[si].assign(cols.rows(), false);
     for (const uint32_t r : selection) {
       survived[si][r] = true;
@@ -413,8 +298,7 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
   meter_->ChargeScrub(ns);
 
   // Walk the arrival interleave once: surviving events keep their original
-  // order, which is exactly the sequence the row path's single staging
-  // buffer would have drained.
+  // order.
   struct Arrival {
     uint8_t source;
     uint32_t row;
@@ -446,8 +330,7 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
     }
     // Sections carry only the sources present in this chunk, in plan order;
     // the order bytes index sections. Central re-identifies each section's
-    // source by its schema type name, the same way the row path classifies
-    // interleaved events.
+    // source by its schema type name.
     std::vector<ColumnJoinSection> sections;
     std::vector<int> section_of(num_sources, -1);
     for (size_t si = 0; si < num_sources; ++si) {
@@ -469,37 +352,17 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
     }
 
     EventBatch batch;
-    batch.query_id = query_id;
-    batch.host = host_;
-    batch.seq = ++next_seq_[query_id];
-    batch.epoch = epoch_;
     batch.format = BatchFormat::kColumnarJoin;
     batch.event_count = n;
     std::vector<std::vector<int>> encodings;
     EncodeColumnJoinBatch(sections, chunk_order, &batch.payload, &encodings);
-    {
-      size_t section = 0;
-      for (size_t si = 0; si < num_sources; ++si) {
-        if (section_of[si] >= 0) {
-          q.stats.last_encodings[si] = std::move(encodings[section++]);
-        }
+    size_t section = 0;
+    for (size_t si = 0; si < num_sources; ++si) {
+      if (section_of[si] >= 0) {
+        q.stats.last_encodings[si] = std::move(encodings[section++]);
       }
     }
-    q.stats.events_shipped += n;
-    // Counters ride with the first batch of the flush (same contract as the
-    // other paths; a counters-only flush falls through to the row drain
-    // loop).
-    if (start == 0 && !q.pending_counters.empty()) {
-      for (auto& [window_start, counter] : q.pending_counters) {
-        batch.counters.push_back(counter);
-      }
-      q.pending_counters.clear();
-    }
-    meter_->ChargeScrub(static_cast<int64_t>(batch.payload.size()) *
-                        c.serialize_per_byte_ns);
-    ++q.stats.batches_sent;
-    HoldForRetransmit(q, query_id, batch, now);
-    batches->push_back(std::move(batch));
+    Ship(query_id, q, std::move(batch), now, batches);
   }
 }
 
@@ -558,7 +421,6 @@ void ScrubAgent::FlushPreAgg(QueryId query_id, ActiveQuery& q, TimeMicros now,
   if (q.preagg.empty()) {
     return;
   }
-  const CostModel& c = config_.costs;
   std::vector<PreAggSlot> slots;
   slots.reserve(q.preagg.size());
   uint64_t events = 0;
@@ -573,34 +435,15 @@ void ScrubAgent::FlushPreAgg(QueryId query_id, ActiveQuery& q, TimeMicros now,
   q.preagg.clear();
 
   EventBatch batch;
-  batch.query_id = query_id;
-  batch.host = host_;
-  batch.seq = ++next_seq_[query_id];
-  batch.epoch = epoch_;
   batch.format = BatchFormat::kPreAgg;
   batch.event_count = events;
   batch.payload = EncodePreAggBatch(slots);
-  q.stats.events_shipped += events;
-  // Counters ride with the first batch of the flush (same contract as the
-  // other paths; a counters-only flush falls through to the row drain loop).
-  if (!q.pending_counters.empty()) {
-    for (auto& [start, counter] : q.pending_counters) {
-      batch.counters.push_back(counter);
-    }
-    q.pending_counters.clear();
-  }
-  meter_->ChargeScrub(static_cast<int64_t>(batch.payload.size()) *
-                      c.serialize_per_byte_ns);
-  ++q.stats.batches_sent;
-  HoldForRetransmit(q, query_id, batch, now);
-  batches->push_back(std::move(batch));
+  Ship(query_id, q, std::move(batch), now, batches);
 }
 
 std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
                                           std::vector<QueryId>* expired) {
   std::vector<EventBatch> batches;
-  const CostModel& c = config_.costs;
-
   for (auto it = queries_.begin(); it != queries_.end();) {
     ActiveQuery& q = it->second;
     // Heartbeat: make sure the current window has a counter entry even if
@@ -620,67 +463,25 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
         q.pending_counters[prev].window_start = prev;
       }
     }
-    // Columnar queries filter + project + encode vectorized; leftover
-    // counters (heartbeats, zero-survivor flushes) drain through the row
-    // loop below as a counters-only batch.
-    if (q.use_columns) {
-      if (q.plan.sources.size() > 1) {
-        FlushColumnJoin(it->first, q, now, &batches);
-      } else {
-        FlushColumns(it->first, q, now, &batches);
-      }
-    }
-    // Pre-aggregating queries ship their accumulated delta cells; same
-    // leftover-counter contract as the columnar path.
     if (q.plan.preaggregate) {
       FlushPreAgg(it->first, q, now, &batches);
+    } else if (q.plan.sources.size() > 1) {
+      FlushColumnJoin(it->first, q, now, &batches);
+    } else {
+      FlushColumns(it->first, q, now, &batches);
     }
-    // Drain staged events into one or more batches.
-    while (!q.staged.empty() || !q.pending_counters.empty()) {
+    // Counters no event batch carried (heartbeats, flushes whose staged
+    // events were all filtered) ship counters-only. The wire form is fixed:
+    // kRow, no events, payload EncodeBatch({}).
+    if (!q.pending_counters.empty()) {
       EventBatch batch;
-      batch.query_id = it->first;
-      batch.host = host_;
-      batch.seq = ++next_seq_[it->first];
-      batch.epoch = epoch_;
-      std::vector<Event> events;
-      q.staged.DrainInto(&events, EffectiveBatch(q));
-      batch.event_count = events.size();
-      q.stats.events_shipped += events.size();
-      batch.payload = EncodeBatch(events);
-      // Counters ride with the first batch of the flush.
-      if (!q.pending_counters.empty()) {
-        for (auto& [start, counter] : q.pending_counters) {
-          batch.counters.push_back(counter);
-        }
-        q.pending_counters.clear();
-      }
-      // Serialization is Scrub work on the host.
-      meter_->ChargeScrub(static_cast<int64_t>(batch.payload.size()) *
-                          c.serialize_per_byte_ns);
-      ++q.stats.batches_sent;
-      // Keep a retransmit copy until acked, budget permitting.
-      HoldForRetransmit(q, it->first, batch, now);
-      batches.push_back(std::move(batch));
-      if (events.empty()) {
-        break;  // counters-only flush
-      }
+      batch.payload = EncodeBatch({});
+      Ship(it->first, q, std::move(batch), now, &batches);
     }
-    // A flush drains the query's staging completely (row buffer above, the
-    // row lists in FlushColumns), so its whole byte charge comes back.
+    // A flush drains the query's row lists completely, so its whole byte
+    // charge comes back.
     if (staging_accountant_.active()) {
       staging_accountant_.ReleaseAll(it->first);
-    }
-    // Apply a pending pipeline switch here, where staging is provably empty
-    // (both paths fully drained above): no staged event ever changes
-    // representation, and central folds each batch by its own format, so
-    // the switch cannot perturb the result transcript.
-    if (q.pending_pipeline >= 0) {
-      q.use_columns = q.pending_pipeline == 1 && !q.plan.preaggregate &&
-                      q.plan.sources.size() <= kMaxColumnJoinSections;
-      q.stats.columnar_staging = q.use_columns;
-      q.pending_pipeline = -1;
-      q.columns.clear();
-      q.staging_order.clear();
     }
     // Retire expired queries after their final drain.
     if (now >= q.plan.end_time) {

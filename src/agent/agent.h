@@ -2,23 +2,26 @@
 //
 // The agent is the only Scrub code that runs on application hosts, and it is
 // deliberately tiny: for each log() call it does (at most) an event-sampling
-// coin flip, the host-side selection conjuncts, projection, and a push into
-// a bounded staging buffer. Joins, grouping and aggregation never run here
+// coin flip and an enqueue into bounded staging; at flush it runs the
+// host-side selection conjuncts and projection over the staged events,
+// vectorized, and ships them. Joins, grouping and aggregation never run here
 // (Section 4). Three protective properties the paper calls out:
 //
-//  * log() never blocks: the staging buffer sheds (and counts) events when
-//    full rather than back-pressuring the application thread.
-//  * Sampling happens before any predicate work, so a 10% event sample cuts
-//    ~90% of the agent's per-event cost, not just its output volume.
+//  * log() never blocks: staging sheds (and counts) events when full rather
+//    than back-pressuring the application thread.
+//  * Sampling happens before any other per-query work, so a 10% event sample
+//    cuts ~90% of the agent's per-event cost, not just its output volume.
 //  * Queries self-expire: an event arriving after the plan's end_time
 //    deactivates the query locally even if the teardown message is in
 //    flight, so a forgotten query cannot load the host.
 //
-// On the columnar path the staging work is shared across queries: the agent
-// copies each logged event at most once, into one staging ColumnBatch per
-// event type, and each query that keeps the event records only its row
-// index. Host cost therefore grows with the number of live queries by a
-// per-query index push, not by a per-query copy of the event.
+// Staging is columnar and shared across queries: the agent copies each
+// logged event at most once, into one staging ColumnBatch per event type,
+// and each query that keeps the event records only its row index. Host cost
+// therefore grows with the number of live queries by a per-query index push,
+// not by a per-query copy of the event. Pre-aggregating queries
+// (HostPlan::preaggregate) are the one exception: they select at log() time
+// and fold into per-group delta cells instead of staging events.
 //
 // Every unit of work is charged to the host's CostMeter in simulated
 // nanoseconds; LogEvent returns the charge so the application can add it to
@@ -35,7 +38,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/bounded_buffer.h"
 #include "src/common/cost_model.h"
 #include "src/common/rng.h"
 #include "src/common/spill.h"
@@ -58,8 +60,8 @@ struct WindowCounter {
   TimeMicros window_start = 0;
   uint64_t seen = 0;
   uint64_t sampled = 0;
-  // Events this host staged for the window but shed before shipping
-  // (staging buffer full or staging byte budget hit). Central folds this
+  // Events this host sampled for the window but shed before shipping
+  // (staging capacity or staging byte budget hit). Central folds this
   // into the window's fidelity — honest accounting, never the estimator.
   uint64_t shed = 0;
 };
@@ -77,7 +79,10 @@ struct EventBatch {
   uint64_t seq = 0;
   uint64_t epoch = 0;
   BatchFormat format = BatchFormat::kRow;  // how `payload` is laid out
-  std::string payload;  // EncodeBatch (kRow) or EncodeColumnBatch (kColumnar)
+  // EncodeColumnBatch (kColumnar), EncodeColumnJoinBatch (kColumnarJoin),
+  // EncodePreAggBatch (kPreAgg) or EncodeBatch (kRow: a counters-only batch
+  // from an agent, or a hand-built / spilled batch of events).
+  std::string payload;
   size_t event_count = 0;
   std::vector<WindowCounter> counters;  // deltas since the previous flush
 
@@ -85,7 +90,7 @@ struct EventBatch {
   // plus three u64 readings (seen, sampled, shed), and the header (query_id
   // 8 + host 4 + seq 8 + epoch 8 + event_count 4 + counter_count 4).
   // Columnar and pre-aggregated batches spend one extra byte on the format
-  // discriminator; row batches stay byte-identical to the pre-columnar wire.
+  // discriminator; row batches stay byte-identical to the original wire.
   size_t WireSize() const {
     return payload.size() + 32 * counters.size() + 36 +
            (format == BatchFormat::kRow ? 0 : 1);
@@ -93,10 +98,13 @@ struct EventBatch {
 };
 
 struct AgentConfig {
-  size_t staging_capacity = 8192;  // events buffered per query
-  // Byte budget over one query's staged events (logical wire sizes; 0 =
-  // unlimited). The staging buffer's event-count cap bounds entries; this
-  // bounds bytes, so a query over wide events cannot balloon the host. The
+  // Sampled events staged per query between flushes. Staging happens before
+  // selection (selection runs at flush), so the cap counts every sampled
+  // event of the query's types, not only the ones that will pass its WHERE.
+  size_t staging_capacity = 8192;
+  // Byte budget over one query's staged events (full, un-projected logical
+  // wire sizes; 0 = unlimited). The capacity bounds entries; this bounds
+  // bytes, so a query over wide events cannot balloon the host. The
   // degradation here is drop-and-count (log() never blocks, never spills);
   // every drop is counted per window and folded into central's fidelity.
   size_t staging_budget_bytes = 0;
@@ -114,24 +122,18 @@ struct AgentConfig {
   // per in-span query, so ScrubCentral can tell "host reachable, nothing to
   // report" from "host silent" — the basis of completeness accounting.
   bool flush_heartbeats = false;
-  // Columnar data plane: queries stage row indices into the agent's shared
-  // per-type ColumnBatches and run selection/projection vectorized at flush
-  // time. Single-source
-  // queries ship the columnar wire format; joins ship one columnar section
-  // per source plus the explicit arrival-order interleave (kColumnarJoin),
-  // so the central join replays the exact event sequence the row path would
-  // have shipped. Off by default so hand-built unit-test agents see the
-  // historical row behavior; ScrubSystem propagates its pipeline switch.
-  bool columnar = false;
   CostModel costs;
 };
 
 struct AgentQueryStats {
+  // Sampling and drops are counted at log() time; selection runs at flush,
+  // so events_filtered and events_staged (events that passed selection)
+  // settle only when a flush drains the query's staging.
   uint64_t events_considered = 0;  // log() calls of a matching type
   uint64_t events_sampled_out = 0;
   uint64_t events_filtered = 0;    // failed selection
   uint64_t events_staged = 0;
-  uint64_t events_dropped = 0;     // staging buffer full
+  uint64_t events_dropped = 0;     // staging capacity or byte budget hit
   uint64_t events_shipped = 0;
   // Reliable-delivery accounting.
   uint64_t batches_sent = 0;          // first transmissions
@@ -143,12 +145,13 @@ struct AgentQueryStats {
   // Per-source, per-field wire encoding chosen by the most recent columnar
   // flush that shipped data (EncodeColumnBatch's convention: -1 dropped or
   // all-null, 0 plain, n > 0 dictionary with n entries). Empty until a
-  // columnar flush ships; row-path and pre-agg queries never fill it.
+  // columnar flush ships; pre-aggregating queries never fill it.
   std::vector<std::vector<int>> last_encodings;
-  // Staging shape, fixed at install: whether this query stages columnar
-  // and the plan-ordered source event types. Lives in the stats (not the
-  // ActiveQuery) so DescribeQuery can still render it after teardown.
-  bool columnar_staging = false;
+  // Staging shape, fixed at install: whether this query pre-aggregates
+  // instead of staging events, and the plan-ordered source event types.
+  // Lives in the stats (not the ActiveQuery) so DescribeQuery can still
+  // render it after teardown.
+  bool preaggregated = false;
   std::vector<std::string> source_types;
 };
 
@@ -182,18 +185,17 @@ class ScrubAgent {
   // The application-facing instrumentation point. Processes the event
   // against every active query, charges the host CostMeter, and returns the
   // simulated nanoseconds spent (so callers can fold it into request
-  // latency). The event is shared across queries by const reference. Row
-  // staging keeps one projected copy per query; the rvalue overload lets the
-  // last row-staging query steal the caller's field values instead of
-  // deep-copying them. Columnar staging copies the event at most once, into
-  // the shared batch of its type, however many queries keep it.
+  // latency). The event is copied at most once, into the shared staging
+  // batch of its type, however many queries keep it.
   int64_t LogEvent(const Event& event);
-  int64_t LogEvent(Event&& event);
 
-  // Drains staged events into batches (at most max_batch_events each) and
-  // emits counter deltas. Also retires queries whose span has passed
-  // `now` (returns their ids in `expired` if non-null). Every flush ends
-  // with the shared columnar staging batches empty.
+  // Runs selection and projection over each query's staged events, ships
+  // the survivors in batches (at most max_batch_events each) and emits
+  // counter deltas. Counters that no event batch carried (heartbeats, or a
+  // flush whose staged events were all filtered) ship in one counters-only
+  // kRow batch: event_count 0, payload EncodeBatch({}). Also retires
+  // queries whose span has passed `now` (returns their ids in `expired` if
+  // non-null). Every flush ends with the shared staging batches empty.
   std::vector<EventBatch> Flush(TimeMicros now,
                                 std::vector<QueryId>* expired = nullptr);
 
@@ -215,18 +217,7 @@ class ScrubAgent {
   // batch boundaries carry no fold effects at central, so re-chunking is
   // transcript-neutral by construction.
   void SetBatchOverride(QueryId query_id, size_t max_batch_events);
-  // SetPipelineOverride requests row (false) or columnar (true) staging for
-  // one query. The switch is deferred to the end of the query's next flush
-  // — the one point where staging is provably empty — so no staged event
-  // ever changes representation mid-stream. Columnar is granted only if the
-  // plan is eligible (no pre-aggregation, source count within the wire's
-  // section cap); an ineligible request silently keeps the row path, which
-  // is exactly the install-time fallback behavior.
-  void SetPipelineOverride(QueryId query_id, bool columnar);
-  // Introspection for DescribeQuery and the controller: current staging
-  // pipeline and effective batch cap (returns config defaults for unknown
-  // queries).
-  bool UsesColumns(QueryId query_id) const;
+  // Effective batch cap (the config default for unknown queries).
   size_t BatchLimitFor(QueryId query_id) const;
 
   const AgentQueryStats* StatsFor(QueryId query_id) const;
@@ -238,17 +229,13 @@ class ScrubAgent {
  private:
   struct ActiveQuery {
     HostPlan plan;
-    BoundedBuffer<Event> staged;  // row path
-    // Columnar path: sampled events are staged un-filtered in the agent's
-    // shared per-type batch (`staging_`); selection and projection run
-    // vectorized at flush.
-    bool use_columns = false;
+    // Sampled events are staged un-filtered in the agent's shared per-type
+    // batch (`staging_`); selection and projection run vectorized at flush.
     // Per plan source (lazily sized to plan.sources), this query's staged
     // row indices into the shared batch of that source's event type, in
     // ascending (arrival) order. Single-source plans use slot 0; joins
     // stage every source and record the arrival interleave in
-    // `staging_order` so the central join replays the row path's exact
-    // event sequence.
+    // `staging_order` so the central join folds events in arrival order.
     std::vector<std::vector<uint32_t>> columns;
     // Source index of each column-staged event, in arrival order. Only
     // maintained for multi-source plans (a single source's arrival order is
@@ -267,15 +254,11 @@ class ScrubAgent {
       std::vector<PreAggGroup> groups;
     };
     std::map<TimeMicros, PreAggState> preagg;
-    // Adaptive overrides: 0 = use config.max_batch_events; pending_pipeline
-    // is -1 (none) / 0 (row) / 1 (columnar), applied at the next flush's
-    // empty-staging point.
+    // Adaptive override: 0 = use config.max_batch_events.
     size_t batch_override = 0;
-    int pending_pipeline = -1;
     AgentQueryStats stats;
 
-    explicit ActiveQuery(const HostPlan& p, size_t capacity)
-        : plan(p), staged(capacity) {}
+    explicit ActiveQuery(const HostPlan& p) : plan(p) {}
   };
 
   // A flushed batch awaiting its ack.
@@ -286,32 +269,30 @@ class ScrubAgent {
     int attempts = 0;
   };
 
-  // Shared body of the two LogEvent overloads. `owned` is the same event
-  // when the caller handed over ownership (rvalue overload), else nullptr.
-  int64_t LogEventImpl(const Event& event, Event* owned);
+  // Vectorized selection over one source's staged rows of `cols`: each
+  // conjunct compacts `selection`, charged only for the rows that reached
+  // it, and projection is charged per surviving row (it is column selection
+  // on the wire, never materialized). Counts filtered and staged events;
+  // returns the simulated nanoseconds spent.
+  int64_t SelectStaged(const HostSourcePlan& sp, const ColumnBatch& cols,
+                       std::vector<uint32_t>* selection,
+                       AgentQueryStats* stats) const;
 
-  // Projects `event` through the keep mask and pushes the result into the
-  // query's staging buffer. When `owned` is non-null the kept values are
-  // moved out of it instead of deep-copied (the per-field allocation fix).
-  void StageRow(ActiveQuery& q, const HostSourcePlan& sp, const Event& event,
-                Event* owned);
-
-  // Vectorized flush pre-pass for a single-source columnar query: filter +
-  // project the query's rows of the shared staging batch and append the
-  // resulting wire batches to `batches`.
+  // Flush pass for a single-source query: select + project the query's rows
+  // of the shared staging batch and append the resulting kColumnar batches
+  // to `batches`.
   void FlushColumns(QueryId query_id, ActiveQuery& q, TimeMicros now,
                     std::vector<EventBatch>* batches);
 
-  // Join twin of FlushColumns: per-source vectorized selection, then the
-  // surviving events are chunked in arrival order (per staging_order) into
+  // Join twin of FlushColumns: per-source selection, then the surviving
+  // events are chunked in arrival order (per staging_order) into
   // kColumnarJoin batches carrying one columnar section per source plus the
-  // interleave, so the chunk boundaries and the central fold order are
-  // byte-identical to the row path's single interleaved staging stream.
+  // interleave, so central folds them in the order they were logged.
   void FlushColumnJoin(QueryId query_id, ActiveQuery& q, TimeMicros now,
                        std::vector<EventBatch>* batches);
 
-  // Total rows staged across a columnar query's per-source row lists.
-  size_t StagedColumnRows(const ActiveQuery& q) const;
+  // Total rows staged across a query's per-source row lists.
+  size_t StagedRows(const ActiveQuery& q) const;
 
   // Per-query flush chunk cap: the adaptive override when set, else the
   // configured default.
@@ -325,6 +306,13 @@ class ScrubAgent {
   int64_t PreAggFold(ActiveQuery& q, const Event& event, TimeMicros ts);
   void FlushPreAgg(QueryId query_id, ActiveQuery& q, TimeMicros now,
                    std::vector<EventBatch>* batches);
+
+  // Sends one flushed batch: stamps the header (next sequence number),
+  // attaches the query's pending counter deltas (so they ride with the
+  // first batch of the flush), charges serialization, counts the shipment,
+  // keeps a retransmit copy and appends the batch to `batches`.
+  void Ship(QueryId query_id, ActiveQuery& q, EventBatch batch,
+            TimeMicros now, std::vector<EventBatch>* batches);
 
   // Keeps a retransmit copy of a just-flushed batch, budget permitting.
   void HoldForRetransmit(ActiveQuery& q, QueryId query_id,
@@ -350,10 +338,10 @@ class ScrubAgent {
   Rng retry_rng_;
   uint64_t epoch_;
   // Logical bytes staged per query, against staging_budget_bytes. Released
-  // when a flush drains the query's staging (row buffer or row list).
+  // when a flush drains the query's row lists.
   MemoryAccountant staging_accountant_;
   std::unordered_map<QueryId, ActiveQuery> queries_;
-  // Columnar staging shared by every query: one batch per event type, each
+  // Staging shared by every query: one batch per event type, each
   // created from the first kept event's schema (the agent holds no
   // SchemaRegistry). An event enters its type's batch at most once, when
   // the first query keeps it; queries hold row indices into it. Cleared

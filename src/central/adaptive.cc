@@ -7,43 +7,6 @@
 
 namespace scrub {
 
-namespace {
-
-// Total pipeline CPU and the decode operator's input counters from a stats
-// snapshot. The decode op is ops[0] in every compiled pipeline, so its
-// rows_in/batches are "events the central folded" / "batches it folded
-// them in" — exactly what pipeline costing and batch-fill tuning need.
-void ReadMetrics(const CentralQueryStats& stats, uint64_t* cpu,
-                 uint64_t* rows, uint64_t* batches) {
-  *cpu = 0;
-  *rows = 0;
-  *batches = 0;
-  for (const OperatorMetrics& m : stats.op_metrics) {
-    *cpu += m.cpu_ns;
-  }
-  if (!stats.op_metrics.empty()) {
-    *rows = stats.op_metrics[0].rows_in;
-    *batches = stats.op_metrics[0].batches;
-  }
-}
-
-}  // namespace
-
-void AdaptiveController::Snapshot(QueryControl& c,
-                                  const CentralQueryStats& stats) const {
-  ReadMetrics(stats, &c.base_cpu, &c.base_rows, &c.base_batches);
-}
-
-void AdaptiveController::Deltas(const QueryControl& c,
-                                const CentralQueryStats& stats, uint64_t* cpu,
-                                uint64_t* rows, uint64_t* batches) const {
-  uint64_t total_cpu = 0, total_rows = 0, total_batches = 0;
-  ReadMetrics(stats, &total_cpu, &total_rows, &total_batches);
-  *cpu = total_cpu - std::min(total_cpu, c.base_cpu);
-  *rows = total_rows - std::min(total_rows, c.base_rows);
-  *batches = total_batches - std::min(total_batches, c.base_batches);
-}
-
 void AdaptiveController::Log(QueryControl& c, TimeMicros now,
                              std::string text) {
   AdaptiveDecision d;
@@ -52,64 +15,28 @@ void AdaptiveController::Log(QueryControl& c, TimeMicros now,
   c.decisions.push_back(std::move(d));
 }
 
-void AdaptiveController::OnInstall(QueryId id, TimeMicros now,
-                                   bool columnar_eligible) {
+void AdaptiveController::OnInstall(QueryId id, TimeMicros now) {
   if (!config_.enabled || queries_.count(id) > 0) {
     return;
   }
   QueryControl c;
-  c.eligible = columnar_eligible;
   c.batch = default_batch_;
-  if (!columnar_eligible) {
-    // Nothing to A/B: the agent already falls back to the row pipeline
-    // (pre-aggregation, or the join is wider than the columnar wire's
-    // section cap). Go straight to steady-state batch tuning.
-    c.phase = Phase::kSteady;
-    c.pipeline_columnar = false;
-    Log(c, now, "columnar ineligible; row pipeline locked, tuning batch only");
-  } else {
-    c.phase = Phase::kCalibrateRow;
-    c.pipeline_columnar = false;
-    set_pipeline_(id, false);
-    Log(c, now,
-        StrFormat("calibration started: row pipeline for %zu pumps",
-                  config_.calibration_pumps));
-  }
+  Log(c, now, StrFormat("batch tuning started at %zu", c.batch));
   queries_.emplace(id, std::move(c));
-}
-
-void AdaptiveController::EnterSteady(QueryId id, TimeMicros now,
-                                     QueryControl& c,
-                                     const CentralQueryStats& stats) {
-  // Pick the cheaper measured pipeline; ties (or a phase that never saw
-  // data) keep the system default.
-  bool choose_columnar = default_columnar_;
-  if (c.row_ns_per_row >= 0.0 && c.col_ns_per_row >= 0.0) {
-    choose_columnar = c.col_ns_per_row < c.row_ns_per_row;
-    const double fast = std::min(c.row_ns_per_row, c.col_ns_per_row);
-    const double slow = std::max(c.row_ns_per_row, c.col_ns_per_row);
-    Log(c, now,
-        StrFormat("chose %s pipeline (%.0f vs %.0f ns/row, %.2fx)",
-                  choose_columnar ? "columnar" : "row",
-                  choose_columnar ? c.col_ns_per_row : c.row_ns_per_row,
-                  choose_columnar ? c.row_ns_per_row : c.col_ns_per_row,
-                  fast > 0.0 ? slow / fast : 1.0));
-  } else {
-    Log(c, now, "calibration inconclusive; keeping configured pipeline");
-  }
-  c.pipeline_columnar = choose_columnar;
-  set_pipeline_(id, choose_columnar);
-  c.phase = Phase::kSteady;
-  c.pumps_in_phase = 0;
-  c.pumps_since_tune = 0;
-  Snapshot(c, stats);
 }
 
 void AdaptiveController::TuneBatch(QueryId id, TimeMicros now,
                                    QueryControl& c,
                                    const CentralQueryStats& stats) {
-  uint64_t cpu = 0, rows = 0, batches = 0;
-  Deltas(c, stats, &cpu, &rows, &batches);
+  // The decode op is ops[0] in every compiled pipeline, so its rows_in /
+  // batches are "events the central folded" / "batches it folded them in".
+  if (stats.op_metrics.empty()) {
+    return;
+  }
+  const OperatorMetrics& decode = stats.op_metrics[0];
+  const uint64_t rows = decode.rows_in - std::min(decode.rows_in, c.base_rows);
+  const uint64_t batches =
+      decode.batches - std::min(decode.batches, c.base_batches);
   if (batches == 0) {
     return;  // no traffic this interval; keep the snapshot running
   }
@@ -129,7 +56,8 @@ void AdaptiveController::TuneBatch(QueryId id, TimeMicros now,
         StrFormat("batch %zu -> %zu (avg fill %.0f rows/flush)", cap, next,
                   avg_fill));
   }
-  Snapshot(c, stats);
+  c.base_rows = decode.rows_in;
+  c.base_batches = decode.batches;
 }
 
 void AdaptiveController::OnPump(QueryId id, TimeMicros now,
@@ -142,65 +70,9 @@ void AdaptiveController::OnPump(QueryId id, TimeMicros now,
     return;
   }
   QueryControl& c = it->second;
-  ++c.pumps_in_phase;
-
-  switch (c.phase) {
-    case Phase::kCalibrateRow: {
-      if (c.pumps_in_phase == 1) {
-        // First pump after install: the agent has applied the forced row
-        // pipeline at its last flush boundary; measure from here.
-        Snapshot(c, stats);
-        return;
-      }
-      if (c.pumps_in_phase <= config_.calibration_pumps) {
-        return;
-      }
-      uint64_t cpu = 0, rows = 0, batches = 0;
-      Deltas(c, stats, &cpu, &rows, &batches);
-      if (rows == 0) {
-        return;  // extend the phase until real traffic arrives
-      }
-      c.row_ns_per_row = static_cast<double>(cpu) / static_cast<double>(rows);
-      Log(c, now,
-          StrFormat("row pipeline measured: %.0f ns/row over %llu rows",
-                    c.row_ns_per_row,
-                    static_cast<unsigned long long>(rows)));
-      c.phase = Phase::kCalibrateColumnar;
-      c.pumps_in_phase = 0;
-      set_pipeline_(id, true);
-      break;
-    }
-    case Phase::kCalibrateColumnar: {
-      if (c.pumps_in_phase == 1) {
-        // The switch lands at the agent's next flush; the traffic folded
-        // after this snapshot is (almost entirely) columnar.
-        Snapshot(c, stats);
-        return;
-      }
-      if (c.pumps_in_phase <= config_.calibration_pumps) {
-        return;
-      }
-      uint64_t cpu = 0, rows = 0, batches = 0;
-      Deltas(c, stats, &cpu, &rows, &batches);
-      if (rows == 0) {
-        return;
-      }
-      c.col_ns_per_row = static_cast<double>(cpu) / static_cast<double>(rows);
-      Log(c, now,
-          StrFormat("columnar pipeline measured: %.0f ns/row over %llu rows",
-                    c.col_ns_per_row,
-                    static_cast<unsigned long long>(rows)));
-      EnterSteady(id, now, c, stats);
-      break;
-    }
-    case Phase::kSteady: {
-      ++c.pumps_since_tune;
-      if (c.pumps_since_tune >= config_.tune_interval_pumps) {
-        c.pumps_since_tune = 0;
-        TuneBatch(id, now, c, stats);
-      }
-      break;
-    }
+  if (++c.pumps_since_tune >= config_.tune_interval_pumps) {
+    c.pumps_since_tune = 0;
+    TuneBatch(id, now, c, stats);
   }
 }
 
@@ -216,14 +88,8 @@ std::string AdaptiveController::Describe(QueryId id) const {
     return "";
   }
   const QueryControl& c = it->second;
-  const char* phase = c.phase == Phase::kSteady
-                          ? "steady"
-                          : (c.phase == Phase::kCalibrateRow
-                                 ? "calibrating:row"
-                                 : "calibrating:columnar");
-  std::string out = StrFormat(
-      "  adaptive: phase=%s pipeline=%s batch=%zu decisions=%zu\n", phase,
-      c.pipeline_columnar ? "columnar" : "row", c.batch, c.decisions.size());
+  std::string out = StrFormat("  adaptive: batch=%zu decisions=%zu\n",
+                              c.batch, c.decisions.size());
   for (const AdaptiveDecision& d : c.decisions) {
     out += StrFormat("    [t=%lld] %s\n", static_cast<long long>(d.at),
                      d.text.c_str());

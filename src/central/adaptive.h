@@ -1,23 +1,13 @@
-// AdaptiveController: per-query execution tuning driven by the operator
+// AdaptiveController: per-query flush batch tuning driven by the operator
 // metrics plane (DESIGN.md §16).
 //
 // The controller runs at the coordinator tier (ScrubSystem pumps it once
-// per flush tick, single-threaded) and makes exactly two kinds of decision
-// per query, both provably transcript-neutral:
-//
-//  * Pipeline choice. New queries run a two-phase A/B calibration — a few
-//    pumps forced onto the row pipeline, then a few on the columnar one
-//    (if the plan is eligible) — measuring central CPU per folded row from
-//    the operator metrics. The cheaper pipeline is then locked for the rest
-//    of the query. Safe because both pipelines produce byte-identical
-//    result transcripts and the agent applies the switch only at a flush
-//    boundary where staging is provably empty.
-//
-//  * Flush batch size. In steady state the controller watches the decode
-//    operator's average batch fill and doubles the agent's per-query batch
-//    cap when flushes run near-full (halves it when they run near-empty),
-//    within [min_batch_events, max_batch_events]. Safe because chunk
-//    boundaries carry no fold effects at central.
+// per flush tick, single-threaded) and makes one kind of decision per
+// query: the agents' flush batch cap. It watches the decode operator's
+// average batch fill and doubles the per-query cap when flushes run
+// near-full (halves it when they run near-empty), within
+// [min_batch_events, max_batch_events]. Safe because chunk boundaries carry
+// no fold effects at central, so every decision is transcript-neutral.
 //
 // Determinism: the controller's inputs (central per-operator counters) are
 // themselves bit-identical across worker counts, so its decision sequence —
@@ -44,10 +34,6 @@ struct AdaptiveConfig {
   // Bounds for the per-query flush batch cap.
   size_t min_batch_events = 128;
   size_t max_batch_events = 16384;
-  // Pumps spent measuring each pipeline during A/B calibration. A phase
-  // extends itself until at least one row has been folded under it, so
-  // slow-starting queries calibrate on real data.
-  size_t calibration_pumps = 4;
   // Batch tuning cadence (pumps between re-evaluations) and the average
   // fill thresholds that trigger a resize.
   size_t tune_interval_pumps = 4;
@@ -63,25 +49,18 @@ struct AdaptiveDecision {
 
 class AdaptiveController {
  public:
-  // The override callbacks fan a decision out to the agent fleet;
-  // ScrubSystem wires them to ScrubAgent::SetBatchOverride /
-  // SetPipelineOverride on every host.
+  // The override callback fans a decision out to the agent fleet;
+  // ScrubSystem wires it to ScrubAgent::SetBatchOverride on every host.
   using BatchOverrideFn = std::function<void(QueryId, size_t)>;
-  using PipelineOverrideFn = std::function<void(QueryId, bool)>;
 
   AdaptiveController(AdaptiveConfig config, size_t default_batch,
-                     bool default_columnar, BatchOverrideFn set_batch,
-                     PipelineOverrideFn set_pipeline)
+                     BatchOverrideFn set_batch)
       : config_(config),
         default_batch_(default_batch),
-        default_columnar_(default_columnar),
-        set_batch_(std::move(set_batch)),
-        set_pipeline_(std::move(set_pipeline)) {}
+        set_batch_(std::move(set_batch)) {}
 
-  // Registers a query. `columnar_eligible` gates pipeline calibration:
-  // plans that pre-aggregate host-side or exceed the columnar wire's join
-  // section cap only ever run the row pipeline, so there is nothing to A/B.
-  void OnInstall(QueryId id, TimeMicros now, bool columnar_eligible);
+  // Registers a query (idempotent); tuning starts from the default cap.
+  void OnInstall(QueryId id, TimeMicros now);
 
   // One control step for one query, fed the central's live stats. Called
   // from the single-threaded pump; never concurrently.
@@ -96,40 +75,23 @@ class AdaptiveController {
   bool enabled() const { return config_.enabled; }
 
  private:
-  enum class Phase { kCalibrateRow, kCalibrateColumnar, kSteady };
-
   struct QueryControl {
-    Phase phase = Phase::kSteady;
-    bool eligible = false;
-    bool pipeline_columnar = false;  // current choice
-    size_t batch = 0;                // current flush cap
-    size_t pumps_in_phase = 0;
+    size_t batch = 0;  // current flush cap
     size_t pumps_since_tune = 0;
-    // Metric snapshot at phase entry: total pipeline CPU and decode input
-    // rows/batches, so each phase measures only its own traffic.
-    uint64_t base_cpu = 0;
+    // Decode input rows/batches at the last re-evaluation, so each tuning
+    // interval measures only its own traffic.
     uint64_t base_rows = 0;
     uint64_t base_batches = 0;
-    double row_ns_per_row = -1.0;
-    double col_ns_per_row = -1.0;
     std::vector<AdaptiveDecision> decisions;
   };
 
-  void Snapshot(QueryControl& c, const CentralQueryStats& stats) const;
-  // CPU and decode-input deltas since the last Snapshot.
-  void Deltas(const QueryControl& c, const CentralQueryStats& stats,
-              uint64_t* cpu, uint64_t* rows, uint64_t* batches) const;
   void Log(QueryControl& c, TimeMicros now, std::string text);
-  void EnterSteady(QueryId id, TimeMicros now, QueryControl& c,
-                   const CentralQueryStats& stats);
   void TuneBatch(QueryId id, TimeMicros now, QueryControl& c,
                  const CentralQueryStats& stats);
 
   AdaptiveConfig config_;
   size_t default_batch_;
-  bool default_columnar_;
   BatchOverrideFn set_batch_;
-  PipelineOverrideFn set_pipeline_;
   // Ordered map: Describe and tests iterate deterministically; state
   // survives query retirement for post-mortem DescribeQuery.
   std::map<QueryId, QueryControl> queries_;

@@ -21,10 +21,12 @@
 
 namespace scrub {
 
-// How an EventBatch payload is laid out. The row format remains the
-// control-plane / back-compat default; the columnar format is the data-plane
-// fast path (one contiguous run per column instead of one record per event).
+// How an EventBatch payload is laid out. Agents ship events in the columnar
+// formats (one contiguous run per column instead of one record per event).
 enum class BatchFormat : uint8_t {
+  // Count-prefixed event records (EncodeBatch). Agents use it only for
+  // counters-only batches (zero events, payload EncodeBatch({})); spill
+  // runs, the logging baseline and hand-built batches carry events in it.
   kRow = 0,
   kColumnar = 1,
   // Agent-side pre-aggregation ablation: the payload is per-(slot, group)
@@ -32,7 +34,7 @@ enum class BatchFormat : uint8_t {
   kPreAgg = 2,
   // Multi-source (join) columnar staging: one columnar section per query
   // source plus the explicit arrival-order interleave, so the central join
-  // replays the exact event sequence the row path would have shipped
+  // replays the exact sequence in which the host logged the events
   // (EncodeColumnJoinBatch below).
   kColumnarJoin = 3,
 };

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "src/common/strings.h"
-#include "src/event/wire.h"
 #include "src/plan/expr_analysis.h"
 #include "src/plan/expr_ir.h"
 #include "src/sketch/stats.h"
@@ -126,7 +125,6 @@ class Linter {
     CheckSpanBudget();
     CheckRetryHeadroom();
     CheckWindowStateBudget();
-    CheckJoinWidthRowFallback();
     CheckSemanticIr();
     return std::move(diags_);
   }
@@ -680,28 +678,6 @@ class Linter {
                    BytesText(total_bytes).c_str(), detail.c_str(),
                    BytesText(options_.query_state_budget_bytes).c_str()),
          span);
-  }
-
-  // --- (p) scrubql-join-width-row-fallback -----------------------------------
-  //
-  // The columnar wire format carries at most kMaxColumnJoinSections
-  // per-source sections per batch (src/event/wire.h). A join reading from
-  // more sources still runs correctly — agents silently stage it row-wise —
-  // but without vectorized selection or the dictionary wire encoding the
-  // columnar path provides. Surface the fallback so the width is a choice,
-  // not a surprise.
-  void CheckJoinWidthRowFallback() {
-    if (q_.sources.size() <= kMaxColumnJoinSections) {
-      return;
-    }
-    Emit(LintSeverity::kNote, lint_rules::kJoinWidthRowFallback,
-         StrFormat("join reads from %zu sources, above the columnar wire's "
-                   "%zu-section cap: agents fall back to row staging for "
-                   "this query (correct, but without vectorized selection "
-                   "or dictionary wire encoding). Split the join or drop "
-                   "sources to keep the columnar pipeline",
-                   q_.sources.size(), kMaxColumnJoinSections),
-         q_.spans.from);
   }
 
   static int CountAggregates(const Expr& e) {

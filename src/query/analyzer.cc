@@ -96,9 +96,9 @@ class Analyzer {
     if (q.sources.empty()) {
       return InvalidArgument("FROM clause must name at least one event type");
     }
-    if (q.sources.size() > options_.max_sources) {
+    if (q.sources.size() > kMaxJoinSources) {
       return Unimplemented(StrFormat(
-          "queries may join at most %zu event types", options_.max_sources));
+          "queries may join at most %zu event types", kMaxJoinSources));
     }
     for (size_t i = 0; i < q.sources.size(); ++i) {
       for (size_t j = i + 1; j < q.sources.size(); ++j) {

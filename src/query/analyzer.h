@@ -23,15 +23,22 @@
 
 #include "src/common/status.h"
 #include "src/event/schema.h"
+#include "src/event/wire.h"
 #include "src/query/ast.h"
 
 namespace scrub {
+
+// The paper's queries join at most two event types. Every admitted join
+// therefore fits the columnar join wire format, which carries one section
+// per source.
+inline constexpr size_t kMaxJoinSources = 2;
+static_assert(kMaxJoinSources <= kMaxColumnJoinSections,
+              "every admissible join must fit the columnar join wire format");
 
 struct AnalyzerOptions {
   TimeMicros default_window_micros = 10 * kMicrosPerSecond;
   TimeMicros default_duration_micros = 5 * kMicrosPerMinute;
   TimeMicros max_duration_micros = 24 * kMicrosPerHour;
-  size_t max_sources = 2;  // the paper's queries join at most two event types
 };
 
 // The validated query plus binding metadata the planner consumes.

@@ -1,5 +1,7 @@
 #include "src/query/parser.h"
 
+#include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "src/common/strings.h"
@@ -167,8 +169,12 @@ class Parser {
   }
 
   Status Error(std::string message) const {
-    return InvalidArgument(StrFormat("%s at offset %zu", message.c_str(),
-                                     Peek().offset));
+    return ErrorAt(std::move(message), Peek().offset);
+  }
+
+  static Status ErrorAt(std::string message, size_t offset) {
+    return InvalidArgument(
+        StrFormat("%s at offset %zu", message.c_str(), offset));
   }
 
   // One past the last byte of the most recently consumed token.
@@ -176,11 +182,45 @@ class Parser {
     return pos_ == 0 ? 0 : tokens_[pos_ - 1].end_offset;
   }
 
-  // Stamps [begin, end-of-previous-token) onto a freshly built node.
-  ExprPtr Spanned(ExprPtr e, size_t begin) const {
+  // Stamps [begin, end-of-previous-token) onto a freshly built node and
+  // records its height, rejecting trees taller than kMaxExprHeight.
+  Result<ExprPtr> Spanned(ExprPtr e, size_t begin) {
     e->span = {begin, PrevEnd()};
+    int height = 1;
+    for (const ExprPtr& child : e->children) {
+      if (child != nullptr) {
+        height = std::max(height, heights_[child.get()] + 1);
+      }
+    }
+    if (height > kMaxExprHeight) {
+      return ErrorAt(StrFormat("expression tree is taller than %d levels",
+                               kMaxExprHeight),
+                     begin);
+    }
+    heights_[e.get()] = height;
     return e;
   }
+
+  // One level of expression nesting, held for the scope of a recursive
+  // descent; Enter() fails once the nesting passes kMaxExprHeight.
+  class Nesting {
+   public:
+    explicit Nesting(Parser* parser) : parser_(parser) { ++parser_->depth_; }
+    ~Nesting() { --parser_->depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+    Status Enter() const {
+      if (parser_->depth_ <= kMaxExprHeight) {
+        return OkStatus();
+      }
+      return parser_->Error(StrFormat("expression nests deeper than %d levels",
+                                      kMaxExprHeight));
+    }
+
+   private:
+    Parser* parser_;
+  };
 
   Result<SelectItem> ParseSelectItem() {
     SelectItem item;
@@ -199,6 +239,10 @@ class Parser {
   }
 
   Result<ExprPtr> ParseOrExpr() {
+    const Nesting nesting(this);
+    if (Status s = nesting.Enter(); !s.ok()) {
+      return s;
+    }
     const size_t begin = Peek().offset;
     Result<ExprPtr> lhs = ParseAndExpr();
     if (!lhs.ok()) {
@@ -210,9 +254,14 @@ class Parser {
       if (!rhs.ok()) {
         return rhs;
       }
-      expr = Spanned(Expr::MakeBinary(BinaryOp::kOr, std::move(expr),
-                                      std::move(rhs).value()),
-                     begin);
+      Result<ExprPtr> built =
+          Spanned(Expr::MakeBinary(BinaryOp::kOr, std::move(expr),
+                                   std::move(rhs).value()),
+                  begin);
+      if (!built.ok()) {
+        return built;
+      }
+      expr = std::move(built).value();
     }
     return expr;
   }
@@ -229,9 +278,14 @@ class Parser {
       if (!rhs.ok()) {
         return rhs;
       }
-      expr = Spanned(Expr::MakeBinary(BinaryOp::kAnd, std::move(expr),
-                                      std::move(rhs).value()),
-                     begin);
+      Result<ExprPtr> built =
+          Spanned(Expr::MakeBinary(BinaryOp::kAnd, std::move(expr),
+                                   std::move(rhs).value()),
+                  begin);
+      if (!built.ok()) {
+        return built;
+      }
+      expr = std::move(built).value();
     }
     return expr;
   }
@@ -239,6 +293,10 @@ class Parser {
   Result<ExprPtr> ParseNotExpr() {
     const size_t begin = Peek().offset;
     if (ConsumeKeyword("NOT")) {
+      const Nesting nesting(this);
+      if (Status s = nesting.Enter(); !s.ok()) {
+        return s;
+      }
       Result<ExprPtr> operand = ParseNotExpr();
       if (!operand.ok()) {
         return operand;
@@ -345,9 +403,13 @@ class Parser {
       if (!rhs.ok()) {
         return rhs;
       }
-      expr = Spanned(
+      Result<ExprPtr> built = Spanned(
           Expr::MakeBinary(op, std::move(expr), std::move(rhs).value()),
           begin);
+      if (!built.ok()) {
+        return built;
+      }
+      expr = std::move(built).value();
     }
   }
 
@@ -372,15 +434,23 @@ class Parser {
       if (!rhs.ok()) {
         return rhs;
       }
-      expr = Spanned(
+      Result<ExprPtr> built = Spanned(
           Expr::MakeBinary(op, std::move(expr), std::move(rhs).value()),
           begin);
+      if (!built.ok()) {
+        return built;
+      }
+      expr = std::move(built).value();
     }
   }
 
   Result<ExprPtr> ParseUnary() {
     const size_t begin = Peek().offset;
     if (Consume(TokenKind::kMinus)) {
+      const Nesting nesting(this);
+      if (Status s = nesting.Enter(); !s.ok()) {
+        return s;
+      }
       Result<ExprPtr> operand = ParseUnary();
       if (!operand.ok()) {
         return operand;
@@ -683,6 +753,9 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current expression nesting (see Nesting)
+  // Height of every expression node built so far (a leaf is 1).
+  std::unordered_map<const Expr*, int> heights_;
 };
 
 }  // namespace

@@ -40,6 +40,15 @@
 
 namespace scrub {
 
+// Ceiling on expression nesting (parentheses, NOT, unary minus, aggregate
+// arguments) and on the height of every parsed expression tree. The parser,
+// the analyzer, IR lowering and ToString all recurse over the tree, so
+// deeper input is rejected with kInvalidArgument rather than allowed to
+// exhaust the stack. Binary-operator chains are built iteratively but yield
+// left-deep trees, which is why the height is bounded as well as the
+// nesting.
+inline constexpr int kMaxExprHeight = 256;
+
 // Parses query text to an AST. Purely syntactic: event/field existence and
 // typing are the analyzer's job.
 Result<Query> ParseQuery(std::string_view text);

@@ -1,5 +1,10 @@
 // Unit tests for the per-host ScrubAgent: selection, projection, sampling,
-// shedding, window counters, flush batching, and self-expiry.
+// shedding, window counters, flush batching, self-expiry, and the shared
+// staging batches every query's staged rows point into.
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +15,46 @@
 
 namespace scrub {
 namespace {
+
+// Decodes any event-bearing batch format into events in shipping order.
+std::vector<Event> DecodeShipped(const SchemaRegistry& registry,
+                                 const EventBatch& batch) {
+  std::vector<Event> out;
+  switch (batch.format) {
+    case BatchFormat::kRow: {
+      Result<std::vector<Event>> events = DecodeBatch(registry, batch.payload);
+      EXPECT_TRUE(events.ok()) << events.status().ToString();
+      if (events.ok()) {
+        out = std::move(events).value();
+      }
+      break;
+    }
+    case BatchFormat::kColumnar: {
+      Result<ColumnBatch> cols = DecodeColumnBatch(registry, batch.payload);
+      EXPECT_TRUE(cols.ok()) << cols.status().ToString();
+      for (size_t r = 0; cols.ok() && r < cols->rows(); ++r) {
+        out.push_back(cols->MaterializeEvent(r));
+      }
+      break;
+    }
+    case BatchFormat::kColumnarJoin: {
+      Result<ColumnJoinBatch> join =
+          DecodeColumnJoinBatch(registry, batch.payload);
+      EXPECT_TRUE(join.ok()) << join.status().ToString();
+      if (join.ok()) {
+        std::vector<size_t> cursor(join->sections.size(), 0);
+        for (const uint8_t s : join->order) {
+          out.push_back(join->sections[s].MaterializeEvent(cursor[s]++));
+        }
+      }
+      break;
+    }
+    case BatchFormat::kPreAgg:
+      ADD_FAILURE() << "unexpected pre-aggregated batch";
+      break;
+  }
+  return out;
+}
 
 class AgentTest : public ::testing::Test {
  protected:
@@ -68,12 +113,11 @@ TEST_F(AgentTest, SelectionFiltersAndProjectionNulls) {
   agent_.LogEvent(MakeBid(2, 11, 8, 1.0));   // filtered
   std::vector<EventBatch> batches = agent_.Flush(20);
   ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].format, BatchFormat::kColumnar);
   EXPECT_EQ(batches[0].event_count, 1u);
-  Result<std::vector<Event>> events =
-      DecodeBatch(registry_, batches[0].payload);
-  ASSERT_TRUE(events.ok());
-  ASSERT_EQ(events->size(), 1u);
-  const Event& shipped = (*events)[0];
+  const std::vector<Event> events = DecodeShipped(registry_, batches[0]);
+  ASSERT_EQ(events.size(), 1u);
+  const Event& shipped = events[0];
   EXPECT_EQ(shipped.GetField("user_id"), Value(int64_t{7}));
   EXPECT_EQ(shipped.GetField("price"), Value(3.0));  // read by WHERE
   EXPECT_TRUE(shipped.GetField("country").is_null());  // projected away
@@ -113,6 +157,7 @@ TEST_F(AgentTest, EventSamplingReducesShippedShare) {
   for (int i = 0; i < n; ++i) {
     agent_.LogEvent(MakeBid(static_cast<RequestId>(i), 100 + i, 1, 1.0));
   }
+  agent_.Flush(200 + n);  // events_staged settles at flush
   const AgentQueryStats* stats = agent_.StatsFor(1);
   ASSERT_NE(stats, nullptr);
   const double rate =
@@ -132,8 +177,35 @@ TEST_F(AgentTest, ShedsInsteadOfBlockingWhenStagingFull) {
   }
   const AgentQueryStats* stats = small.StatsFor(next_id_ - 1);
   ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->events_dropped, 12u);  // shed at log() time
+  std::vector<EventBatch> batches = small.Flush(200);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].event_count, 8u);
+  ASSERT_EQ(batches[0].counters.size(), 1u);
+  EXPECT_EQ(batches[0].counters[0].shed, 12u);
   EXPECT_EQ(stats->events_staged, 8u);
+}
+
+TEST_F(AgentTest, StagingCapacityCountsSampledEventsBeforeSelection) {
+  // Selection runs at flush, so the capacity bounds every sampled event of
+  // the query's type, including the ones its WHERE will filter out.
+  ScrubAgent small = MakeAgent(/*staging=*/8);
+  small.InstallQuery(PlanFor(
+      "SELECT COUNT(*) FROM bid WHERE bid.price > 2.0 "
+      "WINDOW 60 s DURATION 60 s;"));
+  for (int i = 0; i < 20; ++i) {
+    // Alternating prices: every other event passes the filter.
+    small.LogEvent(
+        MakeBid(static_cast<RequestId>(i), 100, 1, i % 2 == 0 ? 3.0 : 1.0));
+  }
+  std::vector<EventBatch> batches = small.Flush(200);
+  const AgentQueryStats* stats = small.StatsFor(next_id_ - 1);
+  ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->events_dropped, 12u);
+  EXPECT_EQ(stats->events_filtered, 4u);
+  EXPECT_EQ(stats->events_staged, 4u);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].event_count, 4u);
 }
 
 TEST_F(AgentTest, FlushSplitsLargeBatches) {
@@ -237,7 +309,9 @@ TEST_F(AgentTest, WireSizeCountsHeaderAndCounters) {
   const EventBatch& b = batches[0];
   EXPECT_FALSE(b.payload.empty());
   EXPECT_FALSE(b.counters.empty());
-  EXPECT_EQ(b.WireSize(), b.payload.size() + 32 * b.counters.size() + 36);
+  // Header 36 bytes plus the columnar format discriminator.
+  EXPECT_EQ(b.format, BatchFormat::kColumnar);
+  EXPECT_EQ(b.WireSize(), b.payload.size() + 32 * b.counters.size() + 37);
 }
 
 TEST_F(AgentTest, RetransmitsUntilAcked) {
@@ -330,6 +404,44 @@ TEST_F(AgentTest, HeartbeatsOnlyWhenOptedIn) {
   EXPECT_EQ(batches[0].counters[0].sampled, 0u);
 }
 
+TEST_F(AgentTest, CountersOnlyFlushShipsOneEmptyRowBatch) {
+  // The wire form of a flush with nothing to ship is pinned: exactly one
+  // kRow batch with no events, payload EncodeBatch({}), carrying the
+  // counters. Every heartbeat pays these bytes, so they feed the
+  // bytes-per-event figures directly.
+  AgentConfig config;
+  config.flush_heartbeats = true;
+  ScrubAgent agent(/*host=*/3, &meter_, config, /*sampling_seed=*/99);
+  const HostPlan plan = PlanFor(
+      "SELECT COUNT(*) FROM bid WHERE bid.price > 100.0 "
+      "WINDOW 1 s DURATION 60 s;");
+  agent.InstallQuery(plan);
+  const std::string empty_payload = EncodeBatch({});
+  auto expect_counters_only = [&](const std::vector<EventBatch>& batches,
+                                  uint64_t seen) {
+    ASSERT_EQ(batches.size(), 1u);
+    const EventBatch& b = batches[0];
+    EXPECT_EQ(b.format, BatchFormat::kRow);
+    EXPECT_EQ(b.event_count, 0u);
+    EXPECT_EQ(b.payload, empty_payload);
+    ASSERT_EQ(b.counters.size(), 1u);
+    EXPECT_EQ(b.counters[0].seen, seen);
+    EXPECT_EQ(b.counters[0].sampled, seen);
+    EXPECT_EQ(b.WireSize(), empty_payload.size() + 32 + 36);
+  };
+  // Nothing staged: a pure heartbeat.
+  expect_counters_only(agent.Flush(500 * kMicrosPerMilli), 0);
+  // Staged events that all fail selection leave only their counters.
+  agent.LogEvent(MakeBid(1, 600 * kMicrosPerMilli, 5, 1.0));
+  agent.LogEvent(MakeBid(2, 700 * kMicrosPerMilli, 6, 2.0));
+  expect_counters_only(agent.Flush(900 * kMicrosPerMilli), 2);
+  const AgentQueryStats* stats = agent.StatsFor(plan.query_id);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->events_filtered, 2u);
+  EXPECT_EQ(stats->events_shipped, 0u);
+  EXPECT_EQ(stats->batches_sent, 2u);
+}
+
 TEST_F(AgentTest, PerQueryCostScalesWithActiveQueries) {
   // The marginal cost of logging grows with matching queries — the E7
   // relationship. Verify monotonicity at the agent level.
@@ -348,52 +460,12 @@ TEST_F(AgentTest, PerQueryCostScalesWithActiveQueries) {
   EXPECT_GT(five_queries, one_query);
 }
 
-// --- Columnar agents and shared staging --------------------------------------
+// --- Shared staging -----------------------------------------------------------
 //
-// A columnar agent stages each logged event at most once, in a batch shared
-// by every query; each query keeps only row indices into it. These tests pin
-// that sharing to the row agent's observable behavior and check its
-// lifecycle.
-
-// Decodes any event-bearing batch format into events in shipping order.
-std::vector<Event> DecodeShipped(const SchemaRegistry& registry,
-                                 const EventBatch& batch) {
-  std::vector<Event> out;
-  switch (batch.format) {
-    case BatchFormat::kRow: {
-      Result<std::vector<Event>> events = DecodeBatch(registry, batch.payload);
-      EXPECT_TRUE(events.ok()) << events.status().ToString();
-      if (events.ok()) {
-        out = std::move(events).value();
-      }
-      break;
-    }
-    case BatchFormat::kColumnar: {
-      Result<ColumnBatch> cols = DecodeColumnBatch(registry, batch.payload);
-      EXPECT_TRUE(cols.ok()) << cols.status().ToString();
-      for (size_t r = 0; cols.ok() && r < cols->rows(); ++r) {
-        out.push_back(cols->MaterializeEvent(r));
-      }
-      break;
-    }
-    case BatchFormat::kColumnarJoin: {
-      Result<ColumnJoinBatch> join =
-          DecodeColumnJoinBatch(registry, batch.payload);
-      EXPECT_TRUE(join.ok()) << join.status().ToString();
-      if (join.ok()) {
-        std::vector<size_t> cursor(join->sections.size(), 0);
-        for (const uint8_t s : join->order) {
-          out.push_back(join->sections[s].MaterializeEvent(cursor[s]++));
-        }
-      }
-      break;
-    }
-    case BatchFormat::kPreAgg:
-      ADD_FAILURE() << "unexpected pre-aggregated batch";
-      break;
-  }
-  return out;
-}
+// The agent stages each logged event at most once, in a batch shared by
+// every query; each query keeps only row indices into it. These tests pin
+// that sharing against solo agents (one query each, so nothing is shared)
+// and check its lifecycle.
 
 std::vector<EventBatch> BatchesFor(const std::vector<EventBatch>& batches,
                                    QueryId query_id) {
@@ -429,9 +501,8 @@ class SharedStagingTest : public ::testing::Test {
     }
   }
 
-  AgentConfig Config(bool columnar) const {
+  AgentConfig Config() const {
     AgentConfig config;
-    config.columnar = columnar;
     config.staging_capacity = 64;
     config.staging_budget_bytes = 4096;
     config.max_batch_events = 16;
@@ -490,24 +561,29 @@ class SharedStagingTest : public ::testing::Test {
     return events;
   }
 
-  // Same events, same batch boundaries, same counters, whatever the format.
-  void ExpectSameShipment(const std::vector<EventBatch>& row,
-                          const std::vector<EventBatch>& col,
+  // Same events, same batch boundaries, same counters. Payload bytes may
+  // differ: a shared column's encoding can depend on rows other queries
+  // staged (see SchemaDriftMigratesSharedColumnForEveryQuery).
+  void ExpectSameShipment(const std::vector<EventBatch>& solo,
+                          const std::vector<EventBatch>& shared,
                           const std::string& context) {
-    ASSERT_EQ(row.size(), col.size()) << context;
-    for (size_t i = 0; i < row.size(); ++i) {
-      EXPECT_EQ(row[i].event_count, col[i].event_count) << context;
-      ASSERT_EQ(row[i].counters.size(), col[i].counters.size()) << context;
-      for (size_t k = 0; k < row[i].counters.size(); ++k) {
-        const WindowCounter& a = row[i].counters[k];
-        const WindowCounter& b = col[i].counters[k];
+    ASSERT_EQ(solo.size(), shared.size()) << context;
+    for (size_t i = 0; i < solo.size(); ++i) {
+      EXPECT_EQ(solo[i].format, shared[i].format) << context;
+      EXPECT_EQ(solo[i].seq, shared[i].seq) << context;
+      EXPECT_EQ(solo[i].event_count, shared[i].event_count) << context;
+      ASSERT_EQ(solo[i].counters.size(), shared[i].counters.size())
+          << context;
+      for (size_t k = 0; k < solo[i].counters.size(); ++k) {
+        const WindowCounter& a = solo[i].counters[k];
+        const WindowCounter& b = shared[i].counters[k];
         EXPECT_EQ(a.window_start, b.window_start) << context;
         EXPECT_EQ(a.seen, b.seen) << context;
         EXPECT_EQ(a.sampled, b.sampled) << context;
         EXPECT_EQ(a.shed, b.shed) << context;
       }
-      const std::vector<Event> a = DecodeShipped(registry_, row[i]);
-      const std::vector<Event> b = DecodeShipped(registry_, col[i]);
+      const std::vector<Event> a = DecodeShipped(registry_, solo[i]);
+      const std::vector<Event> b = DecodeShipped(registry_, shared[i]);
       ASSERT_EQ(a.size(), b.size()) << context;
       for (size_t e = 0; e < a.size(); ++e) {
         EXPECT_EQ(a[e].ToString(), b[e].ToString()) << context;
@@ -519,17 +595,61 @@ class SharedStagingTest : public ::testing::Test {
     }
   }
 
-  void ExpectSameStats(const AgentQueryStats* row, const AgentQueryStats* col,
+  void ExpectSameStats(const AgentQueryStats* solo,
+                       const AgentQueryStats* shared,
                        const std::string& context) {
-    ASSERT_NE(row, nullptr) << context;
-    ASSERT_NE(col, nullptr) << context;
-    EXPECT_EQ(row->events_considered, col->events_considered) << context;
-    EXPECT_EQ(row->events_sampled_out, col->events_sampled_out) << context;
-    EXPECT_EQ(row->events_filtered, col->events_filtered) << context;
-    EXPECT_EQ(row->events_staged, col->events_staged) << context;
-    EXPECT_EQ(row->events_dropped, col->events_dropped) << context;
-    EXPECT_EQ(row->events_shipped, col->events_shipped) << context;
-    EXPECT_EQ(row->batches_sent, col->batches_sent) << context;
+    ASSERT_NE(solo, nullptr) << context;
+    ASSERT_NE(shared, nullptr) << context;
+    EXPECT_EQ(solo->events_considered, shared->events_considered) << context;
+    EXPECT_EQ(solo->events_sampled_out, shared->events_sampled_out)
+        << context;
+    EXPECT_EQ(solo->events_filtered, shared->events_filtered) << context;
+    EXPECT_EQ(solo->events_staged, shared->events_staged) << context;
+    EXPECT_EQ(solo->events_dropped, shared->events_dropped) << context;
+    EXPECT_EQ(solo->events_shipped, shared->events_shipped) << context;
+    EXPECT_EQ(solo->batches_sent, shared->batches_sent) << context;
+  }
+
+  // The reference for a shared agent: one agent per plan, with the same
+  // config and seed and only that plan installed. With at most one sampled
+  // plan in `plans`, each solo agent flips the sampling coin on exactly the
+  // events the shared agent flips it on, so the two RNG streams match.
+  std::vector<std::unique_ptr<ScrubAgent>> SoloAgents(
+      const std::vector<HostPlan>& plans, uint64_t seed) {
+    std::vector<std::unique_ptr<ScrubAgent>> solo;
+    for (const HostPlan& p : plans) {
+      solo.push_back(std::make_unique<ScrubAgent>(/*host=*/1, &meter_,
+                                                  Config(), seed));
+      solo.back()->InstallQuery(p);
+    }
+    return solo;
+  }
+
+  // Logs `events` into the shared agent and every solo agent, flushes all
+  // of them at `now`, and checks that each query's shipment and stats are
+  // the same either way.
+  void LogAndCompare(ScrubAgent& shared,
+                     std::vector<std::unique_ptr<ScrubAgent>>& solo,
+                     const std::vector<HostPlan>& plans,
+                     const std::vector<Event>& events, TimeMicros now) {
+    for (const Event& e : events) {
+      shared.LogEvent(e);
+      for (auto& agent : solo) {
+        agent->LogEvent(e);
+      }
+    }
+    // At most one copy of each logged event, however many queries kept it.
+    EXPECT_LE(shared.shared_staged_rows(), events.size());
+    const std::vector<EventBatch> shared_out = shared.Flush(now);
+    EXPECT_EQ(shared.shared_staged_rows(), 0u);
+    for (size_t i = 0; i < plans.size(); ++i) {
+      const QueryId id = plans[i].query_id;
+      const std::string context = "query " + std::to_string(id) +
+                                  " flush at " + std::to_string(now) + " us";
+      ExpectSameShipment(solo[i]->Flush(now), BatchesFor(shared_out, id),
+                         context);
+      ExpectSameStats(solo[i]->StatsFor(id), shared.StatsFor(id), context);
+    }
   }
 
   SchemaRegistry registry_;
@@ -541,12 +661,12 @@ class SharedStagingTest : public ::testing::Test {
   RequestId next_rid_ = 1;
 };
 
-TEST_F(SharedStagingTest, ColumnarAgentMatchesRowAgentOnOverlappingQueries) {
-  // Filtered queries never reach the capacity or the byte budget (40 bids a
-  // second), because the two pipelines count those limits at different
-  // points: the row agent after selection, the columnar agent before it.
-  // The unfiltered impression query and the join hit staging_capacity;
-  // the click query, which keeps every field, runs over the byte budget.
+TEST_F(SharedStagingTest, SharedAgentMatchesSoloAgentsOnOverlappingQueries) {
+  // Capacity and byte budget are per query and count sampled events before
+  // selection, so sharing must not move a single shed: the unfiltered
+  // impression query and the join hit staging_capacity, and the click
+  // query, which keeps every field, runs over the byte budget. Query 3 is
+  // the only sampled one.
   const std::vector<HostPlan> plans = {
       PlanFor("SELECT COUNT(*) FROM bid WHERE bid.price > 5.0 "
               "WINDOW 1 s DURATION 60 s;"),
@@ -573,52 +693,63 @@ TEST_F(SharedStagingTest, ColumnarAgentMatchesRowAgentOnOverlappingQueries) {
               "FROM bid, impression GROUP BY impression.line_item_id "
               "WINDOW 1 s START 2500 ms DURATION 60 s;"),
   };
-  ScrubAgent row(/*host=*/1, &meter_, Config(false), /*sampling_seed=*/7);
-  ScrubAgent col(/*host=*/1, &meter_, Config(true), /*sampling_seed=*/7);
+  ScrubAgent shared(/*host=*/1, &meter_, Config(), /*sampling_seed=*/7);
   for (const HostPlan& p : plans) {
-    row.InstallQuery(p);
-    col.InstallQuery(p);
-    ASSERT_TRUE(col.UsesColumns(p.query_id));
+    shared.InstallQuery(p);
   }
+  std::vector<std::unique_ptr<ScrubAgent>> solo =
+      SoloAgents(plans, /*seed=*/7);
 
   Rng rng(2024);
   for (int second = 0; second < 12; ++second) {
-    const std::vector<Event> events = Interval(rng, second * kSecond);
-    for (const Event& e : events) {
-      row.LogEvent(e);
-      col.LogEvent(e);
-    }
-    // At most one copy of each logged event, however many queries kept it.
-    EXPECT_GT(col.shared_staged_rows(), 0u);
-    EXPECT_LE(col.shared_staged_rows(), events.size());
-
-    const TimeMicros now = (second + 1) * kSecond;
-    const std::vector<EventBatch> row_out = row.Flush(now);
-    const std::vector<EventBatch> col_out = col.Flush(now);
-    EXPECT_EQ(col.shared_staged_rows(), 0u);
-    for (const HostPlan& p : plans) {
-      const std::string context = "query " + std::to_string(p.query_id) +
-                                  " flush at " + std::to_string(second + 1) +
-                                  " s";
-      ExpectSameShipment(BatchesFor(row_out, p.query_id),
-                         BatchesFor(col_out, p.query_id), context);
-      ExpectSameStats(row.StatsFor(p.query_id), col.StatsFor(p.query_id),
-                      context);
-    }
+    LogAndCompare(shared, solo, plans, Interval(rng, second * kSecond),
+                  (second + 1) * kSecond);
   }
 
-  // The limits really were exercised, identically on both agents.
-  EXPECT_GT(col.StatsFor(6)->events_dropped, 0u);  // join: capacity
-  EXPECT_GT(col.StatsFor(7)->events_dropped, 0u);  // impressions: capacity
-  EXPECT_GT(col.StatsFor(8)->events_dropped, 0u);  // clicks: byte budget
-  EXPECT_LT(col.StatsFor(8)->events_staged, 64u * 12);
-  EXPECT_GT(col.StatsFor(3)->events_sampled_out, 0u);
-  EXPECT_EQ(col.StatsFor(1)->events_dropped, 0u);
+  // The limits really were exercised, identically on both sides.
+  EXPECT_GT(shared.StatsFor(6)->events_dropped, 0u);  // join: capacity
+  EXPECT_GT(shared.StatsFor(7)->events_dropped, 0u);  // impressions: capacity
+  EXPECT_GT(shared.StatsFor(8)->events_dropped, 0u);  // clicks: byte budget
+  EXPECT_LT(shared.StatsFor(8)->events_staged, 64u * 12);
+  EXPECT_GT(shared.StatsFor(3)->events_sampled_out, 0u);
+  EXPECT_EQ(shared.StatsFor(1)->events_dropped, 0u);
+}
+
+TEST_F(SharedStagingTest, JoinCapacityCountsEverySource) {
+  // A join's staging capacity bounds its rows across all sources together.
+  AgentConfig config = Config();
+  config.staging_capacity = 8;
+  config.staging_budget_bytes = 0;
+  ScrubAgent agent(/*host=*/1, &meter_, config, /*sampling_seed=*/7);
+  const HostPlan join = PlanFor(
+      "SELECT bid.user_id, COUNT(*) FROM bid, impression "
+      "GROUP BY bid.user_id WINDOW 1 s DURATION 60 s;");
+  agent.InstallQuery(join);
+  for (int i = 0; i < 5; ++i) {
+    const TimeMicros ts = 1000 * (i + 1);
+    Event bid(bid_, next_rid_, ts);
+    bid.SetField(0, Value(int64_t{i}));
+    bid.SetField(1, Value(1.0));
+    bid.SetField(2, Value("US"));
+    Event imp(impression_, next_rid_++, ts);
+    imp.SetField(0, Value(int64_t{i}));
+    imp.SetField(1, Value(2.0));
+    agent.LogEvent(bid);
+    agent.LogEvent(imp);
+  }
+  const std::vector<EventBatch> batches = agent.Flush(kSecond);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].format, BatchFormat::kColumnarJoin);
+  EXPECT_EQ(batches[0].event_count, 8u);
+  const AgentQueryStats* stats = agent.StatsFor(join.query_id);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->events_staged, 8u);
+  EXPECT_EQ(stats->events_dropped, 2u);
 }
 
 // Disturbing one query while rows are staged must not change a byte of
 // what the other queries ship.
-enum class Disturbance { kRemove, kExpire, kPipelineSwitch };
+enum class Disturbance { kRemove, kExpire };
 
 class SharedStagingLifecycleTest
     : public SharedStagingTest,
@@ -640,7 +771,7 @@ TEST_P(SharedStagingLifecycleTest, OtherQueriesShipIdenticalBytes) {
       "SELECT bid.user_id, COUNT(*) FROM bid, impression "
       "WHERE bid.price < 9.0 GROUP BY bid.user_id WINDOW 1 s DURATION 60 s;");
 
-  AgentConfig config = Config(true);
+  AgentConfig config = Config();
   config.staging_budget_bytes = 0;
   config.staging_capacity = 1024;
   ScrubAgent reference(/*host=*/1, &meter_, config, /*sampling_seed=*/7);
@@ -655,12 +786,9 @@ TEST_P(SharedStagingLifecycleTest, OtherQueriesShipIdenticalBytes) {
   for (int second = 0; second < 4; ++second) {
     const std::vector<Event> events = Interval(rng, second * kSecond);
     for (size_t i = 0; i < events.size(); ++i) {
-      if (second == 1 && i == events.size() / 2) {
-        if (GetParam() == Disturbance::kRemove) {
-          disturbed.RemoveQuery(q2.query_id);
-        } else if (GetParam() == Disturbance::kPipelineSwitch) {
-          disturbed.SetPipelineOverride(q2.query_id, /*columnar=*/false);
-        }
+      if (second == 1 && i == events.size() / 2 &&
+          GetParam() == Disturbance::kRemove) {
+        disturbed.RemoveQuery(q2.query_id);
       }
       reference.LogEvent(events[i]);
       disturbed.LogEvent(events[i]);
@@ -691,17 +819,12 @@ TEST_P(SharedStagingLifecycleTest, OtherQueriesShipIdenticalBytes) {
       EXPECT_FALSE(disturbed.HasQuery(q2.query_id));
       EXPECT_GT(disturbed.StatsFor(q2.query_id)->events_shipped, 0u);
       break;
-    case Disturbance::kPipelineSwitch:
-      EXPECT_FALSE(disturbed.UsesColumns(q2.query_id));
-      EXPECT_GT(disturbed.StatsFor(q2.query_id)->events_shipped, 0u);
-      break;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Disturbances, SharedStagingLifecycleTest,
                          ::testing::Values(Disturbance::kRemove,
-                                           Disturbance::kExpire,
-                                           Disturbance::kPipelineSwitch));
+                                           Disturbance::kExpire));
 
 TEST_F(SharedStagingTest, SchemaDriftMigratesSharedColumnForEveryQuery) {
   // q1 starts at 0 and keeps the drifted event (the first of second 1); q2
@@ -713,13 +836,16 @@ TEST_F(SharedStagingTest, SchemaDriftMigratesSharedColumnForEveryQuery) {
       PlanFor("SELECT bid.country, COUNT(*) FROM bid GROUP BY bid.country "
               "WINDOW 1 s START 1200 ms DURATION 60 s;"),
   };
-  ScrubAgent row(/*host=*/1, &meter_, Config(false), /*sampling_seed=*/7);
-  ScrubAgent col(/*host=*/1, &meter_, Config(true), /*sampling_seed=*/7);
+  ScrubAgent shared(/*host=*/1, &meter_, Config(), /*sampling_seed=*/7);
   for (const HostPlan& p : plans) {
-    row.InstallQuery(p);
-    col.InstallQuery(p);
+    shared.InstallQuery(p);
   }
-  auto log_second = [&](int second, bool drift) {
+  std::vector<std::unique_ptr<ScrubAgent>> solo =
+      SoloAgents(plans, /*seed=*/7);
+  const size_t country = 2;
+  for (int second = 0; second < 3; ++second) {
+    const bool drift = second == 1;
+    std::vector<Event> events;
     for (int i = 0; i < 20; ++i) {
       Event e(bid_, next_rid_++,
               second * kSecond + (i + 1) * (kSecond / 21));
@@ -728,30 +854,21 @@ TEST_F(SharedStagingTest, SchemaDriftMigratesSharedColumnForEveryQuery) {
       // A mistyped value: an int in the string `country` column.
       e.SetField(2, drift && i == 0 ? Value(int64_t{42})
                                     : Value(i % 2 == 0 ? "US" : "DE"));
-      row.LogEvent(e);
-      col.LogEvent(e);
+      events.push_back(std::move(e));
     }
-  };
-  const size_t country = 2;
-  for (int second = 0; second < 3; ++second) {
-    const bool drift = second == 1;
-    log_second(second, drift);
-    const TimeMicros now = (second + 1) * kSecond;
-    const std::vector<EventBatch> row_out = row.Flush(now);
-    const std::vector<EventBatch> col_out = col.Flush(now);
+    LogAndCompare(shared, solo, plans, events, (second + 1) * kSecond);
+    // A string column ships dictionary-encoded (> 0); the migrated generic
+    // column ships plain (0) for q2 too, although q2 never kept the drifted
+    // event (a solo q2 agent keeps its dictionary). The next flush starts
+    // from a cleared, typed batch again.
+    if (second == 0) {
+      continue;  // q2 has not started yet
+    }
     for (const HostPlan& p : plans) {
       const std::string context = "query " + std::to_string(p.query_id) +
                                   " second " + std::to_string(second);
-      ExpectSameShipment(BatchesFor(row_out, p.query_id),
-                         BatchesFor(col_out, p.query_id), context);
-      // A string column ships dictionary-encoded (> 0); the migrated
-      // generic column ships plain (0), for q2 too. The next flush starts
-      // from a cleared, typed batch again.
-      if (second == 0) {
-        continue;  // q2 has not started yet
-      }
       const std::vector<std::vector<int>>& enc =
-          col.StatsFor(p.query_id)->last_encodings;
+          shared.StatsFor(p.query_id)->last_encodings;
       ASSERT_EQ(enc.size(), 1u) << context;
       if (drift) {
         EXPECT_EQ(enc[0][country], 0) << context;
@@ -760,6 +877,9 @@ TEST_F(SharedStagingTest, SchemaDriftMigratesSharedColumnForEveryQuery) {
       }
     }
   }
+  // The solo q2 agent never saw the drift: its column stayed typed.
+  EXPECT_GT(solo[1]->StatsFor(plans[1].query_id)->last_encodings[0][country],
+            0);
 }
 
 }  // namespace

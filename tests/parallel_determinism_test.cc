@@ -137,7 +137,7 @@ constexpr const char* kAggQuery =
     "GROUP BY bid.user_id WINDOW 1 s DURATION 3 s;";
 
 std::vector<std::string> RunSystem(size_t workers, double drop_rate,
-                                   bool columnar = true, size_t regions = 0,
+                                   size_t regions = 0,
                                    const char* query = kAggQuery,
                                    bool metrics = true,
                                    bool adaptive = false) {
@@ -150,19 +150,16 @@ std::vector<std::string> RunSystem(size_t workers, double drop_rate,
   config.platform.num_campaigns = 3;
   config.platform.line_items_per_campaign = 3;
   config.workers = workers;
-  config.columnar = columnar;
   config.combiner_regions = regions;
-  // Row and columnar payloads differ in size; a zero per-byte transport
-  // latency keeps delivery timing — and the transcript — comparable across
-  // the two pipelines, not just across worker counts.
+  // Flat agent batches and hierarchical combiner partials differ in size; a
+  // zero per-byte transport latency keeps delivery timing — and the
+  // transcript — comparable across topologies, not just across worker
+  // counts (FlatAndHierarchicalAgreeOnExactAggregates).
   config.transport.micros_per_byte = 0;
   config.central.collect_op_metrics = metrics;
   if (adaptive) {
-    // Short phases so the full decision sequence — forced-row calibration,
-    // forced-columnar calibration, pipeline lock, batch retune — lands
-    // inside the 3 s trace.
+    // A short tuning interval so batch retunes land inside the 3 s trace.
     config.adaptive.enabled = true;
-    config.adaptive.calibration_pumps = 2;
     config.adaptive.tune_interval_pumps = 2;
     config.adaptive.min_batch_events = 16;
   }
@@ -205,77 +202,22 @@ TEST(SystemDeterminismTest, TwentyPercentDropTranscriptIdenticalAcrossWorkers) {
   EXPECT_EQ(RunSystem(8, 0.2), reference);
 }
 
-TEST(SystemDeterminismTest, RowPipelineTranscriptIdenticalAcrossWorkers) {
-  const std::vector<std::string> reference =
-      RunSystem(0, 0.0, /*columnar=*/false);
-  EXPECT_EQ(RunSystem(2, 0.0, /*columnar=*/false), reference);
-  EXPECT_EQ(RunSystem(8, 0.0, /*columnar=*/false), reference);
-}
-
-TEST(SystemDeterminismTest, PipelinesAgreeByteForByteAcrossWorkers) {
-  // The data-plane switch is a pure representation change: for every worker
-  // count the columnar transcript must equal the row transcript, byte for
-  // byte, clean...
-  const std::vector<std::string> reference =
-      RunSystem(0, 0.0, /*columnar=*/false);
-  for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
-    EXPECT_EQ(RunSystem(workers, 0.0, /*columnar=*/true), reference)
-        << "workers=" << workers;
-  }
-}
-
-TEST(SystemDeterminismTest, PipelinesAgreeByteForByteUnderDrops) {
-  // ...and under a 20% drop plan, where retransmission holds encoded
-  // payloads (columnar bytes on the columnar path) and central dedup sees
-  // the same seq/epoch stream either way.
-  const std::vector<std::string> reference =
-      RunSystem(0, 0.2, /*columnar=*/false);
-  for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
-    EXPECT_EQ(RunSystem(workers, 0.2, /*columnar=*/true), reference)
-        << "workers=" << workers;
-  }
-}
-
 TEST(SystemDeterminismTest, MetricsAndAdaptiveMatrixCollapsesToOneTranscript) {
   // The operator-metrics plane is pure observation and the adaptive
-  // controller's overrides land only at empty-staging flush boundaries, so
-  // the whole matrix — metrics {off,on} x adaptive {off,on} x workers
-  // {0,2,8}, for BOTH static pipelines — must collapse onto the single
-  // reference transcript. Adaptive runs include the forced-row ->
-  // forced-columnar calibration switch mid-query; metrics-off + adaptive-on
-  // starves the controller (no counters), which must also be harmless.
+  // controller only re-chunks flushes, so the whole matrix — metrics
+  // {off,on} x adaptive {off,on} x workers {0,2,8} — must collapse onto the
+  // single reference transcript. Metrics-off + adaptive-on starves the
+  // controller (no counters), which must also be harmless.
   const std::vector<std::string> reference = RunSystem(0, 0.0);
-  for (const bool columnar : {false, true}) {
-    for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-      for (const bool metrics : {false, true}) {
-        for (const bool adaptive : {false, true}) {
-          EXPECT_EQ(RunSystem(workers, 0.0, columnar, 0, kAggQuery, metrics,
-                              adaptive),
-                    reference)
-              << "columnar=" << columnar << " workers=" << workers
-              << " metrics=" << metrics << " adaptive=" << adaptive;
-        }
+  for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
+    for (const bool metrics : {false, true}) {
+      for (const bool adaptive : {false, true}) {
+        EXPECT_EQ(RunSystem(workers, 0.0, 0, kAggQuery, metrics, adaptive),
+                  reference)
+            << "workers=" << workers << " metrics=" << metrics
+            << " adaptive=" << adaptive;
       }
     }
-  }
-}
-
-TEST(SystemDeterminismTest, AdaptiveJoinTranscriptNeutralAcrossWorkers) {
-  // Join plans exercise the other agent staging paths (row arrivals and
-  // columnar join sections); the calibration switch must stay invisible
-  // there too.
-  const std::vector<std::string> reference = RunSystem(
-      0, 0.0, /*columnar=*/true, 0,
-      "SELECT impression.line_item_id, COUNT(*) FROM bid, impression "
-      "GROUP BY impression.line_item_id WINDOW 1 s DURATION 3 s;");
-  for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-    EXPECT_EQ(RunSystem(workers, 0.0, /*columnar=*/true, 0,
-                        "SELECT impression.line_item_id, COUNT(*) FROM bid, "
-                        "impression GROUP BY impression.line_item_id "
-                        "WINDOW 1 s DURATION 3 s;",
-                        /*metrics=*/true, /*adaptive=*/true),
-              reference)
-        << "workers=" << workers;
   }
 }
 
@@ -283,50 +225,61 @@ constexpr const char* kJoinQuery =
     "SELECT impression.line_item_id, COUNT(*) FROM bid, impression "
     "GROUP BY impression.line_item_id WINDOW 1 s DURATION 3 s;";
 
-TEST(SystemDeterminismTest, JoinPipelinesAgreeByteForByteAcrossWorkers) {
-  // Joins stage columnar too: per-source sections plus the explicit staging
-  // interleave ride one kColumnarJoin batch, and central re-folds them in
-  // arrival order. The columnar-staged join transcript must equal the
-  // row-staged one byte for byte at every worker count (workers > 0 also
-  // exercises the sharded per-request re-bucket of join slices).
+TEST(SystemDeterminismTest, AdaptiveJoinTranscriptNeutralAcrossWorkers) {
+  // Join plans exercise the other agent flush path (kColumnarJoin sections
+  // plus the arrival interleave); batch retunes must stay invisible there
+  // too.
   const std::vector<std::string> reference =
-      RunSystem(0, 0.0, /*columnar=*/false, /*regions=*/0, kJoinQuery);
+      RunSystem(0, 0.0, /*regions=*/0, kJoinQuery);
   for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-    EXPECT_EQ(RunSystem(workers, 0.0, /*columnar=*/true, 0, kJoinQuery),
+    EXPECT_EQ(RunSystem(workers, 0.0, 0, kJoinQuery, /*metrics=*/true,
+                        /*adaptive=*/true),
               reference)
         << "workers=" << workers;
   }
 }
 
-TEST(SystemDeterminismTest, JoinPipelinesAgreeByteForByteUnderDrops) {
+TEST(SystemDeterminismTest, JoinTranscriptIdenticalAcrossWorkers) {
+  // Joins stage per-source sections plus the explicit staging interleave in
+  // one kColumnarJoin batch, and central re-folds them in arrival order.
+  // workers > 0 also exercises the sharded per-request re-bucket of join
+  // slices.
+  const std::vector<std::string> reference =
+      RunSystem(0, 0.0, /*regions=*/0, kJoinQuery);
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
+    EXPECT_EQ(RunSystem(workers, 0.0, 0, kJoinQuery), reference)
+        << "workers=" << workers;
+  }
+}
+
+TEST(SystemDeterminismTest, JoinTranscriptIdenticalUnderDrops) {
   // Under a 20% drop plan the retransmit path holds encoded kColumnarJoin
   // payloads; dedup and replay must keep the join transcript exact.
   const std::vector<std::string> reference =
-      RunSystem(0, 0.2, /*columnar=*/false, /*regions=*/0, kJoinQuery);
-  for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-    EXPECT_EQ(RunSystem(workers, 0.2, /*columnar=*/true, 0, kJoinQuery),
-              reference)
+      RunSystem(0, 0.2, /*regions=*/0, kJoinQuery);
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
+    EXPECT_EQ(RunSystem(workers, 0.2, 0, kJoinQuery), reference)
         << "workers=" << workers;
   }
 }
 
 TEST(SystemDeterminismTest, HierarchicalTranscriptIdenticalAcrossWorkers) {
   // The regional combiner tier must keep the worker knob pure: flat and
-  // hierarchical are different row pipelines, but WITHIN the hierarchical
+  // hierarchical are different pipelines, but WITHIN the hierarchical
   // topology every worker count replays the same transcript byte for byte.
   const std::vector<std::string> reference =
-      RunSystem(0, 0.0, /*columnar=*/true, /*regions=*/2);
-  EXPECT_EQ(RunSystem(2, 0.0, /*columnar=*/true, /*regions=*/2), reference);
-  EXPECT_EQ(RunSystem(8, 0.0, /*columnar=*/true, /*regions=*/2), reference);
+      RunSystem(0, 0.0, /*regions=*/2);
+  EXPECT_EQ(RunSystem(2, 0.0, /*regions=*/2), reference);
+  EXPECT_EQ(RunSystem(8, 0.0, /*regions=*/2), reference);
 }
 
 TEST(SystemDeterminismTest, HierarchicalTranscriptIdenticalUnderDrops) {
   // Drops now hit the agent -> combiner hop; combiner dedup plus envelope
   // sequencing must keep the replay exact for every worker count.
   const std::vector<std::string> reference =
-      RunSystem(0, 0.2, /*columnar=*/true, /*regions=*/2);
-  EXPECT_EQ(RunSystem(2, 0.2, /*columnar=*/true, /*regions=*/2), reference);
-  EXPECT_EQ(RunSystem(8, 0.2, /*columnar=*/true, /*regions=*/2), reference);
+      RunSystem(0, 0.2, /*regions=*/2);
+  EXPECT_EQ(RunSystem(2, 0.2, /*regions=*/2), reference);
+  EXPECT_EQ(RunSystem(8, 0.2, /*regions=*/2), reference);
 }
 
 TEST(SystemDeterminismTest, FlatAndHierarchicalAgreeOnExactAggregates) {
@@ -337,12 +290,12 @@ TEST(SystemDeterminismTest, FlatAndHierarchicalAgreeOnExactAggregates) {
       "SELECT bid.user_id, COUNT(*) FROM bid "
       "GROUP BY bid.user_id WINDOW 1 s DURATION 3 s;";
   const std::vector<std::string> reference =
-      RunSystem(0, 0.0, /*columnar=*/true, /*regions=*/0, query);
+      RunSystem(0, 0.0, /*regions=*/0, query);
   for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-    EXPECT_EQ(RunSystem(workers, 0.0, true, 0, query), reference)
+    EXPECT_EQ(RunSystem(workers, 0.0, 0, query), reference)
         << "flat workers=" << workers;
     for (const size_t regions : {size_t{1}, size_t{2}, size_t{4}}) {
-      EXPECT_EQ(RunSystem(workers, 0.0, true, regions, query), reference)
+      EXPECT_EQ(RunSystem(workers, 0.0, regions, query), reference)
           << "regions=" << regions << " workers=" << workers;
     }
   }

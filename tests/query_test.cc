@@ -2,6 +2,9 @@
 // Query::ToString), and the semantic analyzer with its language
 // restrictions.
 
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "src/query/analyzer.h"
@@ -329,6 +332,7 @@ TEST_F(AnalyzerTest, SourceValidation) {
   Result<AnalyzedQuery> three =
       Run("SELECT COUNT(*) FROM bid, exclusion, bid;");
   EXPECT_FALSE(three.ok());
+  EXPECT_EQ(three.status().code(), StatusCode::kUnimplemented);
 }
 
 TEST_F(AnalyzerTest, DurationLimits) {
@@ -350,6 +354,68 @@ TEST_F(AnalyzerTest, CloneIsDeep) {
   EXPECT_EQ(copy.query.ToString(), aq->query.ToString());
   EXPECT_EQ(copy.conjuncts.size(), aq->conjuncts.size());
   EXPECT_NE(copy.query.select[0].expr.get(), aq->query.select[0].expr.get());
+}
+
+// ---------------------------------------------------------------------------
+// Expression depth limits: hostile query text is rejected with a spanned
+// kInvalidArgument, never recursed into a stack overflow.
+
+std::string Repeat(std::string_view piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    out += piece;
+  }
+  return out;
+}
+
+// "1+1+...+1" with `terms` ones: a left-deep tree of height `terms`.
+std::string AdditionChain(int terms) {
+  return "1" + Repeat("+1", terms - 1);
+}
+
+void ExpectTooDeep(const std::string& text) {
+  Result<Query> q = ParseQuery(text);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(q.status().message().find(std::to_string(kMaxExprHeight)),
+            std::string::npos)
+      << q.status().ToString();
+  EXPECT_NE(q.status().message().find("at offset"), std::string::npos)
+      << q.status().ToString();
+}
+
+TEST(QueryLimitsTest, DeepNotChainRejected) {
+  ExpectTooDeep("SELECT COUNT(*) FROM bid WHERE " + Repeat("NOT ", 25000) +
+                "bid.bid_price > 1;");
+}
+
+TEST(QueryLimitsTest, DeepParenthesesRejected) {
+  ExpectTooDeep("SELECT COUNT(*) FROM bid WHERE " + Repeat("(", 25000) +
+                "bid.bid_price > 1" + Repeat(")", 25000) + ";");
+}
+
+TEST(QueryLimitsTest, LongOperatorChainRejected) {
+  // The binary-operator loops build this tree without recursing; its
+  // height is what must be bounded.
+  ExpectTooDeep("SELECT COUNT(*) FROM bid WHERE " + AdditionChain(30000) +
+                " > 1;");
+  ExpectTooDeep("SELECT COUNT(*) FROM bid WHERE " +
+                Repeat("bid.bid_price > 1 AND ", 30000) + "TRUE;");
+}
+
+TEST(QueryLimitsTest, DeepUnaryMinusRejected) {
+  ExpectTooDeep("SELECT COUNT(*) FROM bid WHERE " + Repeat("- ", 25000) +
+                "bid.bid_price > 1;");
+}
+
+TEST(QueryLimitsTest, TreeHeightLimitIsExact) {
+  // `chain > 1` adds one level above a chain of height `terms`.
+  EXPECT_TRUE(ParseQuery("SELECT COUNT(*) FROM bid WHERE " +
+                         AdditionChain(kMaxExprHeight - 1) + " > 1;")
+                  .ok());
+  ExpectTooDeep("SELECT COUNT(*) FROM bid WHERE " +
+                AdditionChain(kMaxExprHeight) + " > 1;");
 }
 
 }  // namespace

@@ -14,9 +14,8 @@
 //     and every affected window's rows carry fidelity < 1 — never a crash,
 //     never a silently wrong answer presented as complete.
 //  3. Degradation is DETERMINISTIC: transcripts stay byte-identical across
-//     worker counts and across the row/columnar pipelines with spill
-//     engaged, because budget charges use logical event sizes, not
-//     container capacities.
+//     worker counts with spill engaged, because budget charges use logical
+//     event sizes, not container capacities.
 
 #include <cstdio>
 #include <cstdlib>
@@ -413,8 +412,8 @@ struct SystemOutcome {
   size_t peak = 0;
 };
 
-SystemOutcome RunSpillSystem(size_t workers, bool columnar,
-                             size_t central_budget, const std::string& spill_dir,
+SystemOutcome RunSpillSystem(size_t workers, size_t central_budget,
+                             const std::string& spill_dir,
                              size_t staging_budget = 0,
                              SpillFaultSpec spill_faults = {}) {
   SystemConfig config;
@@ -426,8 +425,6 @@ SystemOutcome RunSpillSystem(size_t workers, bool columnar,
   config.platform.num_campaigns = 3;
   config.platform.line_items_per_campaign = 3;
   config.workers = workers;
-  config.columnar = columnar;
-  config.transport.micros_per_byte = 0;
   config.central.track_state_bytes = true;
   config.central.query_state_budget_bytes = central_budget;
   config.central.spill_dir = spill_dir;
@@ -465,34 +462,28 @@ SystemOutcome RunSpillSystem(size_t workers, bool columnar,
   return out;
 }
 
-TEST(SpillSystemTest, BudgetedRunMatchesUnboundedAcrossWorkersAndPipelines) {
-  const SystemOutcome unbounded =
-      RunSpillSystem(0, /*columnar=*/false, 0, "");
+TEST(SpillSystemTest, BudgetedRunMatchesUnboundedAcrossWorkers) {
+  const SystemOutcome unbounded = RunSpillSystem(0, 0, "");
   ASSERT_GT(unbounded.peak, 0u);
   const size_t budget = unbounded.peak / 8;
   const std::string dir = SpillDir("system");
-  for (const bool columnar : {false, true}) {
-    for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-      const SystemOutcome budgeted =
-          RunSpillSystem(workers, columnar, budget, dir);
-      EXPECT_EQ(budgeted.transcript, unbounded.transcript)
-          << "workers=" << workers << " columnar=" << columnar;
-      EXPECT_EQ(budgeted.stats.events_shed, 0u);
-    }
+  for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
+    const SystemOutcome budgeted = RunSpillSystem(workers, budget, dir);
+    EXPECT_EQ(budgeted.transcript, unbounded.transcript)
+        << "workers=" << workers;
+    EXPECT_EQ(budgeted.stats.events_shed, 0u);
+    // The budget was real: the run under pressure spilled.
+    EXPECT_GT(budgeted.stats.events_spilled, 0u) << "workers=" << workers;
   }
-  // The budget was real: the row reference rerun under pressure spilled.
-  const SystemOutcome spilled =
-      RunSpillSystem(0, /*columnar=*/false, budget, dir);
-  EXPECT_GT(spilled.stats.events_spilled, 0u);
 }
 
 TEST(SpillSystemTest, InjectedSpillFaultNeverCrashesAndDentsFidelity) {
   const SystemOutcome unbounded =
-      RunSpillSystem(0, /*columnar=*/true, 0, "");
+      RunSpillSystem(0, 0, "");
   SpillFaultSpec faults;
   faults.write_fail = 0.7;
   const SystemOutcome faulty = RunSpillSystem(
-      0, /*columnar=*/true, unbounded.peak / 8, SpillDir("system_fault"),
+      0, unbounded.peak / 8, SpillDir("system_fault"),
       /*staging_budget=*/0, faults);
   EXPECT_GT(faulty.stats.spill_write_failures, 0u);
   EXPECT_GT(faulty.stats.events_shed, 0u);
@@ -503,7 +494,7 @@ TEST(SpillSystemTest, InjectedSpillFaultNeverCrashesAndDentsFidelity) {
 
 TEST(SpillSystemTest, AgentStagingBudgetShedIsCountedIntoFidelity) {
   const SystemOutcome pressured = RunSpillSystem(
-      0, /*columnar=*/true, 0, "", /*staging_budget=*/2 * 1024);
+      0, 0, "", /*staging_budget=*/2 * 1024);
   EXPECT_GT(pressured.stats.agent_events_shed, 0u);
   EXPECT_LT(pressured.stats.fidelity_min, 1.0);
   EXPECT_NE(pressured.describe.find("agent_shed="), std::string::npos);
@@ -516,10 +507,10 @@ TEST(SpillSystemTest, AgentStagingBudgetShedIsCountedIntoFidelity) {
 
 TEST(SpillSystemTest, AgentStagingShedIsDeterministicAcrossWorkers) {
   const SystemOutcome reference = RunSpillSystem(
-      0, /*columnar=*/true, 0, "", /*staging_budget=*/2 * 1024);
+      0, 0, "", /*staging_budget=*/2 * 1024);
   for (const size_t workers : {size_t{2}, size_t{8}}) {
     const SystemOutcome other = RunSpillSystem(
-        workers, /*columnar=*/true, 0, "", /*staging_budget=*/2 * 1024);
+        workers, 0, "", /*staging_budget=*/2 * 1024);
     EXPECT_EQ(other.transcript, reference.transcript)
         << "workers=" << workers;
   }
@@ -527,9 +518,9 @@ TEST(SpillSystemTest, AgentStagingShedIsDeterministicAcrossWorkers) {
 
 TEST(SpillSystemTest, ExplainAnalyzeReportsBudgetsAndSpill) {
   const SystemOutcome unbounded =
-      RunSpillSystem(0, /*columnar=*/true, 0, "");
+      RunSpillSystem(0, 0, "");
   const SystemOutcome budgeted = RunSpillSystem(
-      0, /*columnar=*/true, unbounded.peak / 8, SpillDir("system_explain"));
+      0, unbounded.peak / 8, SpillDir("system_explain"));
   EXPECT_NE(budgeted.explain_analyze.find("state bytes:"), std::string::npos);
   EXPECT_NE(budgeted.explain_analyze.find("budget="), std::string::npos);
   EXPECT_NE(budgeted.explain_analyze.find("spill:"), std::string::npos);

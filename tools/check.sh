@@ -85,6 +85,18 @@ else
        --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*' > /dev/null; then
     fail "dict/join wire fuzz failed under sanitizers (re-run: ${BUILD_DIR}/tests/wire_fuzz_test --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*')"
   fi
+  # Query text is the other trust boundary: the expression depth and
+  # tree-height limits keep hostile nesting from overflowing the stack. Run
+  # their fixture by name for the same reason.
+  note "query depth limits under ASan+UBSan"
+  if ! "${BUILD_DIR}/tests/query_test" --gtest_list_tests \
+       --gtest_filter='QueryLimitsTest.*' 2>/dev/null | grep -q '^  '; then
+    fail "QueryLimitsTest fixture missing from query_test"
+  elif ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+       "${BUILD_DIR}/tests/query_test" \
+       --gtest_filter='QueryLimitsTest.*' > /dev/null; then
+    fail "query depth limits failed under sanitizers (re-run: ${BUILD_DIR}/tests/query_test --gtest_filter='QueryLimitsTest.*')"
+  fi
 fi
 
 # ------------------------------------------------- TSan build + test ---------
@@ -96,14 +108,14 @@ note "TSan build"
 TSAN_DIR="${REPO}/build-tsan"
 # merge_algebra_test and the hierarchical halves of the determinism /
 # differential / chaos suites drive the combiner tier; the worker-pool
-# hierarchical runs are what TSan is here for. The columnar-join suites
-# (parallel_determinism_test's JoinPipelines* and differential_test's
-# JoinColumnarStagingAcrossWorkerCounts) exercise the sharded kColumnarJoin
-# re-bucket — parallel decode plus shared read-only sections — at workers
-# {2, 8}, so those binaries double as the join-path race check. metrics_test
-# rides along for the operator-metrics plane: sharded shard->coordinator
-# delta export under the worker pool is exactly the kind of counter traffic
-# TSan exists to vet.
+# hierarchical runs are what TSan is here for. The join suites
+# (parallel_determinism_test's JoinTranscriptIdentical* and
+# differential_test's JoinStagingAcrossWorkerCounts) exercise the sharded
+# kColumnarJoin re-bucket — parallel decode plus shared read-only sections —
+# at workers {2, 8}, so those binaries double as the join-path race check.
+# metrics_test rides along for the operator-metrics plane: sharded
+# shard->coordinator delta export under the worker pool is exactly the kind
+# of counter traffic TSan exists to vet.
 TSAN_TESTS="common_test metrics_test parallel_determinism_test differential_test sharded_central_test chaos_test spill_test merge_algebra_test"
 mkdir -p "${TSAN_DIR}"
 if ! cmake -B "${TSAN_DIR}" -S "${REPO}" \

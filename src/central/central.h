@@ -72,9 +72,9 @@ class ScrubCentral {
   // Columnar twin of IngestEvents: folds the selected rows of a decoded
   // ColumnBatch straight into accumulators — no per-event Event allocation.
   // `selection` lists row indices in fold order (nullptr = all rows). Join
-  // plans probe the request-id column directly and materialize only rows
-  // that survive the join, which is why the batch arrives shared: deferred
-  // entries may outlive the call. Same concurrency contract as IngestEvents.
+  // plans probe the request-id column directly and buffer (batch, row)
+  // references, which is why the batch arrives shared: the window's join
+  // buffer pins it past the call. Same concurrency contract as IngestEvents.
   Status IngestColumns(QueryId query_id, HostId host,
                        std::shared_ptr<const ColumnBatch> batch,
                        const uint32_t* selection, size_t selected);

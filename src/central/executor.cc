@@ -11,24 +11,15 @@ namespace scrub {
 
 namespace {
 
-// Logical state-size estimates for the memory accountant (DESIGN.md §13).
-// These are representation-independent constants — never sizeof(container)
-// or capacity — so the row and columnar pipelines charge identical byte
-// sequences and cross a budget at exactly the same event.
-constexpr size_t kGroupStateBytes = 96;    // map node + GroupState shell
-constexpr size_t kJoinBucketBytes = 64;    // join_state node + per-source vecs
-constexpr size_t kJoinEntryBytes = 48;     // JoinEntry shell around the event
-constexpr size_t kHllStructBytes = 64;     // HyperLogLog shell (+ registers)
-constexpr size_t kTopKCounterBytes = 48;   // one SpaceSaving counter slot
-
 // Bytes a newly created group will hold: its key, one accumulator per
 // aggregate, and the sketches COUNT DISTINCT / TOPK slots allocate on first
 // update (charged up front — they are created by the group's first row with
 // near certainty, and charging here keeps the sequence deterministic).
+// The sizes are the representation-independent literals of
+// src/common/state_bytes.h, never sizeof or capacity (DESIGN.md §13.1).
 size_t GroupCreationBytes(const CentralConfig& config, const CentralPlan& plan,
                           const GroupKey& key) {
-  size_t bytes =
-      kGroupStateBytes + plan.aggregates.size() * sizeof(AggAccumulator);
+  size_t bytes = kGroupStateBytes + plan.aggregates.size() * kAccumulatorBytes;
   for (const Value& v : key) {
     bytes += v.WireSize();
   }
@@ -46,6 +37,87 @@ size_t GroupCreationBytes(const CentralConfig& config, const CentralPlan& plan,
 }
 
 }  // namespace
+
+uint32_t JoinBuffer::Find(RequestId rid) const {
+  if (index_.empty()) {
+    return kNone;
+  }
+  const size_t mask = index_.size() - 1;
+  for (size_t slot = HashMix64(rid) & mask;; slot = (slot + 1) & mask) {
+    const uint32_t b = index_[slot];
+    if (b == 0) {
+      return kNone;
+    }
+    if (buckets_[b - 1].rid == rid) {
+      return b - 1;
+    }
+  }
+}
+
+uint32_t JoinBuffer::Insert(RequestId rid) {
+  if ((buckets_.size() + 1) * 2 > index_.size()) {
+    Grow();
+  }
+  const uint32_t b = static_cast<uint32_t>(buckets_.size());
+  Bucket& bucket = buckets_.emplace_back();
+  bucket.rid = rid;
+  bucket.head.fill(kNone);
+  bucket.tail.fill(kNone);
+  bucket.count.fill(0);
+  const size_t mask = index_.size() - 1;
+  size_t slot = HashMix64(rid) & mask;
+  while (index_[slot] != 0) {
+    slot = (slot + 1) & mask;
+  }
+  index_[slot] = b + 1;
+  return b;
+}
+
+void JoinBuffer::Grow() {
+  index_.assign(std::max<size_t>(16, index_.size() * 2), 0);
+  const size_t mask = index_.size() - 1;
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    size_t slot = HashMix64(buckets_[b].rid) & mask;
+    while (index_[slot] != 0) {
+      slot = (slot + 1) & mask;
+    }
+    index_[slot] = static_cast<uint32_t>(b + 1);
+  }
+}
+
+void JoinBuffer::AppendColumns(uint32_t b, size_t source,
+                               const std::shared_ptr<const ColumnBatch>& batch,
+                               uint32_t row) {
+  // A chunk's entries share one batch, and a kColumnarJoin interleave
+  // alternates between at most kMaxJoinSources sections, so checking the
+  // newest pins keeps each batch pinned once per window.
+  const auto newest =
+      pinned_.end() -
+      static_cast<std::ptrdiff_t>(std::min(pinned_.size(), kMaxJoinSources));
+  if (std::find(newest, pinned_.end(), batch) == pinned_.end()) {
+    pinned_.push_back(batch);
+  }
+  Link(b, source, batch.get(), row);
+}
+
+void JoinBuffer::AppendRow(uint32_t b, size_t source, const Event& event) {
+  events_.push_back(event);
+  Link(b, source, nullptr, static_cast<uint32_t>(events_.size() - 1));
+}
+
+void JoinBuffer::Link(uint32_t b, size_t source, const ColumnBatch* batch,
+                      uint32_t row) {
+  const uint32_t e = static_cast<uint32_t>(entries_.size());
+  entries_.push_back(Entry{batch, row, kNone});
+  Bucket& bucket = buckets_[b];
+  if (bucket.tail[source] == kNone) {
+    bucket.head[source] = e;
+  } else {
+    entries_[bucket.tail[source]].next = e;
+  }
+  bucket.tail[source] = e;
+  ++bucket.count[source];
+}
 
 void AggAccumulator::Merge(AggAccumulator&& other) {
   count += other.count;
@@ -348,8 +420,8 @@ Status Executor::DecodeAndFold(QueryState& q, HostId host,
     if (!cols.ok()) {
       return cols.status();
     }
-    // Shared ownership so join entries can defer materialization past the
-    // chunk's lifetime (the batch lives while any orphan references it).
+    // Shared ownership so a window's join buffer can pin the batch past the
+    // chunk's lifetime (its entries are (batch, row) references).
     auto shared = std::make_shared<const ColumnBatch>(std::move(*cols));
     stamp_decode(shared->rows());
     Fold(q, host, InputChunk::Columns(std::move(shared), /*selection=*/nullptr,
@@ -363,7 +435,7 @@ Status Executor::DecodeAndFold(QueryState& q, HostId host,
       return join.status();
     }
     // Sections are shared for the same reason as single-source columnar
-    // batches: deferred join entries may outlive the fold.
+    // batches: join buffers pin them past the fold.
     ColumnJoinSlice slice;
     slice.sections.reserve(join->sections.size());
     for (ColumnBatch& section : join->sections) {
@@ -647,7 +719,7 @@ void Executor::ChargeState(QueryState& q, WindowState& w, size_t bytes) {
 
 size_t Executor::LogicalEventSize(const InputChunk& chunk, size_t i) const {
   if (chunk.columnar()) {
-    return chunk.columns->MaterializeEvent(chunk.row(i)).WireSize();
+    return chunk.columns->RowWireSize(chunk.row(i));
   }
   return (*chunk.events)[i].WireSize();
 }
@@ -742,36 +814,25 @@ void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
   }
   const RequestId rid = chunk.request_id(i);
   const bool track = accountant_ != nullptr && accountant_->active();
-  auto state_it = w.join_state.find(rid);
-  if (state_it == w.join_state.end()) {
-    if (w.join_state.size() >= config_->max_join_requests_per_window) {
+  JoinBuffer& buffer = w.join;
+  uint32_t b = buffer.Find(rid);
+  if (b == JoinBuffer::kNone) {
+    if (buffer.buckets().size() >= config_->max_join_requests_per_window) {
       ++q.stats.join_shed;  // shed, never grow without bound
       ShedEvent(q, w);      // dents the window's fidelity like any shed
       return;
     }
-    state_it =
-        w.join_state.emplace(rid, std::vector<std::vector<JoinEntry>>())
-            .first;
+    b = buffer.Insert(rid);
     if (track) {
       ChargeState(q, w,
-                  kJoinBucketBytes +
-                      q.plan.sources.size() * sizeof(std::vector<JoinEntry>));
+                  kJoinBucketBytes + q.plan.sources.size() * kJoinSourceBytes);
     }
   }
-  auto& per_request = state_it->second;
-  per_request.resize(q.plan.sources.size());
-  // Columnar inputs stay deferred: the equi-key probe above read straight
-  // off the request-id column, and the entry materializes an Event only if
-  // a partner exists (here or in a later probe against it).
-  JoinEntry self =
-      chunk.columnar()
-          ? JoinEntry(chunk.columns, static_cast<uint32_t>(chunk.row(i)))
-          : JoinEntry((*chunk.events)[i]);
-  // Probe the other side(s) before inserting: new tuples are exactly the
-  // cross product of this event with previously arrived partners. Joined
-  // tuples fold through mixed slots, so a columnar side never materializes
-  // an Event: its slot points straight into the decoded batch.
-  std::vector<TupleSlot> slots(q.plan.sources.size());
+  // Probe the other side before inserting: new tuples are exactly the cross
+  // product of this event with previously arrived partners, visited in
+  // arrival order. Tuples fold through mixed slots, so a columnar side
+  // evaluates straight off its batch and never materializes an Event.
+  std::array<TupleSlot, kMaxJoinSources> slots{};
   TupleSlot& self_slot = slots[static_cast<size_t>(source)];
   if (chunk.columnar()) {
     self_slot.batch = chunk.columns.get();
@@ -779,26 +840,32 @@ void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
   } else {
     self_slot.event = &(*chunk.events)[i];
   }
-  for (size_t other = 0; other < per_request.size(); ++other) {
+  const std::span<const TupleSlot> tuple(slots.data(), q.plan.sources.size());
+  for (size_t other = 0; other < tuple.size(); ++other) {
     if (static_cast<int>(other) == source) {
       continue;
     }
-    for (JoinEntry& e2 : per_request[other]) {
+    for (uint32_t e = buffer.buckets()[b].head[other]; e != JoinBuffer::kNone;
+         e = buffer.entry(e).next) {
       meter_->ChargeScrub(config_->costs.central_join_probe_ns);
-      if (e2.columns != nullptr) {
-        slots[other] = TupleSlot{nullptr, e2.columns.get(), e2.row};
-      } else {
-        slots[other] = TupleSlot{&e2.event, nullptr, 0};
-      }
+      const JoinBuffer::Entry& partner = buffer.entry(e);
+      slots[other] = partner.batch != nullptr
+                         ? TupleSlot{nullptr, partner.batch, partner.row}
+                         : TupleSlot{&buffer.event(partner), nullptr, 0};
       ++q.stats.tuples_joined;
-      GroupFoldMixed(q, w, slots, host);
+      GroupFoldMixed(q, w, tuple, host);
     }
     slots[other] = TupleSlot{};  // absent again for the next partner source
   }
   if (track) {
-    ChargeState(q, w, kJoinEntryBytes + LogicalEventSize(chunk, i));
+    ChargeState(q, w, kJoinEventBytes + LogicalEventSize(chunk, i));
   }
-  per_request[static_cast<size_t>(source)].push_back(std::move(self));
+  if (chunk.columnar()) {
+    buffer.AppendColumns(b, static_cast<size_t>(source), chunk.columns,
+                         static_cast<uint32_t>(chunk.row(i)));
+  } else {
+    buffer.AppendRow(b, static_cast<size_t>(source), (*chunk.events)[i]);
+  }
 }
 
 // The one group-fold body. Every tuple representation — row EventTuple,
@@ -876,8 +943,7 @@ void Executor::GroupFoldColumn(QueryState& q, WindowState& w,
 }
 
 void Executor::GroupFoldMixed(QueryState& q, WindowState& w,
-                              const std::vector<TupleSlot>& slots,
-                              HostId host) {
+                              std::span<const TupleSlot> slots, HostId host) {
   GroupFoldWith(q, w, host, [&](const ExprProgram& e) {
     return EvalProgramMixed(e, slots);
   });
@@ -1078,17 +1144,16 @@ void Executor::CloseWindow(QueryState& q, WindowState* w) {
     }
   };
 
-  // Join orphans: request ids where one side never arrived. Orphaned
-  // columnar entries are still deferred here — they drop with the window
-  // without ever materializing an Event.
-  for (const auto& [rid, per_source] : w->join_state) {
+  // Join orphans: request ids where one side never arrived. One linear pass
+  // over the buffer's buckets; orphaned columnar entries drop with the
+  // window without ever materializing an Event.
+  const size_t sources = plan.sources.size();
+  for (const JoinBuffer::Bucket& bucket : w->join.buckets()) {
     bool complete = true;
     uint64_t total = 0;
-    for (const auto& side : per_source) {
-      if (side.empty()) {
-        complete = false;
-      }
-      total += side.size();
+    for (size_t s = 0; s < sources; ++s) {
+      complete = complete && bucket.count[s] > 0;
+      total += bucket.count[s];
     }
     if (!complete) {
       q.stats.join_orphans += total;

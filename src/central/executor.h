@@ -5,11 +5,11 @@
 // into the per-operator units a compiled PhysicalPipeline names:
 //
 //   Decode      — wire payload -> InputChunk (row span or ColumnBatch).
-//   Join        — symmetric hash join on request id, window-scoped. Columnar
-//                 inputs probe on the request-id column and stay deferred as
-//                 (batch, row) references; a row materializes an Event at
-//                 most once, when it first participates in a joined tuple —
-//                 join orphans never materialize at all.
+//   Join        — symmetric hash join on request id, window-scoped, over a
+//                 flat JoinBuffer. Columnar inputs probe on the request-id
+//                 column and stay (batch, row) references into batches the
+//                 window pins; joined tuples evaluate straight off those
+//                 columns, so a columnar event never materializes an Event.
 //   GroupFold   — group-key evaluation + accumulator update (or, raw mode,
 //                 Project: eager per-tuple row emission).
 //   WindowClose — lateness-gated close: completeness, orphan accounting,
@@ -34,12 +34,14 @@
 #ifndef SRC_CENTRAL_EXECUTOR_H_
 #define SRC_CENTRAL_EXECUTOR_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -48,12 +50,14 @@
 #include "src/agent/agent.h"
 #include "src/common/cost_model.h"
 #include "src/common/spill.h"
+#include "src/common/state_bytes.h"
 #include "src/event/schema.h"
 #include "src/event/wire.h"
 #include "src/plan/group_key.h"
 #include "src/plan/physical.h"
 #include "src/plan/plan.h"
 #include "src/plan/vectorized.h"
+#include "src/query/analyzer.h"
 #include "src/sketch/hyperloglog.h"
 #include "src/sketch/multistage.h"
 #include "src/sketch/space_saving.h"
@@ -196,7 +200,7 @@ struct CentralConfig {
   size_t max_join_requests_per_window = 1 << 20;
   size_t topk_capacity_factor = 10;  // SpaceSaving counters per requested k
   size_t min_topk_capacity = 100;
-  int hll_precision = 14;
+  int hll_precision = kDefaultHllPrecision;
   // ---- Memory-pressure resilience (DESIGN.md §13) ----
   // Logical-byte budgets over WindowState group maps and join buffers
   // (0 = unlimited). When a query crosses its budget, its open windows
@@ -293,35 +297,71 @@ struct HostWindowStats {
   std::vector<RunningStats> readings;
 };
 
-// One buffered join input. Row-path entries carry a materialized Event;
-// columnar entries hold a (batch, row) reference and materialize at most
-// once, when they first participate in a joined tuple. An entry that never
-// matches — a join orphan — never pays the materialization.
-struct JoinEntry {
-  Event event;
-  std::shared_ptr<const ColumnBatch> columns;  // non-null while deferred
-  uint32_t row = 0;
+// The symmetric hash join's window-scoped buffer (DESIGN.md §11.2). One
+// flat structure per window instead of a node per request id:
+//
+//  * an open-addressing index (power-of-two, linear probing, load <= 1/2)
+//    over HashMix64(rid), whose slots hold bucket + 1 so every request-id
+//    value, 0 and UINT64_MAX included, is a legal key;
+//  * buckets in first-arrival order, each with a per-source chain
+//    (head / tail / count);
+//  * POD entries chained per source in arrival order, so a probe visits
+//    partners in exactly the order they arrived;
+//  * columnar entries reference rows of batches the buffer pins once per
+//    window; row entries (spill replay, row batches) own an Event copy.
+//
+// Teardown frees a handful of vectors, independent of the request count.
+class JoinBuffer {
+ public:
+  static_assert(kMaxJoinSources == 2,
+                "buckets inline one chain per source; size them for the "
+                "admitted join width");
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-  JoinEntry() = default;
-  explicit JoinEntry(Event e) : event(std::move(e)) {}
-  JoinEntry(std::shared_ptr<const ColumnBatch> batch, uint32_t r)
-      : columns(std::move(batch)), row(r) {}
+  // One buffered event: (batch, row) into a pinned batch, or, when batch is
+  // null, row indexes the buffer's own Event copies.
+  struct Entry {
+    const ColumnBatch* batch;
+    uint32_t row;
+    uint32_t next;  // next entry of the same (request id, source), or kNone
+  };
+  struct Bucket {
+    RequestId rid;
+    std::array<uint32_t, kMaxJoinSources> head;
+    std::array<uint32_t, kMaxJoinSources> tail;
+    std::array<uint32_t, kMaxJoinSources> count;
+  };
 
-  const Event& Materialize() {
-    if (columns != nullptr) {
-      event = columns->MaterializeEvent(row);
-      columns.reset();
-    }
-    return event;
-  }
+  const std::vector<Bucket>& buckets() const { return buckets_; }
+  const Entry& entry(uint32_t e) const { return entries_[e]; }
+  const Event& event(const Entry& e) const { return events_[e.row]; }
+
+  // Bucket index of `rid`, or kNone.
+  uint32_t Find(RequestId rid) const;
+  // Adds an empty bucket for `rid` (absent) and returns its index.
+  uint32_t Insert(RequestId rid);
+  // Appends one event to the tail of bucket b's chain for `source`.
+  void AppendColumns(uint32_t b, size_t source,
+                     const std::shared_ptr<const ColumnBatch>& batch,
+                     uint32_t row);
+  void AppendRow(uint32_t b, size_t source, const Event& event);
+
+ private:
+  void Link(uint32_t b, size_t source, const ColumnBatch* batch,
+            uint32_t row);
+  void Grow();
+
+  std::vector<uint32_t> index_;  // bucket + 1 per slot, 0 = empty
+  std::vector<Bucket> buckets_;
+  std::vector<Entry> entries_;
+  std::vector<Event> events_;
+  std::vector<std::shared_ptr<const ColumnBatch>> pinned_;
 };
 
 struct WindowState {
   TimeMicros start = 0;
   std::unordered_map<HashedGroupKey, GroupState, HashedGroupKeyHash> groups;
-  // Join buffer: request id -> entries per source (sources.size() <= 2).
-  std::unordered_map<RequestId, std::vector<std::vector<JoinEntry>>>
-      join_state;
+  JoinBuffer join;  // join plans only
   std::unordered_map<HostId, HostWindowStats> host_stats;
   bool closed = false;
   // ---- Memory-pressure bookkeeping (DESIGN.md §13) ----
@@ -373,7 +413,7 @@ struct QueryState {
 // A decoded kColumnarJoin batch (or a re-bucketed slice of one): the shared
 // per-source columnar sections plus this consumer's arrival-order interleave.
 // order[i] names the section of the i-th event, rows[i] (parallel) its row
-// within that section. Sections are shared so join entries can stay deferred
+// within that section. Sections are shared so join buffers can pin them
 // past the fold.
 struct ColumnJoinSlice {
   std::vector<std::shared_ptr<const ColumnBatch>> sections;
@@ -505,7 +545,7 @@ class Executor {
   // GroupFold/Project over a mixed join tuple (column-direct where a side
   // arrived columnar).
   void GroupFoldMixed(QueryState& q, WindowState& w,
-                      const std::vector<TupleSlot>& slots, HostId host);
+                      std::span<const TupleSlot> slots, HostId host);
   // Accumulator update with the argument already evaluated (shared by the
   // row and columnar folds; `arg` is null for argument-less aggregates).
   void UpdateAccumulatorValue(const AggregateSpec& spec, AggAccumulator* acc,

@@ -199,6 +199,38 @@ Event ColumnBatch::MaterializeEvent(size_t row) const {
   return event;
 }
 
+size_t ColumnBatch::RowWireSize(size_t row) const {
+  // Mirrors Event::WireSize and Value::WireSize field by field.
+  size_t n = 4 + schema_->type_name().size() + 8 + 8;
+  for (const Column& col : columns_) {
+    if (BitmapGet(col.nulls, row)) {
+      n += 1;
+      continue;
+    }
+    switch (col.rep) {
+      case Rep::kBool:
+        n += 1;
+        break;
+      case Rep::kInt:
+      case Rep::kDouble:
+        n += 1 + 8;
+        break;
+      case Rep::kString:
+        n += 1 + 4 + (col.offsets[row + 1] - col.offsets[row]);
+        break;
+      case Rep::kDict: {
+        const size_t code = static_cast<size_t>(col.ints[row]);
+        n += 1 + 4 + (col.offsets[code + 1] - col.offsets[code]);
+        break;
+      }
+      case Rep::kGeneric:
+        n += col.generic[row].WireSize();
+        break;
+    }
+  }
+  return n;
+}
+
 void ColumnBatch::SetRowMeta(std::vector<uint64_t> request_ids,
                              std::vector<int64_t> timestamps) {
   request_ids_ = std::move(request_ids);

@@ -104,9 +104,12 @@ class ColumnBatch {
   // Materializes the value at (field, row). Strings and generic values copy
   // out of the batch; numerics are constructed in place.
   Value ValueAt(size_t field, size_t row) const;
-  // Row-format fallback for paths that still need an Event (the request-id
-  // join, differential comparisons).
+  // Row-format fallback for paths that still need an Event (spill records,
+  // differential comparisons).
   Event MaterializeEvent(size_t row) const;
+  // MaterializeEvent(row).WireSize(), computed off the columns without
+  // building the Event (the memory accountant's logical event size).
+  size_t RowWireSize(size_t row) const;
 
   // Physical representation for a declared field type.
   static Rep RepFor(FieldType type);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "src/common/state_bytes.h"
 #include "src/common/strings.h"
 #include "src/plan/expr_analysis.h"
 #include "src/plan/expr_ir.h"
@@ -582,14 +583,12 @@ class Linter {
     if (options_.query_state_budget_bytes == 0) {
       return;
     }
-    // Mirrors the executor's representation-independent charges
-    // (src/central/executor.cc): per-group overhead, per-aggregate
-    // accumulator, sketch structure, join-buffer entry, plus a rough wire
-    // model for buffered join rows.
-    constexpr double kGroupStateBytes = 96;
-    constexpr double kAccumulatorBytes = 48;
-    constexpr double kHllSketchBytes = (1 << 12) + 64;  // default precision
-    constexpr double kJoinEntryBytes = 48;
+    // The executor's charges, read from the same constants
+    // (src/common/state_bytes.h): per-group overhead, per-aggregate
+    // accumulator, HLL sketch at the default precision, join-buffer entry.
+    // Key and buffered-row sizes are a rough wire model.
+    constexpr double kHllSketchBytes =
+        (size_t{1} << kDefaultHllPrecision) + kHllStructBytes;
     constexpr double kKeyBytes = 24;
     constexpr double kEventHeaderBytes = 36;
     constexpr double kEventFieldBytes = 24;
@@ -642,7 +641,7 @@ class Linter {
       const double avg_fields =
           static_cast<double>(fields) /
           static_cast<double>(std::max<size_t>(1, aq_.fields_per_source.size()));
-      join_bytes = join_rows * (kJoinEntryBytes + kEventHeaderBytes +
+      join_bytes = join_rows * (kJoinEventBytes + kEventHeaderBytes +
                                 avg_fields * kEventFieldBytes);
     }
 

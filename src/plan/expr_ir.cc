@@ -660,7 +660,7 @@ Value EvalProgramColumns(const ExprProgram& program, const ColumnBatch& batch,
 }
 
 Value EvalProgramMixed(const ExprProgram& program,
-                       const std::vector<TupleSlot>& slots) {
+                       std::span<const TupleSlot> slots) {
   return RunWithScratch(program, MixedLoader{slots.data()});
 }
 

@@ -24,6 +24,7 @@
 #define SRC_PLAN_EXPR_IR_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -142,8 +143,8 @@ Value EvalProgramColumns(const ExprProgram& program, const ColumnBatch& batch,
 bool EvalProgramPredicateColumns(const ExprProgram& program,
                                  const ColumnBatch& batch, size_t row);
 
-// One source slot of a mixed join tuple: either a materialized row Event or
-// a deferred (batch, row) columnar reference. Both null = absent source
+// One source slot of a mixed join tuple: either a row Event or a
+// (batch, row) columnar reference. Both null = absent source
 // (loads evaluate to null, like a null EventTuple entry).
 struct TupleSlot {
   const Event* event = nullptr;
@@ -156,7 +157,7 @@ struct TupleSlot {
 // column-direct — no Event materialization — when their sides arrived
 // columnar. Exactly EvalProgram's semantics slot for slot.
 Value EvalProgramMixed(const ExprProgram& program,
-                       const std::vector<TupleSlot>& slots);
+                       std::span<const TupleSlot> slots);
 // Compacts `selection` to the rows where the predicate holds, preserving
 // order. Constant programs and the `field <cmp> literal` shape skip
 // per-row interpretation entirely.

@@ -213,6 +213,47 @@ TEST_F(CentralTest, JoinCrossProductForRepeatedRequestIds) {
   EXPECT_EQ(rows_[0].values[0], Value(int64_t{3}));
 }
 
+// The accountant's charges are the literals of src/common/state_bytes.h —
+// the same ones the scrubql-window-state-budget lint predicts with — so one
+// window's peak is an exact formula in groups, request ids and events.
+TEST_F(CentralTest, WindowStatePeakMatchesChargedFormula) {
+  CentralConfig config;
+  config.track_state_bytes = true;
+  ScrubCentral central(&registry_, config);
+
+  // 3 groups, each: shell 96 B + two accumulators at 120 B + one HLL
+  // (2^14 registers + 64 B shell) + the key's wire size (a long: 9 B).
+  CentralPlan grouped = PlanFor(
+      "SELECT bid.user_id, COUNT(*), COUNT_DISTINCT(bid.price) FROM bid "
+      "GROUP BY bid.user_id WINDOW 10 s DURATION 10 s;");
+  ASSERT_TRUE(central.InstallQuery(grouped, Sink()).ok());
+  std::vector<Event> bids;
+  for (int i = 0; i < 9; ++i) {
+    bids.push_back(MakeBid(static_cast<RequestId>(i), 100 + i, i % 3, i));
+  }
+  ASSERT_TRUE(central.IngestBatch(MakeBatch(grouped.query_id, 0, bids), 0)
+                  .ok());
+  EXPECT_EQ(central.accountant().peak(grouped.query_id),
+            3u * (96 + 2 * 120 + ((1u << 14) + 64) + 9));
+
+  // Join: 64 + 2 x 24 B per request id, 48 B + wire size per buffered event
+  // (bid 41 B, impression 48 B), plus the one ungrouped group (96 + 120 B).
+  CentralPlan joined = PlanFor(
+      "SELECT COUNT(*) FROM bid, impression WINDOW 10 s DURATION 10 s;");
+  ASSERT_TRUE(central.InstallQuery(joined, Sink()).ok());
+  ASSERT_EQ(MakeBid(1, 100, 1, 1.0).WireSize(), 41u);
+  ASSERT_EQ(MakeImpression(1, 200, 7, 0.5).WireSize(), 48u);
+  std::vector<Event> events = {
+      MakeBid(1, 100, 1, 1.0), MakeBid(2, 110, 1, 1.0),
+      MakeBid(3, 120, 1, 1.0), MakeImpression(1, 200, 7, 0.5),
+      MakeImpression(2, 210, 7, 0.5)};
+  ASSERT_TRUE(central.IngestBatch(MakeBatch(joined.query_id, 0, events), 0)
+                  .ok());
+  EXPECT_EQ(central.accountant().peak(joined.query_id),
+            3u * (64 + 2 * 24) + 3u * (48 + 41) + 2u * (48 + 48) +
+                (96 + 120));
+}
+
 TEST_F(CentralTest, LateEventsDroppedAndCounted) {
   CentralPlan plan = PlanFor(
       "SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 10 s;");

@@ -264,6 +264,67 @@ TEST_F(ColumnBatchTest, EmptyBatchRoundTrips) {
   EXPECT_EQ(decoded->rows(), 0u);
 }
 
+// The memory accountant sizes columnar events with RowWireSize instead of
+// materializing them, so it must agree with MaterializeEvent(row).WireSize()
+// for every physical representation: typed columns, nulls, plain and
+// dictionary strings, generic lists and nested objects, before and after a
+// wire round trip.
+TEST_F(ColumnBatchTest, RowWireSizeMatchesMaterializedWireSize) {
+  SchemaPtr schema = *EventSchema::Builder("mixed")
+                          .AddField("won", FieldType::kBool)
+                          .AddField("user_id", FieldType::kLong)
+                          .AddField("price", FieldType::kDouble)
+                          .AddField("country", FieldType::kString)
+                          .AddField("note", FieldType::kString)
+                          .AddField("ids", FieldType::kLongList)
+                          .AddField("ctx", FieldType::kObject)
+                          .Build();
+  SchemaRegistry registry;
+  ASSERT_TRUE(registry.Register(schema).ok());
+  const char* countries[] = {"US", "DE", "GB"};
+  ColumnBatch batch(schema);
+  for (uint64_t i = 0; i < 40; ++i) {
+    Event e(schema, i, static_cast<TimeMicros>(i));
+    if (i % 5 != 0) {  // every fifth row leaves every field null
+      e.SetField(0, Value(i % 2 == 0));
+      e.SetField(1, Value(static_cast<int64_t>(i * 7)));
+      e.SetField(2, Value(0.25 * static_cast<double>(i)));
+      e.SetField(3, Value(countries[i % 3]));
+      e.SetField(4, Value(std::string(i % 9, 'x') + std::to_string(i)));
+      e.SetField(5, Value(std::vector<Value>(
+                        i % 4, Value(static_cast<int64_t>(i)))));
+      NestedObject ctx;
+      ctx.fields.emplace_back("page", Value("home"));
+      ctx.fields.emplace_back(
+          "inner", Value(NestedObject{{{"depth", Value(int64_t{2})}}}));
+      e.SetField(6, Value(std::move(ctx)));
+    }
+    if (i % 7 == 3) {
+      e.SetField(3, Value());  // a null among non-null strings
+    }
+    batch.AppendEvent(e);
+  }
+  std::string buf;
+  std::vector<int> encodings;
+  EncodeColumnBatch(batch, nullptr, batch.rows(), nullptr, &buf, &encodings);
+  Result<ColumnBatch> decoded = DecodeColumnBatch(registry, buf);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  // The repeated country codes ship as a dictionary, the notes as plain
+  // strings; the list and object columns stay generic.
+  ASSERT_GT(encodings[3], 0);
+  EXPECT_EQ(decoded->column(3).rep, ColumnBatch::Rep::kDict);
+  EXPECT_EQ(decoded->column(4).rep, ColumnBatch::Rep::kString);
+  EXPECT_EQ(decoded->column(2).rep, ColumnBatch::Rep::kDouble);
+  EXPECT_EQ(decoded->column(5).rep, ColumnBatch::Rep::kGeneric);
+  EXPECT_EQ(decoded->column(6).rep, ColumnBatch::Rep::kGeneric);
+  for (const ColumnBatch* b : {&batch, &*decoded}) {
+    for (size_t r = 0; r < b->rows(); ++r) {
+      EXPECT_EQ(b->RowWireSize(r), b->MaterializeEvent(r).WireSize())
+          << "row " << r;
+    }
+  }
+}
+
 TEST_F(ColumnBatchTest, UnknownSchemaIsRejectedAtDecode) {
   SchemaPtr other = *EventSchema::Builder("elsewhere")
                          .AddField("x", FieldType::kLong)

@@ -4,6 +4,9 @@
 // events fold into byte-identical result rows — same values, same bounds,
 // same emission order — because every deployment shares this one engine.
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,9 +16,12 @@
 
 #include "src/central/executor.h"
 #include "src/common/rng.h"
+#include "src/common/spill.h"
 #include "src/common/strings.h"
+#include "src/event/wire.h"
 #include "src/plan/physical.h"
 #include "src/query/analyzer.h"
+#include "tests/reference_executor.h"
 
 namespace scrub {
 namespace {
@@ -219,6 +225,348 @@ TEST_F(ExecutorTest, JoinFoldsBothRepresentationsIdentically) {
       Run(query, {{HostId{0}, InputChunk::Columns(bid_batch, nullptr, 0)},
                   {HostId{1}, InputChunk::Rows(imps)}});
   EXPECT_EQ(mixed_transcript, row_transcript);
+}
+
+// ---------------------------------------------------------------------------
+// The window-scoped join buffer (JoinBuffer): an open-addressing index over
+// request ids, arrival-ordered per-source entry chains, batches pinned once
+// per window. Every case checks exact counts and either the naive reference
+// executor's answer or an explicitly computed arrival-order transcript.
+
+class JoinBufferTest : public ExecutorTest {
+ protected:
+  Event Bid(RequestId rid, TimeMicros ts, int64_t user) const {
+    Event e(bid_schema_, rid, ts);
+    e.SetField(0, Value(user));
+    e.SetField(1, Value(0.25 * static_cast<double>(user)));
+    return e;
+  }
+
+  Event Imp(RequestId rid, TimeMicros ts, int64_t item) const {
+    Event e(imp_schema_, rid, ts);
+    e.SetField(0, Value(item));
+    e.SetField(1, Value(0.5));
+    return e;
+  }
+
+  // One kColumnarJoin wire batch carrying `arrival` (bids and impressions
+  // in any interleave): one section per source plus the interleave.
+  EventBatch JoinBatch(const std::vector<Event>& arrival) const {
+    ColumnBatch bids(bid_schema_);
+    ColumnBatch imps(imp_schema_);
+    std::vector<uint8_t> order;
+    for (const Event& e : arrival) {
+      const bool is_bid = e.type_name() == "bid";
+      (is_bid ? bids : imps).AppendEvent(e);
+      order.push_back(is_bid ? 0 : 1);
+    }
+    EventBatch batch;
+    batch.query_id = 1;
+    batch.format = BatchFormat::kColumnarJoin;
+    batch.event_count = arrival.size();
+    EncodeColumnJoinBatch({ColumnJoinSection{&bids, nullptr, bids.rows()},
+                           ColumnJoinSection{&imps, nullptr, imps.rows()}},
+                          order, &batch.payload);
+    return batch;
+  }
+
+  struct Outcome {
+    std::vector<std::string> rows;  // ResultRow::ToString, emission order
+    CentralQueryStats stats;
+  };
+
+  // Runs `feed` against a fresh QueryState, then closes every window in
+  // start order.
+  Outcome Execute(std::string_view text,
+                  const std::function<void(Executor&, QueryState&)>& feed,
+                  MemoryAccountant* accountant = nullptr,
+                  SpillManager* spill = nullptr) {
+    std::vector<std::string> ignored;
+    QueryState q = StateFor(text, 1, &ignored);
+    Outcome out;
+    q.sink = [&out](const ResultRow& row) {
+      out.rows.push_back(row.ToString());
+    };
+    Executor executor(&registry_, &config_, &meter_, accountant, spill);
+    feed(executor, q);
+    while (!q.windows.empty()) {
+      auto it = q.windows.begin();
+      executor.CloseWindow(q, &it->second);
+      q.closed_through = it->first;
+      q.windows.erase(it);
+    }
+    out.stats = q.stats;
+    return out;
+  }
+
+  // Feeds `arrival` as kColumnarJoin batches of `per_batch` events from
+  // alternating hosts.
+  Outcome ExecuteBatches(std::string_view text,
+                         const std::vector<Event>& arrival, size_t per_batch,
+                         MemoryAccountant* accountant = nullptr,
+                         SpillManager* spill = nullptr) {
+    return Execute(
+        text,
+        [&](Executor& executor, QueryState& q) {
+          for (size_t i = 0; i < arrival.size(); i += per_batch) {
+            const std::vector<Event> slice(
+                arrival.begin() + static_cast<std::ptrdiff_t>(i),
+                arrival.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                      arrival.size(), i + per_batch)));
+            const HostId host = static_cast<HostId>((i / per_batch) % 2);
+            ASSERT_TRUE(
+                executor.DecodeAndFold(q, host, JoinBatch(slice)).ok());
+          }
+        },
+        accountant, spill);
+  }
+
+  // The naive oracle's rows for the same events, sorted (it emits groups in
+  // its own order).
+  std::vector<std::string> Reference(std::string_view text,
+                                     const std::vector<Event>& events) {
+    Result<AnalyzedQuery> aq = ParseAndAnalyze(text, registry_);
+    EXPECT_TRUE(aq.ok()) << aq.status().ToString();
+    Result<QueryPlan> plan = PlanQuery(*aq, 1, 0);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    ReferenceExecutor reference(*aq, plan->central);
+    for (const Event& e : events) {
+      reference.Observe(e);
+    }
+    std::vector<std::string> rows;
+    for (const ResultRow& row : reference.Execute()) {
+      rows.push_back(row.ToString());
+    }
+    return Sorted(std::move(rows));
+  }
+
+  static std::vector<std::string> Sorted(std::vector<std::string> rows) {
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  static constexpr const char* kGroupedJoin =
+      "SELECT impression.line_item_id, COUNT(*), MAX(bid.user_id) "
+      "FROM bid, impression GROUP BY impression.line_item_id "
+      "WINDOW 10 s DURATION 10 s;";
+};
+
+TEST_F(JoinBufferTest, ManyRequestIdsGrowTheIndexAndMatchTheReference) {
+  // 6,000 request ids in one window take the index from 16 slots through
+  // ten doublings. Two of three get an impression, some of them before the
+  // bid arrives.
+  Rng rng(71);
+  std::vector<Event> arrival;
+  size_t imps = 0;
+  for (int i = 0; i < 6000; ++i) {
+    const RequestId rid = rng.NextUint64();
+    const TimeMicros ts = 100 + static_cast<TimeMicros>(rng.NextBelow(9'000'000));
+    Event bid = Bid(rid, ts, static_cast<int64_t>(rng.NextBelow(50)));
+    if (i % 3 == 0) {
+      arrival.push_back(std::move(bid));
+      continue;
+    }
+    Event imp = Imp(rid, ts, static_cast<int64_t>(rng.NextBelow(7)));
+    if (i % 3 == 1) {
+      arrival.push_back(std::move(bid));
+      arrival.push_back(std::move(imp));
+    } else {
+      arrival.push_back(std::move(imp));
+      arrival.push_back(std::move(bid));
+    }
+    ++imps;
+  }
+  const Outcome got = ExecuteBatches(kGroupedJoin, arrival, 256);
+  EXPECT_EQ(Sorted(got.rows), Reference(kGroupedJoin, arrival));
+  EXPECT_EQ(got.stats.tuples_joined, imps);
+  EXPECT_EQ(got.stats.join_orphans, 2000u);  // the bids with no impression
+  EXPECT_EQ(got.stats.join_shed, 0u);
+}
+
+TEST_F(JoinBufferTest, StridedIdsCollidingInLowBitsStayDistinct) {
+  // Request ids that differ only above bit 40 agree in every low bit, the
+  // bits a mask-indexed table would see without the hash mix.
+  std::vector<Event> arrival;
+  for (uint64_t i = 1; i <= 3000; ++i) {
+    const RequestId rid = i << 40;
+    const TimeMicros ts = static_cast<TimeMicros>(i * 1000);
+    arrival.push_back(Bid(rid, ts, static_cast<int64_t>(i % 11)));
+    if (i % 2 == 0) {
+      arrival.push_back(Imp(rid, ts + 1, static_cast<int64_t>(i % 5)));
+    }
+  }
+  const Outcome got = ExecuteBatches(kGroupedJoin, arrival, 500);
+  EXPECT_EQ(Sorted(got.rows), Reference(kGroupedJoin, arrival));
+  EXPECT_EQ(got.stats.tuples_joined, 1500u);
+  EXPECT_EQ(got.stats.join_orphans, 1500u);
+}
+
+TEST_F(JoinBufferTest, ExtremeRequestIdsAreOrdinaryKeys) {
+  // 0 and UINT64_MAX are legal request ids: the index stores bucket + 1, so
+  // no id value doubles as an empty-slot marker.
+  constexpr RequestId kMax = std::numeric_limits<RequestId>::max();
+  const std::vector<Event> arrival = {
+      Bid(0, 100, 1),       Bid(kMax, 110, 2),    Imp(kMax, 120, 20),
+      Imp(0, 130, 10),      Bid(0, 140, 3),       Bid(1, 150, 4),
+      Imp(kMax - 1, 160, 30)};
+  const Outcome got = ExecuteBatches(kGroupedJoin, arrival, 3);
+  EXPECT_EQ(Sorted(got.rows), Reference(kGroupedJoin, arrival));
+  EXPECT_EQ(Sorted(got.rows),
+            (std::vector<std::string>{"[0, 10000000) 10 | 2 | 3",
+                                      "[0, 10000000) 20 | 1 | 2"}));
+  EXPECT_EQ(got.stats.tuples_joined, 3u);
+  EXPECT_EQ(got.stats.join_orphans, 2u);  // rid 1's bid, rid kMax-1's imp
+}
+
+TEST_F(JoinBufferTest, CrossProductFollowsArrivalOrderAcrossSections) {
+  // One request id, 4 bids x 3 impressions interleaved within and across
+  // two kColumnarJoin batches. Raw rows emit as tuples form, so the
+  // transcript is the probe order itself: each arrival pairs with every
+  // earlier partner, oldest first.
+  const char* query =
+      "SELECT bid.user_id, impression.line_item_id FROM bid, impression "
+      "WINDOW 10 s DURATION 10 s;";
+  const std::vector<Event> arrival = {
+      Bid(42, 100, 0),  Imp(42, 110, 100), Bid(42, 120, 1),
+      Bid(42, 130, 2),  Imp(42, 140, 101), Imp(42, 150, 102),
+      Bid(42, 160, 3)};
+  std::vector<std::string> expected;
+  std::vector<int64_t> bids_seen;
+  std::vector<int64_t> imps_seen;
+  for (const Event& e : arrival) {
+    const int64_t v = e.field(0).AsInt();
+    const bool is_bid = e.type_name() == "bid";
+    for (const int64_t partner : is_bid ? imps_seen : bids_seen) {
+      expected.push_back(StrFormat(
+          "[0, 10000000) %lld | %lld", static_cast<long long>(is_bid ? v : partner),
+          static_cast<long long>(is_bid ? partner : v)));
+    }
+    (is_bid ? bids_seen : imps_seen).push_back(v);
+  }
+  ASSERT_EQ(expected.size(), 12u);
+  const Outcome got = ExecuteBatches(query, arrival, 4);
+  EXPECT_EQ(got.rows, expected);
+  EXPECT_EQ(got.stats.tuples_joined, 12u);
+  EXPECT_EQ(got.stats.join_orphans, 0u);
+  EXPECT_EQ(Sorted(got.rows), Reference(query, arrival));
+}
+
+TEST_F(JoinBufferTest, OrphanCountsAreExact) {
+  const char* query =
+      "SELECT impression.line_item_id, COUNT(*) FROM bid, impression "
+      "GROUP BY impression.line_item_id WINDOW 1 s DURATION 4 s;";
+  std::vector<Event> arrival;
+  RequestId rid = 1;
+  for (int i = 0; i < 10; ++i, ++rid) {  // complete pairs: no orphans
+    arrival.push_back(Bid(rid, 1000 + i, 1));
+    arrival.push_back(Imp(rid, 1001 + i, 1));
+  }
+  for (int i = 0; i < 7; ++i, ++rid) {  // lone bids: 7 orphans
+    arrival.push_back(Bid(rid, 2000 + i, 1));
+  }
+  for (int i = 0; i < 5; ++i, ++rid) {  // 3 impressions, no bid: 15
+    for (int k = 0; k < 3; ++k) {
+      arrival.push_back(Imp(rid, 3000 + i, k));
+    }
+  }
+  for (int i = 0; i < 4; ++i, ++rid) {  // 2 x 2: complete, 4 tuples each
+    arrival.push_back(Imp(rid, 4000 + i, 2));
+    arrival.push_back(Bid(rid, 4001 + i, 1));
+    arrival.push_back(Bid(rid, 4002 + i, 2));
+    arrival.push_back(Imp(rid, 4003 + i, 3));
+  }
+  for (int i = 0; i < 3; ++i, ++rid) {  // split across windows: 1 + 1 each
+    arrival.push_back(Bid(rid, 900'000, 1));
+    arrival.push_back(Imp(rid, 1'100'000, 1));
+  }
+  const Outcome got = ExecuteBatches(query, arrival, 16);
+  EXPECT_EQ(Sorted(got.rows), Reference(query, arrival));
+  EXPECT_EQ(got.stats.join_orphans, 7u + 15u + 6u);
+  EXPECT_EQ(got.stats.tuples_joined, 10u + 16u);
+}
+
+TEST_F(JoinBufferTest, ShedsExactlyTheRequestIdsBeyondTheCap) {
+  config_.max_join_requests_per_window = 64;
+  // 100 bids on distinct ids: ids 65..100 find the buffer full. Their
+  // impressions then arrive: 1..64 join, 65..100 are new ids and shed too.
+  std::vector<Event> arrival;
+  for (RequestId rid = 1; rid <= 100; ++rid) {
+    arrival.push_back(Bid(rid, static_cast<TimeMicros>(rid), 1));
+  }
+  for (RequestId rid = 1; rid <= 100; ++rid) {
+    arrival.push_back(Imp(rid, static_cast<TimeMicros>(200 + rid), 5));
+  }
+  const Outcome got = ExecuteBatches(kGroupedJoin, arrival, 50);
+  EXPECT_EQ(got.stats.join_shed, 72u);
+  EXPECT_EQ(got.stats.events_shed, 72u);
+  EXPECT_EQ(got.stats.tuples_joined, 64u);
+  EXPECT_EQ(got.stats.join_orphans, 0u);
+  // 128 of 200 events folded: the row says so.
+  ASSERT_EQ(got.rows.size(), 1u);
+  EXPECT_EQ(got.rows[0], "[0, 10000000) 5 | 64 | 1 [fidelity 0.64]");
+}
+
+TEST_F(JoinBufferTest, SlidingWindowsEachBufferTheSharedChunk) {
+  // WINDOW 2 s SLIDE 1 s: every event lands in two windows, each with its
+  // own buffer referencing (and pinning) the same decoded batch.
+  const char* query =
+      "SELECT impression.line_item_id, COUNT(*), MAX(bid.user_id) "
+      "FROM bid, impression GROUP BY impression.line_item_id "
+      "WINDOW 2 s SLIDE 1 s DURATION 6 s;";
+  Rng rng(5);
+  std::vector<Event> arrival;
+  for (int i = 0; i < 400; ++i) {
+    const RequestId rid = rng.NextBelow(150);  // repeats: small products
+    const TimeMicros ts = static_cast<TimeMicros>(i) * 15'000;
+    if (rng.NextBelow(2) == 0) {
+      arrival.push_back(Bid(rid, ts, static_cast<int64_t>(rng.NextBelow(9))));
+    } else {
+      arrival.push_back(Imp(rid, ts, static_cast<int64_t>(rng.NextBelow(4))));
+    }
+  }
+  const Outcome got = ExecuteBatches(query, arrival, 64);
+  EXPECT_EQ(Sorted(got.rows), Reference(query, arrival));
+  EXPECT_GT(got.stats.tuples_joined, 0u);
+}
+
+TEST_F(JoinBufferTest, SpilledRowEntriesReplayByteIdentically) {
+  // Columnar entries buffered before the window crosses its budget and row
+  // entries replayed from the spill run at close share one buffer; the
+  // transcript (float sums included) must match the unbounded run exactly.
+  const char* query =
+      "SELECT impression.line_item_id, COUNT(*), SUM(bid.price), "
+      "SUM(impression.cost) FROM bid, impression "
+      "GROUP BY impression.line_item_id WINDOW 1 s DURATION 3 s;";
+  Rng rng(13);
+  std::vector<Event> arrival;
+  for (int i = 0; i < 1500; ++i) {
+    const RequestId rid = rng.NextBelow(500);
+    const TimeMicros ts =
+        static_cast<TimeMicros>(rng.NextBelow(3'000'000));
+    if (i % 2 == 0) {
+      arrival.push_back(Bid(rid, ts, static_cast<int64_t>(rng.NextBelow(97))));
+    } else {
+      arrival.push_back(Imp(rid, ts, static_cast<int64_t>(rng.NextBelow(6))));
+    }
+  }
+  MemoryAccountant tracked;
+  tracked.set_tracking(true);
+  const Outcome unbounded = ExecuteBatches(query, arrival, 100, &tracked);
+  ASSERT_GT(tracked.peak(1), 0u);
+  EXPECT_EQ(unbounded.stats.events_spilled, 0u);
+
+  MemoryAccountant budgeted;
+  budgeted.set_budgets(tracked.peak(1) / 4, 0);
+  SpillManager spill;
+  spill.Configure(::testing::TempDir() + "scrub_join_buffer_spill", "central",
+                  1, SpillFaultSpec{});
+  const Outcome spilled =
+      ExecuteBatches(query, arrival, 100, &budgeted, &spill);
+  EXPECT_GT(spilled.stats.events_spilled, 0u);
+  EXPECT_EQ(spilled.stats.events_shed, 0u);
+  EXPECT_EQ(spilled.rows, unbounded.rows);
+  EXPECT_EQ(spilled.stats.tuples_joined, unbounded.stats.tuples_joined);
+  EXPECT_EQ(spilled.stats.join_orphans, unbounded.stats.join_orphans);
 }
 
 }  // namespace

@@ -500,7 +500,7 @@ TEST_F(LintTest, OrdinaryComparisonIsNotNullComparison) {
 // --- (o) scrubql-window-state-budget ----------------------------------------
 
 TEST_F(LintTest, WindowStateBudgetFiresOnGroupedStateOverBudget) {
-  // 8 country groups at ~170 logical bytes each cannot fit in 256 bytes.
+  // 8 country groups at ~240 logical bytes each cannot fit in 256 bytes.
   options_.query_state_budget_bytes = 256;
   const std::string q =
       "SELECT bid.country, COUNT(*) FROM bid GROUP BY bid.country "
@@ -527,6 +527,22 @@ TEST_F(LintTest, WindowStateBudgetFiresOnJoinBuffer) {
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].severity, LintSeverity::kWarning);
   EXPECT_NE(hits[0].message.find("buffered join rows"), std::string::npos);
+}
+
+TEST_F(LintTest, WindowStateBudgetPredictsTheExecutorsCharges) {
+  // 8 country groups, each charged by the executor as: group shell 96 B,
+  // two accumulators at 120 B, one HLL sketch at the default precision
+  // (2^14 registers + 64 B shell), plus the lint's 24 B key model. The rule
+  // warns strictly above the budget, so the prediction is pinned exactly.
+  const std::string q =
+      "SELECT bid.country, COUNT(*), COUNT_DISTINCT(bid.user_id) FROM bid "
+      "GROUP BY bid.country WINDOW 5 s DURATION 60 s;";
+  const uint64_t predicted = 8 * (96 + 2 * 120 + ((1 << 14) + 64) + 24);
+  ASSERT_EQ(predicted, 134'464u);
+  options_.query_state_budget_bytes = predicted - 1;
+  EXPECT_EQ(WithRule(Lint(q), lint_rules::kWindowStateBudget).size(), 1u);
+  options_.query_state_budget_bytes = predicted;
+  EXPECT_TRUE(WithRule(Lint(q), lint_rules::kWindowStateBudget).empty());
 }
 
 TEST_F(LintTest, WindowStateBudgetQuietUnderBudget) {

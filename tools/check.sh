@@ -97,6 +97,19 @@ else
        --gtest_filter='QueryLimitsTest.*' > /dev/null; then
     fail "query depth limits failed under sanitizers (re-run: ${BUILD_DIR}/tests/query_test --gtest_filter='QueryLimitsTest.*')"
   fi
+  # The central join buffer indexes raw request ids and holds (batch, row)
+  # references into pinned batches: a lifetime or indexing slip there is a
+  # use-after-free or an out-of-bounds read, so its fixture also runs by
+  # name.
+  note "join buffer under ASan+UBSan"
+  if ! "${BUILD_DIR}/tests/executor_test" --gtest_list_tests \
+       --gtest_filter='JoinBufferTest.*' 2>/dev/null | grep -q '^  '; then
+    fail "JoinBufferTest fixture missing from executor_test"
+  elif ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+       "${BUILD_DIR}/tests/executor_test" \
+       --gtest_filter='JoinBufferTest.*' > /dev/null; then
+    fail "join buffer tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/executor_test --gtest_filter='JoinBufferTest.*')"
+  fi
 fi
 
 # ------------------------------------------------- TSan build + test ---------

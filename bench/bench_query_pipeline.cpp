@@ -138,11 +138,13 @@ void BM_PredicateEval(benchmark::State& state) {
       "SELECT COUNT(*) FROM bid WHERE bid.bid_price > 1.5 AND "
       "bid.country IN ('US', 'CA', 'GB') AND bid.exchange_id != 3;",
       *registry, options);
-  Result<CompiledExpr> pred =
-      CompileExpr(*aq->query.where, aq->query.sources, aq->schemas);
+  // The host filter the agent runs: the planner's folded, pruned programs.
+  Result<QueryPlan> plan = PlanQuery(*aq, 1, 0);
+  const HostSourcePlan& filter = plan->host.sources[0];
   const Event e = MakeBidEvent(*registry, 42, 100);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EvalPredicateSingle(*pred, e));
+    int64_t insts = 0;
+    benchmark::DoNotOptimize(filter.Selects(e, &insts));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/event/wire.h"
-#include "src/plan/vectorized.h"
 
 namespace scrub {
 
@@ -102,16 +101,9 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
     // central's accumulator update runs, so shipping deltas changes bytes,
     // never results.
     if (q.plan.preaggregate) {
-      bool selected = !sp->never_matches;
-      for (const ExprProgram& program : sp->programs) {
-        if (!selected) {
-          break;
-        }
-        ns += c.predicate_term_ns * static_cast<int64_t>(program.insts.size());
-        if (!EvalProgramPredicateSingle(program, event)) {
-          selected = false;
-        }
-      }
+      int64_t insts = 0;
+      const bool selected = sp->Selects(event, &insts);
+      ns += c.predicate_term_ns * insts;
       if (!selected) {
         ++q.stats.events_filtered;
         continue;
@@ -220,18 +212,7 @@ int64_t ScrubAgent::SelectStaged(const HostSourcePlan& sp,
                                  AgentQueryStats* stats) const {
   const CostModel& c = config_.costs;
   const size_t staged = selection->size();
-  int64_t ns = 0;
-  if (sp.never_matches) {
-    selection->clear();
-  }
-  for (const ExprProgram& program : sp.programs) {
-    if (selection->empty()) {
-      break;
-    }
-    ns += c.predicate_term_ns * static_cast<int64_t>(program.insts.size()) *
-          static_cast<int64_t>(selection->size());
-    EvalProgramPredicateBatch(program, cols, selection);
-  }
+  const int64_t ns = c.predicate_term_ns * sp.SelectBatch(cols, selection);
   stats->events_filtered += staged - selection->size();
   stats->events_staged += selection->size();
   return ns + c.projection_per_field_ns * sp.kept_fields *

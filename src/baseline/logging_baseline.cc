@@ -117,14 +117,9 @@ Result<LoggingPipeline::BatchAnswer> LoggingPipeline::RunQuery(
     if (sp == nullptr) {
       continue;
     }
-    bool pass = true;
-    for (const CompiledExpr& conjunct : sp->conjuncts) {
-      ns += config_.costs.predicate_term_ns * conjunct.node_count;
-      if (!EvalPredicateSingle(conjunct, se.event)) {
-        pass = false;
-        break;
-      }
-    }
+    int64_t insts = 0;
+    const bool pass = sp->Selects(se.event, &insts);
+    ns += config_.costs.predicate_term_ns * insts;
     if (pass) {
       matched[se.host].push_back(se.event);
     }

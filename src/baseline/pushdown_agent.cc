@@ -32,9 +32,8 @@ Result<PushdownPlan> BuildPushdownPlan(const AnalyzedQuery& analyzed,
   }
   PushdownPlan out;
   out.query_id = query_id;
-  out.event_type = q.sources[0];
-  out.conjuncts = std::move(plan->host.sources[0].conjuncts);
-  out.group_by = std::move(plan->central.group_by);
+  out.source = std::move(plan->host.sources[0]);
+  out.group_by = std::move(plan->central.group_by_programs);
   out.aggregates = std::move(plan->central.aggregates);
   out.outputs = std::move(plan->central.outputs);
   out.window_micros = plan->central.window_micros;
@@ -104,29 +103,23 @@ int64_t PushdownAgent::LogEvent(const Event& event) {
   const TimeMicros ts = event.timestamp();
   for (auto& [qid, q] : queries_) {
     if (ts < q.plan.start_time || ts >= q.plan.end_time ||
-        event.type_name() != q.plan.event_type) {
+        event.type_name() != q.plan.source.event_type) {
       continue;
     }
     // Selection: identical to Scrub's host-side cost.
-    bool pass = true;
-    for (const CompiledExpr& conjunct : q.plan.conjuncts) {
-      ns += costs_.predicate_term_ns * conjunct.node_count;
-      if (!EvalPredicateSingle(conjunct, event)) {
-        pass = false;
-        break;
-      }
-    }
+    int64_t insts = 0;
+    const bool pass = q.plan.source.Selects(event, &insts);
+    ns += costs_.predicate_term_ns * insts;
     if (!pass) {
       continue;
     }
     // Group-by + aggregation ON THE HOST — the work Scrub refuses to do
     // here.
-    EventTuple tuple{&event};
     std::vector<Value> key;
     key.reserve(q.plan.group_by.size());
-    for (const CompiledExpr& g : q.plan.group_by) {
-      ns += costs_.predicate_term_ns * g.node_count;
-      key.push_back(EvalExpr(g, tuple));
+    for (const ExprProgram& g : q.plan.group_by) {
+      ns += costs_.predicate_term_ns * static_cast<int64_t>(g.insts.size());
+      key.push_back(EvalProgramSingle(g, event));
     }
     auto& groups = q.windows[WindowStartFor(q, ts)];
     GroupPartial& partial = groups[key];
@@ -143,7 +136,7 @@ int64_t PushdownAgent::LogEvent(const Event& event) {
       ns += costs_.central_group_update_ns;  // same unit work, host-side now
       Value arg;
       if (spec.has_arg) {
-        arg = EvalExpr(spec.arg, tuple);
+        arg = EvalProgramSingle(spec.arg_program, event);
         if (arg.is_null()) {
           continue;
         }

@@ -36,9 +36,8 @@ namespace scrub {
 
 struct PushdownPlan {
   QueryId query_id = 0;
-  std::string event_type;
-  std::vector<CompiledExpr> conjuncts;
-  std::vector<CompiledExpr> group_by;
+  HostSourcePlan source;  // selection, exactly as a Scrub agent runs it
+  std::vector<ExprProgram> group_by;
   std::vector<AggregateSpec> aggregates;
   std::vector<OutputColumn> outputs;
   TimeMicros window_micros = 0;

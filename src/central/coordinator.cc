@@ -269,7 +269,7 @@ void PartialCoordinator::FinalizeWindow(Coordinator& c, TimeMicros start,
   }
   // Ungrouped queries emit a row even for empty windows (series stay
   // continuous), matching single-instance behaviour.
-  if (plan.group_by.empty() && groups.empty()) {
+  if (plan.group_by_programs.empty() && groups.empty()) {
     groups[HashedGroupKey(GroupKey{})].accumulators.resize(
         plan.aggregates.size());
   }

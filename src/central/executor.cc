@@ -1227,7 +1227,7 @@ void Executor::CloseWindow(QueryState& q, WindowState* w) {
 
   // Ungrouped aggregate queries emit a row even for an empty window, so
   // time series stay continuous.
-  if (plan.group_by.empty() && w->groups.empty()) {
+  if (plan.group_by_programs.empty() && w->groups.empty()) {
     GroupState& g = w->groups[HashedGroupKey(GroupKey{})];
     g.accumulators.resize(plan.aggregates.size());
   }

@@ -35,6 +35,22 @@ std::string DurationText(TimeMicros micros) {
   return StrFormat("%lld us", static_cast<long long>(micros));
 }
 
+// The planner compiles a conjunct into a source's filter when it reads that
+// source or no source at all (a constant conjunct applies everywhere).
+bool ConjunctTouches(const AnalyzedQuery& analyzed, size_t conjunct,
+                     size_t source) {
+  const int src = analyzed.conjunct_source[conjunct];
+  return src == static_cast<int>(source) || src == -1;
+}
+
+size_t SourceConjunctCount(const AnalyzedQuery& analyzed, size_t source) {
+  size_t n = 0;
+  for (size_t c = 0; c < analyzed.conjuncts.size(); ++c) {
+    n += ConjunctTouches(analyzed, c, source) ? 1 : 0;
+  }
+  return n;
+}
+
 }  // namespace
 
 std::string ExplainPlan(const AnalyzedQuery& analyzed, const QueryPlan& plan,
@@ -62,15 +78,15 @@ std::string ExplainPlan(const AnalyzedQuery& analyzed, const QueryPlan& plan,
   for (size_t i = 0; i < plan.host.sources.size(); ++i) {
     const HostSourcePlan& sp = plan.host.sources[i];
     out += StrFormat("  source '%s':\n", sp.event_type.c_str());
-    if (sp.conjuncts.empty()) {
+    const size_t conjuncts = SourceConjunctCount(analyzed, i);
+    if (conjuncts == 0) {
       out += "    selection: none (every event ships)\n";
     } else {
       out += StrFormat("    selection: %zu conjunct(s), %d predicate "
                        "node(s) per event\n",
-                       sp.conjuncts.size(), sp.predicate_nodes);
+                       conjuncts, sp.predicate_nodes);
       for (size_t c = 0; c < analyzed.conjuncts.size(); ++c) {
-        const int src = analyzed.conjunct_source[c];
-        if (src == static_cast<int>(i) || src == -1) {
+        if (ConjunctTouches(analyzed, c, i)) {
           out += "      " + analyzed.conjuncts[c]->ToString() + "\n";
         }
       }
@@ -98,9 +114,10 @@ std::string ExplainPlan(const AnalyzedQuery& analyzed, const QueryPlan& plan,
   }
   if (!central.aggregate_mode) {
     out += StrFormat("  mode: raw projection, %zu column(s) per tuple\n",
-                     central.raw_select.size());
+                     central.raw_select_programs.size());
   } else {
-    out += StrFormat("  group by: %zu key(s)\n", central.group_by.size());
+    out += StrFormat("  group by: %zu key(s)\n",
+                     central.group_by_programs.size());
     out += StrFormat("  aggregates: %zu\n", central.aggregates.size());
     for (const AggregateSpec& spec : central.aggregates) {
       out += StrFormat("    %s%s\n", AggregateFuncName(spec.func),
@@ -140,7 +157,8 @@ std::string ExplainPlan(const AnalyzedQuery& analyzed, const QueryPlan& plan,
                        "event ever ships\n",
                        sp.event_type.c_str());
     }
-    const size_t pruned = sp.conjuncts.size() - sp.programs.size();
+    const size_t pruned =
+        SourceConjunctCount(analyzed, i) - sp.programs.size();
     if (pruned > 0 && !sp.never_matches) {
       out += StrFormat("  source '%s': %zu conjunct(s) folded away or "
                        "implied by the rest\n",

@@ -205,109 +205,4 @@ Value ApplyUnaryOp(UnaryOp op, const Value& operand) {
   return Value(!(operand.is_bool() && operand.AsBool()));
 }
 
-namespace {
-
-Value EvalBinary(const CompiledExpr& e, const EventTuple& tuple) {
-  const BinaryOp op = e.binary_op;
-  // Short-circuit logic on the host hot path.
-  if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-    const Value lhs = EvalExpr(e.children[0], tuple);
-    const bool l = lhs.is_bool() && lhs.AsBool();
-    if (op == BinaryOp::kAnd && !l) {
-      return Value(false);
-    }
-    if (op == BinaryOp::kOr && l) {
-      return Value(true);
-    }
-    const Value rhs = EvalExpr(e.children[1], tuple);
-    return Value(rhs.is_bool() && rhs.AsBool());
-  }
-  return ApplyBinaryOp(op, EvalExpr(e.children[0], tuple),
-                       EvalExpr(e.children[1], tuple));
-}
-
-}  // namespace
-
-Value EvalExpr(const CompiledExpr& expr, const EventTuple& tuple) {
-  switch (expr.kind) {
-    case CompiledKind::kLiteral:
-      return expr.literal;
-    case CompiledKind::kField: {
-      const Event* event = tuple[static_cast<size_t>(expr.source)];
-      if (event == nullptr) {
-        return Value::Null();
-      }
-      const Value* v = &event->field(static_cast<size_t>(expr.field_index));
-      for (const std::string& step : expr.path) {
-        if (!v->is_object()) {
-          return Value::Null();
-        }
-        const Value* next = v->AsObject().Find(step);
-        if (next == nullptr) {
-          return Value::Null();
-        }
-        v = next;
-      }
-      return *v;
-    }
-    case CompiledKind::kRequestId: {
-      const Event* event = tuple[static_cast<size_t>(expr.source)];
-      if (event == nullptr) {
-        return Value::Null();
-      }
-      return Value(static_cast<int64_t>(event->request_id()));
-    }
-    case CompiledKind::kTimestamp: {
-      const Event* event = tuple[static_cast<size_t>(expr.source)];
-      if (event == nullptr) {
-        return Value::Null();
-      }
-      return Value(static_cast<int64_t>(event->timestamp()));
-    }
-    case CompiledKind::kUnary: {
-      const Value operand = EvalExpr(expr.children[0], tuple);
-      if (expr.unary_op == UnaryOp::kNegate) {
-        if (!operand.is_numeric()) {
-          return Value::Null();
-        }
-        if (operand.is_int()) {
-          return Value(-operand.AsInt());
-        }
-        return Value(-operand.AsDoubleExact());
-      }
-      return Value(!(operand.is_bool() && operand.AsBool()));
-    }
-    case CompiledKind::kBinary:
-      return EvalBinary(expr, tuple);
-    case CompiledKind::kInList: {
-      const Value probe = EvalExpr(expr.children[0], tuple);
-      if (probe.is_null()) {
-        return Value(false);
-      }
-      for (const Value& member : expr.in_list) {
-        if (probe == member) {
-          return Value(true);
-        }
-      }
-      return Value(false);
-    }
-  }
-  return Value::Null();
-}
-
-Value EvalExprSingle(const CompiledExpr& expr, const Event& event) {
-  EventTuple tuple{&event};
-  return EvalExpr(expr, tuple);
-}
-
-bool EvalPredicate(const CompiledExpr& expr, const EventTuple& tuple) {
-  const Value v = EvalExpr(expr, tuple);
-  return v.is_bool() && v.AsBool();
-}
-
-bool EvalPredicateSingle(const CompiledExpr& expr, const Event& event) {
-  EventTuple tuple{&event};
-  return EvalPredicate(expr, tuple);
-}
-
 }  // namespace scrub

@@ -1,11 +1,14 @@
-// Compiled expression evaluation.
+// Expression compilation: the build-time front end of the typed IR.
 //
 // The analyzer's AST is convenient for validation but references fields by
-// name. Before a query object ships to hosts (where evaluation is the hot
-// path the paper works hardest to keep cheap), expressions are compiled into
-// a tree whose field references carry pre-resolved (source index, field
-// index) pairs — evaluation does no string work. The compiler also counts
-// nodes so the simulation can charge a deterministic CPU cost per evaluation.
+// name. CompileExpr resolves it into a tree whose field references carry
+// pre-resolved (source index, field index) pairs and whose node count is the
+// query object's predicate size on the wire. Nothing evaluates this tree in
+// the product: LowerExpr (expr_ir.h) flattens it into the ExprProgram that
+// agents, central and the baselines execute, and lint inspects it on the way
+// there. ApplyBinaryOp/ApplyUnaryOp are the single definition of every
+// operator, shared by the IR interpreter, the compare kernels, constant
+// folding and central's output expressions.
 
 #ifndef SRC_PLAN_EXPR_EVAL_H_
 #define SRC_PLAN_EXPR_EVAL_H_
@@ -20,7 +23,6 @@
 namespace scrub {
 
 // A joined tuple: one event per query source, indexed by source position.
-// Single-source queries use a single-element span.
 using EventTuple = std::vector<const Event*>;
 
 enum class CompiledKind {
@@ -54,19 +56,6 @@ struct CompiledExpr {
 Result<CompiledExpr> CompileExpr(const Expr& expr,
                                  const std::vector<std::string>& sources,
                                  const std::vector<SchemaPtr>& schemas);
-
-// Evaluates against a tuple. Events may be null only for sources the
-// expression does not touch. Comparisons involving null values yield false
-// (SQL-ish semantics without tri-state logic); arithmetic on null yields
-// null, which propagates.
-Value EvalExpr(const CompiledExpr& expr, const EventTuple& tuple);
-
-// Convenience for single-source host-side evaluation.
-Value EvalExprSingle(const CompiledExpr& expr, const Event& event);
-
-// True iff the expression evaluates to boolean true.
-bool EvalPredicate(const CompiledExpr& expr, const EventTuple& tuple);
-bool EvalPredicateSingle(const CompiledExpr& expr, const Event& event);
 
 // Operator semantics shared with output-expression evaluation at
 // ScrubCentral (e.g. 1000 * AVG(cost) over finalized aggregates).

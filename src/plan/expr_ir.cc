@@ -191,7 +191,7 @@ IrOp IrOpOf(BinaryOp op) {
 bool Truthy(const Value& v) { return v.is_bool() && v.AsBool(); }
 
 // Install-time evaluation of subtrees whose value does not depend on any
-// event. Uses the evaluator's own operator implementations (and EvalBinary's
+// event. Uses the interpreter's own operator implementations (and its AND/OR
 // short-circuit rules: a constant-false AND operand or constant-true OR
 // operand decides the result because operands are side-effect-free), so the
 // fold cannot drift from runtime evaluation.
@@ -376,9 +376,9 @@ class Lowering {
           return LowerCoerced(live, NewReg());
         }
       }
-      // d <- coerce(lhs); short-circuit; d <- coerce(rhs). Identical to the
-      // tree evaluator: AND/OR always produce a bool, built from each side
-      // coerced, and the jump only skips the side that cannot matter.
+      // d <- coerce(lhs); short-circuit; d <- coerce(rhs). AND/OR always
+      // produce a bool, built from each side coerced, and the jump only
+      // skips the side that cannot matter.
       const uint16_t d = NewReg();
       LowerCoerced(e.children[0], d);
       const size_t jump_at = program_.insts.size();
@@ -435,11 +435,11 @@ namespace {
 // interpreter below is the single definition of every operator, so the row
 // and columnar paths cannot diverge.
 struct TupleLoader {
-  const EventTuple* tuple;
+  std::span<const Event* const> tuple;
 
   Value LoadField(uint16_t source, uint16_t field,
                   const std::vector<std::string>* path) const {
-    const Event* event = (*tuple)[source];
+    const Event* event = tuple[source];
     if (event == nullptr) {
       return Value::Null();
     }
@@ -459,13 +459,13 @@ struct TupleLoader {
     return *v;
   }
   Value LoadRequestId(uint16_t source) const {
-    const Event* event = (*tuple)[source];
+    const Event* event = tuple[source];
     return event == nullptr
                ? Value::Null()
                : Value(static_cast<int64_t>(event->request_id()));
   }
   Value LoadTimestamp(uint16_t source) const {
-    const Event* event = (*tuple)[source];
+    const Event* event = tuple[source];
     return event == nullptr
                ? Value::Null()
                : Value(static_cast<int64_t>(event->timestamp()));
@@ -635,12 +635,12 @@ Value RunWithScratch(const ExprProgram& p, const Loader& loader) {
 }  // namespace
 
 Value EvalProgram(const ExprProgram& program, const EventTuple& tuple) {
-  return RunWithScratch(program, TupleLoader{&tuple});
+  return RunWithScratch(program, TupleLoader{tuple});
 }
 
 Value EvalProgramSingle(const ExprProgram& program, const Event& event) {
-  EventTuple tuple{&event};
-  return EvalProgram(program, tuple);
+  const Event* const one = &event;
+  return RunWithScratch(program, TupleLoader{{&one, 1}});
 }
 
 bool EvalProgramPredicate(const ExprProgram& program,
@@ -650,8 +650,7 @@ bool EvalProgramPredicate(const ExprProgram& program,
 
 bool EvalProgramPredicateSingle(const ExprProgram& program,
                                 const Event& event) {
-  EventTuple tuple{&event};
-  return EvalProgramPredicate(program, tuple);
+  return Truthy(EvalProgramSingle(program, event));
 }
 
 Value EvalProgramColumns(const ExprProgram& program, const ColumnBatch& batch,

@@ -1,24 +1,25 @@
-// Typed register-style expression IR.
+// Typed register-style expression IR: the one expression evaluator.
 //
-// CompiledExpr is a tree: convenient to build, but every evaluation walks
-// pointers and re-discovers structure the planner already knew at install
-// time. Scrub admits long-running standing queries, so anything learned once
-// at install is amortized over millions of evaluated events — the paper's
-// argument for pushing work toward query admission. LowerExpr flattens a
-// CompiledExpr into a linear program over virtual registers with
+// CompiledExpr is a tree: convenient to build, but every evaluation would
+// walk pointers and re-discover structure the planner already knew at
+// install time. Scrub admits long-running standing queries, so anything
+// learned once at install is amortized over millions of evaluated events —
+// the paper's argument for pushing work toward query admission. LowerExpr
+// flattens a CompiledExpr into a linear program over virtual registers with
 // pre-resolved constant/list/path pools and a schema-derived type tag per
-// instruction. The same program drives the row evaluator, the single-event
-// host path, and the vectorized columnar kernels (one lowering, so row and
-// columnar semantics cannot drift), and it is the substrate the static
-// analysis in expr_analysis.h runs on: the verifier, the abstract
-// interpreter, constant folding, and the semantic lint rules all consume
-// this IR.
+// instruction. The same program drives the agent's host filter (single
+// event and vectorized), central's group keys, aggregate arguments and raw
+// select, and both baselines (one lowering, so no two consumers can drift),
+// and it is the substrate the static analysis in expr_analysis.h runs on:
+// the verifier, the abstract interpreter, constant folding, and the
+// semantic lint rules all consume this IR.
 //
-// Operator semantics are exactly EvalExpr's: every binary/unary instruction
-// routes through ApplyBinaryOp/ApplyUnaryOp, and AND/OR lower to the same
-// coerce-then-short-circuit sequence EvalBinary performs (operands are
+// Every binary/unary instruction routes through ApplyBinaryOp/ApplyUnaryOp,
+// and AND/OR lower to a coerce-then-short-circuit sequence (operands are
 // side-effect-free, so strict and short-circuit evaluation agree on values;
-// the jumps only skip work).
+// the jumps only skip work). The test suite's tree walker
+// (tests/tree_eval.h) is the independent oracle these semantics are
+// checked against.
 
 #ifndef SRC_PLAN_EXPR_IR_H_
 #define SRC_PLAN_EXPR_IR_H_
@@ -130,14 +131,15 @@ ExprProgram LowerExpr(const CompiledExpr& expr,
                       const std::vector<SchemaPtr>& schemas,
                       bool fold = true);
 
-// Row-oriented execution (the EvalExpr twins).
+// Row-oriented execution. The single-event forms bind the event in place
+// (no per-call allocation); the agent and both baselines call them per event.
 Value EvalProgram(const ExprProgram& program, const EventTuple& tuple);
 Value EvalProgramSingle(const ExprProgram& program, const Event& event);
 bool EvalProgramPredicate(const ExprProgram& program, const EventTuple& tuple);
 bool EvalProgramPredicateSingle(const ExprProgram& program,
                                 const Event& event);
 
-// Columnar execution (the vectorized twins; source_count must be 1).
+// Columnar execution (source_count must be 1).
 Value EvalProgramColumns(const ExprProgram& program, const ColumnBatch& batch,
                          size_t row);
 bool EvalProgramPredicateColumns(const ExprProgram& program,

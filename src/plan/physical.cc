@@ -84,7 +84,7 @@ PhysicalPipeline CompilePhysical(const CentralPlan& plan, PipelineRole role) {
       // Per-host readings exist per window only for the ungrouped non-join
       // fold, so only those plans get single-instance Eq. 1-3 bounds;
       // grouped scaled slots use the ratio fallback.
-      if (sampling && plan.group_by.empty() && !plan.is_join()) {
+      if (sampling && plan.group_by_programs.empty() && !plan.is_join()) {
         p.bounded_aggregates = p.scaled_slots;
       }
       break;
@@ -148,12 +148,12 @@ PhysicalPipeline CompilePhysical(const CentralPlan& plan, PipelineRole role) {
   }
   if (plan.aggregate_mode) {
     add(PhysicalOpKind::kGroupFold,
-        StrFormat("%zu key(s), %zu aggregate(s)", plan.group_by.size(),
-                  plan.aggregates.size()));
+        StrFormat("%zu key(s), %zu aggregate(s)",
+                  plan.group_by_programs.size(), plan.aggregates.size()));
   } else {
     add(PhysicalOpKind::kProject,
         StrFormat("raw, %zu column(s) per tuple, emitted eagerly",
-                  plan.raw_select.size()));
+                  plan.raw_select_programs.size()));
   }
   add(PhysicalOpKind::kWindowClose,
       role == PipelineRole::kShard

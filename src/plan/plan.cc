@@ -4,6 +4,7 @@
 
 #include "src/common/strings.h"
 #include "src/plan/expr_analysis.h"
+#include "src/plan/expr_eval.h"
 
 namespace scrub {
 
@@ -21,6 +22,36 @@ size_t HostPlan::WireSize() const {
     n += 16 + 24 * (group_by_programs.size() + preagg.size());
   }
   return n;
+}
+
+bool HostSourcePlan::Selects(const Event& event, int64_t* insts_run) const {
+  if (never_matches) {
+    return false;
+  }
+  for (const ExprProgram& program : programs) {
+    *insts_run += static_cast<int64_t>(program.insts.size());
+    if (!EvalProgramPredicateSingle(program, event)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+int64_t HostSourcePlan::SelectBatch(const ColumnBatch& cols,
+                                    std::vector<uint32_t>* selection) const {
+  if (never_matches) {
+    selection->clear();
+  }
+  int64_t insts_run = 0;
+  for (const ExprProgram& program : programs) {
+    if (selection->empty()) {
+      break;
+    }
+    insts_run += static_cast<int64_t>(program.insts.size()) *
+                 static_cast<int64_t>(selection->size());
+    EvalProgramPredicateBatch(program, cols, selection);
+  }
+  return insts_run;
 }
 
 const HostSourcePlan* HostPlan::FindSource(std::string_view event_type) const {
@@ -109,7 +140,6 @@ class Planner {
         if (cls == PredicateClass::kUnknown) {
           sp.programs.push_back(std::move(program));
         }
-        sp.conjuncts.push_back(std::move(compiled).value());
       }
 
       // Cross-conjunct reasoning: an unsatisfiable set (status == 200 AND
@@ -173,7 +203,6 @@ class Planner {
         }
         central->raw_select_programs.push_back(
             LowerOptimized(*compiled, aq_.schemas));
-        central->raw_select.push_back(std::move(compiled).value());
       }
       return OkStatus();
     }
@@ -186,7 +215,6 @@ class Planner {
       }
       central->group_by_programs.push_back(
           LowerOptimized(*compiled, aq_.schemas));
-      central->group_by.push_back(std::move(compiled).value());
     }
 
     for (const SelectItem& item : q.select) {
@@ -224,7 +252,6 @@ class Planner {
           }
           spec.has_arg = true;
           spec.arg_program = LowerOptimized(*arg, aq_.schemas);
-          spec.arg = std::move(arg).value();
         }
         out.kind = OutputKind::kAggregate;
         out.index = static_cast<int>(central->aggregates.size());

@@ -13,7 +13,9 @@
 //     id), group-by, aggregation and windowing, executed at ScrubCentral.
 //
 // The same planner output is also consumed by the full-logging baseline's
-// batch engine, so Scrub and the baseline answer queries identically.
+// batch engine and the pushdown ablation, so all three answer queries
+// identically. Plans carry expressions only as lowered ExprPrograms: the
+// compiled trees are a planning-time intermediate and are not kept.
 
 #ifndef SRC_PLAN_PLAN_H_
 #define SRC_PLAN_PLAN_H_
@@ -24,7 +26,6 @@
 
 #include "src/common/clock.h"
 #include "src/common/status.h"
-#include "src/plan/expr_eval.h"
 #include "src/plan/expr_ir.h"
 #include "src/query/analyzer.h"
 
@@ -39,19 +40,29 @@ struct HostSourcePlan {
   std::string event_type;
   int source_index = 0;  // position in the query's FROM list
 
-  // Selection: conjuncts compiled against this single source; an event must
-  // satisfy all of them to be shipped. The tree form is kept for the wire
-  // size model, explain, and the logging baselines (which intentionally stay
-  // on the tree evaluator as a differential backstop).
-  std::vector<CompiledExpr> conjuncts;
-  int predicate_nodes = 0;  // total compiled nodes, for CPU cost accounting
+  // Selection: the WHERE conjuncts that touch this source, compiled against
+  // it alone; an event must satisfy all of them to be shipped.
+  // predicate_nodes is their total compiled node count — the query object's
+  // predicate size on the wire and in EXPLAIN.
+  int predicate_nodes = 0;
 
-  // The same conjuncts lowered to the typed IR, constant-folded, with
-  // always-true and implied (dead) conjuncts pruned — what the agent hot
-  // path actually executes. When the analysis proves the conjunct set
-  // unsatisfiable, never_matches is set and the agent ships nothing.
+  // The conjuncts lowered to the typed IR, constant-folded, with always-true
+  // and implied (dead) conjuncts pruned — what every host-side filter
+  // executes. When the analysis proves the conjunct set unsatisfiable,
+  // never_matches is set and nothing ships.
   std::vector<ExprProgram> programs;
   bool never_matches = false;
+
+  // The host filter on one event, exactly as the agent runs it: a
+  // never_matches source passes nothing, otherwise the programs run in order
+  // and the first failure stops. Adds the instructions of every program run
+  // to *insts_run (hosts charge predicate_term_ns per instruction).
+  bool Selects(const Event& event, int64_t* insts_run) const;
+  // The vectorized twin the agent runs at flush: compacts `selection` (row
+  // indices into `cols`, in order) to the rows that pass, and returns the
+  // instructions run summed over the rows each program saw.
+  int64_t SelectBatch(const ColumnBatch& cols,
+                      std::vector<uint32_t>* selection) const;
 
   // Projection: keep_field[i] is true iff the query reads schema field i.
   std::vector<bool> keep_field;
@@ -109,8 +120,7 @@ struct AggregateSpec {
   AggregateFunc func = AggregateFunc::kCount;
   int64_t topk_k = 0;
   bool has_arg = false;
-  CompiledExpr arg;       // tree form, kept for explain / baselines
-  ExprProgram arg_program;  // lowered+folded form the executor evaluates
+  ExprProgram arg_program;  // lowered + folded
 
   // COUNT/SUM estimates are scaled up under sampling (Eq. 1); AVG is a ratio
   // so scaling cancels; MIN/MAX/TOPK/COUNT_DISTINCT are never scaled.
@@ -130,19 +140,15 @@ struct CentralPlan {
   std::vector<SchemaPtr> schemas;
   bool is_join() const { return sources.size() > 1; }
 
-  // Aggregate mode: group_by + aggregates + outputs.
-  // Raw mode (no aggregates, no grouping): raw_select per joined tuple.
+  // Aggregate mode: group-by keys + aggregates + outputs.
+  // Raw mode (no aggregates, no grouping): one program per select item,
+  // evaluated per joined tuple. All expressions are lowered + folded.
   bool aggregate_mode = false;
-  std::vector<CompiledExpr> group_by;
-  std::vector<AggregateSpec> aggregates;
-  std::vector<OutputColumn> outputs;       // aggregate mode
-  std::vector<CompiledExpr> raw_select;    // raw mode
-  std::vector<std::string> column_names;   // both modes, in select order
-
-  // Lowered+folded twins of group_by / raw_select (one shared lowering; the
-  // row and columnar executors both run these).
-  std::vector<ExprProgram> group_by_programs;
-  std::vector<ExprProgram> raw_select_programs;
+  std::vector<ExprProgram> group_by_programs;    // aggregate mode
+  std::vector<AggregateSpec> aggregates;         // aggregate mode
+  std::vector<OutputColumn> outputs;             // aggregate mode
+  std::vector<ExprProgram> raw_select_programs;  // raw mode
+  std::vector<std::string> column_names;         // both modes, in select order
 
   TimeMicros window_micros = 0;
   TimeMicros slide_micros = 0;  // < window: sliding; == window: tumbling

@@ -1,68 +1,17 @@
 #include "src/plan/vectorized.h"
 
 #include <string_view>
-#include <utility>
 
 namespace scrub {
 namespace {
 
 bool Truthy(const Value& v) { return v.is_bool() && v.AsBool(); }
 
-Value EvalBinaryColumns(const CompiledExpr& e, const ColumnBatch& batch,
-                        size_t row) {
-  const BinaryOp op = e.binary_op;
-  if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-    const Value lhs = EvalExprColumns(e.children[0], batch, row);
-    const bool l = lhs.is_bool() && lhs.AsBool();
-    if (op == BinaryOp::kAnd && !l) {
-      return Value(false);
-    }
-    if (op == BinaryOp::kOr && l) {
-      return Value(true);
-    }
-    const Value rhs = EvalExprColumns(e.children[1], batch, row);
-    return Value(rhs.is_bool() && rhs.AsBool());
-  }
-  return ApplyBinaryOp(op, EvalExprColumns(e.children[0], batch, row),
-                       EvalExprColumns(e.children[1], batch, row));
-}
-
-// `<field> <cmp> <literal>` (either operand order): extract the shape and
-// hand it to the shared branch-free kernel.
-bool TryCompareKernel(const CompiledExpr& e, const ColumnBatch& batch,
-                      std::vector<uint32_t>* selection) {
-  if (e.kind != CompiledKind::kBinary || !IsComparisonOp(e.binary_op)) {
-    return false;
-  }
-  const CompiledExpr& lhs = e.children[0];
-  const CompiledExpr& rhs = e.children[1];
-  const CompiledExpr* field = nullptr;
-  const CompiledExpr* literal = nullptr;
-  bool field_on_lhs = false;
-  if (lhs.kind == CompiledKind::kField && rhs.kind == CompiledKind::kLiteral) {
-    field = &lhs;
-    literal = &rhs;
-    field_on_lhs = true;
-  } else if (lhs.kind == CompiledKind::kLiteral &&
-             rhs.kind == CompiledKind::kField) {
-    field = &rhs;
-    literal = &lhs;
-  } else {
-    return false;
-  }
-  if (!field->path.empty() || field->source != 0) {
-    return false;
-  }
-  return RunCompareKernel(batch, static_cast<size_t>(field->field_index),
-                          e.binary_op, literal->literal, field_on_lhs,
-                          selection);
-}
-
 // ---- Branch-free compare kernel internals ----------------------------------
 
 // Normalized comparison forms after operand-order flipping. Le/Ge are
 // expressed through Gt/Lt because Value::Compare answers 0 when NaN is
-// involved: the row path's `Compare(v, lit) <= 0` is TRUE for a NaN cell,
+// involved: ApplyBinaryOp's `Compare(v, lit) <= 0` is TRUE for a NaN cell,
 // so Le must compile to !(v > lit), never (v <= lit).
 enum class CmpForm : uint8_t { kLt, kGt, kNotGt, kNotLt, kEq, kNe };
 
@@ -167,7 +116,7 @@ void DispatchTyped(CmpForm form, const std::vector<uint8_t>& nulls,
 }
 
 // The verdict ApplyBinaryOp would reach for a null cell, probed once with
-// the real operand order so the kernel inherits the row path's null rules
+// the real operand order so the kernel inherits ApplyBinaryOp's null rules
 // (Eq only matches null-vs-null; Ne is true for null-vs-non-null; ordered
 // comparisons with a null operand are false).
 bool NullCellKeep(BinaryOp op, const Value& literal, bool field_on_lhs) {
@@ -225,7 +174,7 @@ bool RunCompareKernel(const ColumnBatch& batch, size_t field, BinaryOp op,
         return true;
       }
       if (literal.is_double()) {
-        // Mixed int/double comparisons run as doubles in the row path.
+        // Mixed int/double comparisons run as doubles in ApplyBinaryOp.
         DispatchTyped<double>(
             form, col.nulls, null_keep,
             [&col](uint32_t r) { return static_cast<double>(col.ints[r]); },
@@ -298,72 +247,6 @@ bool RunCompareKernel(const ColumnBatch& batch, size_t field, BinaryOp op,
       return false;
   }
   return false;
-}
-
-Value EvalExprColumns(const CompiledExpr& expr, const ColumnBatch& batch,
-                      size_t row) {
-  switch (expr.kind) {
-    case CompiledKind::kLiteral:
-      return expr.literal;
-    case CompiledKind::kField: {
-      Value v = batch.ValueAt(static_cast<size_t>(expr.field_index), row);
-      for (const std::string& step : expr.path) {
-        if (!v.is_object()) {
-          return Value::Null();
-        }
-        const Value* next = v.AsObject().Find(step);
-        if (next == nullptr) {
-          return Value::Null();
-        }
-        Value descended = *next;
-        v = std::move(descended);
-      }
-      return v;
-    }
-    case CompiledKind::kRequestId:
-      return Value(static_cast<int64_t>(batch.request_id(row)));
-    case CompiledKind::kTimestamp:
-      return Value(static_cast<int64_t>(batch.timestamp(row)));
-    case CompiledKind::kUnary: {
-      const Value operand = EvalExprColumns(expr.children[0], batch, row);
-      return ApplyUnaryOp(expr.unary_op, operand);
-    }
-    case CompiledKind::kBinary:
-      return EvalBinaryColumns(expr, batch, row);
-    case CompiledKind::kInList: {
-      const Value probe = EvalExprColumns(expr.children[0], batch, row);
-      if (probe.is_null()) {
-        return Value(false);
-      }
-      for (const Value& member : expr.in_list) {
-        if (probe == member) {
-          return Value(true);
-        }
-      }
-      return Value(false);
-    }
-  }
-  return Value::Null();
-}
-
-bool EvalPredicateColumns(const CompiledExpr& expr, const ColumnBatch& batch,
-                          size_t row) {
-  const Value v = EvalExprColumns(expr, batch, row);
-  return v.is_bool() && v.AsBool();
-}
-
-void EvalPredicateBatch(const CompiledExpr& expr, const ColumnBatch& batch,
-                        std::vector<uint32_t>* selection) {
-  if (TryCompareKernel(expr, batch, selection)) {
-    return;
-  }
-  size_t kept = 0;
-  for (const uint32_t r : *selection) {
-    if (EvalPredicateColumns(expr, batch, r)) {
-      (*selection)[kept++] = r;
-    }
-  }
-  selection->resize(kept);
 }
 
 void FoldColumns(const std::vector<const ExprProgram*>& programs,

@@ -1,12 +1,12 @@
-// Vectorized expression evaluation over columnar batches.
+// Columnar kernels the expression IR runs on.
 //
-// These are the batch-oriented twins of EvalExpr/EvalPredicate: identical
-// operator semantics (they delegate to ApplyBinaryOp and mirror EvalExpr's
-// null/short-circuit rules node for node), but driven by a selection vector
-// over a ColumnBatch instead of one Event at a time. EvalPredicateBatch is
-// the agent-flush and central-ingest hot loop: a conjunct compacts the
-// selection in place, and simple `field <cmp> literal` conjuncts run the
-// branch-free RunCompareKernel below instead of boxing a Value per row.
+// RunCompareKernel is the branch-free selection-vector loop behind
+// EvalProgramPredicateBatch's `field <cmp> literal` fast path (the
+// agent-flush hot loop), and FoldColumns gathers group keys and aggregate
+// arguments for a whole selection at once at central. Both execute lowered
+// ExprPrograms' semantics exactly: the kernels probe ApplyBinaryOp for every
+// verdict they cannot read off a typed column, and FoldColumns falls back to
+// EvalProgramColumns for anything but a single load or constant.
 
 #ifndef SRC_PLAN_VECTORIZED_H_
 #define SRC_PLAN_VECTORIZED_H_
@@ -15,26 +15,9 @@
 #include <vector>
 
 #include "src/event/column_batch.h"
-#include "src/plan/expr_eval.h"
 #include "src/plan/expr_ir.h"
 
 namespace scrub {
-
-// Evaluates a single-source compiled expression at `row` of the batch.
-// Exactly EvalExprSingle's semantics; expr.source must be 0.
-Value EvalExprColumns(const CompiledExpr& expr, const ColumnBatch& batch,
-                      size_t row);
-
-// True iff the expression evaluates to boolean true at `row`.
-bool EvalPredicateColumns(const CompiledExpr& expr, const ColumnBatch& batch,
-                          size_t row);
-
-// Filters `selection` (row indices into `batch`, in order) down to the rows
-// where the predicate holds, compacting in place and preserving order.
-// Calling this once per conjunct over a shrinking selection is the columnar
-// mirror of the row path's per-event short-circuit conjunct loop.
-void EvalPredicateBatch(const CompiledExpr& expr, const ColumnBatch& batch,
-                        std::vector<uint32_t>* selection);
 
 // ---- Branch-free selection-vector kernels ----------------------------------
 
@@ -46,14 +29,14 @@ void EvalPredicateBatch(const CompiledExpr& expr, const ColumnBatch& batch,
 // derived from Value::Compare's exact semantics (Compare() answers 0 when
 // NaN is involved, so Le compiles to !(v > lit), never (v <= lit)), and the
 // null-row verdict is probed once through ApplyBinaryOp itself, so the
-// kernels cannot drift from the row path. Kernels exist for:
+// kernels cannot drift from the IR interpreter. Kernels exist for:
 //   * int/double columns vs int/double literals,
 //   * string columns vs string literals,
 //   * dictionary columns vs any literal (one ApplyBinaryOp per dictionary
 //     entry builds a per-code verdict table, then rows compare codes),
 //   * any typed (non-generic) column vs a null literal (constant verdicts).
 // Returns false — selection untouched — when no kernel matches; callers fall
-// back to the per-row evaluator.
+// back to interpreting the program per row.
 bool RunCompareKernel(const ColumnBatch& batch, size_t field, BinaryOp op,
                       const Value& literal, bool field_on_lhs,
                       std::vector<uint32_t>* selection);

@@ -120,5 +120,48 @@ TEST_F(BaselineTest, BaselineShipsMoreBytesThanScrubWould) {
             full_bytes);
 }
 
+// The batch engine's selection charges what a Scrub agent charges:
+// predicate_term_ns per instruction of the folded, pruned programs. The
+// redundant WHERE folds and prunes down to `price > 2.0`, so both answer
+// and cost are identical.
+TEST_F(BaselineTest, SelectionChargesTheFoldedProgramsLikeTheAgent) {
+  for (int i = 0; i < 40; ++i) {
+    logger_(host_a_, MakeBid(static_cast<RequestId>(i), 1000 + i, 1,
+                             (i % 5) * 1.0));
+  }
+  pipeline_->PumpFlushes();
+  scheduler_.RunUntil(kMicrosPerSecond);
+  Result<LoggingPipeline::BatchAnswer> redundant = pipeline_->RunQuery(
+      "SELECT COUNT(*) FROM bid WHERE bid.price > 4.0 / 2.0 AND "
+      "bid.price > 1.0 WINDOW 1 h;");
+  Result<LoggingPipeline::BatchAnswer> plain = pipeline_->RunQuery(
+      "SELECT COUNT(*) FROM bid WHERE bid.price > 2.0 WINDOW 1 h;");
+  ASSERT_TRUE(redundant.ok()) << redundant.status().ToString();
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_FALSE(plain->rows.empty());
+  EXPECT_EQ(plain->rows[0].values[0], Value(int64_t{16}));
+  EXPECT_EQ(redundant->rows[0].values, plain->rows[0].values);
+  EXPECT_EQ(redundant->processing_ns, plain->processing_ns);
+}
+
+TEST_F(BaselineTest, ContradictoryWhereShipsNothingAndChargesNoPredicate) {
+  for (int i = 0; i < 40; ++i) {
+    logger_(host_a_, MakeBid(static_cast<RequestId>(i), 1000 + i, 1,
+                             (i % 5) * 1.0));
+  }
+  pipeline_->PumpFlushes();
+  scheduler_.RunUntil(kMicrosPerSecond);
+  Result<LoggingPipeline::BatchAnswer> answer = pipeline_->RunQuery(
+      "SELECT COUNT(*) FROM bid WHERE bid.price > 5.0 AND bid.price < 1.0 "
+      "WINDOW 1 h;");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->events_scanned, 40u);
+  for (const ResultRow& row : answer->rows) {
+    EXPECT_EQ(row.values[0], Value(int64_t{0}));
+  }
+  // Only the warehouse scan is paid: no predicate work, nothing ingested.
+  EXPECT_EQ(answer->processing_ns, 40 * BaselineConfig{}.scan_cost_ns);
+}
+
 }  // namespace
 }  // namespace scrub

@@ -14,6 +14,7 @@
 #include "src/event/event.h"
 #include "src/event/schema.h"
 #include "src/plan/expr_analysis.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 namespace {
@@ -381,11 +382,11 @@ TEST_F(ExprIrTest, PredicateBatchMatchesRowEvaluation) {
 
   std::vector<uint32_t> expected;
   for (uint32_t i = 0; i < batch.rows(); ++i) {
-    if (EvalPredicateSingle(expr, events[i])) {
+    if (TreePredicateSingle(expr, events[i])) {
       expected.push_back(i);
     }
     EXPECT_EQ(EvalProgramPredicateColumns(p, batch, i),
-              EvalPredicateSingle(expr, events[i]))
+              TreePredicateSingle(expr, events[i]))
         << "row " << i;
   }
   EXPECT_EQ(selection, expected);

@@ -1,12 +1,15 @@
 // Randomized property tests for value and operator semantics — the
 // algebraic contracts the join, group-by and predicate machinery lean on —
-// plus the differential property that the typed expression IR (lowered,
-// lowered-without-folding, and analysis-folded) agrees with the legacy tree
-// evaluator and the vectorized columnar evaluator on random expressions over
-// random events, including nulls and type-mismatched operands.
+// plus two differential properties against the tree oracle
+// (tests/tree_eval.h): the typed expression IR (lowered,
+// lowered-without-folding, and analysis-folded; row and columnar) agrees
+// with it on random expressions over random events, including nulls and
+// type-mismatched operands; and the branch-free compare kernels keep exactly
+// the rows it keeps on every column representation.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,10 +17,12 @@
 #include "src/event/column_batch.h"
 #include "src/event/event.h"
 #include "src/event/schema.h"
+#include "src/event/wire.h"
 #include "src/plan/expr_analysis.h"
 #include "src/plan/expr_eval.h"
 #include "src/plan/expr_ir.h"
 #include "src/plan/vectorized.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 namespace {
@@ -324,15 +329,13 @@ TEST(IrDifferentialTest, AllEvaluatorsAgreeOnRandomExpressions) {
       ++folded_programs;
     }
     for (size_t row = 0; row < events.size(); ++row) {
-      const Value expected = EvalExprSingle(expr, events[row]);
+      const Value expected = TreeEvalSingle(expr, events[row]);
       EXPECT_EQ(EvalProgramSingle(lowered, events[row]), expected)
           << "trial " << trial << " row " << row << "\n"
           << ProgramToString(lowered, {"bid"}, schemas);
       EXPECT_EQ(EvalProgramSingle(unfolded, events[row]), expected)
           << "trial " << trial << " row " << row << " (analysis-folded)\n"
           << ProgramToString(unfolded, {"bid"}, schemas);
-      const Value columnar_legacy = EvalExprColumns(expr, batch, row);
-      EXPECT_EQ(columnar_legacy, expected) << "trial " << trial;
       EXPECT_EQ(EvalProgramColumns(lowered, batch, row), expected)
           << "trial " << trial << " row " << row << " (columnar)\n"
           << ProgramToString(lowered, {"bid"}, schemas);
@@ -345,7 +348,7 @@ TEST(IrDifferentialTest, AllEvaluatorsAgreeOnRandomExpressions) {
     EvalProgramPredicateBatch(lowered, batch, &selection);
     std::vector<uint32_t> expected_sel;
     for (uint32_t i = 0; i < batch.rows(); ++i) {
-      if (EvalPredicateSingle(expr, events[i])) {
+      if (TreePredicateSingle(expr, events[i])) {
         expected_sel.push_back(i);
       }
     }
@@ -354,6 +357,209 @@ TEST(IrDifferentialTest, AllEvaluatorsAgreeOnRandomExpressions) {
   // Sanity: the generator produces install-time-decidable programs often
   // enough that the folding path is genuinely exercised.
   EXPECT_GT(folded_programs, 20);
+}
+
+// ---------------------------------------------------------------------------
+// Compare kernels: `field <cmp> literal` conjuncts run RunCompareKernel
+// instead of the interpreter. The kernel must keep exactly the rows the
+// tree oracle keeps — on every column representation, for all six
+// comparisons in both operand orders, against int, double, string and null
+// literals — and run or decline exactly where vectorized.h says it does.
+
+class CompareKernelTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kInt = 0;
+  static constexpr size_t kDouble = 1;
+  static constexpr size_t kString = 2;
+  static constexpr size_t kTag = 3;  // low-cardinality: dict on the wire
+  static constexpr size_t kBool = 4;
+  static constexpr size_t kDrifted = 5;  // a double column gone generic
+
+  CompareKernelTest() : batch_(MakeSchema()) {
+    EXPECT_TRUE(registry_.Register(schema_).ok());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const Value doubles[] = {Value(nan),  Value(0.0), Value(-0.0),
+                             Value(1.5),  Value(-2.5), Value(2.0),
+                             Value(1e300)};
+    const char* strings[] = {"a", "ab", "b", "", "ba", "abc"};
+    const char* tags[] = {"alpha", "beta", "gamma"};
+    for (uint64_t r = 0; r < 48; ++r) {
+      Event e(schema_, /*request_id=*/r, static_cast<TimeMicros>(r));
+      if (r % 6 != 5) {
+        e.SetField(kInt, Value(static_cast<int64_t>((r * 7) % 9) - 4));
+      }
+      if (r % 7 != 6) {
+        e.SetField(kDouble, doubles[(r * 3) % 7]);
+      }
+      if (r % 8 != 7) {
+        e.SetField(kString, Value(strings[(r * 5) % 6]));
+      }
+      if (r % 9 != 4) {
+        e.SetField(kTag, Value(tags[r % 3]));
+      }
+      if (r % 10 != 9) {
+        e.SetField(kBool, Value(r % 3 == 0));
+      }
+      if (r % 4 != 2) {
+        e.SetField(kDrifted, r == 11 ? Value("oops") : doubles[r % 7]);
+      }
+      batch_.AppendEvent(e);
+      events_.push_back(std::move(e));
+    }
+  }
+
+  SchemaPtr MakeSchema() {
+    schema_ = *EventSchema::Builder("k")
+                   .AddField("i", FieldType::kLong)
+                   .AddField("d", FieldType::kDouble)
+                   .AddField("s", FieldType::kString)
+                   .AddField("t", FieldType::kString)
+                   .AddField("b", FieldType::kBool)
+                   .AddField("g", FieldType::kDouble)
+                   .Build();
+    return schema_;
+  }
+
+  // The batch after an EncodeColumnBatch / DecodeColumnBatch round trip,
+  // which is how dictionary columns come to exist.
+  ColumnBatch RoundTrip() const {
+    std::string payload;
+    EncodeColumnBatch(batch_, nullptr, batch_.rows(), nullptr, &payload);
+    Result<ColumnBatch> decoded = DecodeColumnBatch(registry_, payload);
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    return std::move(decoded).value();
+  }
+
+  // The kernel coverage vectorized.h documents for RunCompareKernel.
+  static bool KernelCovers(const ColumnBatch::Column& col,
+                           const Value& literal) {
+    if (col.rep == ColumnBatch::Rep::kGeneric) {
+      return false;
+    }
+    if (literal.is_null()) {
+      return true;
+    }
+    switch (col.rep) {
+      case ColumnBatch::Rep::kInt:
+      case ColumnBatch::Rep::kDouble:
+        return literal.is_int() || literal.is_double();
+      case ColumnBatch::Rep::kString:
+        return literal.is_string();
+      case ColumnBatch::Rep::kDict:
+        return col.dict_size() > 0;
+      default:
+        return false;
+    }
+  }
+
+  // Every comparison, both operand orders, every literal, over a sparse
+  // starting selection: the batch predicate (folded and unfolded) and the
+  // bare kernel keep exactly the oracle's rows, in order.
+  void ExpectMatchesOracle(const ColumnBatch& batch, size_t field,
+                           const std::vector<Value>& literals) {
+    static constexpr BinaryOp kOps[] = {BinaryOp::kEq, BinaryOp::kNe,
+                                        BinaryOp::kLt, BinaryOp::kLe,
+                                        BinaryOp::kGt, BinaryOp::kGe};
+    std::vector<uint32_t> start;
+    for (uint32_t r = 0; r < batch.rows(); ++r) {
+      if (r % 5 != 3) {
+        start.push_back(r);
+      }
+    }
+    for (const Value& literal : literals) {
+      for (const BinaryOp op : kOps) {
+        for (const bool field_on_lhs : {true, false}) {
+          CompiledExpr load;
+          load.kind = CompiledKind::kField;
+          load.field_index = static_cast<int>(field);
+          CompiledExpr konst;
+          konst.kind = CompiledKind::kLiteral;
+          konst.literal = literal;
+          CompiledExpr cmp;
+          cmp.kind = CompiledKind::kBinary;
+          cmp.binary_op = op;
+          cmp.children = field_on_lhs ? std::vector<CompiledExpr>{load, konst}
+                                      : std::vector<CompiledExpr>{konst, load};
+          const std::string what =
+              schema_->field(field).name + " " + BinaryOpName(op) + " " +
+              literal.ToString() + (field_on_lhs ? "" : " (literal first)");
+
+          std::vector<uint32_t> expected;
+          for (const uint32_t r : start) {
+            if (TreePredicateSingle(cmp, events_[r])) {
+              expected.push_back(r);
+            }
+          }
+          for (const bool fold : {false, true}) {
+            std::vector<uint32_t> selection = start;
+            EvalProgramPredicateBatch(LowerExpr(cmp, {schema_}, fold), batch,
+                                      &selection);
+            EXPECT_EQ(selection, expected)
+                << what << (fold ? " folded" : " unfolded");
+          }
+          std::vector<uint32_t> selection = start;
+          const bool ran = RunCompareKernel(batch, field, op, literal,
+                                            field_on_lhs, &selection);
+          EXPECT_EQ(ran, KernelCovers(batch.column(field), literal)) << what;
+          if (ran) {
+            EXPECT_EQ(selection, expected) << what << " (kernel)";
+          } else {
+            EXPECT_EQ(selection, start) << what << " (declined)";
+          }
+        }
+      }
+    }
+  }
+
+  SchemaRegistry registry_;
+  SchemaPtr schema_;
+  ColumnBatch batch_;
+  std::vector<Event> events_;
+};
+
+TEST_F(CompareKernelTest, IntColumn) {
+  ASSERT_EQ(batch_.column(kInt).rep, ColumnBatch::Rep::kInt);
+  ExpectMatchesOracle(batch_, kInt,
+                      {Value(int64_t{0}), Value(int64_t{2}),
+                       Value(int64_t{-4}), Value(1.5), Value(-0.0),
+                       Value("a"), Value::Null()});
+}
+
+TEST_F(CompareKernelTest, DoubleColumnWithNanSignedZeroAndNulls) {
+  ASSERT_EQ(batch_.column(kDouble).rep, ColumnBatch::Rep::kDouble);
+  ExpectMatchesOracle(
+      batch_, kDouble,
+      {Value(0.0), Value(-0.0), Value(1.5), Value(int64_t{2}),
+       Value(std::numeric_limits<double>::quiet_NaN()), Value("a"),
+       Value::Null()});
+}
+
+TEST_F(CompareKernelTest, PlainStringColumn) {
+  ASSERT_EQ(batch_.column(kString).rep, ColumnBatch::Rep::kString);
+  ExpectMatchesOracle(batch_, kString,
+                      {Value("a"), Value("ab"), Value(""), Value("zz"),
+                       Value(int64_t{1}), Value::Null()});
+}
+
+TEST_F(CompareKernelTest, DictionaryColumnFromTheWire) {
+  const ColumnBatch decoded = RoundTrip();
+  ASSERT_EQ(decoded.rows(), batch_.rows());
+  ASSERT_EQ(decoded.column(kTag).rep, ColumnBatch::Rep::kDict);
+  ExpectMatchesOracle(decoded, kTag,
+                      {Value("beta"), Value("alpha"), Value(""),
+                       Value("zzz"), Value(int64_t{1}), Value(2.0),
+                       Value::Null()});
+}
+
+TEST_F(CompareKernelTest, BoolAndGenericColumnsFallBack) {
+  ASSERT_EQ(batch_.column(kBool).rep, ColumnBatch::Rep::kBool);
+  ASSERT_EQ(batch_.column(kDrifted).rep, ColumnBatch::Rep::kGeneric);
+  ExpectMatchesOracle(batch_, kBool,
+                      {Value(true), Value(false), Value(int64_t{1}),
+                       Value::Null()});
+  ExpectMatchesOracle(batch_, kDrifted,
+                      {Value(1.5), Value("oops"), Value(int64_t{0}),
+                       Value(-0.0), Value::Null()});
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "src/plan/expr_eval.h"
+#include "src/plan/expr_ir.h"
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
 #include "src/scrub/scrub_system.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 namespace {
@@ -45,6 +47,13 @@ class NestedObjectTest : public ::testing::Test {
     return std::move(compiled).value();
   }
 
+  // The lowered IR's verdict, checked against the tree oracle.
+  bool Matches(const CompiledExpr& pred, const Event& e) {
+    const bool ir = EvalProgramPredicateSingle(LowerExpr(pred, {schema_}), e);
+    EXPECT_EQ(ir, TreePredicateSingle(pred, e));
+    return ir;
+  }
+
   SchemaRegistry registry_;
   SchemaPtr schema_;
 };
@@ -76,25 +85,25 @@ TEST_F(NestedObjectTest, PathIntoNonObjectRejected) {
 TEST_F(NestedObjectTest, PredicateOnNestedString) {
   const CompiledExpr pred =
       CompileWhere("SELECT COUNT(*) FROM bid WHERE bid.device.os = 'ios';");
-  EXPECT_TRUE(EvalPredicateSingle(pred, MakeBid(1, 1, "ios", 3)));
-  EXPECT_FALSE(EvalPredicateSingle(pred, MakeBid(2, 2, "android", 3)));
+  EXPECT_TRUE(Matches(pred, MakeBid(1, 1, "ios", 3)));
+  EXPECT_FALSE(Matches(pred, MakeBid(2, 2, "android", 3)));
 }
 
 TEST_F(NestedObjectTest, DeepPathAndArithmetic) {
   const CompiledExpr pred = CompileWhere(
       "SELECT COUNT(*) FROM bid WHERE bid.device.hw.generation + 1 > 3;");
-  EXPECT_TRUE(EvalPredicateSingle(pred, MakeBid(1, 1, "ios", 3)));
-  EXPECT_FALSE(EvalPredicateSingle(pred, MakeBid(2, 1, "ios", 1)));
+  EXPECT_TRUE(Matches(pred, MakeBid(1, 1, "ios", 3)));
+  EXPECT_FALSE(Matches(pred, MakeBid(2, 1, "ios", 1)));
 }
 
 TEST_F(NestedObjectTest, MissingPathYieldsNull) {
   const CompiledExpr pred = CompileWhere(
       "SELECT COUNT(*) FROM bid WHERE bid.device.carrier = 'tmo';");
   // Field exists but has no 'carrier' member: null never matches equality.
-  EXPECT_FALSE(EvalPredicateSingle(pred, MakeBid(1, 1, "ios", 3)));
+  EXPECT_FALSE(Matches(pred, MakeBid(1, 1, "ios", 3)));
   // Unset object field entirely.
   Event bare(schema_, 9, 100);
-  EXPECT_FALSE(EvalPredicateSingle(pred, bare));
+  EXPECT_FALSE(Matches(pred, bare));
 }
 
 TEST_F(NestedObjectTest, GroupByNestedPath) {

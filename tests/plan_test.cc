@@ -1,12 +1,15 @@
 // Unit tests for src/plan: expression compilation/evaluation and the
-// host/central planner split.
+// host/central planner split. Expressions run through the lowered IR and are
+// checked against the tree oracle (tests/tree_eval.h).
 
 #include <gtest/gtest.h>
 
 #include "src/plan/expr_eval.h"
+#include "src/plan/expr_ir.h"
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
 #include "src/query/parser.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 namespace {
@@ -55,6 +58,14 @@ class PlanTest : public ::testing::Test {
     return std::move(compiled).value();
   }
 
+  // The lowered IR's verdict on a bid, checked against the tree oracle.
+  bool Matches(const CompiledExpr& pred, const Event& e) {
+    const bool ir =
+        EvalProgramPredicateSingle(LowerExpr(pred, {bid_schema_}), e);
+    EXPECT_EQ(ir, TreePredicateSingle(pred, e));
+    return ir;
+  }
+
   SchemaRegistry registry_;
   SchemaPtr bid_schema_;
   SchemaPtr click_schema_;
@@ -67,36 +78,36 @@ TEST_F(PlanTest, PredicateEvaluation) {
   Event yes = MakeBid(1, 10, 100, 2.0, "US");
   Event no_price = MakeBid(2, 10, 100, 1.0, "US");
   Event no_country = MakeBid(3, 10, 100, 2.0, "JP");
-  EXPECT_TRUE(EvalPredicateSingle(pred, yes));
-  EXPECT_FALSE(EvalPredicateSingle(pred, no_price));
-  EXPECT_FALSE(EvalPredicateSingle(pred, no_country));
+  EXPECT_TRUE(Matches(pred, yes));
+  EXPECT_FALSE(Matches(pred, no_price));
+  EXPECT_FALSE(Matches(pred, no_country));
 }
 
 TEST_F(PlanTest, ArithmeticAndComparisonSemantics) {
   const CompiledExpr pred = CompileWhere(
       "SELECT COUNT(*) FROM bid WHERE bid.price * 2 + 1 >= 4.0;");
-  EXPECT_TRUE(EvalPredicateSingle(pred, MakeBid(1, 0, 1, 1.5, "US")));
-  EXPECT_FALSE(EvalPredicateSingle(pred, MakeBid(1, 0, 1, 1.49, "US")));
+  EXPECT_TRUE(Matches(pred, MakeBid(1, 0, 1, 1.5, "US")));
+  EXPECT_FALSE(Matches(pred, MakeBid(1, 0, 1, 1.49, "US")));
 }
 
 TEST_F(PlanTest, NullFieldsFailComparisons) {
   const CompiledExpr pred =
       CompileWhere("SELECT COUNT(*) FROM bid WHERE bid.price > 0.0;");
   Event e(bid_schema_, 1, 0);  // price never set -> null
-  EXPECT_FALSE(EvalPredicateSingle(pred, e));
+  EXPECT_FALSE(Matches(pred, e));
 
   const CompiledExpr isnull =
       CompileWhere("SELECT COUNT(*) FROM bid WHERE bid.price = NULL;");
-  EXPECT_TRUE(EvalPredicateSingle(isnull, e));
+  EXPECT_TRUE(Matches(isnull, e));
   EXPECT_FALSE(
-      EvalPredicateSingle(isnull, MakeBid(1, 0, 1, 2.0, "US")));
+      Matches(isnull, MakeBid(1, 0, 1, 2.0, "US")));
 }
 
 TEST_F(PlanTest, DivisionByZeroYieldsNull) {
   const CompiledExpr pred =
       CompileWhere("SELECT COUNT(*) FROM bid WHERE bid.price / 0 > 1;");
   // null > 1 is false, not a crash.
-  EXPECT_FALSE(EvalPredicateSingle(pred, MakeBid(1, 0, 1, 5.0, "US")));
+  EXPECT_FALSE(Matches(pred, MakeBid(1, 0, 1, 5.0, "US")));
 }
 
 TEST_F(PlanTest, ContainsEvaluation) {
@@ -108,18 +119,18 @@ TEST_F(PlanTest, ContainsEvaluation) {
   Event without(bid_schema_, 2, 0);
   without.SetField(3, Value(std::vector<Value>{Value(int64_t{5})}));
   Event unset(bid_schema_, 3, 0);
-  EXPECT_TRUE(EvalPredicateSingle(pred, with));
-  EXPECT_FALSE(EvalPredicateSingle(pred, without));
-  EXPECT_FALSE(EvalPredicateSingle(pred, unset));
+  EXPECT_TRUE(Matches(pred, with));
+  EXPECT_FALSE(Matches(pred, without));
+  EXPECT_FALSE(Matches(pred, unset));
 }
 
 TEST_F(PlanTest, SystemFieldAccess) {
   const CompiledExpr pred = CompileWhere(
       "SELECT COUNT(*) FROM bid WHERE __timestamp >= 100 AND "
       "__request_id = 9;");
-  EXPECT_TRUE(EvalPredicateSingle(pred, MakeBid(9, 100, 1, 1.0, "US")));
-  EXPECT_FALSE(EvalPredicateSingle(pred, MakeBid(9, 99, 1, 1.0, "US")));
-  EXPECT_FALSE(EvalPredicateSingle(pred, MakeBid(8, 100, 1, 1.0, "US")));
+  EXPECT_TRUE(Matches(pred, MakeBid(9, 100, 1, 1.0, "US")));
+  EXPECT_FALSE(Matches(pred, MakeBid(9, 99, 1, 1.0, "US")));
+  EXPECT_FALSE(Matches(pred, MakeBid(8, 100, 1, 1.0, "US")));
 }
 
 TEST_F(PlanTest, ShortCircuitAndOr) {
@@ -127,7 +138,7 @@ TEST_F(PlanTest, ShortCircuitAndOr) {
   const CompiledExpr pred = CompileWhere(
       "SELECT COUNT(*) FROM bid WHERE bid.price > 100.0 AND "
       "bid.country = 'US';");
-  EXPECT_FALSE(EvalPredicateSingle(pred, MakeBid(1, 0, 1, 1.0, "US")));
+  EXPECT_FALSE(Matches(pred, MakeBid(1, 0, 1, 1.0, "US")));
 }
 
 TEST_F(PlanTest, HostPlanContainsOnlySelectionAndProjection) {
@@ -141,7 +152,7 @@ TEST_F(PlanTest, HostPlanContainsOnlySelectionAndProjection) {
   EXPECT_EQ(host.start_time, 1000);
   EXPECT_EQ(host.end_time, 1000 + 60 * kMicrosPerSecond);
   ASSERT_EQ(host.sources.size(), 1u);
-  EXPECT_EQ(host.sources[0].conjuncts.size(), 1u);
+  EXPECT_EQ(host.sources[0].programs.size(), 1u);
   // Projection: user_id and price read; country and items dropped.
   EXPECT_TRUE(host.sources[0].keep_field[0]);
   EXPECT_TRUE(host.sources[0].keep_field[1]);
@@ -157,7 +168,7 @@ TEST_F(PlanTest, CentralPlanCarriesAggregatesAndGrouping) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const CentralPlan& central = plan->central;
   EXPECT_TRUE(central.aggregate_mode);
-  ASSERT_EQ(central.group_by.size(), 1u);
+  ASSERT_EQ(central.group_by_programs.size(), 1u);
   ASSERT_EQ(central.aggregates.size(), 2u);
   EXPECT_EQ(central.aggregates[0].func, AggregateFunc::kCount);
   EXPECT_EQ(central.aggregates[1].func, AggregateFunc::kAvg);
@@ -173,7 +184,7 @@ TEST_F(PlanTest, RawModeForProjectionQueries) {
       Plan("SELECT bid.user_id, bid.price FROM bid WHERE bid.price > 2.0;");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_FALSE(plan->central.aggregate_mode);
-  EXPECT_EQ(plan->central.raw_select.size(), 2u);
+  EXPECT_EQ(plan->central.raw_select_programs.size(), 2u);
   EXPECT_EQ(plan->central.column_names.size(), 2u);
 }
 
@@ -184,9 +195,9 @@ TEST_F(PlanTest, JoinConjunctsRouteToTheirSources) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ASSERT_EQ(plan->host.sources.size(), 2u);
   EXPECT_EQ(plan->host.sources[0].event_type, "bid");
-  EXPECT_EQ(plan->host.sources[0].conjuncts.size(), 1u);
+  EXPECT_EQ(plan->host.sources[0].programs.size(), 1u);
   EXPECT_EQ(plan->host.sources[1].event_type, "click");
-  EXPECT_EQ(plan->host.sources[1].conjuncts.size(), 1u);
+  EXPECT_EQ(plan->host.sources[1].programs.size(), 1u);
 }
 
 TEST_F(PlanTest, JoinedTupleEvaluation) {
@@ -202,7 +213,9 @@ TEST_F(PlanTest, JoinedTupleEvaluation) {
   click.SetField(0, Value(int64_t{5}));
   click.SetField(1, Value("modelB"));
   EventTuple tuple{&bid, &click};
-  EXPECT_EQ(EvalExpr(*user_ref, tuple), Value("modelB"));
+  EXPECT_EQ(EvalProgram(LowerExpr(*user_ref, aq->schemas), tuple),
+            Value("modelB"));
+  EXPECT_EQ(TreeEval(*user_ref, tuple), Value("modelB"));
 }
 
 TEST_F(PlanTest, OutputExprEvaluation) {

@@ -176,5 +176,56 @@ TEST_F(PushdownTest, ExpiryDropsState) {
   EXPECT_TRUE(agent.Flush(30 * kMicrosPerSecond).empty());
 }
 
+// Selection costs what a Scrub agent charges: predicate_term_ns per
+// instruction of the planner's folded, pruned programs. `4.0 / 2.0` folds
+// to a constant and `price > 1.0` is implied by `price > 2.0`, so the
+// redundant WHERE costs exactly what `price > 2.0` alone costs.
+TEST_F(PushdownTest, SelectionChargesTheFoldedProgramsLikeTheAgent) {
+  Result<PushdownPlan> redundant = Plan(
+      "SELECT COUNT(*) FROM bid WHERE bid.price > 4.0 / 2.0 AND "
+      "bid.price > 1.0 WINDOW 10 s DURATION 60 s;");
+  Result<PushdownPlan> plain = Plan(
+      "SELECT COUNT(*) FROM bid WHERE bid.price > 2.0 "
+      "WINDOW 10 s DURATION 60 s;");
+  Result<PushdownPlan> unfiltered =
+      Plan("SELECT COUNT(*) FROM bid WINDOW 10 s DURATION 60 s;");
+  ASSERT_TRUE(redundant.ok()) << redundant.status().ToString();
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
+  for (const double price : {0.5, 1.5, 3.0}) {
+    CostMeter meters[3];
+    PushdownAgent a(0, &meters[0]);
+    PushdownAgent b(0, &meters[1]);
+    PushdownAgent c(0, &meters[2]);
+    a.InstallQuery(*redundant);
+    b.InstallQuery(*plain);
+    c.InstallQuery(*unfiltered);
+    const Event e = MakeBid(1, 100, 1, price);
+    const int64_t plain_ns = b.LogEvent(e);
+    EXPECT_EQ(a.LogEvent(e), plain_ns) << "price " << price;
+    if (price > 2.0) {
+      // load + const + compare: three instructions on top of the rest.
+      EXPECT_EQ(plain_ns - c.LogEvent(e), 3 * CostModel{}.predicate_term_ns);
+    }
+  }
+}
+
+TEST_F(PushdownTest, ContradictoryWhereShipsNothingAndChargesNoPredicate) {
+  Result<PushdownPlan> plan = Plan(
+      "SELECT COUNT(*) FROM bid WHERE bid.price > 5.0 AND bid.price < 1.0 "
+      "WINDOW 10 s DURATION 60 s;");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_TRUE(plan->source.never_matches);
+  PushdownAgent agent(0, &meter_);
+  agent.InstallQuery(*plan);
+  const CostModel costs;
+  for (const double price : {0.5, 3.0, 10.0}) {
+    EXPECT_EQ(agent.LogEvent(MakeBid(1, 100, 1, price)),
+              costs.log_fixed_ns + 2 * costs.log_per_field_ns);
+  }
+  EXPECT_EQ(agent.current_state_entries(), 0u);
+  EXPECT_TRUE(agent.Flush(12 * kMicrosPerSecond).empty());
+}
+
 }  // namespace
 }  // namespace scrub

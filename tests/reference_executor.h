@@ -1,9 +1,13 @@
 // A deliberately naive, single-threaded reference executor: the oracle the
 // differential tests compare Scrub against.
 //
-// It shares nothing with Scrub's execution machinery except the compiled
-// expression evaluator and the output-expression renderer (so both sides
-// agree on operator semantics by construction). Everything the paper's
+// It shares nothing with Scrub's execution machinery except CompileExpr,
+// the operator definitions (ApplyBinaryOp/ApplyUnaryOp) and the
+// output-expression renderer, so both sides agree on operator semantics by
+// construction. It compiles its own WHERE, group keys, raw select items and
+// aggregate arguments straight from the AnalyzedQuery and evaluates them
+// with the tree walker in tests/tree_eval.h — it never reads the planner's
+// lowered, folded or pruned programs. Everything the paper's
 // pipeline does incrementally — host-side selection/projection, batching,
 // the symmetric hash join, per-window accumulators, sketches — the oracle
 // does the slow obvious way: buffer every ground-truth event, then for each
@@ -28,6 +32,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
@@ -37,6 +42,7 @@
 #include "src/plan/expr_eval.h"
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 
@@ -50,19 +56,36 @@ enum class ColumnCheck {
 
 class ReferenceExecutor {
  public:
-  // `analyzed` supplies the un-split WHERE; `plan` the central-side shape.
-  // Sampling must be inactive (the oracle models exact execution only) and
-  // joins are at most two-way, like the pipeline's pairwise tuples.
+  // `analyzed` supplies every expression (the un-split WHERE included);
+  // `plan` the central-side shape: window, mode, aggregate functions and
+  // output expressions. Sampling must be inactive (the oracle models exact
+  // execution only) and joins are at most two-way, like the pipeline's
+  // pairwise tuples.
   ReferenceExecutor(const AnalyzedQuery& analyzed, CentralPlan plan)
       : plan_(std::move(plan)) {
     assert(!plan_.SamplingActive());
     assert(plan_.sources.size() <= 2);
-    if (analyzed.query.where != nullptr) {
-      Result<CompiledExpr> where = CompileExpr(
-          *analyzed.query.where, plan_.sources, plan_.schemas);
-      assert(where.ok());
-      where_ = std::move(where).value();
+    const Query& q = analyzed.query;
+    if (q.where != nullptr) {
+      where_ = Compile(analyzed, *q.where);
       has_where_ = true;
+    }
+    if (plan_.aggregate_mode) {
+      for (const ExprPtr& g : q.group_by) {
+        group_by_.push_back(Compile(analyzed, *g));
+      }
+      // Aggregate slots in the order the planner numbers them: depth-first
+      // through each select item, items in select order.
+      for (const SelectItem& item : q.select) {
+        CollectAggregateArgs(analyzed, *item.expr);
+      }
+      if (agg_args_.size() != plan_.aggregates.size()) {
+        std::abort();  // slot numbering drifted from the planner's
+      }
+    } else {
+      for (const SelectItem& item : q.select) {
+        raw_select_.push_back(Compile(analyzed, *item.expr));
+      }
     }
     events_.resize(plan_.sources.size());
   }
@@ -129,6 +152,36 @@ class ReferenceExecutor {
     std::vector<Value> key;
     std::vector<NaiveAcc> slots;
   };
+
+  // One aggregate slot's argument; COUNT(*) has none.
+  struct AggArg {
+    bool has_arg = false;
+    CompiledExpr arg;
+  };
+
+  static CompiledExpr Compile(const AnalyzedQuery& analyzed, const Expr& e) {
+    Result<CompiledExpr> compiled =
+        CompileExpr(e, analyzed.query.sources, analyzed.schemas);
+    if (!compiled.ok()) {
+      std::abort();
+    }
+    return std::move(compiled).value();
+  }
+
+  void CollectAggregateArgs(const AnalyzedQuery& analyzed, const Expr& e) {
+    if (e.kind == ExprKind::kAggregate) {
+      AggArg slot;
+      if (!e.children.empty()) {
+        slot.has_arg = true;
+        slot.arg = Compile(analyzed, *e.children[0]);
+      }
+      agg_args_.push_back(std::move(slot));
+      return;
+    }
+    for (const ExprPtr& child : e.children) {
+      CollectAggregateArgs(analyzed, *child);
+    }
+  }
 
   // The loosest aggregate anywhere in the column expression decides how the
   // column can be compared.
@@ -206,15 +259,15 @@ class ReferenceExecutor {
 
     if (!plan_.aggregate_mode) {
       for (const EventTuple& tuple : tuples) {
-        if (has_where_ && !EvalPredicate(where_, tuple)) {
+        if (has_where_ && !TreePredicate(where_, tuple)) {
           continue;
         }
         ResultRow row;
         row.query_id = plan_.query_id;
         row.window_start = start;
         row.window_end = end;
-        for (const CompiledExpr& e : plan_.raw_select) {
-          row.values.push_back(EvalExpr(e, tuple));
+        for (const CompiledExpr& e : raw_select_) {
+          row.values.push_back(TreeEval(e, tuple));
         }
         row.error_bounds.assign(row.values.size(), 0.0);
         rows->push_back(std::move(row));
@@ -224,13 +277,13 @@ class ReferenceExecutor {
 
     std::map<std::string, NaiveGroup> groups;
     for (const EventTuple& tuple : tuples) {
-      if (has_where_ && !EvalPredicate(where_, tuple)) {
+      if (has_where_ && !TreePredicate(where_, tuple)) {
         continue;
       }
       std::vector<Value> key;
       std::string rendered;
-      for (const CompiledExpr& g : plan_.group_by) {
-        key.push_back(EvalExpr(g, tuple));
+      for (const CompiledExpr& g : group_by_) {
+        key.push_back(TreeEval(g, tuple));
         rendered += key.back().ToString() + "\x1f";
       }
       NaiveGroup& group = groups[rendered];
@@ -239,12 +292,12 @@ class ReferenceExecutor {
         group.slots.resize(plan_.aggregates.size());
       }
       for (size_t i = 0; i < plan_.aggregates.size(); ++i) {
-        Update(plan_.aggregates[i], tuple, &group.slots[i]);
+        Update(plan_.aggregates[i], agg_args_[i], tuple, &group.slots[i]);
       }
     }
 
     // Continuous time series for ungrouped queries, like CloseWindow.
-    if (plan_.group_by.empty() && groups.empty()) {
+    if (group_by_.empty() && groups.empty()) {
       groups[""].slots.resize(plan_.aggregates.size());
     }
 
@@ -273,11 +326,11 @@ class ReferenceExecutor {
            e.timestamp() < plan_.end_time;
   }
 
-  static void Update(const AggregateSpec& spec, const EventTuple& tuple,
-                     NaiveAcc* acc) {
+  static void Update(const AggregateSpec& spec, const AggArg& slot,
+                     const EventTuple& tuple, NaiveAcc* acc) {
     Value arg;
-    if (spec.has_arg) {
-      arg = EvalExpr(spec.arg, tuple);
+    if (slot.has_arg) {
+      arg = TreeEval(slot.arg, tuple);
       if (arg.is_null()) {
         return;  // aggregates skip null arguments
       }
@@ -362,6 +415,9 @@ class ReferenceExecutor {
   CentralPlan plan_;
   CompiledExpr where_;
   bool has_where_ = false;
+  std::vector<CompiledExpr> group_by_;    // aggregate mode
+  std::vector<AggArg> agg_args_;          // aggregate mode, one per slot
+  std::vector<CompiledExpr> raw_select_;  // raw mode
   std::vector<std::vector<Event>> events_;  // per source, arrival order
 };
 

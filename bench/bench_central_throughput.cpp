@@ -66,7 +66,7 @@ class CentralBench {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.payload = EncodeBatch(events);
+    batch.format = EncodeEvents(events, &batch.payload);
     return batch;
   }
 
@@ -91,7 +91,7 @@ class CentralBench {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.payload = EncodeBatch(events);
+    batch.format = EncodeEvents(events, &batch.payload);
     return batch;
   }
 

@@ -1,26 +1,21 @@
 // Ingest microbench: the full data plane — agent-side filter + project +
-// encode, then central-side decode + fold — over the identical event stream
-// through both pipelines:
-//
-//  * row: per-event host filter (HostSourcePlan::Selects), per-event
-//    projection copy, EncodeBatch / DecodeBatch, per-Event fold;
-//  * columnar: ColumnBatch staging, the vectorized host filter
-//    (HostSourcePlan::SelectBatch) over a selection vector,
-//    EncodeColumnBatch / DecodeColumnBatch, per-row fold straight off the
-//    columns (no intermediate Event).
-//
-// Every pipeline selects with the planner's folded, pruned programs through
-// the same HostSourcePlan entry points the agent calls.
+// encode, then central-side decode + fold — over a fixed event stream:
+// ColumnBatch staging, the vectorized host filter
+// (HostSourcePlan::SelectBatch) over a selection vector, EncodeColumnBatch /
+// DecodeColumnBatch, and the per-row fold straight off the columns (no
+// intermediate Event). Every pipeline selects with the planner's folded,
+// pruned programs through the same HostSourcePlan entry points the agent
+// calls.
 //
 // Cases: "scan" (single-source grouped aggregate, the historical bench),
-// "join" (two sources equi-joined on request id, run as row batches,
-// per-source kColumnar batches, AND the staged kColumnarJoin format whose
-// order bytes carry the arrival interleave), "dict" (a kept low-cardinality
-// string column, gated on the wire-bytes reduction the dictionary encoding
-// buys), and "filter" (the agent-flush selection step in isolation). The
-// join case exercises the executor's columnar join path: the probe reads
-// the request-id column directly and joined tuples fold column-direct
-// through mixed slots — orphans never materialize an Event. The filter
+// "join" (two sources equi-joined on request id, run as per-source
+// kColumnar batches AND the staged kColumnarJoin format whose order bytes
+// carry the arrival interleave), "dict" (a kept low-cardinality string
+// column, gated on the wire-bytes reduction the dictionary encoding buys
+// over one record per event), and "filter" (the agent-flush selection step
+// in isolation). The join case exercises the executor's join path: the
+// probe reads the request-id column directly and joined tuples fold
+// column-direct — orphans never materialize an Event. The filter
 // case runs a WHERE with install-time-foldable arithmetic and redundant
 // bounds three ways: the planner's programs per event (ir_row) and
 // vectorized (ir_columnar), and every conjunct lowered without folding and
@@ -29,14 +24,14 @@
 // Every filter run's match count is checked against a count read straight
 // off the price and tag fields.
 //
-// Both runs of a case must produce the identical result transcript
+// Every run of a case must produce the identical result transcript
 // (asserted) — the benchmark measures representation, not semantics. Timing
 // uses CLOCK_THREAD_CPUTIME_ID (single-core safe, like
 // bench_parallel_central); best-of-three is the estimator. Output is the
-// "ingest" JSON section merged into BENCH_scrub.json by tools/bench_run.sh
-// and gated by tools/bench_compare.py: the columnar pipeline must hold
-// >= 1.5x the row pipeline's events/sec on the scan case. The join case
-// rides under the "join" key (legacy baselines without it stay readable).
+// "ingest" JSON section merged into BENCH_scrub.json by tools/bench_run.sh.
+// tools/ingest_vs_parent.sh races the scan and join runs against the parent
+// commit's build on the same machine; tools/bench_compare.py gates the
+// other cases against the committed baseline.
 //
 // Usage: bench_ingest [events_per_batch] > ingest.json
 
@@ -53,7 +48,6 @@
 #include "src/common/worker_pool.h"
 #include "src/event/column_batch.h"
 #include "src/event/wire.h"
-#include "src/plan/expr_eval.h"
 #include "src/plan/expr_ir.h"
 #include "src/query/analyzer.h"
 
@@ -199,8 +193,8 @@ Workload JoinWorkload(size_t events_per_batch) {
 // values) is a group key, so it survives projection onto the wire — where
 // the columnar encoder dictionary-encodes it (4-entry dict + one code byte
 // per row instead of a length-prefixed string per row). The case gates the
-// wire-bytes reduction vs the row pipeline and asserts the dictionary was
-// actually chosen.
+// wire-bytes reduction vs one record per event (RecordFormatBytes) and
+// asserts the dictionary was actually chosen.
 Workload DictWorkload(size_t events_per_batch) {
   Workload w;
   w.schemas.push_back(*EventSchema::Builder("bid")
@@ -408,10 +402,11 @@ struct RunResult {
   std::vector<std::string> transcript;
 };
 
-// Pipeline under test. kColumnarJoin ships ALL of a (tick, host)'s sources
-// as one kColumnarJoin batch: per-source sections plus the staging order —
-// exactly what the agent's per-source join staging puts on the wire.
-enum class Mode { kRow, kColumnar, kColumnarJoin };
+// Pipeline under test. kColumnar ships one kColumnar batch per (tick, host,
+// source); kColumnarJoin ships ALL of a (tick, host)'s sources as one
+// kColumnarJoin batch: per-source sections plus the staging order — exactly
+// what the agent's per-source join staging puts on the wire.
+enum class Mode { kColumnar, kColumnarJoin };
 
 // One full pass of the stream through the chosen pipeline. The returned
 // transcript is the self-check: every representation must emit the same
@@ -420,9 +415,7 @@ RunResult RunOne(const Workload& w, Mode mode, CentralConfig config = {}) {
   config.allowed_lateness = 0;
   ScrubCentral central(&w.registry, config);
   RunResult r;
-  r.pipeline = mode == Mode::kRow ? "row"
-               : mode == Mode::kColumnar ? "columnar"
-                                         : "join_columnar";
+  r.pipeline = mode == Mode::kColumnar ? "columnar" : "join_columnar";
   auto sink = [&r](const ResultRow& row) {
     r.transcript.push_back(
         StrFormat("w%lld %s", static_cast<long long>(row.window_start),
@@ -440,7 +433,7 @@ RunResult RunOne(const Workload& w, Mode mode, CentralConfig config = {}) {
       if (mode == Mode::kColumnarJoin) {
         // Stage every source columnar, filter vectorized, then ship the
         // survivors as one kColumnarJoin batch whose order bytes replay the
-        // row path's fold sequence (all of source 0, then source 1, ...).
+        // per-source batches' fold sequence (all of source 0, then 1, ...).
         std::vector<ColumnBatch> staged;
         std::vector<std::vector<uint32_t>> selections(w.sources.size());
         for (size_t s = 0; s < w.sources.size(); ++s) {
@@ -487,46 +480,25 @@ RunResult RunOne(const Workload& w, Mode mode, CentralConfig config = {}) {
       }
       for (size_t s = 0; s < w.sources.size(); ++s) {
         const HostSourcePlan& sp = w.sources[s];
-        const size_t field_count = w.schemas[s]->field_count();
         const auto& events = w.stream[static_cast<size_t>(tick)]
                                      [static_cast<size_t>(host)][s];
         EventBatch batch;
         batch.query_id = w.central_plan.query_id;
         batch.host = static_cast<HostId>(host);
         batch.seq = seq++;
-        if (mode == Mode::kRow) {
-          // Row data plane: per-event predicate, per-event projection copy.
-          std::vector<Event> shipped;
-          for (const Event& e : events) {
-            int64_t insts = 0;
-            if (!sp.Selects(e, &insts)) {
-              continue;
-            }
-            Event out(e.schema(), e.request_id(), e.timestamp());
-            for (size_t f = 0; f < field_count; ++f) {
-              if (sp.keep_field[f]) {
-                out.SetField(f, e.field(f));
-              }
-            }
-            shipped.push_back(std::move(out));
-          }
-          batch.event_count = shipped.size();
-          batch.payload = EncodeBatch(shipped);
-        } else {
-          // Columnar data plane: stage, filter vectorized, encode selection.
-          ColumnBatch cols(w.schemas[s]);
-          cols.Reserve(events.size());
-          for (const Event& e : events) {
-            cols.AppendEvent(e);
-          }
-          std::vector<uint32_t> selection(cols.rows());
-          std::iota(selection.begin(), selection.end(), 0u);
-          sp.SelectBatch(cols, &selection);
-          batch.format = BatchFormat::kColumnar;
-          batch.event_count = selection.size();
-          EncodeColumnBatch(cols, selection.data(), selection.size(),
-                            &sp.keep_field, &batch.payload, &r.encodings);
+        // Stage, filter vectorized, encode the selection.
+        ColumnBatch cols(w.schemas[s]);
+        cols.Reserve(events.size());
+        for (const Event& e : events) {
+          cols.AppendEvent(e);
         }
+        std::vector<uint32_t> selection(cols.rows());
+        std::iota(selection.begin(), selection.end(), 0u);
+        sp.SelectBatch(cols, &selection);
+        batch.format = BatchFormat::kColumnar;
+        batch.event_count = selection.size();
+        EncodeColumnBatch(cols, selection.data(), selection.size(),
+                          &sp.keep_field, &batch.payload, &r.encodings);
         r.shipped += batch.event_count;
         r.payload_bytes += batch.WireSize();
         if (!central.IngestBatch(batch, now).ok()) {
@@ -555,70 +527,72 @@ RunResult RunOne(const Workload& w, Mode mode, CentralConfig config = {}) {
   return r;
 }
 
-// Best-of-three row + columnar passes; transcripts must agree.
-struct CasePair {
-  RunResult row;
-  RunResult col;
-};
-
-CasePair RunCase(const Workload& w, const char* name) {
-  CasePair pair;
-  pair.row = RunOne(w, Mode::kRow);
-  pair.col = RunOne(w, Mode::kColumnar);
-  if (pair.row.transcript != pair.col.transcript) {
-    std::fprintf(stderr, "%s pipelines diverged: %zu vs %zu rows\n", name,
-                 pair.row.transcript.size(), pair.col.transcript.size());
-    std::exit(1);
-  }
+// Best of three passes of one pipeline; every pass must emit the same
+// transcript.
+RunResult BestOf3(const Workload& w, Mode mode, const char* name) {
+  RunResult best = RunOne(w, mode);
   for (int rep = 1; rep < 3; ++rep) {
-    RunResult again = RunOne(w, Mode::kRow);
-    if (again.seconds < pair.row.seconds) {
-      pair.row = std::move(again);
+    RunResult again = RunOne(w, mode);
+    if (again.transcript != best.transcript) {
+      std::fprintf(stderr, "%s passes diverged: %zu vs %zu rows\n", name,
+                   again.transcript.size(), best.transcript.size());
+      std::exit(1);
     }
-    again = RunOne(w, Mode::kColumnar);
-    if (again.seconds < pair.col.seconds) {
-      pair.col = std::move(again);
+    if (again.seconds < best.seconds) {
+      best = std::move(again);
     }
   }
-  return pair;
+  return best;
 }
 
-// The join case runs three representations: row batches, per-source
-// kColumnar batches (the lazy-probe legacy), and the kColumnarJoin staged
-// format. All three transcripts must be byte-identical.
+// The join case runs two representations: per-source kColumnar batches
+// (the lazy-probe legacy) and the kColumnarJoin staged format. Both
+// transcripts must be byte-identical.
 struct JoinCase {
-  RunResult row;
   RunResult col;
   RunResult join_col;
 };
 
 JoinCase RunJoinCase(const Workload& w) {
   JoinCase out;
-  out.row = RunOne(w, Mode::kRow);
-  out.col = RunOne(w, Mode::kColumnar);
-  out.join_col = RunOne(w, Mode::kColumnarJoin);
-  if (out.row.transcript != out.col.transcript ||
-      out.row.transcript != out.join_col.transcript) {
-    std::fprintf(stderr, "join pipelines diverged: %zu / %zu / %zu rows\n",
-                 out.row.transcript.size(), out.col.transcript.size(),
-                 out.join_col.transcript.size());
+  out.col = BestOf3(w, Mode::kColumnar, "join columnar");
+  out.join_col = BestOf3(w, Mode::kColumnarJoin, "join join_columnar");
+  if (out.col.transcript != out.join_col.transcript) {
+    std::fprintf(stderr, "join pipelines diverged: %zu / %zu rows\n",
+                 out.col.transcript.size(), out.join_col.transcript.size());
     std::exit(1);
   }
-  for (int rep = 1; rep < 3; ++rep) {
-    RunResult again = RunOne(w, Mode::kRow);
-    if (again.seconds < out.row.seconds) {
-      out.row = std::move(again);
-    }
-    again = RunOne(w, Mode::kColumnar);
-    if (again.seconds < out.col.seconds) {
-      out.col = std::move(again);
-    }
-    again = RunOne(w, Mode::kColumnarJoin);
-    if (again.seconds < out.join_col.seconds) {
-      out.join_col = std::move(again);
+  return out;
+}
+
+// The dict case's denominator: the bytes the same stream costs when every
+// shipped event travels as its own record — per (tick, host, source) batch,
+// a 36-byte header, a u32 event count and one EncodeEvent record per
+// selected event with its dropped fields null.
+uint64_t RecordFormatBytes(const Workload& w) {
+  uint64_t bytes = 0;
+  for (const auto& per_host : w.stream) {
+    for (const auto& per_source : per_host) {
+      for (size_t s = 0; s < w.sources.size(); ++s) {
+        const HostSourcePlan& sp = w.sources[s];
+        bytes += 36 + 4;
+        for (const Event& e : per_source[s]) {
+          int64_t insts = 0;
+          if (!sp.Selects(e, &insts)) {
+            continue;
+          }
+          Event out(e.schema(), e.request_id(), e.timestamp());
+          for (size_t f = 0; f < out.field_count(); ++f) {
+            if (sp.keep_field[f]) {
+              out.SetField(f, e.field(f));
+            }
+          }
+          bytes += out.WireSize();
+        }
+      }
     }
   }
-  return out;
+  return bytes;
 }
 
 // Memory-pressure case: the columnar pipeline over a high-cardinality
@@ -713,20 +687,15 @@ MetricsCase RunMetricsCase(const Workload& w) {
   return out;
 }
 
-std::string RunsJson(const CasePair& pair, const char* indent) {
-  std::string out;
-  for (const RunResult* r : {&pair.row, &pair.col}) {
-    out += StrFormat(
-        "%s{\"pipeline\": \"%s\", \"events\": %llu, \"shipped\": %llu, "
-        "\"payload_bytes\": %llu, \"seconds\": %.6f, "
-        "\"events_per_sec\": %.0f}%s\n",
-        indent, r->pipeline.c_str(),
-        static_cast<unsigned long long>(r->events),
-        static_cast<unsigned long long>(r->shipped),
-        static_cast<unsigned long long>(r->payload_bytes), r->seconds,
-        r->events_per_sec, r == &pair.row ? "," : "");
-  }
-  return out;
+std::string RunJson(const RunResult& r, const char* indent, bool last) {
+  return StrFormat(
+      "%s{\"pipeline\": \"%s\", \"events\": %llu, \"shipped\": %llu, "
+      "\"payload_bytes\": %llu, \"seconds\": %.6f, "
+      "\"events_per_sec\": %.0f}%s\n",
+      indent, r.pipeline.c_str(), static_cast<unsigned long long>(r.events),
+      static_cast<unsigned long long>(r.shipped),
+      static_cast<unsigned long long>(r.payload_bytes), r.seconds,
+      r.events_per_sec, last ? "" : ",");
 }
 
 int Main(int argc, char** argv) {
@@ -738,16 +707,16 @@ int Main(int argc, char** argv) {
   const FilterWorkload filter = MakeFilterWorkload(events_per_batch);
   const Workload spill = ScanWorkload(events_per_batch, /*cardinality=*/2048);
 
-  const CasePair scan_pair = RunCase(scan, "scan");
+  const RunResult scan_run = BestOf3(scan, Mode::kColumnar, "scan");
   const JoinCase join_case = RunJoinCase(join);
-  const CasePair dict_pair = RunCase(dict, "dict");
+  const RunResult dict_run = BestOf3(dict, Mode::kColumnar, "dict");
+  const uint64_t dict_record_bytes = RecordFormatBytes(dict);
   const SpillCaseResult spill_case = RunSpillCase(spill);
   const MetricsCase metrics_case = RunMetricsCase(scan);
 
   // The dict case only means something if the dictionary actually fired on
   // the kept string column (field 2, "tag").
-  if (dict_pair.col.encodings.size() != 3 ||
-      dict_pair.col.encodings[2] <= 0) {
+  if (dict_run.encodings.size() != 3 || dict_run.encodings[2] <= 0) {
     std::fprintf(stderr, "dict case: tag column was not dict-encoded\n");
     std::exit(1);
   }
@@ -771,9 +740,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // The scan case keeps the legacy top-level layout ("runs" /
-  // "speedup_vs_row") so committed baselines compare without migration; the
-  // join case nests under "join".
+  // The scan case keeps the top-level "runs" layout; the other cases nest
+  // under their own keys.
   std::string out = "{\n";
   out += "  \"bench\": \"ingest\",\n";
   out += StrFormat("  \"events_per_batch\": %zu,\n", events_per_batch);
@@ -783,44 +751,28 @@ int Main(int argc, char** argv) {
       "  \"timing\": \"thread CPU clock, best of 3, decode+filter+fold "
       "end to end\",\n";
   out += "  \"runs\": [\n";
-  out += RunsJson(scan_pair, "    ");
+  out += RunJson(scan_run, "    ", /*last=*/true);
   out += "  ],\n";
-  out += StrFormat("  \"speedup_vs_row\": %.3f,\n",
-                   scan_pair.col.events_per_sec /
-                       scan_pair.row.events_per_sec);
   out += "  \"join\": {\n";
   out += "    \"query\": \"bid x impression equi-join on request id, "
          "grouped COUNT/SUM\",\n";
   out += "    \"runs\": [\n";
-  const RunResult* join_results[] = {&join_case.row, &join_case.col,
-                                     &join_case.join_col};
-  for (const RunResult* r : join_results) {
-    out += StrFormat(
-        "      {\"pipeline\": \"%s\", \"events\": %llu, \"shipped\": %llu, "
-        "\"payload_bytes\": %llu, \"seconds\": %.6f, "
-        "\"events_per_sec\": %.0f}%s\n",
-        r->pipeline.c_str(), static_cast<unsigned long long>(r->events),
-        static_cast<unsigned long long>(r->shipped),
-        static_cast<unsigned long long>(r->payload_bytes), r->seconds,
-        r->events_per_sec, r == &join_case.join_col ? "" : ",");
-  }
-  out += "    ],\n";
-  // The gated figure: the staged kColumnarJoin pipeline over the row
-  // pipeline, end to end.
-  out += StrFormat("    \"speedup_vs_row\": %.3f\n",
-                   join_case.join_col.events_per_sec /
-                       join_case.row.events_per_sec);
+  out += RunJson(join_case.col, "      ", /*last=*/false);
+  out += RunJson(join_case.join_col, "      ", /*last=*/true);
+  out += "    ]\n";
   out += "  },\n";
   out += "  \"dict\": {\n";
   out += "    \"query\": \"grouped COUNT/SUM keyed by a 4-value string "
          "column: the kept tag ships as a dictionary + code bytes\",\n";
   out += "    \"runs\": [\n";
-  out += RunsJson(dict_pair, "      ");
+  out += RunJson(dict_run, "      ", /*last=*/true);
   out += "    ],\n";
-  out += StrFormat("    \"dict_entries\": %d,\n", dict_pair.col.encodings[2]);
+  out += StrFormat("    \"dict_entries\": %d,\n", dict_run.encodings[2]);
+  out += StrFormat("    \"record_format_bytes\": %llu,\n",
+                   static_cast<unsigned long long>(dict_record_bytes));
   out += StrFormat("    \"wire_bytes_reduction\": %.3f\n",
-                   static_cast<double>(dict_pair.row.payload_bytes) /
-                       static_cast<double>(dict_pair.col.payload_bytes));
+                   static_cast<double>(dict_record_bytes) /
+                       static_cast<double>(dict_run.payload_bytes));
   out += "  },\n";
   out += "  \"spill\": {\n";
   out += "    \"query\": \"grouped scan over 2048 keys/window at state "

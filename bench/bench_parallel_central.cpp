@@ -117,7 +117,7 @@ struct Workload {
         batch.host = static_cast<HostId>(host);
         batch.seq = seq++;
         batch.event_count = events.size();
-        batch.payload = EncodeBatch(events);
+        batch.format = EncodeEvents(events, &batch.payload);
         per_tick[static_cast<size_t>(tick)].push_back(std::move(batch));
         total_events += events.size();
       }

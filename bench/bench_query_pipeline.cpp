@@ -13,7 +13,6 @@
 #include "src/bidsim/schemas.h"
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
-#include "src/event/wire.h"
 #include "src/query/parser.h"
 
 namespace scrub {
@@ -149,21 +148,6 @@ void BM_PredicateEval(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PredicateEval);
-
-void BM_EventEncodeDecode(benchmark::State& state) {
-  SchemaRegistry* registry = BidsimRegistry();
-  std::vector<Event> events;
-  for (RequestId r = 0; r < 256; ++r) {
-    events.push_back(MakeBidEvent(*registry, r, 100));
-  }
-  for (auto _ : state) {
-    const std::string payload = EncodeBatch(events);
-    Result<std::vector<Event>> back = DecodeBatch(*registry, payload);
-    benchmark::DoNotOptimize(back.ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
-}
-BENCHMARK(BM_EventEncodeDecode);
 
 }  // namespace
 }  // namespace scrub

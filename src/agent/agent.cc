@@ -26,19 +26,6 @@ void ScrubAgent::RemoveQuery(QueryId query_id) {
   staging_accountant_.ReleaseAll(query_id);  // staged events die with it
 }
 
-void ScrubAgent::SetBatchOverride(QueryId query_id, size_t max_batch_events) {
-  const auto it = queries_.find(query_id);
-  if (it != queries_.end()) {
-    it->second.batch_override = max_batch_events;
-  }
-}
-
-size_t ScrubAgent::BatchLimitFor(QueryId query_id) const {
-  const auto it = queries_.find(query_id);
-  return it == queries_.end() ? config_.max_batch_events
-                              : EffectiveBatch(it->second);
-}
-
 TimeMicros ScrubAgent::WindowStartFor(const ActiveQuery& q,
                                       TimeMicros ts) const {
   // Counters are kept per slide period; for tumbling queries the slide
@@ -231,7 +218,7 @@ void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
   q.columns[0].clear();
   meter_->ChargeScrub(SelectStaged(sp, cols, &selection, &q.stats));
 
-  const size_t max_batch = EffectiveBatch(q);
+  const size_t max_batch = config_.max_batch_events;
   for (size_t start = 0; start < selection.size(); start += max_batch) {
     const size_t n = std::min(max_batch, selection.size() - start);
     EventBatch batch;
@@ -298,7 +285,7 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
     // does not wipe the "most recent shipped encodings" report.
     q.stats.last_encodings.assign(num_sources, {});
   }
-  const size_t max_batch = EffectiveBatch(q);
+  const size_t max_batch = config_.max_batch_events;
   for (size_t start = 0; start < arrivals.size(); start += max_batch) {
     const size_t n = std::min(max_batch, arrivals.size() - start);
     // Per-source row lists for this chunk. Rows within a source are in row
@@ -452,11 +439,9 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
       FlushColumns(it->first, q, now, &batches);
     }
     // Counters no event batch carried (heartbeats, flushes whose staged
-    // events were all filtered) ship counters-only. The wire form is fixed:
-    // kRow, no events, payload EncodeBatch({}).
+    // events were all filtered) ship counters-only: no events, no payload.
     if (!q.pending_counters.empty()) {
       EventBatch batch;
-      batch.payload = EncodeBatch({});
       Ship(it->first, q, std::move(batch), now, &batches);
     }
     // A flush drains the query's row lists completely, so its whole byte

@@ -78,22 +78,20 @@ struct EventBatch {
   HostId host = kInvalidHost;
   uint64_t seq = 0;
   uint64_t epoch = 0;
-  BatchFormat format = BatchFormat::kRow;  // how `payload` is laid out
-  // EncodeColumnBatch (kColumnar), EncodeColumnJoinBatch (kColumnarJoin),
-  // EncodePreAggBatch (kPreAgg) or EncodeBatch (kRow: a counters-only batch
-  // from an agent, or a hand-built / spilled batch of events).
+  BatchFormat format = BatchFormat::kColumnar;  // how `payload` is laid out
+  // EncodeColumnBatch (kColumnar), EncodeColumnJoinBatch (kColumnarJoin) or
+  // EncodePreAggBatch (kPreAgg). A counters-only batch has event_count 0
+  // and an empty payload; central never reads it.
   std::string payload;
   size_t event_count = 0;
   std::vector<WindowCounter> counters;  // deltas since the previous flush
 
   // Honest wire accounting: the encoded events, each counter's window start
   // plus three u64 readings (seen, sampled, shed), and the header (query_id
-  // 8 + host 4 + seq 8 + epoch 8 + event_count 4 + counter_count 4).
-  // Columnar and pre-aggregated batches spend one extra byte on the format
-  // discriminator; row batches stay byte-identical to the original wire.
+  // 8 + host 4 + seq 8 + epoch 8 + event_count 4 + counter_count 4 +
+  // format 1).
   size_t WireSize() const {
-    return payload.size() + 32 * counters.size() + 36 +
-           (format == BatchFormat::kRow ? 0 : 1);
+    return payload.size() + 32 * counters.size() + 37;
   }
 };
 
@@ -193,7 +191,7 @@ class ScrubAgent {
   // the survivors in batches (at most max_batch_events each) and emits
   // counter deltas. Counters that no event batch carried (heartbeats, or a
   // flush whose staged events were all filtered) ship in one counters-only
-  // kRow batch: event_count 0, payload EncodeBatch({}). Also retires
+  // batch: event_count 0, empty payload. Also retires
   // queries whose span has passed `now` (returns their ids in `expired` if
   // non-null). Every flush ends with the shared staging batches empty.
   std::vector<EventBatch> Flush(TimeMicros now,
@@ -209,16 +207,6 @@ class ScrubAgent {
 
   size_t pending_retransmits() const;
   uint64_t epoch() const { return epoch_; }
-
-  // Adaptive-execution hooks (driven by the central AdaptiveController).
-  //
-  // SetBatchOverride replaces config.max_batch_events for one query (0
-  // restores the configured default). It takes effect at the next flush;
-  // batch boundaries carry no fold effects at central, so re-chunking is
-  // transcript-neutral by construction.
-  void SetBatchOverride(QueryId query_id, size_t max_batch_events);
-  // Effective batch cap (the config default for unknown queries).
-  size_t BatchLimitFor(QueryId query_id) const;
 
   const AgentQueryStats* StatsFor(QueryId query_id) const;
   uint64_t total_events_logged() const { return total_events_logged_; }
@@ -254,8 +242,6 @@ class ScrubAgent {
       std::vector<PreAggGroup> groups;
     };
     std::map<TimeMicros, PreAggState> preagg;
-    // Adaptive override: 0 = use config.max_batch_events.
-    size_t batch_override = 0;
     AgentQueryStats stats;
 
     explicit ActiveQuery(const HostPlan& p) : plan(p) {}
@@ -293,12 +279,6 @@ class ScrubAgent {
 
   // Total rows staged across a query's per-source row lists.
   size_t StagedRows(const ActiveQuery& q) const;
-
-  // Per-query flush chunk cap: the adaptive override when set, else the
-  // configured default.
-  size_t EffectiveBatch(const ActiveQuery& q) const {
-    return q.batch_override > 0 ? q.batch_override : config_.max_batch_events;
-  }
 
   // Pre-aggregation path: folds one selected event into its slot's delta
   // cells (returns the CPU charged), and flushes the accumulated deltas as

@@ -46,8 +46,11 @@ void LoggingPipeline::PumpFlushes() {
       std::vector<Event> chunk(events.begin() + static_cast<long>(offset),
                                events.begin() + static_cast<long>(offset + n));
       offset += n;
-      const std::string payload = EncodeBatch(chunk);
-      const size_t bytes = payload.size();
+      // Warehouse log format: a u32 record count, then one record per event.
+      size_t bytes = 4;
+      for (const Event& e : chunk) {
+        bytes += e.WireSize();
+      }
       transport_->Send(host, warehouse_host_, bytes,
                        TrafficCategory::kBaselineLog,
                        [this, host = host, chunk = std::move(chunk), bytes] {
@@ -129,7 +132,7 @@ Result<LoggingPipeline::BatchAnswer> LoggingPipeline::RunQuery(
     batch.query_id = central_plan.query_id;
     batch.host = host;
     batch.event_count = events.size();
-    batch.payload = EncodeBatch(events);
+    batch.format = EncodeEvents(events, &batch.payload);
     s = engine.IngestBatch(batch, last_arrival_);
     if (!s.ok()) {
       return s;

@@ -108,19 +108,6 @@ Status ScrubCentral::IngestBatch(const EventBatch& batch, TimeMicros now) {
   return executor_.DecodeAndFold(q, batch.host, batch);
 }
 
-Status ScrubCentral::IngestEvents(QueryId query_id, HostId host,
-                                  const std::vector<Event>& events) {
-  const auto it = queries_.find(query_id);
-  if (it == queries_.end()) {
-    return OkStatus();  // raced teardown, mirror IngestBatch
-  }
-  QueryState& q = it->second;
-  ++q.stats.batches;
-  executor_.StampDecodeRows(q, events.size());
-  executor_.Fold(q, host, InputChunk::Rows(events));
-  return OkStatus();
-}
-
 Status ScrubCentral::IngestColumns(QueryId query_id, HostId host,
                                    std::shared_ptr<const ColumnBatch> batch,
                                    const uint32_t* selection,

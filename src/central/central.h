@@ -18,8 +18,8 @@
 // ScrubCentral itself is a thin facility adapter: it owns query lifecycle
 // (install / dedup / retire) and maps every ingest entry point onto the
 // physical-operator Executor (src/central/executor.h), which interprets the
-// pipeline CompilePhysical() built from the plan. Row spans, ColumnBatch
-// selections and shard roles all flow through that one executor.
+// pipeline CompilePhysical() built from the plan. Every event reaches that
+// one executor as a ColumnBatch selection, whatever the shard role.
 
 #ifndef SRC_CENTRAL_CENTRAL_H_
 #define SRC_CENTRAL_CENTRAL_H_
@@ -60,29 +60,24 @@ class ScrubCentral {
   // Ingests one host batch (decodes payload against the schema registry).
   Status IngestBatch(const EventBatch& batch, TimeMicros now);
 
-  // Sharded-router fast path: already-decoded, already-deduplicated events
-  // from `host`. The router dedups before re-bucketing and owns counter
-  // accounting, so this skips both; window assignment, the request-id join,
-  // grouping and accumulation are exactly IngestBatch's. Distinct
-  // ScrubCentral instances may run this concurrently (each touches only its
-  // own state); one instance must not.
-  Status IngestEvents(QueryId query_id, HostId host,
-                      const std::vector<Event>& events);
-
-  // Columnar twin of IngestEvents: folds the selected rows of a decoded
-  // ColumnBatch straight into accumulators — no per-event Event allocation.
-  // `selection` lists row indices in fold order (nullptr = all rows). Join
-  // plans probe the request-id column directly and buffer (batch, row)
-  // references, which is why the batch arrives shared: the window's join
-  // buffer pins it past the call. Same concurrency contract as IngestEvents.
+  // Sharded-router fast path: folds the selected rows of an already-decoded,
+  // already-deduplicated ColumnBatch from `host` straight into accumulators.
+  // The router dedups before re-bucketing and owns counter accounting, so
+  // this skips both; window assignment, the request-id join, grouping and
+  // accumulation are exactly IngestBatch's. `selection` lists row indices in
+  // fold order (nullptr = all rows). Join plans probe the request-id column
+  // directly and buffer (batch, row) references, which is why the batch
+  // arrives shared: the window's join buffer pins it past the call.
+  // Distinct ScrubCentral instances may run this concurrently (each touches
+  // only its own state); one instance must not.
   Status IngestColumns(QueryId query_id, HostId host,
                        std::shared_ptr<const ColumnBatch> batch,
                        const uint32_t* selection, size_t selected);
 
   // Join twin of IngestColumns: folds a multi-source columnar slice (per-
   // source sections plus the agent's staging interleave) in the exact order
-  // the rows were staged, so the join transcript is byte-identical to the
-  // interleaved row stream. Same concurrency contract as IngestEvents.
+  // the rows were staged, so the join transcript is byte-identical to
+  // folding them one at a time. Same concurrency contract as IngestColumns.
   Status IngestJoinColumns(QueryId query_id, HostId host,
                            const ColumnJoinSlice& slice);
 
@@ -91,8 +86,8 @@ class ScrubCentral {
   void OnTick(TimeMicros now);
 
   const CentralQueryStats* StatsFor(QueryId query_id) const;
-  // Ids of every installed (not yet retired) query, unordered. The adaptive
-  // controller walks these to read per-operator metrics each pump.
+  // Ids of every installed (not yet retired) query, unordered. Cost
+  // calibration walks these to read per-operator metrics.
   std::vector<QueryId> ActiveQueryIds() const {
     std::vector<QueryId> ids;
     ids.reserve(queries_.size());

@@ -36,6 +36,21 @@ size_t GroupCreationBytes(const CentralConfig& config, const CentralPlan& plan,
   return bytes;
 }
 
+// Index of `type` among the plan's sources, or -1.
+int SourceIndex(const CentralPlan& plan, const std::string& type) {
+  for (size_t s = 0; s < plan.sources.size(); ++s) {
+    if (plan.sources[s] == type) {
+      return static_cast<int>(s);
+    }
+  }
+  return -1;
+}
+
+// Spill records carry the host as a u32. Fleet hosts are non-negative and
+// kInvalidHost marks a batch sent without one; both round-trip. The writer
+// sheds any other host, so replay reads one as corruption.
+bool SpillableHost(HostId host) { return host >= kInvalidHost; }
+
 }  // namespace
 
 uint32_t JoinBuffer::Find(RequestId rid) const {
@@ -97,18 +112,8 @@ void JoinBuffer::AppendColumns(uint32_t b, size_t source,
   if (std::find(newest, pinned_.end(), batch) == pinned_.end()) {
     pinned_.push_back(batch);
   }
-  Link(b, source, batch.get(), row);
-}
-
-void JoinBuffer::AppendRow(uint32_t b, size_t source, const Event& event) {
-  events_.push_back(event);
-  Link(b, source, nullptr, static_cast<uint32_t>(events_.size() - 1));
-}
-
-void JoinBuffer::Link(uint32_t b, size_t source, const ColumnBatch* batch,
-                      uint32_t row) {
   const uint32_t e = static_cast<uint32_t>(entries_.size());
-  entries_.push_back(Entry{batch, row, kNone});
+  entries_.push_back(Entry{batch.get(), row, kNone});
   Bucket& bucket = buckets_[b];
   if (bucket.tail[source] == kNone) {
     bucket.head[source] = e;
@@ -454,13 +459,8 @@ Status Executor::DecodeAndFold(QueryState& q, HostId host,
     FoldColumnJoin(q, host, slice);
     return OkStatus();
   }
-  Result<std::vector<Event>> events = DecodeBatch(*registry_, batch.payload);
-  if (!events.ok()) {
-    return events.status();
-  }
-  stamp_decode(events->size());
-  Fold(q, host, InputChunk::Rows(*events));
-  return OkStatus();
+  return InvalidArgument(StrFormat("batch format %d cannot be folded",
+                                   static_cast<int>(batch.format)));
 }
 
 void Executor::StampDecodeRows(QueryState& q, size_t rows) {
@@ -573,24 +573,18 @@ void Executor::Fold(QueryState& q, HostId host, const InputChunk& chunk) {
     shed0 = q.stats.events_shed;
     spilled0 = q.stats.events_spilled;
   }
-  // A columnar chunk carries one schema, so the join's source index resolves
-  // once per chunk; row spans may mix types and resolve per event.
-  int column_source = -1;
-  if (chunk.columnar() && q.plan.is_join()) {
-    const std::string& type = chunk.columns->schema()->type_name();
-    for (size_t s = 0; s < q.plan.sources.size(); ++s) {
-      if (q.plan.sources[s] == type) {
-        column_source = static_cast<int>(s);
-        break;
-      }
-    }
-  }
-  // Non-join columnar chunks precompute the group-key / aggregate-argument
-  // programs in one vectorized pass per program (FoldColumns). Pure
-  // computation, so the transcript is identical with or without it.
+  // A chunk carries one schema, so the join's source index resolves once per
+  // chunk.
+  const int column_source =
+      q.plan.is_join()
+          ? SourceIndex(q.plan, chunk.columns->schema()->type_name())
+          : -1;
+  // Non-join chunks precompute the group-key / aggregate-argument programs
+  // in one vectorized pass per program (FoldColumns). Pure computation, so
+  // the transcript is identical with or without it.
   ChunkEvalCache cache;
   const ChunkEvalCache* cache_ptr = nullptr;
-  if (chunk.columnar() && !q.plan.is_join()) {
+  if (!q.plan.is_join()) {
     std::vector<const ExprProgram*> programs;
     const auto add = [&](const ExprProgram& p) {
       if (cache.index.emplace(&p, programs.size()).second) {
@@ -664,43 +658,24 @@ void Executor::FoldInto(QueryState& q, WindowState& w, const InputChunk& chunk,
     return;
   }
 
-  if (chunk.columnar()) {
-    const ColumnBatch& batch = *chunk.columns;
-    const size_t row = chunk.row(i);
-    // Per-host readings for the Eq. 1-3 slots.
-    for (size_t b = 0; b < q.pipeline.bounded_aggregates.size(); ++b) {
-      const AggregateSpec& spec = q.plan.aggregates[static_cast<size_t>(
-          q.pipeline.bounded_aggregates[b])];
-      double v = 1.0;  // COUNT: indicator reading
-      if (spec.func == AggregateFunc::kSum) {
-        const Value* cached =
-            cache != nullptr ? cache->Lookup(spec.arg_program, i) : nullptr;
-        const Value arg = cached != nullptr
-                              ? *cached
-                              : EvalProgramColumns(spec.arg_program, batch,
-                                                   row);
-        v = arg.is_numeric() ? arg.AsNumber() : 0.0;
-      }
-      hs.readings[b].Add(v);
-    }
-    GroupFoldColumn(q, w, batch, row, host, cache, i);
-    return;
-  }
-
-  const Event& event = (*chunk.events)[i];
-  EventTuple tuple{&event};
+  const ColumnBatch& batch = *chunk.columns;
+  const size_t row = chunk.row(i);
   // Per-host readings for the Eq. 1-3 slots.
   for (size_t b = 0; b < q.pipeline.bounded_aggregates.size(); ++b) {
     const AggregateSpec& spec = q.plan.aggregates[static_cast<size_t>(
         q.pipeline.bounded_aggregates[b])];
     double v = 1.0;  // COUNT: indicator reading
     if (spec.func == AggregateFunc::kSum) {
-      const Value arg = EvalProgram(spec.arg_program, tuple);
+      const Value* cached =
+          cache != nullptr ? cache->Lookup(spec.arg_program, i) : nullptr;
+      const Value arg =
+          cached != nullptr ? *cached
+                            : EvalProgramColumns(spec.arg_program, batch, row);
       v = arg.is_numeric() ? arg.AsNumber() : 0.0;
     }
     hs.readings[b].Add(v);
   }
-  GroupFoldTuple(q, w, tuple, host);
+  GroupFoldColumn(q, w, batch, row, host, cache, i);
 }
 
 bool Executor::OverBudget(const QueryState& q) const {
@@ -717,15 +692,12 @@ void Executor::ChargeState(QueryState& q, WindowState& w, size_t bytes) {
   w.state_bytes += bytes;
 }
 
-size_t Executor::LogicalEventSize(const InputChunk& chunk, size_t i) const {
-  if (chunk.columnar()) {
-    return chunk.columns->RowWireSize(chunk.row(i));
-  }
-  return (*chunk.events)[i].WireSize();
-}
-
 void Executor::SpillOrShed(QueryState& q, WindowState& w,
                            const InputChunk& chunk, size_t i, HostId host) {
+  if (!SpillableHost(host)) {
+    ShedEvent(q, w);  // replay could not tell this host from a corrupt one
+    return;
+  }
   if (w.spill == nullptr) {
     w.spill =
         spill_ == nullptr ? nullptr : spill_->Open(q.plan.query_id, w.start);
@@ -745,11 +717,7 @@ void Executor::SpillOrShed(QueryState& q, WindowState& w,
     return;
   }
   std::string payload;
-  if (chunk.columnar()) {
-    EncodeEvent(chunk.columns->MaterializeEvent(chunk.row(i)), &payload);
-  } else {
-    EncodeEvent((*chunk.events)[i], &payload);
-  }
+  EncodeEvent(chunk.columns->MaterializeEvent(chunk.row(i)), &payload);
   meter_->ChargeScrub(static_cast<int64_t>(payload.size()) *
                       config_->costs.serialize_per_byte_ns);
   const size_t wrote = w.spill->Append(static_cast<uint32_t>(host), payload);
@@ -770,19 +738,51 @@ void Executor::ReplaySpill(QueryState& q, WindowState* w) {
   uint64_t replayed = 0;
   if (run.BeginReplay()) {
     w->replaying = true;
-    uint32_t host = 0;
-    std::string payload;
-    std::vector<Event> one(1);
-    while (run.Next(&host, &payload)) {
-      size_t offset = 0;
-      Result<Event> event = DecodeEvent(*registry_, payload, &offset);
-      if (!event.ok()) {
-        break;  // corrupt record: the remainder is lost, counted below
+    // Records decode into per-type blocks of up to kReplayBlockSize, which
+    // then fold one position at a time in record order, each with its own
+    // host. A block is never appended to once it folds: join buffers pin it.
+    constexpr size_t kReplayBlockSize = 1024;
+    struct Record {
+      size_t block;
+      uint32_t row;
+      HostId host;
+    };
+    bool more = true;
+    while (more) {
+      std::vector<std::shared_ptr<ColumnBatch>> blocks;
+      std::vector<Record> records;
+      uint32_t host = 0;
+      std::string payload;
+      while (records.size() < kReplayBlockSize &&
+             (more = run.Next(&host, &payload))) {
+        size_t offset = 0;
+        Result<Event> event = DecodeEvent(*registry_, payload, &offset);
+        if (!event.ok() || !SpillableHost(static_cast<HostId>(host))) {
+          more = false;  // corrupt record: the remainder is lost, counted below
+          break;
+        }
+        size_t b = 0;
+        while (b < blocks.size() &&
+               blocks[b]->schema()->type_name() != event->type_name()) {
+          ++b;
+        }
+        if (b == blocks.size()) {
+          blocks.push_back(std::make_shared<ColumnBatch>(event->schema()));
+        }
+        blocks[b]->AppendEvent(*event);
+        records.push_back(
+            Record{b, static_cast<uint32_t>(blocks[b]->rows() - 1),
+                   static_cast<HostId>(host)});
       }
-      one[0] = std::move(*event);
-      FoldInto(q, *w, InputChunk::Rows(one), 0, /*column_source=*/-1,
-               static_cast<HostId>(host));
-      ++replayed;
+      std::vector<int> sources;  // join source of each block, or -1
+      for (const std::shared_ptr<ColumnBatch>& block : blocks) {
+        sources.push_back(SourceIndex(q.plan, block->schema()->type_name()));
+      }
+      for (const Record& r : records) {
+        FoldInto(q, *w, InputChunk::Columns(blocks[r.block], &r.row, 1), 0,
+                 sources[r.block], r.host);
+        ++replayed;
+      }
     }
     w->replaying = false;
   }
@@ -796,19 +796,8 @@ void Executor::ReplaySpill(QueryState& q, WindowState* w) {
 }
 
 void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
-                        size_t i, int column_source, HostId host) {
+                        size_t i, int source, HostId host) {
   // Symmetric hash join on request id, scoped to the window.
-  int source = column_source;
-  if (!chunk.columnar()) {
-    const Event& event = (*chunk.events)[i];
-    source = -1;
-    for (size_t s = 0; s < q.plan.sources.size(); ++s) {
-      if (q.plan.sources[s] == event.type_name()) {
-        source = static_cast<int>(s);
-        break;
-      }
-    }
-  }
   if (source < 0) {
     return;  // not part of this query (shouldn't happen: host filtered)
   }
@@ -830,16 +819,11 @@ void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
   }
   // Probe the other side before inserting: new tuples are exactly the cross
   // product of this event with previously arrived partners, visited in
-  // arrival order. Tuples fold through mixed slots, so a columnar side
-  // evaluates straight off its batch and never materializes an Event.
+  // arrival order. Every side evaluates straight off its batch and never
+  // materializes an Event.
   std::array<TupleSlot, kMaxJoinSources> slots{};
-  TupleSlot& self_slot = slots[static_cast<size_t>(source)];
-  if (chunk.columnar()) {
-    self_slot.batch = chunk.columns.get();
-    self_slot.row = static_cast<uint32_t>(chunk.row(i));
-  } else {
-    self_slot.event = &(*chunk.events)[i];
-  }
+  slots[static_cast<size_t>(source)] =
+      TupleSlot{chunk.columns.get(), static_cast<uint32_t>(chunk.row(i))};
   const std::span<const TupleSlot> tuple(slots.data(), q.plan.sources.size());
   for (size_t other = 0; other < tuple.size(); ++other) {
     if (static_cast<int>(other) == source) {
@@ -849,30 +833,24 @@ void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
          e = buffer.entry(e).next) {
       meter_->ChargeScrub(config_->costs.central_join_probe_ns);
       const JoinBuffer::Entry& partner = buffer.entry(e);
-      slots[other] = partner.batch != nullptr
-                         ? TupleSlot{nullptr, partner.batch, partner.row}
-                         : TupleSlot{&buffer.event(partner), nullptr, 0};
+      slots[other] = TupleSlot{partner.batch, partner.row};
       ++q.stats.tuples_joined;
       GroupFoldMixed(q, w, tuple, host);
     }
     slots[other] = TupleSlot{};  // absent again for the next partner source
   }
   if (track) {
-    ChargeState(q, w, kJoinEventBytes + LogicalEventSize(chunk, i));
+    ChargeState(q, w,
+                kJoinEventBytes + chunk.columns->RowWireSize(chunk.row(i)));
   }
-  if (chunk.columnar()) {
-    buffer.AppendColumns(b, static_cast<size_t>(source), chunk.columns,
-                         static_cast<uint32_t>(chunk.row(i)));
-  } else {
-    buffer.AppendRow(b, static_cast<size_t>(source), (*chunk.events)[i]);
-  }
+  buffer.AppendColumns(b, static_cast<size_t>(source), chunk.columns,
+                       static_cast<uint32_t>(chunk.row(i)));
 }
 
-// The one group-fold body. Every tuple representation — row EventTuple,
-// columnar (batch, row), mixed join slots — funnels through here with its
-// own `eval`, so the raw-emission path, group creation and accounting, the
-// Eq. 1-3 readings, and the null-skip aggregate update cannot drift between
-// representations.
+// The one group-fold body. Single-source (batch, row) folds and join tuples
+// funnel through here with their own `eval`, so the raw-emission path, group
+// creation and accounting, the Eq. 1-3 readings, and the null-skip aggregate
+// update cannot drift between them.
 template <typename EvalFn>
 void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
                              EvalFn&& eval) {
@@ -924,12 +902,6 @@ void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
     }
     UpdateAccumulatorValue(spec, &group.accumulators[i], arg);
   }
-}
-
-void Executor::GroupFoldTuple(QueryState& q, WindowState& w,
-                              const EventTuple& tuple, HostId host) {
-  GroupFoldWith(q, w, host,
-                [&](const ExprProgram& e) { return EvalProgram(e, tuple); });
 }
 
 void Executor::GroupFoldColumn(QueryState& q, WindowState& w,

@@ -2,14 +2,15 @@
 //
 // ScrubCentral's fold logic used to live as three divergent code paths
 // (row fold, columnar fold, sharded re-bucket layer). The executor carves it
-// into the per-operator units a compiled PhysicalPipeline names:
+// into the per-operator units a compiled PhysicalPipeline names, over one
+// input representation — ColumnBatch selections:
 //
-//   Decode      — wire payload -> InputChunk (row span or ColumnBatch).
+//   Decode      — wire payload -> InputChunk (a ColumnBatch selection).
 //   Join        — symmetric hash join on request id, window-scoped, over a
-//                 flat JoinBuffer. Columnar inputs probe on the request-id
-//                 column and stay (batch, row) references into batches the
-//                 window pins; joined tuples evaluate straight off those
-//                 columns, so a columnar event never materializes an Event.
+//                 flat JoinBuffer. Inputs probe on the request-id column and
+//                 stay (batch, row) references into batches the window
+//                 pins; joined tuples evaluate straight off those columns,
+//                 so no joined event is materialized as an Event.
 //   GroupFold   — group-key evaluation + accumulator update (or, raw mode,
 //                 Project: eager per-tuple row emission).
 //   WindowClose — lateness-gated close: completeness, orphan accounting,
@@ -205,8 +206,8 @@ struct CentralConfig {
   // Logical-byte budgets over WindowState group maps and join buffers
   // (0 = unlimited). When a query crosses its budget, its open windows
   // switch to defer-and-replay spill; when the central total crosses, every
-  // query's do. Charges use logical (wire) sizes, so the row and columnar
-  // pipelines cross a budget at exactly the same event.
+  // query's do. Charges use logical (wire) sizes, so a budget is crossed at
+  // the same event however the events were batched.
   size_t query_state_budget_bytes = 0;
   size_t central_state_budget_bytes = 0;
   // Track state bytes (accountant high-water marks) even without budgets.
@@ -307,8 +308,8 @@ struct HostWindowStats {
 //    (head / tail / count);
 //  * POD entries chained per source in arrival order, so a probe visits
 //    partners in exactly the order they arrived;
-//  * columnar entries reference rows of batches the buffer pins once per
-//    window; row entries (spill replay, row batches) own an Event copy.
+//  * entries reference rows of batches the buffer pins once per window
+//    (spill replay folds decoded blocks, pinned the same way).
 //
 // Teardown frees a handful of vectors, independent of the request count.
 class JoinBuffer {
@@ -318,8 +319,7 @@ class JoinBuffer {
                 "admitted join width");
   static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-  // One buffered event: (batch, row) into a pinned batch, or, when batch is
-  // null, row indexes the buffer's own Event copies.
+  // One buffered event: (batch, row) into a pinned batch.
   struct Entry {
     const ColumnBatch* batch;
     uint32_t row;
@@ -334,7 +334,6 @@ class JoinBuffer {
 
   const std::vector<Bucket>& buckets() const { return buckets_; }
   const Entry& entry(uint32_t e) const { return entries_[e]; }
-  const Event& event(const Entry& e) const { return events_[e.row]; }
 
   // Bucket index of `rid`, or kNone.
   uint32_t Find(RequestId rid) const;
@@ -344,17 +343,13 @@ class JoinBuffer {
   void AppendColumns(uint32_t b, size_t source,
                      const std::shared_ptr<const ColumnBatch>& batch,
                      uint32_t row);
-  void AppendRow(uint32_t b, size_t source, const Event& event);
 
  private:
-  void Link(uint32_t b, size_t source, const ColumnBatch* batch,
-            uint32_t row);
   void Grow();
 
   std::vector<uint32_t> index_;  // bucket + 1 per slot, 0 = empty
   std::vector<Bucket> buckets_;
   std::vector<Entry> entries_;
-  std::vector<Event> events_;
   std::vector<std::shared_ptr<const ColumnBatch>> pinned_;
 };
 
@@ -458,22 +453,22 @@ class Executor {
                   const std::vector<PreAggSlot>& slots);
 
   // Window-assigns each chunk position, then runs Join / GroupFold /
-  // Project per covering window. One loop for both representations.
+  // Project per covering window.
   void Fold(QueryState& q, HostId host, const InputChunk& chunk);
 
   // Folds a decoded (or re-bucketed) kColumnarJoin slice by replaying its
   // arrival interleave: consecutive same-section positions fold as one
-  // columnar chunk, which preserves the exact per-position transcript of the
-  // row path's single interleaved batch (Fold's per-chunk preamble has no
-  // observable effects).
+  // columnar chunk, which preserves the exact per-position transcript of
+  // folding the interleave one event at a time (Fold's per-chunk preamble
+  // has no observable effects).
+  void FoldColumnJoin(QueryState& q, HostId host,
+                      const ColumnJoinSlice& slice);
+
   // Books decode rows for pre-decoded ingestion (the sharded router decodes
-  // once and feeds shards Events/columns directly): honest row and batch
+  // once and feeds shards column selections directly): honest row and batch
   // counts on the Decode op, no CPU stamp — the decode time was spent at
   // the router, not on this shard. Mirrors the fused-join convention.
   void StampDecodeRows(QueryState& q, size_t rows);
-
-  void FoldColumnJoin(QueryState& q, HostId host,
-                      const ColumnJoinSlice& slice);
 
   // WindowClose operator: completeness + orphan accounting, then Finalize
   // (row emission) or WindowPartial export (shard role).
@@ -515,39 +510,34 @@ class Executor {
   void SpillOrShed(QueryState& q, WindowState& w, const InputChunk& chunk,
                    size_t i, HostId host);
   void ShedEvent(QueryState& q, WindowState& w);
-  // Replays the window's spill run through the ordinary fold (arrival
-  // order), counting records a read failure lost; then discards the run.
+  // Replays the window's spill run through the ordinary columnar fold in
+  // record order: records decode into per-type ColumnBatch blocks that are
+  // never mutated once they fold (join buffers pin them). Counts records a
+  // read or decode failure lost; then discards the run.
   void ReplaySpill(QueryState& q, WindowState* w);
   // Accountant charge tied to the window (released when the window closes).
   void ChargeState(QueryState& q, WindowState& w, size_t bytes);
-  // Logical (wire) size of chunk position i — identical for the row and
-  // columnar representations of the same event.
-  size_t LogicalEventSize(const InputChunk& chunk, size_t i) const;
-  // Join operator. `column_source` is the chunk's source index (columnar
-  // chunks carry one schema); row positions resolve per event.
+  // Join operator. `source` is the chunk's source index (a chunk carries
+  // one schema; -1 = not a source of this query).
   void JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
-                size_t i, int column_source, HostId host);
-  // GroupFold/Project with the row's representation abstracted behind an
-  // expression evaluator: one body for row tuples, columnar rows, and mixed
-  // join tuples, so the folds cannot drift from each other. Defined in the
-  // .cc (every instantiation lives there).
+                size_t i, int source, HostId host);
+  // GroupFold/Project with the tuple's shape abstracted behind an
+  // expression evaluator: one body for single-source rows and join tuples,
+  // so the folds cannot drift from each other. Defined in the .cc (every
+  // instantiation lives there).
   template <typename EvalFn>
   void GroupFoldWith(QueryState& q, WindowState& w, HostId host,
                      EvalFn&& eval);
-  // GroupFold/Project over a joined (or singleton) row tuple.
-  void GroupFoldTuple(QueryState& q, WindowState& w, const EventTuple& tuple,
-                      HostId host);
   // GroupFold/Project straight off columns (non-join plans). `pos` is the
   // chunk position for `cache` lookups (cache may be null).
   void GroupFoldColumn(QueryState& q, WindowState& w,
                        const ColumnBatch& batch, size_t row, HostId host,
                        const ChunkEvalCache* cache, size_t pos);
-  // GroupFold/Project over a mixed join tuple (column-direct where a side
-  // arrived columnar).
+  // GroupFold/Project over a join tuple, column-direct on every side.
   void GroupFoldMixed(QueryState& q, WindowState& w,
                       std::span<const TupleSlot> slots, HostId host);
-  // Accumulator update with the argument already evaluated (shared by the
-  // row and columnar folds; `arg` is null for argument-less aggregates).
+  // Accumulator update with the argument already evaluated (shared by both
+  // folds; `arg` is null for argument-less aggregates).
   void UpdateAccumulatorValue(const AggregateSpec& spec, AggAccumulator* acc,
                               const Value& arg);
   // Finalize operator for one slot (single-instance close): Eq. 1-3 over

@@ -132,7 +132,6 @@ Status ShardedCentral::IngestBatches(const std::vector<EventBatch>& batches,
   // selection vectors; the ParallelFor join orders the decode before every
   // shard read.
   struct Decoded {
-    std::vector<Event> events;                 // row format
     std::shared_ptr<const ColumnBatch> columns;  // columnar format
     // Columnar join format: per-source sections plus the staging interleave.
     std::vector<std::shared_ptr<const ColumnBatch>> join_sections;
@@ -167,13 +166,9 @@ Status ShardedCentral::IngestBatches(const std::vector<EventBatch>& batches,
       }
       return;
     }
-    Result<std::vector<Event>> events =
-        DecodeBatch(*registry_, admitted[k].batch->payload);
-    if (events.ok()) {
-      decoded[k].events = std::move(*events);
-    } else {
-      decode_status[k] = events.status();
-    }
+    decode_status[k] = InvalidArgument(
+        StrFormat("batch format %d cannot be folded",
+                  static_cast<int>(admitted[k].batch->format)));
   });
   // Sequential contract: batches before the first decode failure are fully
   // applied; the failure is returned.
@@ -189,24 +184,26 @@ Status ShardedCentral::IngestBatches(const std::vector<EventBatch>& batches,
 
   // Re-bucket by request id so join partners colocate. Work lists keep
   // batch order within each shard — the per-shard event order is therefore
-  // identical to the one-batch-at-a-time path. Columnar batches re-bucket
-  // by slicing selection vectors (order-preserving row-index lists into the
-  // shared batch); the events never leave their columns.
+  // identical to the one-batch-at-a-time path. Batches re-bucket by slicing
+  // selection vectors (order-preserving row-index lists into the shared
+  // batch); the events never leave their columns.
   struct ShardWork {
     QueryId query_id;
     HostId host;
-    std::vector<Event> events;                   // row format
     std::shared_ptr<const ColumnBatch> columns;  // columnar format
     std::vector<uint32_t> selection;             // rows of `columns`
     ColumnJoinSlice join;  // columnar join format (non-empty order)
   };
   std::vector<std::vector<ShardWork>> work(shards_.size());
   for (size_t k = 0; k < limit; ++k) {
-    if (!decoded[k].join_order.empty()) {
+    if (decoded[k].columns == nullptr) {
+      // Join format. A join batch with no rows (its order may be empty even
+      // when the header claims events) folds nothing.
+      //
       // Join slices re-bucket position by position through the staging
-      // interleave — the same per-event request-id routing the row path
-      // applies — so each shard's (order, rows) sub-slice preserves the
-      // arrival interleave of the requests it owns.
+      // interleave, routing each event by its request id, so each shard's
+      // (order, rows) sub-slice preserves the arrival interleave of the
+      // requests it owns.
       std::vector<ColumnJoinSlice> buckets(shards_.size());
       std::vector<uint32_t> cursor(decoded[k].join_sections.size(), 0);
       for (const uint8_t s : decoded[k].join_order) {
@@ -230,32 +227,12 @@ Status ShardedCentral::IngestBatches(const std::vector<EventBatch>& batches,
       }
       continue;
     }
-    if (decoded[k].columns != nullptr) {
-      const ColumnBatch& cols = *decoded[k].columns;
-      std::vector<std::vector<uint32_t>> buckets(shards_.size());
-      for (size_t r = 0; r < cols.rows(); ++r) {
-        const size_t shard = static_cast<size_t>(
-            HashMix64(cols.request_id(r)) % shards_.size());
-        buckets[shard].push_back(static_cast<uint32_t>(r));
-      }
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if (buckets[s].empty()) {
-          continue;
-        }
-        ShardWork sw;
-        sw.query_id = admitted[k].batch->query_id;
-        sw.host = admitted[k].batch->host;
-        sw.columns = decoded[k].columns;
-        sw.selection = std::move(buckets[s]);
-        work[s].push_back(std::move(sw));
-      }
-      continue;
-    }
-    std::vector<std::vector<Event>> buckets(shards_.size());
-    for (Event& event : decoded[k].events) {
+    const ColumnBatch& cols = *decoded[k].columns;
+    std::vector<std::vector<uint32_t>> buckets(shards_.size());
+    for (size_t r = 0; r < cols.rows(); ++r) {
       const size_t shard = static_cast<size_t>(
-          HashMix64(event.request_id()) % shards_.size());
-      buckets[shard].push_back(std::move(event));
+          HashMix64(cols.request_id(r)) % shards_.size());
+      buckets[shard].push_back(static_cast<uint32_t>(r));
     }
     for (size_t s = 0; s < shards_.size(); ++s) {
       if (buckets[s].empty()) {
@@ -264,7 +241,8 @@ Status ShardedCentral::IngestBatches(const std::vector<EventBatch>& batches,
       ShardWork sw;
       sw.query_id = admitted[k].batch->query_id;
       sw.host = admitted[k].batch->host;
-      sw.events = std::move(buckets[s]);
+      sw.columns = decoded[k].columns;
+      sw.selection = std::move(buckets[s]);
       work[s].push_back(std::move(sw));
     }
   }
@@ -279,12 +257,10 @@ Status ShardedCentral::IngestBatches(const std::vector<EventBatch>& batches,
       Status st;
       if (!sw.join.order.empty()) {
         st = shards_[s]->IngestJoinColumns(sw.query_id, sw.host, sw.join);
-      } else if (sw.columns != nullptr) {
+      } else {
         st = shards_[s]->IngestColumns(sw.query_id, sw.host, sw.columns,
                                        sw.selection.data(),
                                        sw.selection.size());
-      } else {
-        st = shards_[s]->IngestEvents(sw.query_id, sw.host, sw.events);
       }
       if (!st.ok() && shard_status[s].ok()) {
         shard_status[s] = st;

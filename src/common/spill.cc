@@ -89,6 +89,7 @@ bool SpillRun::BeginReplay() {
     return false;
   }
   reading_ = true;
+  read_bytes_ = 0;
   if (std::fflush(file_) != 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
     ++stats_->read_failures;
     read_failed_ = true;
@@ -120,6 +121,15 @@ bool SpillRun::Next(uint32_t* host, std::string* payload) {
   }
   const uint32_t len = GetU32(header);
   *host = GetU32(header + 4);
+  read_bytes_ += sizeof(header);
+  // A length no written record could have (past the bytes this run wrote)
+  // is corruption: fail before allocating for it.
+  if (read_bytes_ > bytes_ || len > bytes_ - read_bytes_) {
+    ++stats_->read_failures;
+    read_failed_ = true;
+    return false;
+  }
+  read_bytes_ += len;
   payload->resize(len);
   if (len > 0 && std::fread(payload->data(), 1, len, file_) != len) {
     ++stats_->read_failures;

@@ -6,9 +6,9 @@
 //  * MemoryAccountant — logical byte tracking per key (query id) plus a
 //    facility-wide total, with optional per-key and total budgets and
 //    high-water marks. Charges use *logical* sizes (Event::WireSize-style),
-//    never container capacities, so the row and columnar pipelines cross a
-//    budget at exactly the same event — part of the byte-identical-transcript
-//    argument for spill (DESIGN.md §13).
+//    never container capacities, so a budget is crossed at exactly the same
+//    event however events were batched — part of the byte-identical-
+//    transcript argument for spill (DESIGN.md §13).
 //
 //  * SpillManager / SpillRun — append-only disk runs for the executor's
 //    defer-and-replay spill. Once a window exceeds its budget, every further
@@ -157,7 +157,8 @@ struct SpillStats {
 // One window's append-only spill run: length-prefixed records written in
 // arrival order, replayed in the same order at window close, then unlinked.
 // Record layout: u32 payload_len | u32 host | payload bytes (the caller's
-// encoding — the executor uses the event wire codec). Created via
+// encoding — the executor stores one EncodeEvent record per deferred event
+// and replays them as columnar blocks). Created via
 // SpillManager::Open; never copied.
 class SpillRun {
  public:
@@ -176,7 +177,8 @@ class SpillRun {
 
   // Reads the next record. False at end-of-run or on a (possibly injected)
   // read failure, which abandons the remainder; records() - replayed tells
-  // the caller how many were lost.
+  // the caller how many were lost. A truncated record, or a length prefix
+  // reaching past the bytes the run wrote, is a read failure.
   bool Next(uint32_t* host, std::string* payload);
 
   uint64_t records() const { return records_; }
@@ -199,6 +201,7 @@ class SpillRun {
   const SpillFaultSpec* faults_ = nullptr;
   uint64_t records_ = 0;
   uint64_t bytes_ = 0;
+  uint64_t read_bytes_ = 0;  // replay position
   bool reading_ = false;
   bool read_failed_ = false;
 };

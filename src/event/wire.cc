@@ -295,42 +295,6 @@ Result<Event> DecodeEvent(const SchemaRegistry& registry,
   return event;
 }
 
-std::string EncodeBatch(const std::vector<Event>& events) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(events.size()));
-  for (const Event& e : events) {
-    EncodeEvent(e, &out);
-  }
-  return out;
-}
-
-Result<std::vector<Event>> DecodeBatch(const SchemaRegistry& registry,
-                                       const std::string& buffer) {
-  size_t offset = 0;
-  uint32_t count;
-  if (!GetU32(buffer, &offset, &count)) {
-    return InvalidArgument("truncated batch header");
-  }
-  // An encoded event is at least 20 bytes (name length + metadata); cap the
-  // reservation so a hostile count cannot force a huge allocation.
-  if (static_cast<size_t>(count) > (buffer.size() - offset) / 20 + 1) {
-    return InvalidArgument("batch count exceeds buffer");
-  }
-  std::vector<Event> events;
-  events.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Result<Event> e = DecodeEvent(registry, buffer, &offset);
-    if (!e.ok()) {
-      return e.status();
-    }
-    events.push_back(std::move(e).value());
-  }
-  if (offset != buffer.size()) {
-    return InvalidArgument("trailing bytes after batch");
-  }
-  return events;
-}
-
 size_t EncodeColumnBatch(const ColumnBatch& batch, const uint32_t* selection,
                          size_t selected, const std::vector<bool>* keep_field,
                          std::string* out, std::vector<int>* encodings) {
@@ -791,6 +755,40 @@ Result<ColumnJoinBatch> DecodeColumnJoinBatch(const SchemaRegistry& registry,
     return InvalidArgument("trailing bytes after join batch");
   }
   return out;
+}
+
+BatchFormat EncodeEvents(const std::vector<Event>& events, std::string* out) {
+  // One section per event type, in first-appearance order; `order` is the
+  // events' own sequence over those sections.
+  std::vector<ColumnBatch> sections;
+  std::vector<uint8_t> order;
+  order.reserve(events.size());
+  for (const Event& event : events) {
+    size_t s = 0;
+    while (s < sections.size() &&
+           sections[s].schema()->type_name() != event.type_name()) {
+      ++s;
+    }
+    if (s == sections.size()) {
+      sections.emplace_back(event.schema());
+    }
+    sections[s].AppendEvent(event);
+    order.push_back(static_cast<uint8_t>(s));
+  }
+  if (sections.empty()) {
+    return BatchFormat::kColumnar;  // nothing to carry: empty payload
+  }
+  if (sections.size() == 1) {
+    EncodeColumnBatch(sections[0], nullptr, sections[0].rows(), nullptr, out);
+    return BatchFormat::kColumnar;
+  }
+  std::vector<ColumnJoinSection> join;
+  join.reserve(sections.size());
+  for (const ColumnBatch& section : sections) {
+    join.push_back(ColumnJoinSection{&section, nullptr, section.rows()});
+  }
+  EncodeColumnJoinBatch(join, order, out);
+  return BatchFormat::kColumnarJoin;
 }
 
 std::string EncodePreAggBatch(const std::vector<PreAggSlot>& slots) {

@@ -1,11 +1,13 @@
-// Binary wire codec for events.
+// Binary wire codecs for events.
 //
-// Hosts serialize (selected, projected) events into batches and ship them to
-// ScrubCentral, which decodes them against the shared SchemaRegistry. The
-// encoding is deliberately simple and self-describing at the value level
-// (1 tag byte + fixed/length-prefixed payload); Event::WireSize() and
-// Value::WireSize() match the encoded size byte-for-byte, which the tests
-// assert, so all byte accounting in the experiments is exact.
+// Hosts ship (selected, projected) events to ScrubCentral as columnar
+// batches, which central decodes against the shared SchemaRegistry. Under
+// them sits the self-describing event record codec (1 tag byte +
+// fixed/length-prefixed payload per value): the columnar format reuses its
+// primitives, and central's spill runs store one record per deferred event.
+// Event::WireSize() and Value::WireSize() match the record encoding
+// byte-for-byte, which the tests assert, so all byte accounting in the
+// experiments is exact.
 
 #ifndef SRC_EVENT_WIRE_H_
 #define SRC_EVENT_WIRE_H_
@@ -21,13 +23,10 @@
 
 namespace scrub {
 
-// How an EventBatch payload is laid out. Agents ship events in the columnar
-// formats (one contiguous run per column instead of one record per event).
+// How an EventBatch payload is laid out. Every event batch is columnar (one
+// contiguous run per column instead of one record per event); a
+// counters-only batch carries no payload at all.
 enum class BatchFormat : uint8_t {
-  // Count-prefixed event records (EncodeBatch). Agents use it only for
-  // counters-only batches (zero events, payload EncodeBatch({})); spill
-  // runs, the logging baseline and hand-built batches carry events in it.
-  kRow = 0,
   kColumnar = 1,
   // Agent-side pre-aggregation ablation: the payload is per-(slot, group)
   // COUNT/SUM cells, not events (EncodePreAggBatch below).
@@ -39,22 +38,17 @@ enum class BatchFormat : uint8_t {
   kColumnarJoin = 3,
 };
 
-// Appends the encoding of `event` to `out`. Returns bytes written.
+// Appends the record encoding of `event` to `out`. Returns bytes written.
 size_t EncodeEvent(const Event& event, std::string* out);
 
-// Decodes one event starting at out[*offset]; advances *offset past it.
-// The event's schema is resolved from `registry` by type name.
+// Decodes one event record starting at out[*offset]; advances *offset past
+// it. The event's schema is resolved from `registry` by type name.
 Result<Event> DecodeEvent(const SchemaRegistry& registry,
                           const std::string& buffer, size_t* offset);
 
-// Batch helpers: a batch is a count-prefixed sequence of events.
-std::string EncodeBatch(const std::vector<Event>& events);
-Result<std::vector<Event>> DecodeBatch(const SchemaRegistry& registry,
-                                       const std::string& buffer);
-
 // ---- Columnar batch format -------------------------------------------------
 //
-// Layout (all integers little-endian, reusing the row codec's primitives):
+// Layout (all integers little-endian, reusing the record codec's primitives):
 //   u32 type_name_len, type_name bytes
 //   u32 row_count
 //   row_count x u64 request ids          (contiguous)
@@ -69,7 +63,7 @@ Result<std::vector<Event>> DecodeBatch(const SchemaRegistry& registry,
 //         int     -> 8-byte two's complement
 //         double  -> 8-byte IEEE 754
 //         string  -> u32 length + bytes
-//         generic -> the row codec's tagged value encoding (same depth guard)
+//         generic -> the record codec's tagged value encoding (same depth guard)
 //         dict    -> u32 dictionary count (1..256), that many u32-length-
 //                    prefixed entries, then one u8 code per non-null row.
 //                    The encoder picks dict over string per column whenever
@@ -77,7 +71,7 @@ Result<std::vector<Event>> DecodeBatch(const SchemaRegistry& registry,
 //                    dictionary + codes are strictly smaller than the plain
 //                    bytes; only string-typed schema fields may carry it.
 //
-// Decode applies the same hostile-input discipline as the row format:
+// Decode applies the same hostile-input discipline as the record codec:
 // truncation checks on every read, row counts capped by what the remaining
 // bytes could possibly hold, nonzero bitmap padding rejected, unknown column
 // tags rejected, out-of-range dictionary codes and truncated/oversized
@@ -145,19 +139,27 @@ struct ColumnJoinBatch {
 Result<ColumnJoinBatch> DecodeColumnJoinBatch(const SchemaRegistry& registry,
                                               const std::string& buffer);
 
+// Builds a batch payload from materialized events (the logging baseline,
+// tests and benches): appends it to `out` and returns its format. Events of
+// one type encode as kColumnar; several types encode as kColumnarJoin with
+// one section per type in first-appearance order (at most
+// kMaxColumnJoinSections) and the events' own order as the interleave. No
+// events append nothing and return kColumnar.
+BatchFormat EncodeEvents(const std::vector<Event>& events, std::string* out);
+
 // ---- Pre-aggregated batch format (BatchFormat::kPreAgg) --------------------
 //
 // The agent-side pre-aggregation ablation ships per-(slot, group) COUNT/SUM
-// deltas instead of events. Layout (reusing the row codec's primitives):
+// deltas instead of events. Layout (reusing the record codec's primitives):
 //   u32 slot_count
 //   per slot:
 //     u64 window_start (slide-grid slot, micros)
 //     u64 folded event count
 //     u32 group_count
 //     per group:
-//       u32 key_count,  key_count tagged values (the row codec's encoding)
+//       u32 key_count,  key_count tagged values (the record codec's encoding)
 //       u32 cell_count, cell_count x (u64 count + f64 sum)
-// Decode applies the row format's hostile-input discipline: truncation
+// Decode applies the record codec's hostile-input discipline: truncation
 // checks on every read, counts capped by the remaining bytes, trailing
 // bytes rejected.
 

@@ -502,10 +502,8 @@ struct ColumnLoader {
   }
 };
 
-// Mixed join tuple: each slot delegates to the loader matching its
-// representation, so a columnar slot reads exactly what ColumnLoader would
-// and a row slot exactly what TupleLoader would — the mixed path cannot
-// drift from either.
+// Join tuple: each present slot reads exactly what ColumnLoader would, so
+// the join path cannot drift from the single-source columnar one.
 struct MixedLoader {
   const TupleSlot* slots;
 
@@ -516,41 +514,21 @@ struct MixedLoader {
       return ColumnLoader{slot.batch, slot.row}.LoadField(source, field,
                                                           path);
     }
-    if (slot.event == nullptr) {
-      return Value::Null();
-    }
-    const Value* v = &slot.event->field(field);
-    if (path != nullptr) {
-      for (const std::string& step : *path) {
-        if (!v->is_object()) {
-          return Value::Null();
-        }
-        const Value* next = v->AsObject().Find(step);
-        if (next == nullptr) {
-          return Value::Null();
-        }
-        v = next;
-      }
-    }
-    return *v;
+    return Value::Null();
   }
   Value LoadRequestId(uint16_t source) const {
     const TupleSlot& slot = slots[source];
     if (slot.batch != nullptr) {
       return Value(static_cast<int64_t>(slot.batch->request_id(slot.row)));
     }
-    return slot.event == nullptr
-               ? Value::Null()
-               : Value(static_cast<int64_t>(slot.event->request_id()));
+    return Value::Null();
   }
   Value LoadTimestamp(uint16_t source) const {
     const TupleSlot& slot = slots[source];
     if (slot.batch != nullptr) {
       return Value(static_cast<int64_t>(slot.batch->timestamp(slot.row)));
     }
-    return slot.event == nullptr
-               ? Value::Null()
-               : Value(static_cast<int64_t>(slot.event->timestamp()));
+    return Value::Null();
   }
 };
 

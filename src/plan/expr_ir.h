@@ -145,19 +145,17 @@ Value EvalProgramColumns(const ExprProgram& program, const ColumnBatch& batch,
 bool EvalProgramPredicateColumns(const ExprProgram& program,
                                  const ColumnBatch& batch, size_t row);
 
-// One source slot of a mixed join tuple: either a row Event or a
-// (batch, row) columnar reference. Both null = absent source
-// (loads evaluate to null, like a null EventTuple entry).
+// One source slot of a join tuple: a (batch, row) columnar reference. A
+// null batch = absent source (loads evaluate to null, like a null
+// EventTuple entry).
 struct TupleSlot {
-  const Event* event = nullptr;
   const ColumnBatch* batch = nullptr;
   uint32_t row = 0;
 };
 
-// Multi-source execution over a mixed tuple: each slot binds its source to
-// whichever representation the join buffered, so joined tuples fold
-// column-direct — no Event materialization — when their sides arrived
-// columnar. Exactly EvalProgram's semantics slot for slot.
+// Multi-source execution over a join tuple: each slot binds its source to
+// the batch row the join buffered, so joined tuples fold column-direct — no
+// Event materialization. Exactly EvalProgram's semantics slot for slot.
 Value EvalProgramMixed(const ExprProgram& program,
                        std::span<const TupleSlot> slots);
 // Compacts `selection` to the rows where the predicate holds, preserving

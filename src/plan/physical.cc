@@ -137,9 +137,8 @@ PhysicalPipeline CompilePhysical(const CentralPlan& plan, PipelineRole role) {
 
   add(PhysicalOpKind::kDecode,
       role == PipelineRole::kShard
-          ? "row span / ColumnBatch selection (router re-buckets by "
-            "request id)"
-          : "row span / ColumnBatch selection");
+          ? "ColumnBatch selection (router re-buckets by request id)"
+          : "ColumnBatch selection");
   if (plan.is_join()) {
     add(PhysicalOpKind::kJoin,
         StrFormat("%s on __request_id, window-scoped; columnar inputs "

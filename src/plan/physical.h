@@ -1,9 +1,8 @@
 // Physical operator pipeline compiled from a CentralPlan.
 //
-// ScrubCentral historically grew one fold path per input representation
-// (row events, columnar batches) and per topology (single instance, shard,
-// sharded coordinator), each re-deriving the same plan facts inline. This
-// header is the single compilation step: CompilePhysical() turns a
+// ScrubCentral historically grew one fold path per topology (single
+// instance, shard, sharded coordinator), each re-deriving the same plan
+// facts inline. This header is the single compilation step: CompilePhysical() turns a
 // CentralPlan into a PhysicalPipeline — the operator sequence
 //
 //   Decode -> [Join] -> GroupFold | Project -> WindowClose -> Finalize
@@ -11,8 +10,8 @@
 // plus the estimator parameterization (which aggregate slots scale under
 // sampling, which get the Eq. 1-3 bounded treatment, whether the ratio
 // fallback applies). Every deployment executes the *same* compiled pipeline;
-// the executor (src/central/executor.h) interprets it against either a row
-// span or a ColumnBatch selection through the InputChunk interface below.
+// the executor (src/central/executor.h) interprets it against ColumnBatch
+// selections through the InputChunk interface below.
 //
 // Topology is expressed as a role: a single instance runs every stage; a
 // shard runs Decode..WindowClose and exports mergeable partials; the sharded
@@ -36,21 +35,15 @@
 
 namespace scrub {
 
-// One executor input: either a span of decoded row Events or a selection of
-// rows in a shared, immutable ColumnBatch. Operators consume chunks through
-// the accessors, so window assignment and the join's equi-key probe read
-// straight off columns without materializing Events.
+// One executor input: a selection of rows in a shared, immutable
+// ColumnBatch. Operators consume chunks through the accessors, so window
+// assignment and the join's equi-key probe read straight off columns
+// without materializing Events.
 struct InputChunk {
-  const std::vector<Event>* events = nullptr;  // row representation
-  std::shared_ptr<const ColumnBatch> columns;  // columnar representation
+  std::shared_ptr<const ColumnBatch> columns;
   const uint32_t* selection = nullptr;  // rows of `columns`; nullptr = all
   size_t selected = 0;
 
-  static InputChunk Rows(const std::vector<Event>& events) {
-    InputChunk chunk;
-    chunk.events = &events;
-    return chunk;
-  }
   static InputChunk Columns(std::shared_ptr<const ColumnBatch> batch,
                             const uint32_t* selection, size_t selected) {
     InputChunk chunk;
@@ -60,23 +53,19 @@ struct InputChunk {
     return chunk;
   }
 
-  bool columnar() const { return columns != nullptr; }
-  size_t size() const { return columnar() ? selected : events->size(); }
-  // Row index into `columns` for chunk position i (columnar chunks only).
+  size_t size() const { return selected; }
+  // Row index into `columns` for chunk position i.
   size_t row(size_t i) const {
     return selection != nullptr ? selection[i] : i;
   }
-  TimeMicros timestamp(size_t i) const {
-    return columnar() ? columns->timestamp(row(i)) : (*events)[i].timestamp();
-  }
+  TimeMicros timestamp(size_t i) const { return columns->timestamp(row(i)); }
   RequestId request_id(size_t i) const {
-    return columnar() ? columns->request_id(row(i))
-                      : (*events)[i].request_id();
+    return columns->request_id(row(i));
   }
 };
 
 enum class PhysicalOpKind {
-  kDecode,       // wire payload -> InputChunk (row or columnar)
+  kDecode,       // wire payload -> InputChunk (columnar)
   kJoin,         // symmetric hash join on request id, window-scoped
   kProject,      // raw mode: render select exprs per tuple, emit eagerly
   kGroupFold,    // group-key eval + accumulator update

@@ -147,20 +147,6 @@ ScrubSystem::ScrubSystem(SystemConfig config)
     }
   }
 
-  // Adaptive controller: decisions fan out to every agent in ascending host
-  // order (a host without the query treats the override as a no-op). The
-  // callback runs from the single-threaded pump, never concurrently with
-  // the flush pool.
-  if (config_.adaptive.enabled) {
-    adaptive_ = std::make_unique<AdaptiveController>(
-        config_.adaptive, config_.agent.max_batch_events,
-        [this](QueryId qid, size_t batch) {
-          for (const HostId host : agent_hosts_) {
-            agents_.at(host)->SetBatchOverride(qid, batch);
-          }
-        });
-  }
-
   server_ = std::make_unique<QueryServer>(
       &scheduler_, &transport_, &registry_, &schemas_, central_.get(),
       server_host_, central_host_,
@@ -321,32 +307,8 @@ Result<SubmittedQuery> ScrubSystem::Submit(std::string_view query_text,
   return server_->Submit(query_text, std::move(sink));
 }
 
-void ScrubSystem::PumpAdaptive(TimeMicros now) {
-  if (adaptive_ == nullptr) {
-    return;
-  }
-  // Sorted ids: the decision order is a pure function of the query set,
-  // never of hash-map iteration order.
-  std::vector<QueryId> ids = central_->ActiveQueryIds();
-  std::sort(ids.begin(), ids.end());
-  for (const QueryId qid : ids) {
-    if (hier_plans_.count(qid) > 0) {
-      continue;  // combiner-routed queries keep their static configuration
-    }
-    const CentralQueryStats* cs = central_->StatsFor(qid);
-    if (cs == nullptr) {
-      continue;
-    }
-    adaptive_->OnInstall(qid, now);
-    adaptive_->OnPump(qid, now, *cs);
-  }
-}
-
 void ScrubSystem::PumpFlushes() {
   const TimeMicros now = scheduler_.Now();
-  // Adaptive decisions first, so a batch override issued this tick is
-  // applied by this tick's flush.
-  PumpAdaptive(now);
   // Fan the per-host flush/retransmit evaluation (selection residue,
   // encoding, backoff bookkeeping) across the pool. Each task touches only
   // its own agent, its own host CostMeter and its own RNG streams, so hosts
@@ -782,9 +744,6 @@ std::string ScrubSystem::DescribeQuery(QueryId id) const {
     op_section("operators", central_->PipelineFor(id), cs->op_metrics);
     op_section("upstream operators (summed)", nullptr,
                cs->upstream_op_metrics);
-  }
-  if (adaptive_ != nullptr) {
-    out += adaptive_->Describe(id);
   }
   // Memory-pressure ladder: printed only once any rung engaged, so a query
   // that never felt pressure reads exactly as before.

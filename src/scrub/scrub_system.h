@@ -29,7 +29,6 @@
 #include "src/bidsim/platform.h"
 #include "src/common/worker_pool.h"
 #include "src/bidsim/workload.h"
-#include "src/central/adaptive.h"
 #include "src/central/central.h"
 #include "src/central/coordinator.h"
 #include "src/cluster/combiner.h"
@@ -72,13 +71,6 @@ struct SystemConfig {
   // the paper argues against generalizing; eligibility is gated at the
   // server). Off by default.
   bool agent_preaggregate = false;
-  // Adaptive execution (DESIGN.md §16): a per-query controller at the
-  // coordinator tier that auto-tunes the agents' flush batch cap from the
-  // decode operator's observed fill. Off by default (`adaptive.enabled` is
-  // the kill switch); every decision is transcript-neutral and logged in
-  // DescribeQuery.
-  // Flat-path queries only; combiner-routed queries keep static config.
-  AdaptiveConfig adaptive;
   // Chaos: installed on the transport at construction. Deterministic per
   // FaultPlan::seed; an inert plan (the default) injects nothing.
   FaultPlan faults;
@@ -173,12 +165,6 @@ class ScrubSystem {
   // counter section works after retirement too.
   std::string ExplainAnalyze(QueryId id) const;
 
-  // The adaptive controller (null unless config.adaptive.enabled); its
-  // Describe(id) lines also render inside DescribeQuery.
-  const AdaptiveController* adaptive_controller() const {
-    return adaptive_.get();
-  }
-
   // Re-derives the lint cost model's central unit costs from the operator
   // metrics observed so far (decode -> central_ingest_ns, join ->
   // central_join_probe_ns, fold -> central_group_update_ns; operators with
@@ -195,9 +181,6 @@ class ScrubSystem {
 
  private:
   void PumpFlushes();
-  // One adaptive control step per active flat-path query (single-threaded;
-  // runs at the top of PumpFlushes so decisions land in this tick's flush).
-  void PumpAdaptive(TimeMicros now);
   void RestartHost(HostId host);
   uint64_t AgentSeed(HostId host, uint64_t epoch) const;
   // Hierarchical control plane (invoked via the server's central_install /
@@ -219,7 +202,6 @@ class ScrubSystem {
   std::unique_ptr<BiddingPlatform> platform_;
   std::unique_ptr<WorkloadDriver> workload_;
   std::unique_ptr<ScrubCentral> central_;
-  std::unique_ptr<AdaptiveController> adaptive_;
   std::unique_ptr<QueryServer> server_;
   std::unordered_map<HostId, std::unique_ptr<ScrubAgent>> agents_;
   // Monitorable hosts in ascending id order: the deterministic iteration

@@ -428,9 +428,4 @@ const ControlStats* QueryServer::ControlStatsFor(QueryId id) const {
   return it == control_stats_.end() ? nullptr : &it->second;
 }
 
-const HostPlan* QueryServer::HostPlanFor(QueryId id) const {
-  const auto it = active_.find(id);
-  return it == active_.end() ? nullptr : &it->second.host_plan;
-}
-
 }  // namespace scrub

@@ -133,9 +133,6 @@ class QueryServer {
   // Unacked teardowns still being retried (introspection for tests).
   size_t pending_teardowns() const { return teardowns_.size(); }
   const ControlStats* ControlStatsFor(QueryId id) const;
-  // The retained host-side plan of a live query (null after teardown).
-  // The adaptive controller reads pipeline eligibility from it.
-  const HostPlan* HostPlanFor(QueryId id) const;
   // Replaces the lint cost model (admission linting AND the predicted-cost
   // admission check pick up the new unit costs immediately). Used by
   // ScrubSystem::CalibrateLintCosts.

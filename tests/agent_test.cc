@@ -21,15 +21,10 @@ std::vector<Event> DecodeShipped(const SchemaRegistry& registry,
                                  const EventBatch& batch) {
   std::vector<Event> out;
   switch (batch.format) {
-    case BatchFormat::kRow: {
-      Result<std::vector<Event>> events = DecodeBatch(registry, batch.payload);
-      EXPECT_TRUE(events.ok()) << events.status().ToString();
-      if (events.ok()) {
-        out = std::move(events).value();
-      }
-      break;
-    }
     case BatchFormat::kColumnar: {
+      if (batch.event_count == 0) {
+        break;  // counters-only: no payload
+      }
       Result<ColumnBatch> cols = DecodeColumnBatch(registry, batch.payload);
       EXPECT_TRUE(cols.ok()) << cols.status().ToString();
       for (size_t r = 0; cols.ok() && r < cols->rows(); ++r) {
@@ -404,11 +399,11 @@ TEST_F(AgentTest, HeartbeatsOnlyWhenOptedIn) {
   EXPECT_EQ(batches[0].counters[0].sampled, 0u);
 }
 
-TEST_F(AgentTest, CountersOnlyFlushShipsOneEmptyRowBatch) {
+TEST_F(AgentTest, CountersOnlyFlushShipsOneEmptyPayloadBatch) {
   // The wire form of a flush with nothing to ship is pinned: exactly one
-  // kRow batch with no events, payload EncodeBatch({}), carrying the
-  // counters. Every heartbeat pays these bytes, so they feed the
-  // bytes-per-event figures directly.
+  // batch with no events and an empty payload, carrying the counters. Every
+  // heartbeat pays these bytes, so they feed the bytes-per-event figures
+  // directly.
   AgentConfig config;
   config.flush_heartbeats = true;
   ScrubAgent agent(/*host=*/3, &meter_, config, /*sampling_seed=*/99);
@@ -416,18 +411,16 @@ TEST_F(AgentTest, CountersOnlyFlushShipsOneEmptyRowBatch) {
       "SELECT COUNT(*) FROM bid WHERE bid.price > 100.0 "
       "WINDOW 1 s DURATION 60 s;");
   agent.InstallQuery(plan);
-  const std::string empty_payload = EncodeBatch({});
   auto expect_counters_only = [&](const std::vector<EventBatch>& batches,
                                   uint64_t seen) {
     ASSERT_EQ(batches.size(), 1u);
     const EventBatch& b = batches[0];
-    EXPECT_EQ(b.format, BatchFormat::kRow);
     EXPECT_EQ(b.event_count, 0u);
-    EXPECT_EQ(b.payload, empty_payload);
+    EXPECT_TRUE(b.payload.empty());
     ASSERT_EQ(b.counters.size(), 1u);
     EXPECT_EQ(b.counters[0].seen, seen);
     EXPECT_EQ(b.counters[0].sampled, seen);
-    EXPECT_EQ(b.WireSize(), empty_payload.size() + 32 + 36);
+    EXPECT_EQ(b.WireSize(), 32u + 37u);
   };
   // Nothing staged: a pure heartbeat.
   expect_counters_only(agent.Flush(500 * kMicrosPerMilli), 0);

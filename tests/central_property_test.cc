@@ -109,7 +109,7 @@ TEST_P(CentralPropertyTest, MatchesBruteForceReference) {
     batch.query_id = central_plan.query_id;
     batch.host = b;
     batch.event_count = slice.size();
-    batch.payload = EncodeBatch(slice);
+    batch.format = EncodeEvents(slice, &batch.payload);
     ASSERT_TRUE(central.IngestBatch(batch, 0).ok());
   }
   central.OnTick(60 * kMicrosPerSecond);

@@ -47,7 +47,7 @@ class CentralTest : public ::testing::Test {
     batch.query_id = qid;
     batch.host = host;
     batch.event_count = events.size();
-    batch.payload = EncodeBatch(events);
+    batch.format = EncodeEvents(events, &batch.payload);
     batch.counters = std::move(counters);
     return batch;
   }

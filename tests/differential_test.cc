@@ -524,7 +524,7 @@ class ShardedSampledDifferentialTest : public ::testing::Test {
       batch.query_id = plan.query_id;
       batch.host = static_cast<HostId>(h);
       batch.event_count = kept.size();
-      batch.payload = EncodeBatch(kept);
+      batch.format = EncodeEvents(kept, &batch.payload);
       for (const auto& [w, c] : counters) {
         batch.counters.push_back(c);
       }

@@ -218,13 +218,55 @@ TEST(WireTest, BatchRoundTrip) {
     e.SetField(1, Value(int64_t{i}));
     events.push_back(std::move(e));
   }
-  const std::string buffer = EncodeBatch(events);
-  Result<std::vector<Event>> back = DecodeBatch(registry, buffer);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->size(), 10u);
+  std::string buffer;
+  ASSERT_EQ(EncodeEvents(events, &buffer), BatchFormat::kColumnar);
+  Result<ColumnBatch> back = DecodeColumnBatch(registry, buffer);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->rows(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ((*back)[static_cast<size_t>(i)].field(1), Value(int64_t{i}));
+    const Event got = back->MaterializeEvent(static_cast<size_t>(i));
+    EXPECT_EQ(got.request_id(), static_cast<RequestId>(i));
+    EXPECT_EQ(got.field(1), Value(int64_t{i}));
   }
+}
+
+TEST(WireTest, MixedTypeBatchRoundTripKeepsArrivalOrder) {
+  SchemaRegistry registry;
+  ASSERT_TRUE(registry.Register(TestSchema()).ok());
+  SchemaPtr other = *EventSchema::Builder("other")
+                         .AddField("n", FieldType::kLong)
+                         .Build();
+  ASSERT_TRUE(registry.Register(other).ok());
+  // Sections follow first appearance ("other" first); the interleave is the
+  // events' own order.
+  std::vector<Event> events;
+  for (int i = 0; i < 7; ++i) {
+    Event e = i % 3 == 0 ? Event(other, static_cast<RequestId>(i), i)
+                         : Event(*registry.Get("probe"),
+                                 static_cast<RequestId>(i), i);
+    e.SetField(i % 3 == 0 ? 0 : 1, Value(int64_t{i}));
+    events.push_back(std::move(e));
+  }
+  std::string buffer;
+  ASSERT_EQ(EncodeEvents(events, &buffer), BatchFormat::kColumnarJoin);
+  Result<ColumnJoinBatch> back = DecodeColumnJoinBatch(registry, buffer);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->sections.size(), 2u);
+  EXPECT_EQ(back->sections[0].schema()->type_name(), "other");
+  EXPECT_EQ(back->sections[1].schema()->type_name(), "probe");
+  ASSERT_EQ(back->order.size(), events.size());
+  std::vector<size_t> cursor(2, 0);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const uint8_t s = back->order[i];
+    const Event got = back->sections[s].MaterializeEvent(cursor[s]++);
+    EXPECT_EQ(got.type_name(), events[i].type_name()) << i;
+    EXPECT_EQ(got.request_id(), events[i].request_id()) << i;
+    EXPECT_EQ(got.WireSize(), events[i].WireSize()) << i;
+  }
+
+  std::string empty;
+  EXPECT_EQ(EncodeEvents({}, &empty), BatchFormat::kColumnar);
+  EXPECT_TRUE(empty.empty());
 }
 
 TEST(WireTest, TruncationDetected) {
@@ -257,9 +299,13 @@ TEST(WireTest, UnknownTypeRejected) {
 TEST(WireTest, TrailingBytesInBatchRejected) {
   SchemaRegistry registry;
   ASSERT_TRUE(registry.Register(TestSchema()).ok());
-  std::string buffer = EncodeBatch({});
+  Event e(*registry.Get("probe"), 1, 1);
+  e.SetField(1, Value(int64_t{5}));
+  std::string buffer;
+  EncodeEvents({e}, &buffer);
+  ASSERT_TRUE(DecodeColumnBatch(registry, buffer).ok());
   buffer += "junk";
-  EXPECT_FALSE(DecodeBatch(registry, buffer).ok());
+  EXPECT_FALSE(DecodeColumnBatch(registry, buffer).ok());
 }
 
 // Property: WireSize always equals the encoded size, across random events.

@@ -1,10 +1,11 @@
 // Unit tests for the physical-operator executor: one compiled pipeline
-// interpreted against both input representations. The defining property is
-// that a row span and a ColumnBatch selection carrying the same logical
-// events fold into byte-identical result rows — same values, same bounds,
-// same emission order — because every deployment shares this one engine.
+// interpreted against ColumnBatch selections. Folded chunks must agree with
+// the naive reference executor (tests/reference_executor.h), and how events
+// are cut into chunks must not change a single transcript byte — same
+// values, same bounds, same emission order.
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
@@ -95,13 +96,21 @@ class ExecutorTest : public ::testing::Test {
   }
 
   // Folds chunks into a fresh QueryState, closes every window in start
-  // order, and returns the transcript.
-  std::vector<std::string> Run(
+  // order, and returns the emitted rows.
+  std::vector<ResultRow> RunRows(
       std::string_view text,
       const std::vector<std::pair<HostId, InputChunk>>& chunks) {
-    std::vector<std::string> transcript;
-    QueryState q = StateFor(text, 1, &transcript);
+    std::vector<std::string> ignored;
+    QueryState q = StateFor(text, 1, &ignored);
+    std::vector<ResultRow> rows;
+    q.sink = [&rows](const ResultRow& row) { rows.push_back(row); };
     Executor executor(&registry_, &config_, &meter_);
+    // Open every window of the span, as agent heartbeat counters would, so
+    // ungrouped queries emit a row per window like the reference does.
+    for (TimeMicros ts = q.plan.start_time; ts < q.plan.end_time;
+         ts += q.plan.window_micros) {
+      executor.WindowsFor(q, ts);
+    }
     for (const auto& [host, chunk] : chunks) {
       executor.Fold(q, host, chunk);
     }
@@ -111,8 +120,67 @@ class ExecutorTest : public ::testing::Test {
       q.closed_through = it->first;
       q.windows.erase(it);
     }
-    EXPECT_FALSE(transcript.empty());
+    EXPECT_FALSE(rows.empty());
+    return rows;
+  }
+
+  // RunRows rendered at full precision (values, completeness, bounds).
+  std::vector<std::string> Run(
+      std::string_view text,
+      const std::vector<std::pair<HostId, InputChunk>>& chunks) {
+    std::vector<std::string> transcript;
+    for (const ResultRow& row : RunRows(text, chunks)) {
+      transcript.push_back(RenderRow(row));
+    }
     return transcript;
+  }
+
+  // Matches `rows` against the naive reference executor over `events`: rows
+  // pair up by (window, group keys); exact columns compare by rendering,
+  // SUM/AVG within a relative 1e-9 (the reference sums in its own order).
+  void ExpectMatchesReference(std::string_view text,
+                              const std::vector<Event>& events,
+                              const std::vector<ResultRow>& rows) {
+    Result<AnalyzedQuery> aq = ParseAndAnalyze(text, registry_);
+    ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+    Result<QueryPlan> plan = PlanQuery(*aq, 1, 0);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ReferenceExecutor reference(*aq, plan->central);
+    for (const Event& e : events) {
+      reference.Observe(e);
+    }
+    const std::vector<ColumnCheck> checks = reference.ColumnChecks();
+    const std::vector<OutputColumn>& outputs = plan->central.outputs;
+    const auto key_of = [&](const ResultRow& row) {
+      std::string key = std::to_string(row.window_start);
+      for (size_t i = 0; i < outputs.size(); ++i) {
+        if (outputs[i].expr.kind == OutputKind::kGroupKey) {
+          key += "|" + row.values[i].ToString();
+        }
+      }
+      return key;
+    };
+    std::map<std::string, ResultRow> truth;
+    for (ResultRow& row : reference.Execute()) {
+      truth.emplace(key_of(row), std::move(row));
+    }
+    ASSERT_EQ(rows.size(), truth.size());
+    for (const ResultRow& row : rows) {
+      const auto it = truth.find(key_of(row));
+      ASSERT_NE(it, truth.end()) << "unexpected row " << row.ToString();
+      ASSERT_EQ(row.values.size(), it->second.values.size());
+      for (size_t i = 0; i < row.values.size(); ++i) {
+        const Value& want = it->second.values[i];
+        if (checks[i] == ColumnCheck::kApproxDouble && !want.is_null()) {
+          EXPECT_NEAR(row.values[i].AsNumber(), want.AsNumber(),
+                      1e-9 * (1.0 + std::abs(want.AsNumber())))
+              << row.ToString();
+        } else {
+          EXPECT_EQ(row.values[i].ToString(), want.ToString())
+              << row.ToString();
+        }
+      }
+    }
   }
 
   SchemaRegistry registry_;
@@ -148,19 +216,31 @@ TEST_F(ExecutorTest, CompiledPipelineNamesItsOperators) {
   EXPECT_EQ(raw.pipeline.ToString().find("GroupFold("), std::string::npos);
 }
 
-TEST_F(ExecutorTest, RowAndColumnarChunksFoldByteIdentically) {
+TEST_F(ExecutorTest, ColumnarChunksFoldLikeTheReference) {
   const char* query =
       "SELECT bid.user_id, COUNT(*), SUM(bid.price), AVG(bid.price), "
       "MIN(bid.price), MAX(bid.price) FROM bid GROUP BY bid.user_id "
       "WINDOW 1 s DURATION 4 s;";
   const std::vector<Event> events = RandomBids(500, 17);
-
-  const std::vector<std::string> row_transcript =
-      Run(query, {{HostId{0}, InputChunk::Rows(events)}});
   const auto batch = ToColumns(bid_schema_, events);
-  const std::vector<std::string> col_transcript =
-      Run(query, {{HostId{0}, InputChunk::Columns(batch, nullptr, 0)}});
-  EXPECT_EQ(col_transcript, row_transcript);
+  ExpectMatchesReference(
+      query, events,
+      RunRows(query, {{HostId{0}, InputChunk::Columns(batch, nullptr, 0)}}));
+
+  // Chunk boundaries carry no fold effects: the same rows cut into uneven
+  // selections fold to the byte-identical transcript.
+  std::vector<uint32_t> all(events.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    all[i] = static_cast<uint32_t>(i);
+  }
+  std::vector<std::pair<HostId, InputChunk>> pieces;
+  for (size_t start = 0, len = 1; start < all.size(); start += len, len *= 3) {
+    const size_t n = std::min(len, all.size() - start);
+    pieces.emplace_back(HostId{0},
+                        InputChunk::Columns(batch, all.data() + start, n));
+  }
+  EXPECT_EQ(Run(query, pieces),
+            Run(query, {{HostId{0}, InputChunk::Columns(batch, nullptr, 0)}}));
 }
 
 TEST_F(ExecutorTest, ColumnarSelectionFoldsOnlySelectedRows) {
@@ -174,17 +254,23 @@ TEST_F(ExecutorTest, ColumnarSelectionFoldsOnlySelectedRows) {
     selection.push_back(static_cast<uint32_t>(i));
   }
 
-  const std::vector<std::string> row_transcript =
-      Run(query, {{HostId{0}, InputChunk::Rows(evens)}});
   const auto batch = ToColumns(bid_schema_, all);
-  const std::vector<std::string> col_transcript = Run(
-      query,
-      {{HostId{0},
-        InputChunk::Columns(batch, selection.data(), selection.size())}});
-  EXPECT_EQ(col_transcript, row_transcript);
+  ExpectMatchesReference(
+      query, evens,
+      RunRows(query,
+              {{HostId{0}, InputChunk::Columns(batch, selection.data(),
+                                               selection.size())}}));
+  // Folding the selected rows copied out into their own batch is the same
+  // transcript, byte for byte.
+  EXPECT_EQ(
+      Run(query, {{HostId{0}, InputChunk::Columns(batch, selection.data(),
+                                                  selection.size())}}),
+      Run(query, {{HostId{0}, InputChunk::Columns(
+                                  ToColumns(bid_schema_, evens), nullptr,
+                                  0)}}));
 }
 
-TEST_F(ExecutorTest, JoinFoldsBothRepresentationsIdentically) {
+TEST_F(ExecutorTest, JoinFoldsColumnarChunksLikeTheReference) {
   const char* query =
       "SELECT impression.line_item_id, COUNT(*), SUM(bid.price) "
       "FROM bid, impression GROUP BY impression.line_item_id "
@@ -201,7 +287,7 @@ TEST_F(ExecutorTest, JoinFoldsBothRepresentationsIdentically) {
     bid.SetField(1, Value(rng.NextDouble() * 5));
     bids.push_back(std::move(bid));
     // Two of three requests get a matching impression; the rest stay join
-    // orphans that a columnar fold must never materialize into Events.
+    // orphans that the fold must never materialize into Events.
     if (i % 3 != 0) {
       Event imp(imp_schema_, rid, ts);
       imp.SetField(0, Value(static_cast<int64_t>(rng.NextBelow(4))));
@@ -210,21 +296,19 @@ TEST_F(ExecutorTest, JoinFoldsBothRepresentationsIdentically) {
     }
   }
 
-  const std::vector<std::string> row_transcript =
-      Run(query, {{HostId{0}, InputChunk::Rows(bids)},
-                  {HostId{1}, InputChunk::Rows(imps)}});
   const auto bid_batch = ToColumns(bid_schema_, bids);
   const auto imp_batch = ToColumns(imp_schema_, imps);
-  const std::vector<std::string> col_transcript =
-      Run(query, {{HostId{0}, InputChunk::Columns(bid_batch, nullptr, 0)},
-                  {HostId{1}, InputChunk::Columns(imp_batch, nullptr, 0)}});
-  EXPECT_EQ(col_transcript, row_transcript);
-
-  // Mixed representations join too: columnar bids against row impressions.
-  const std::vector<std::string> mixed_transcript =
-      Run(query, {{HostId{0}, InputChunk::Columns(bid_batch, nullptr, 0)},
-                  {HostId{1}, InputChunk::Rows(imps)}});
-  EXPECT_EQ(mixed_transcript, row_transcript);
+  std::vector<Event> both = bids;
+  both.insert(both.end(), imps.begin(), imps.end());
+  ExpectMatchesReference(
+      query, both,
+      RunRows(query, {{HostId{0}, InputChunk::Columns(bid_batch, nullptr, 0)},
+                      {HostId{1}, InputChunk::Columns(imp_batch, nullptr, 0)}}));
+  // Impressions arriving first join the same tuples.
+  ExpectMatchesReference(
+      query, both,
+      RunRows(query, {{HostId{1}, InputChunk::Columns(imp_batch, nullptr, 0)},
+                      {HostId{0}, InputChunk::Columns(bid_batch, nullptr, 0)}}));
 }
 
 // ---------------------------------------------------------------------------
@@ -529,10 +613,11 @@ TEST_F(JoinBufferTest, SlidingWindowsEachBufferTheSharedChunk) {
   EXPECT_GT(got.stats.tuples_joined, 0u);
 }
 
-TEST_F(JoinBufferTest, SpilledRowEntriesReplayByteIdentically) {
-  // Columnar entries buffered before the window crosses its budget and row
-  // entries replayed from the spill run at close share one buffer; the
-  // transcript (float sums included) must match the unbounded run exactly.
+TEST_F(JoinBufferTest, SpilledEntriesReplayByteIdentically) {
+  // Entries buffered before the window crosses its budget and entries
+  // replayed from the spill run's decoded blocks at close share one buffer;
+  // the transcript (float sums included) must match the unbounded run
+  // exactly.
   const char* query =
       "SELECT impression.line_item_id, COUNT(*), SUM(bid.price), "
       "SUM(impression.cost) FROM bid, impression "

@@ -91,7 +91,7 @@ TEST(JoinBoundTest, ShedsRequestIdsBeyondCapacity) {
   batch.query_id = central_plan.query_id;
   batch.host = 0;
   batch.event_count = events.size();
-  batch.payload = EncodeBatch(events);
+  batch.format = EncodeEvents(events, &batch.payload);
   ASSERT_TRUE(central.IngestBatch(batch, 0).ok());
   central.OnTick(60 * kMicrosPerSecond);
 
@@ -147,7 +147,7 @@ TEST(JoinBoundTest, BoundIsPerWindow) {
   batch.query_id = central_plan.query_id;
   batch.host = 0;
   batch.event_count = events.size();
-  batch.payload = EncodeBatch(events);
+  batch.format = EncodeEvents(events, &batch.payload);
   ASSERT_TRUE(central.IngestBatch(batch, 0).ok());
   central.OnTick(60 * kMicrosPerSecond);
   EXPECT_EQ(total, 100u);

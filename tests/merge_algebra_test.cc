@@ -83,7 +83,7 @@ class MergeAlgebraTest : public ::testing::Test {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.payload = EncodeBatch(events);
+    batch.format = EncodeEvents(events, &batch.payload);
     return batch;
   }
 

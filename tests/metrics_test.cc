@@ -1,9 +1,7 @@
-// Operator-metrics plane, adaptive execution and the calibrated cost model
-// (DESIGN.md §16): per-operator counters accumulate on every pipeline shape
-// (row, columnar, join, sharded, hierarchical), surface through
-// DescribeQuery / EXPLAIN ANALYZE, survive teardown, drive the
-// AdaptiveController's batch tuning, and feed the
-// predicted-cost admission check.
+// Operator-metrics plane and the calibrated cost model (DESIGN.md §16):
+// per-operator counters accumulate on every pipeline shape (columnar, join,
+// sharded, hierarchical), surface through DescribeQuery / EXPLAIN ANALYZE,
+// survive teardown, and feed the predicted-cost admission check.
 
 #include <string>
 #include <utility>
@@ -11,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/central/adaptive.h"
 #include "src/central/sharded_central.h"
 #include "src/common/rng.h"
 #include "src/event/wire.h"
@@ -171,7 +168,7 @@ TEST(MetricsTest, ShardedCentralMergesShardMetricsAtCoordinator) {
     batch.host = 0;
     batch.seq = seq++;
     batch.event_count = events.size();
-    batch.payload = EncodeBatch(events);
+    batch.format = EncodeEvents(events, &batch.payload);
     ASSERT_TRUE(sharded.IngestBatch(batch, (tick + 1) * 500 * kMicrosPerMilli)
                     .ok());
     sharded.OnTick((tick + 1) * 500 * kMicrosPerMilli);
@@ -251,131 +248,6 @@ TEST(MetricsTest, PeakStateBytesSurviveTeardown) {
   EXPECT_GT(cs->peak_state_bytes, 0u);
   const std::string described = system.DescribeQuery(submitted->id);
   EXPECT_NE(described.find("state peak:"), std::string::npos) << described;
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveController unit behavior (synthetic stats, recorded overrides).
-// ---------------------------------------------------------------------------
-
-AdaptiveController MakeController(
-    const AdaptiveConfig& config,
-    std::vector<std::pair<QueryId, size_t>>* batch_overrides,
-    size_t default_batch = 1024) {
-  return AdaptiveController(config, default_batch,
-                            [batch_overrides](QueryId id, size_t n) {
-                              batch_overrides->emplace_back(id, n);
-                            });
-}
-
-TEST(AdaptiveControllerTest, DisabledControllerNeverOverrides) {
-  std::vector<std::pair<QueryId, size_t>> overrides;
-  AdaptiveConfig config;  // enabled defaults to false: the kill switch
-  config.tune_interval_pumps = 1;
-  AdaptiveController ctl = MakeController(config, &overrides);
-  CentralQueryStats stats;
-  stats.op_metrics.resize(1);
-  ctl.OnInstall(1, 0);
-  for (int i = 0; i < 10; ++i) {
-    stats.op_metrics[0].rows_in += 1024;
-    stats.op_metrics[0].batches += 1;
-    ctl.OnPump(1, i, stats);
-  }
-  EXPECT_TRUE(overrides.empty());
-  EXPECT_EQ(ctl.Describe(1), "");
-}
-
-TEST(AdaptiveControllerTest, TunesBatchFromDecodeFill) {
-  std::vector<std::pair<QueryId, size_t>> overrides;
-  AdaptiveConfig config;
-  config.enabled = true;
-  config.tune_interval_pumps = 1;
-  config.min_batch_events = 128;
-  config.max_batch_events = 4096;
-  AdaptiveController ctl = MakeController(config, &overrides);
-  ctl.OnInstall(1, 0);
-  EXPECT_TRUE(overrides.empty());  // install issues no override
-  EXPECT_NE(ctl.Describe(1).find("batch tuning started at 1024"),
-            std::string::npos)
-      << ctl.Describe(1);
-
-  CentralQueryStats stats;
-  stats.op_metrics.resize(1);
-  // Near-full flushes (avg fill 1000 of cap 1024) double the cap...
-  stats.op_metrics[0].rows_in = 10'000;
-  stats.op_metrics[0].batches = 10;
-  ctl.OnPump(1, 1, stats);
-  ASSERT_EQ(overrides.size(), 1u);
-  EXPECT_EQ(overrides[0].second, 2048u);
-  // ...and near-empty flushes (avg fill 100 of cap 2048) halve it again.
-  stats.op_metrics[0].rows_in = 11'000;
-  stats.op_metrics[0].batches = 20;
-  ctl.OnPump(1, 2, stats);
-  ASSERT_EQ(overrides.size(), 2u);
-  EXPECT_EQ(overrides[1].second, 1024u);
-  // An interval without traffic changes nothing.
-  ctl.OnPump(1, 3, stats);
-  EXPECT_EQ(overrides.size(), 2u);
-
-  const std::string described = ctl.Describe(1);
-  EXPECT_NE(described.find("adaptive: batch=1024 decisions=3"),
-            std::string::npos)
-      << described;
-  EXPECT_NE(described.find("batch 1024 -> 2048"), std::string::npos)
-      << described;
-  const std::vector<AdaptiveDecision>* decisions = ctl.DecisionsFor(1);
-  ASSERT_NE(decisions, nullptr);
-  EXPECT_EQ(decisions->size(), 3u);
-}
-
-TEST(AdaptiveControllerTest, BatchCapStaysWithinBounds) {
-  std::vector<std::pair<QueryId, size_t>> overrides;
-  AdaptiveConfig config;
-  config.enabled = true;
-  config.tune_interval_pumps = 2;
-  config.min_batch_events = 512;
-  config.max_batch_events = 2048;
-  AdaptiveController ctl = MakeController(config, &overrides);
-  ctl.OnInstall(7, 0);
-  CentralQueryStats stats;
-  stats.op_metrics.resize(1);
-  // Always-full flushes: the cap grows to the ceiling and stops there.
-  for (int pump = 1; pump <= 12; ++pump) {
-    stats.op_metrics[0].rows_in += 4096;
-    stats.op_metrics[0].batches += 1;
-    ctl.OnPump(7, pump, stats);
-  }
-  ASSERT_EQ(overrides.size(), 1u);  // 1024 -> 2048, then pinned
-  EXPECT_EQ(overrides[0].second, 2048u);
-  // Always-trickling flushes: the cap falls to the floor and stops there.
-  for (int pump = 13; pump <= 24; ++pump) {
-    stats.op_metrics[0].rows_in += 1;
-    stats.op_metrics[0].batches += 1;
-    ctl.OnPump(7, pump, stats);
-  }
-  ASSERT_EQ(overrides.size(), 3u);  // 2048 -> 1024 -> 512, then pinned
-  EXPECT_EQ(overrides[1].second, 1024u);
-  EXPECT_EQ(overrides[2].second, 512u);
-}
-
-TEST(MetricsTest, AdaptiveDecisionsVisibleInDescribeQuery) {
-  SystemConfig config = SmallSystem();
-  config.adaptive.enabled = true;
-  config.adaptive.tune_interval_pumps = 2;
-  ScrubSystem system(config);
-  DriveLoad(system);
-  auto submitted = system.Submit(kAggQuery, [](const ResultRow&) {});
-  ASSERT_TRUE(submitted.ok());
-  system.RunUntil(5 * kMicrosPerSecond);
-  ASSERT_NE(system.adaptive_controller(), nullptr);
-  const std::string described = system.DescribeQuery(submitted->id);
-  EXPECT_NE(described.find("adaptive: batch="), std::string::npos)
-      << described;
-  EXPECT_NE(described.find("batch tuning started"), std::string::npos)
-      << described;
-  const std::vector<AdaptiveDecision>* decisions =
-      system.adaptive_controller()->DecisionsFor(submitted->id);
-  ASSERT_NE(decisions, nullptr);
-  EXPECT_FALSE(decisions->empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ class ShardedDeterminismTest : public ::testing::Test {
           batch.host = host;
           batch.seq = seq++;
           batch.event_count = events.size();
-          batch.payload = EncodeBatch(events);
+          batch.format = EncodeEvents(events, &batch.payload);
           batches.push_back(std::move(batch));
         }
       }
@@ -140,7 +140,7 @@ std::vector<std::string> RunSystem(size_t workers, double drop_rate,
                                    size_t regions = 0,
                                    const char* query = kAggQuery,
                                    bool metrics = true,
-                                   bool adaptive = false) {
+                                   size_t max_batch_events = 0) {
   SystemConfig config;
   config.seed = 7;
   config.platform.seed = 7;
@@ -157,11 +157,8 @@ std::vector<std::string> RunSystem(size_t workers, double drop_rate,
   // counts (FlatAndHierarchicalAgreeOnExactAggregates).
   config.transport.micros_per_byte = 0;
   config.central.collect_op_metrics = metrics;
-  if (adaptive) {
-    // A short tuning interval so batch retunes land inside the 3 s trace.
-    config.adaptive.enabled = true;
-    config.adaptive.tune_interval_pumps = 2;
-    config.adaptive.min_batch_events = 16;
+  if (max_batch_events > 0) {
+    config.agent.max_batch_events = max_batch_events;
   }
   if (drop_rate > 0) {
     config.faults.Category(TrafficCategory::kScrubEvents).drop = drop_rate;
@@ -202,20 +199,19 @@ TEST(SystemDeterminismTest, TwentyPercentDropTranscriptIdenticalAcrossWorkers) {
   EXPECT_EQ(RunSystem(8, 0.2), reference);
 }
 
-TEST(SystemDeterminismTest, MetricsAndAdaptiveMatrixCollapsesToOneTranscript) {
-  // The operator-metrics plane is pure observation and the adaptive
-  // controller only re-chunks flushes, so the whole matrix — metrics
-  // {off,on} x adaptive {off,on} x workers {0,2,8} — must collapse onto the
-  // single reference transcript. Metrics-off + adaptive-on starves the
-  // controller (no counters), which must also be harmless.
+TEST(SystemDeterminismTest, MetricsAndBatchCapMatrixCollapsesToOneTranscript) {
+  // The operator-metrics plane is pure observation and batch boundaries
+  // carry no fold effects at central, so the whole matrix — metrics
+  // {off,on} x agent batch cap {16, default} x workers {0,2,8} — must
+  // collapse onto the single reference transcript.
   const std::vector<std::string> reference = RunSystem(0, 0.0);
   for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
     for (const bool metrics : {false, true}) {
-      for (const bool adaptive : {false, true}) {
-        EXPECT_EQ(RunSystem(workers, 0.0, 0, kAggQuery, metrics, adaptive),
+      for (const size_t batch : {size_t{16}, size_t{0}}) {
+        EXPECT_EQ(RunSystem(workers, 0.0, 0, kAggQuery, metrics, batch),
                   reference)
             << "workers=" << workers << " metrics=" << metrics
-            << " adaptive=" << adaptive;
+            << " max_batch_events=" << batch;
       }
     }
   }
@@ -225,15 +221,15 @@ constexpr const char* kJoinQuery =
     "SELECT impression.line_item_id, COUNT(*) FROM bid, impression "
     "GROUP BY impression.line_item_id WINDOW 1 s DURATION 3 s;";
 
-TEST(SystemDeterminismTest, AdaptiveJoinTranscriptNeutralAcrossWorkers) {
+TEST(SystemDeterminismTest, SmallBatchJoinTranscriptNeutralAcrossWorkers) {
   // Join plans exercise the other agent flush path (kColumnarJoin sections
-  // plus the arrival interleave); batch retunes must stay invisible there
-  // too.
+  // plus the arrival interleave); a 16-event batch cap cuts the interleave
+  // at many more places, which must stay invisible there too.
   const std::vector<std::string> reference =
       RunSystem(0, 0.0, /*regions=*/0, kJoinQuery);
   for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
     EXPECT_EQ(RunSystem(workers, 0.0, 0, kJoinQuery, /*metrics=*/true,
-                        /*adaptive=*/true),
+                        /*max_batch_events=*/16),
               reference)
         << "workers=" << workers;
   }

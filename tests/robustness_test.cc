@@ -25,17 +25,36 @@ class RobustnessTest : public ::testing::Test {
     EXPECT_TRUE(registry_.Register(schema_).ok());
   }
 
-  std::string ValidBatch() {
-    std::vector<Event> events;
+  Event ValidEvent(int i) const {
+    Event e(schema_, static_cast<RequestId>(i), 100 + i);
+    e.SetField(0, Value(int64_t{i}));
+    e.SetField(1, Value(1.5 * i));
+    e.SetField(2, Value("payload"));
+    e.SetField(3, Value(std::vector<Value>{Value(int64_t{1})}));
+    return e;
+  }
+
+  // Eight back-to-back event records, the way a spill run stores them.
+  std::string ValidRecords() const {
+    std::string out;
     for (int i = 0; i < 8; ++i) {
-      Event e(schema_, static_cast<RequestId>(i), 100 + i);
-      e.SetField(0, Value(int64_t{i}));
-      e.SetField(1, Value(1.5 * i));
-      e.SetField(2, Value("payload"));
-      e.SetField(3, Value(std::vector<Value>{Value(int64_t{1})}));
-      events.push_back(std::move(e));
+      EncodeEvent(ValidEvent(i), &out);
     }
-    return EncodeBatch(events);
+    return out;
+  }
+
+  // Decodes records until the buffer is consumed; the first failure wins.
+  Result<std::vector<Event>> DecodeRecords(const std::string& buf) const {
+    std::vector<Event> events;
+    size_t offset = 0;
+    while (offset < buf.size()) {
+      Result<Event> e = DecodeEvent(registry_, buf, &offset);
+      if (!e.ok()) {
+        return e.status();
+      }
+      events.push_back(std::move(e).value());
+    }
+    return events;
   }
 
   SchemaRegistry registry_;
@@ -43,14 +62,14 @@ class RobustnessTest : public ::testing::Test {
 };
 
 TEST_F(RobustnessTest, SingleByteCorruptionNeverCrashesDecoder) {
-  const std::string valid = ValidBatch();
+  const std::string valid = ValidRecords();
   Rng rng(99);
   int decode_failures = 0;
   for (int trial = 0; trial < 2000; ++trial) {
     std::string corrupted = valid;
     const size_t pos = rng.NextBelow(corrupted.size());
     corrupted[pos] = static_cast<char>(rng.NextBelow(256));
-    Result<std::vector<Event>> decoded = DecodeBatch(registry_, corrupted);
+    Result<std::vector<Event>> decoded = DecodeRecords(corrupted);
     if (!decoded.ok()) {
       ++decode_failures;
       continue;
@@ -68,20 +87,24 @@ TEST_F(RobustnessTest, SingleByteCorruptionNeverCrashesDecoder) {
 }
 
 TEST_F(RobustnessTest, TruncationAtEveryLengthFailsCleanly) {
-  const std::string valid = ValidBatch();
+  std::string valid;
+  EncodeEvent(ValidEvent(3), &valid);
   for (size_t cut = 0; cut < valid.size(); ++cut) {
     const std::string truncated = valid.substr(0, cut);
-    Result<std::vector<Event>> decoded = DecodeBatch(registry_, truncated);
-    EXPECT_FALSE(decoded.ok()) << "cut=" << cut;
+    size_t offset = 0;
+    EXPECT_FALSE(DecodeEvent(registry_, truncated, &offset).ok())
+        << "cut=" << cut;
   }
 }
 
 TEST_F(RobustnessTest, HugeLengthPrefixesRejected) {
-  // A batch claiming 2^31 events with no payload must not allocate wildly.
+  // A record claiming a 2^31-byte type name with no payload must not
+  // allocate wildly.
   std::string hostile;
   const uint32_t count = 0x7FFFFFFF;
   hostile.append(reinterpret_cast<const char*>(&count), 4);
-  EXPECT_FALSE(DecodeBatch(registry_, hostile).ok());
+  size_t offset = 0;
+  EXPECT_FALSE(DecodeEvent(registry_, hostile, &offset).ok());
 }
 
 TEST_F(RobustnessTest, RandomGarbageQueriesNeverCrashParser) {

@@ -65,7 +65,7 @@ class ShardedCentralTest : public ::testing::Test {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.payload = EncodeBatch(events);
+    batch.format = EncodeEvents(events, &batch.payload);
     return batch;
   }
 
@@ -90,6 +90,72 @@ class ShardedCentralTest : public ::testing::Test {
   SchemaPtr bid_schema_;
   SchemaPtr imp_schema_;
 };
+
+TEST_F(ShardedCentralTest, PreAggregatedBatchIsRejectedAndFoldsNothing) {
+  // Shards fold events; pre-aggregated deltas have no request ids to route
+  // by, so the router refuses them instead of misreading the payload.
+  const char* query =
+      "SELECT bid.user_id, COUNT(*) FROM bid GROUP BY bid.user_id "
+      "WINDOW 2 s DURATION 10 s;";
+  ShardedCentral sharded(&registry_, 4);
+  const CentralPlan plan = PlanFor(query, 1);
+  std::vector<ResultRow> rows;
+  ASSERT_TRUE(sharded
+                  .InstallQuery(plan, [&](const ResultRow& row) {
+                    rows.push_back(row);
+                  })
+                  .ok());
+  PreAggSlot slot;
+  slot.window_start = 0;
+  slot.events = 5;
+  slot.groups.push_back(PreAggGroup{{Value(int64_t{3})}, {PreAggCell{5, 0}}});
+  EventBatch batch;
+  batch.query_id = plan.query_id;
+  batch.host = 0;
+  batch.format = BatchFormat::kPreAgg;
+  batch.event_count = 5;
+  batch.payload = EncodePreAggBatch({slot});
+  const Status status = sharded.IngestBatch(batch, 0);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  for (const uint64_t load : sharded.ShardLoads(plan.query_id)) {
+    EXPECT_EQ(load, 0u);
+  }
+  sharded.OnTick(60 * kMicrosPerSecond);
+  EXPECT_TRUE(rows.empty());
+}
+
+TEST_F(ShardedCentralTest, RowlessJoinBatchFoldsNothing) {
+  // A well-formed join payload with one zero-row section and an empty
+  // interleave, under a header that claims an event: the router must not
+  // mistake it for a single-source batch.
+  const char* query =
+      "SELECT bid.user_id, COUNT(*) FROM bid GROUP BY bid.user_id "
+      "WINDOW 2 s DURATION 10 s;";
+  ShardedCentral sharded(&registry_, 4);
+  const CentralPlan plan = PlanFor(query, 1);
+  std::vector<ResultRow> rows;
+  ASSERT_TRUE(sharded
+                  .InstallQuery(plan, [&](const ResultRow& row) {
+                    rows.push_back(row);
+                  })
+                  .ok());
+  const ColumnBatch empty(bid_schema_);
+  EventBatch batch;
+  batch.query_id = plan.query_id;
+  batch.host = 0;
+  batch.format = BatchFormat::kColumnarJoin;
+  batch.event_count = 1;
+  EncodeColumnJoinBatch({ColumnJoinSection{&empty, nullptr, 0, nullptr}}, {},
+                        &batch.payload);
+  ASSERT_TRUE(DecodeColumnJoinBatch(registry_, batch.payload).ok());
+  const Status status = sharded.IngestBatch(batch, 0);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  for (const uint64_t load : sharded.ShardLoads(plan.query_id)) {
+    EXPECT_EQ(load, 0u);
+  }
+  sharded.OnTick(60 * kMicrosPerSecond);
+  EXPECT_TRUE(rows.empty());
+}
 
 TEST_F(ShardedCentralTest, ExactParityWithSingleInstance) {
   const char* query =

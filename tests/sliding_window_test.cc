@@ -79,7 +79,7 @@ class SlidingCentralTest : public ::testing::Test {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.payload = EncodeBatch(events);
+    batch.format = EncodeEvents(events, &batch.payload);
     ASSERT_TRUE(central_->IngestBatch(batch, 0).ok());
   }
 

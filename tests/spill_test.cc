@@ -19,12 +19,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/central/central.h"
+#include "src/central/executor.h"
 #include "src/central/sharded_central.h"
 #include "src/common/rng.h"
 #include "src/common/spill.h"
@@ -143,7 +147,7 @@ class SpillCentralTest : public ::testing::Test {
           batch.host = host;
           batch.seq = seq++;
           batch.event_count = events->size();
-          batch.payload = EncodeBatch(*events);
+          batch.format = EncodeEvents(*events, &batch.payload);
           EXPECT_TRUE(central.IngestBatch(batch, now).ok());
         }
       }
@@ -363,7 +367,7 @@ class SpillShardedTest : public SpillCentralTest {
         batch.host = host;
         batch.seq = seq++;
         batch.event_count = events.size();
-        batch.payload = EncodeBatch(events);
+        batch.format = EncodeEvents(events, &batch.payload);
         batches.push_back(std::move(batch));
       }
       EXPECT_TRUE(central.IngestBatches(batches, now).ok());
@@ -527,6 +531,269 @@ TEST(SpillSystemTest, ExplainAnalyzeReportsBudgetsAndSpill) {
   EXPECT_NE(budgeted.describe.find("join_shed="), std::string::npos);
   // Unbudgeted, tracking-only runs still report usage but no spill section.
   EXPECT_NE(unbounded.explain_analyze.find("state bytes:"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Corrupt spill runs. Replay is the only reader of event records, so a run
+// damaged on disk must lose exactly the records from the damage on, counted
+// as shed: never a crash, never an unaccounted event.
+// ---------------------------------------------------------------------------
+
+class SpillCorruptionTest : public ::testing::Test {
+ protected:
+  SpillCorruptionTest() {
+    bid_schema_ = *EventSchema::Builder("bid")
+                       .AddField("user_id", FieldType::kLong)
+                       .AddField("price", FieldType::kDouble)
+                       .AddField("tag", FieldType::kString)
+                       .Build();
+    EXPECT_TRUE(registry_.Register(bid_schema_).ok());
+  }
+
+  // One record of the run as laid out on disk: u32 len | u32 host | payload.
+  struct RecordSpan {
+    size_t header;   // offset of the length prefix
+    size_t payload;  // offset of the payload
+    uint32_t len;
+  };
+
+  static std::vector<RecordSpan> Records(const std::string& run) {
+    std::vector<RecordSpan> out;
+    for (size_t pos = 0; pos + 8 <= run.size();) {
+      uint32_t len = 0;
+      std::memcpy(&len, run.data() + pos, 4);
+      out.push_back(RecordSpan{pos, pos + 8, len});
+      pos += 8 + len;
+    }
+    return out;
+  }
+
+  struct Outcome {
+    uint64_t events = 0;    // events routed to the window
+    uint64_t records = 0;   // records the run held
+    uint64_t folded = 0;    // COUNT(*) the window emitted
+    uint64_t shed = 0;
+    uint64_t read_failures = 0;
+    double fidelity = 1.0;
+  };
+
+  // Spills `n` events from four hosts (or, with `hostless`, from batches
+  // sent as kInvalidHost) into one window under a tiny budget, lets
+  // `corrupt` rewrite the run's bytes, then closes the window.
+  Outcome Run(const std::string& label, int n,
+              const std::function<void(std::string*)>& corrupt,
+              bool hostless = false) {
+    const std::string dir = SpillDir("corrupt_" + label);
+    std::filesystem::remove_all(dir);
+    Result<AnalyzedQuery> aq = ParseAndAnalyze(
+        "SELECT COUNT(*) FROM bid WINDOW 10 s DURATION 10 s;", registry_);
+    EXPECT_TRUE(aq.ok()) << aq.status().ToString();
+    Result<QueryPlan> plan = PlanQuery(*aq, 1, 0);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    QueryState q;
+    q.plan = plan->central;
+    q.plan.hosts_targeted = 4;
+    q.plan.hosts_sampled = 4;
+    q.pipeline = CompilePhysical(q.plan, PipelineRole::kSingleInstance);
+    Outcome out;
+    q.sink = [&out](const ResultRow& row) {
+      out.folded += static_cast<uint64_t>(row.values[0].AsInt());
+      out.fidelity = row.fidelity;
+    };
+    CentralConfig config;
+    CostMeter meter;
+    MemoryAccountant accountant;
+    accountant.set_budgets(1, 0);
+    SpillManager spill;
+    spill.Configure(dir, "central", 1, SpillFaultSpec{});
+    Executor executor(&registry_, &config, &meter, &accountant, &spill);
+
+    Rng rng(5);
+    std::vector<Event> events;
+    for (int i = 0; i < n; ++i) {
+      Event e(bid_schema_, rng.NextUint64(),
+              static_cast<TimeMicros>(rng.NextBelow(9'000'000)));
+      e.SetField(0, Value(static_cast<int64_t>(rng.NextBelow(50))));
+      e.SetField(1, Value(rng.NextDouble() * 5));
+      e.SetField(2, Value(StrFormat("tag%d", i % 7)));
+      events.push_back(std::move(e));
+    }
+    for (size_t i = 0; i < events.size(); i += 10) {
+      EventBatch batch;
+      batch.query_id = 1;
+      batch.event_count = std::min<size_t>(10, events.size() - i);
+      const std::vector<Event> slice(
+          events.begin() + static_cast<std::ptrdiff_t>(i),
+          events.begin() + static_cast<std::ptrdiff_t>(i + batch.event_count));
+      batch.format = EncodeEvents(slice, &batch.payload);
+      EXPECT_TRUE(executor
+                      .DecodeAndFold(q,
+                                     hostless
+                                         ? kInvalidHost
+                                         : static_cast<HostId>((i / 10) % 4),
+                                     batch)
+                      .ok());
+    }
+    if (q.windows.size() != 1 || q.windows.begin()->second.spill == nullptr) {
+      ADD_FAILURE() << "expected one spilled window";
+      return out;
+    }
+    WindowState& w = q.windows.begin()->second;
+    out.events = w.input_events;
+    out.records = w.spill->records();
+
+    // Flush the run to disk, rewrite it, and replay the damaged bytes.
+    EXPECT_TRUE(w.spill->BeginReplay());
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      files.push_back(entry.path());
+    }
+    if (files.size() != 1) {
+      ADD_FAILURE() << files.size() << " spill files in " << dir;
+      return out;
+    }
+    std::string bytes;
+    if (std::FILE* f = std::fopen(files[0].c_str(), "rb")) {
+      char chunk[4096];
+      size_t got = 0;
+      while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+        bytes.append(chunk, got);
+      }
+      std::fclose(f);
+    }
+    EXPECT_EQ(Records(bytes).size(), out.records);
+    corrupt(&bytes);
+    if (std::FILE* f = std::fopen(files[0].c_str(), "wb")) {
+      std::fwrite(bytes.data(), 1, bytes.size(), f);
+      std::fclose(f);
+    }
+    executor.CloseWindow(q, &w);
+    q.windows.clear();
+    out.shed = q.stats.events_shed;
+    out.read_failures = q.stats.spill_read_failures;
+    std::filesystem::remove_all(dir);
+    return out;
+  }
+
+  // Every routed event either folded or was counted shed; a loss means one
+  // read failure and a dented fidelity.
+  static void ExpectAccounted(const Outcome& o, bool lossy) {
+    EXPECT_GT(o.records, 0u);
+    EXPECT_EQ(o.folded + o.shed, o.events);
+    if (lossy) {
+      EXPECT_GT(o.shed, 0u);
+      EXPECT_EQ(o.read_failures, 1u);
+      EXPECT_LT(o.fidelity, 1.0);
+    }
+  }
+
+  SchemaRegistry registry_;
+  SchemaPtr bid_schema_;
+};
+
+TEST_F(SpillCorruptionTest, IntactRunReplaysEveryRecord) {
+  const Outcome o = Run("intact", 2500, [](std::string*) {});
+  ExpectAccounted(o, /*lossy=*/false);
+  EXPECT_EQ(o.shed, 0u);
+  EXPECT_EQ(o.folded, o.events);
+  EXPECT_GT(o.records, 2048u);  // replays as several decoded blocks
+}
+
+TEST_F(SpillCorruptionTest, HostlessRecordsRoundTrip) {
+  // kInvalidHost spills as 0xFFFFFFFF; replay must accept what it wrote.
+  const Outcome o = Run("hostless", 300, [](std::string*) {}, true);
+  ExpectAccounted(o, /*lossy=*/false);
+  EXPECT_EQ(o.shed, 0u);
+  EXPECT_EQ(o.folded, o.events);
+}
+
+TEST_F(SpillCorruptionTest, TruncatedRecordShedsOnlyTheTail) {
+  const Outcome o = Run("truncated", 300, [](std::string* run) {
+    run->resize(run->size() - 3);
+  });
+  ExpectAccounted(o, /*lossy=*/true);
+  EXPECT_EQ(o.shed, 1u);  // only the torn last record
+}
+
+TEST_F(SpillCorruptionTest, LengthPrefixPastEofShedsTheRemainder) {
+  const Outcome o = Run("past_eof", 300, [](std::string* run) {
+    const std::vector<RecordSpan> records = Records(*run);
+    const RecordSpan& r = records[records.size() / 2];
+    const uint32_t len =
+        static_cast<uint32_t>(run->size() - r.payload + 1);  // one past EOF
+    std::memcpy(run->data() + r.header, &len, 4);
+  });
+  ExpectAccounted(o, /*lossy=*/true);
+  EXPECT_EQ(o.shed, o.records - o.records / 2);
+}
+
+TEST_F(SpillCorruptionTest, OversizedLengthIsRejectedBeforeAllocating) {
+  const Outcome o = Run("oversized", 300, [](std::string* run) {
+    const RecordSpan r = Records(*run)[3];
+    const uint32_t len = 0xFFFFFFF0u;
+    std::memcpy(run->data() + r.header, &len, 4);
+  });
+  ExpectAccounted(o, /*lossy=*/true);
+  EXPECT_EQ(o.shed, o.records - 3);
+}
+
+TEST_F(SpillCorruptionTest, OutOfRangeHostShedsTheRemainder) {
+  const Outcome o = Run("host", 300, [](std::string* run) {
+    const RecordSpan r = Records(*run)[10];
+    const uint32_t host = 0x80000000u;  // below kInvalidHost: never written
+    std::memcpy(run->data() + r.header + 4, &host, 4);
+  });
+  ExpectAccounted(o, /*lossy=*/true);
+  EXPECT_EQ(o.shed, o.records - 10);
+}
+
+TEST_F(SpillCorruptionTest, FlippedTypeNameShedsTheRemainder) {
+  const Outcome o = Run("type_name", 300, [](std::string* run) {
+    const RecordSpan r = Records(*run)[20];
+    (*run)[r.payload + 4] ^= 0x20;  // "bid" -> "Bid": unknown type
+  });
+  ExpectAccounted(o, /*lossy=*/true);
+  EXPECT_EQ(o.shed, o.records - 20);
+}
+
+TEST_F(SpillCorruptionTest, FlippedValueTagsNeverCrash) {
+  // The first value tag follows the u32 name length, the name and the two
+  // u64 metadata fields. Every byte value lands as either a different,
+  // still-decodable value or a rejected record; both stay accounted.
+  for (const uint8_t tag : {uint8_t{0x00}, uint8_t{0x03}, uint8_t{0x7f},
+                            uint8_t{0xff}}) {
+    const Outcome o =
+        Run(StrFormat("tag%u", static_cast<unsigned>(tag)), 300,
+            [tag](std::string* run) {
+              for (const RecordSpan& r : Records(*run)) {
+                if (r.header % 3 == 0) {
+                  (*run)[r.payload + 4 + 3 + 16] = static_cast<char>(tag);
+                }
+              }
+            });
+    ExpectAccounted(o, /*lossy=*/o.shed > 0);
+  }
+}
+
+TEST_F(SpillCorruptionTest, RandomPayloadFlipsNeverCrash) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const Outcome o =
+        Run(StrFormat("flips%llu", static_cast<unsigned long long>(seed)),
+            300, [seed](std::string* run) {
+              Rng rng(seed);
+              const std::vector<RecordSpan> records = Records(*run);
+              for (int f = 0; f < 6; ++f) {
+                const RecordSpan& r =
+                    records[rng.NextBelow(records.size())];
+                if (r.len == 0) {
+                  continue;
+                }
+                (*run)[r.payload + rng.NextBelow(r.len)] =
+                    static_cast<char>(rng.NextBelow(256));
+              }
+            });
+    ExpectAccounted(o, /*lossy=*/o.shed > 0);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Fuzz-style negative tests for the wire codec: DecodeEvent/DecodeBatch run
-// on bytes that crossed the network, so every length prefix, count and tag
-// byte is hostile until proven otherwise. Decoding corrupt input must fail
+// Fuzz-style negative tests for the wire codecs: DecodeEvent reads spill
+// records and the columnar decoders read bytes that crossed the network, so
+// every length prefix, count and tag byte is hostile until proven otherwise. Decoding corrupt input must fail
 // with a status — never crash, never allocate unbounded memory. The
 // SCRUB_SANITIZE (ASan+UBSan) build flavor exists to keep these honest.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,6 +56,34 @@ class WireFuzzTest : public ::testing::Test {
     return buf;
   }
 
+  // Back-to-back records for `request_ids`, as a spill run lays out its
+  // payloads (minus the run's own record headers).
+  std::string EncodedRecords(std::initializer_list<uint64_t> request_ids,
+                             std::vector<size_t>* ends = nullptr) const {
+    std::string buf;
+    for (const uint64_t rid : request_ids) {
+      EncodeEvent(SampleEvent(rid), &buf);
+      if (ends != nullptr) {
+        ends->push_back(buf.size());
+      }
+    }
+    return buf;
+  }
+
+  // Decodes records until the buffer is consumed; the first failure wins.
+  Result<std::vector<Event>> DecodeRecords(const std::string& buf) const {
+    std::vector<Event> events;
+    size_t offset = 0;
+    while (offset < buf.size()) {
+      Result<Event> e = DecodeEvent(registry_, buf, &offset);
+      if (!e.ok()) {
+        return e.status();
+      }
+      events.push_back(std::move(e).value());
+    }
+    return events;
+  }
+
   SchemaRegistry registry_;
   SchemaPtr schema_;
 };
@@ -81,17 +110,38 @@ TEST_F(WireFuzzTest, EveryTruncationOfAnEventFailsCleanly) {
   EXPECT_EQ(offset, full.size());
 }
 
-TEST_F(WireFuzzTest, EveryTruncationOfABatchFailsCleanly) {
-  const std::string full = EncodeBatch({SampleEvent(1), SampleEvent(2)});
-  for (size_t len = 0; len < full.size(); ++len) {
-    Result<std::vector<Event>> r =
-        DecodeBatch(registry_, full.substr(0, len));
-    EXPECT_FALSE(r.ok()) << "decode succeeded on prefix of " << len
-                         << " bytes";
+TEST_F(WireFuzzTest, EveryTruncationOfARecordRunFailsCleanly) {
+  // A prefix of back-to-back records decodes only when it ends on a record
+  // boundary, and then yields exactly the records before it.
+  std::vector<size_t> ends;
+  const std::string full = EncodedRecords({1, 2}, &ends);
+  for (size_t len = 1; len < full.size(); ++len) {
+    Result<std::vector<Event>> r = DecodeRecords(full.substr(0, len));
+    if (len == ends[0]) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->size(), 1u);
+    } else {
+      EXPECT_FALSE(r.ok()) << "decode succeeded on prefix of " << len
+                           << " bytes";
+    }
   }
-  Result<std::vector<Event>> r = DecodeBatch(registry_, full);
+  Result<std::vector<Event>> r = DecodeRecords(full);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->size(), 2u);
+  ASSERT_EQ(r->size(), 2u);
+  EXPECT_EQ((*r)[1].request_id(), 2u);
+}
+
+TEST_F(WireFuzzTest, EveryTruncationOfABuiltBatchFailsCleanly) {
+  std::string full;
+  ASSERT_EQ(EncodeEvents({SampleEvent(1), SampleEvent(2)}, &full),
+            BatchFormat::kColumnar);
+  for (size_t len = 0; len < full.size(); ++len) {
+    EXPECT_FALSE(DecodeColumnBatch(registry_, full.substr(0, len)).ok())
+        << "decode succeeded on prefix of " << len << " bytes";
+  }
+  Result<ColumnBatch> r = DecodeColumnBatch(registry_, full);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows(), 2u);
 }
 
 TEST_F(WireFuzzTest, OversizedTypeNameLengthIsRejected) {
@@ -102,12 +152,14 @@ TEST_F(WireFuzzTest, OversizedTypeNameLengthIsRejected) {
   EXPECT_FALSE(DecodeEvent(registry_, buf, &offset).ok());
 }
 
-TEST_F(WireFuzzTest, OversizedBatchCountIsRejected) {
-  std::string buf = EncodeBatch({SampleEvent(1)});
-  // A count prefix far beyond what the remaining bytes could hold must be
-  // rejected up front, not fed to vector::reserve.
-  PatchU32(&buf, 0, 0xffffffffu);
-  EXPECT_FALSE(DecodeBatch(registry_, buf).ok());
+TEST_F(WireFuzzTest, OversizedBatchRowCountIsRejected) {
+  std::string buf;
+  EncodeEvents({SampleEvent(1)}, &buf);
+  // The row count follows the u32-prefixed type name. A count far beyond
+  // what the remaining bytes could hold must be rejected up front, not fed
+  // to vector::reserve.
+  PatchU32(&buf, 4 + schema_->type_name().size(), 0xffffffffu);
+  EXPECT_FALSE(DecodeColumnBatch(registry_, buf).ok());
 }
 
 TEST_F(WireFuzzTest, OversizedListAndObjectCountsAreRejected) {
@@ -168,8 +220,7 @@ TEST_F(WireFuzzTest, DeepListNestingIsCapped) {
 }
 
 TEST_F(WireFuzzTest, RandomByteFlipsNeverCrashTheDecoder) {
-  const std::string batch = EncodeBatch(
-      {SampleEvent(1), SampleEvent(2), SampleEvent(3)});
+  const std::string batch = EncodedRecords({1, 2, 3});
   Rng rng(0xf00d);
   for (int trial = 0; trial < 2000; ++trial) {
     std::string buf = batch;
@@ -179,7 +230,7 @@ TEST_F(WireFuzzTest, RandomByteFlipsNeverCrashTheDecoder) {
       buf[pos] = static_cast<char>(rng.NextUint64() & 0xff);
     }
     // Must terminate with ok-or-status; ASan/UBSan keep "terminate" honest.
-    (void)DecodeBatch(registry_, buf);
+    (void)DecodeRecords(buf);
   }
 }
 
@@ -192,9 +243,8 @@ TEST_F(WireFuzzTest, RandomGarbageNeverCrashesTheDecoder) {
     for (size_t i = 0; i < len; ++i) {
       buf.push_back(static_cast<char>(rng.NextUint64() & 0xff));
     }
-    (void)DecodeBatch(registry_, buf);
-    size_t offset = 0;
-    (void)DecodeEvent(registry_, buf, &offset);
+    (void)DecodeRecords(buf);
+    (void)DecodeColumnBatch(registry_, buf);
   }
 }
 
@@ -718,8 +768,8 @@ TEST_F(JoinWireFuzzTest, MultiSourceStagingRoundTripsOnRandomSchemas) {
 }
 
 // Property: for ANY schema and any event population, shipping rows through
-// the columnar codec is lossless and agrees field-for-field with the row
-// codec. Randomized over schemas (all field types), null density, and row
+// the columnar codec is lossless and agrees field-for-field with the event
+// record codec (what spill runs store). Randomized over schemas (all field types), null density, and row
 // counts, including the bitmap-padding edge rows % 8 == 0.
 TEST_F(ColumnWireFuzzTest, RowAndColumnarCodecsAgreeOnRandomSchemas) {
   Rng rng(0x5eed);
@@ -762,15 +812,27 @@ TEST_F(ColumnWireFuzzTest, RowAndColumnarCodecsAgreeOnRandomSchemas) {
     Result<ColumnBatch> decoded = DecodeColumnBatch(registry, columnar);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
 
-    Result<std::vector<Event>> via_rows =
-        DecodeBatch(registry, EncodeBatch(events));
-    ASSERT_TRUE(via_rows.ok()) << via_rows.status().ToString();
+    // The batch builder produces the same columnar payload.
+    std::string built;
+    EncodeEvents(events, &built);
+    EXPECT_EQ(built, events.empty() ? std::string() : columnar);
+
+    std::string records;
+    for (const Event& e : events) {
+      EncodeEvent(e, &records);
+    }
+    std::vector<Event> via_rows;
+    for (size_t offset = 0; offset < records.size();) {
+      Result<Event> e = DecodeEvent(registry, records, &offset);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      via_rows.push_back(std::move(e).value());
+    }
 
     ASSERT_EQ(decoded->rows(), events.size());
-    ASSERT_EQ(via_rows->size(), events.size());
+    ASSERT_EQ(via_rows.size(), events.size());
     for (size_t r = 0; r < events.size(); ++r) {
       const Event from_columns = decoded->MaterializeEvent(r);
-      const Event& from_rows = (*via_rows)[r];
+      const Event& from_rows = via_rows[r];
       EXPECT_EQ(from_columns.request_id(), from_rows.request_id());
       EXPECT_EQ(from_columns.timestamp(), from_rows.timestamp());
       ASSERT_EQ(from_columns.field_count(), from_rows.field_count());

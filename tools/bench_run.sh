@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Refreshes BENCH_scrub.json: builds the benchmark suite in a plain
-# (non-sanitized, optimized) tree, runs the parallel-central sweep and the
-# row-vs-columnar ingest microbench, and merges their JSON into one document:
+# (non-sanitized, optimized) tree, runs the parallel-central sweep, the
+# ingest microbench and the fleet and multitenant benches, and merges their
+# JSON into one document:
 #
 #   {"bench": "scrub", "parallel_central": {...}, "ingest": {...},
 #    "fleet": {...}, "multitenant": {...}}

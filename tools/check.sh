@@ -18,6 +18,7 @@ BUILD_DIR="${REPO}/build-sanitize"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 RUN_TIDY=1
 FAILURES=0
+UNRESOLVED=0
 
 for arg in "$@"; do
   case "$arg" in
@@ -109,6 +110,18 @@ else
        "${BUILD_DIR}/tests/executor_test" \
        --gtest_filter='JoinBufferTest.*' > /dev/null; then
     fail "join buffer tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/executor_test --gtest_filter='JoinBufferTest.*')"
+  fi
+  # Spill replay is the only reader of event records: a run damaged on disk
+  # (truncation, bad length or host, flipped type-name/tag/payload bytes)
+  # must end as counted shed. Its fixture runs by name too.
+  note "spill corruption under ASan+UBSan"
+  if ! "${BUILD_DIR}/tests/spill_test" --gtest_list_tests \
+       --gtest_filter='SpillCorruptionTest.*' 2>/dev/null | grep -q '^  '; then
+    fail "SpillCorruptionTest fixture missing from spill_test"
+  elif ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+       "${BUILD_DIR}/tests/spill_test" \
+       --gtest_filter='SpillCorruptionTest.*' > /dev/null; then
+    fail "spill corruption tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/spill_test --gtest_filter='SpillCorruptionTest.*')"
   fi
   # Only the expression IR reaches the branch-free compare kernels, and their
   # typed loops index raw column storage; the fixture that checks them
@@ -204,12 +217,28 @@ if [ -f "${REPO}/BENCH_scrub.json" ]; then
     fail "benchmark run failed (logs: ${REPO}/build-bench/build.log)"
   elif ! python3 "${REPO}/tools/bench_compare.py" \
         "${REPO}/BENCH_scrub.json" "${FRESH_BENCH}"; then
-    fail "events/sec regressed >15% vs committed BENCH_scrub.json, or the columnar ingest (1.5x) / join_columnar (1.5x) / dict wire-bytes (1.3x) / folded-over-unfolded IR filter (1.05x) / metrics on-off ratio (0.95) / fleet bytes-reduction (5x) floors broke, or multitenant admission stopped rejecting"
+    fail "events/sec regressed >15% vs committed BENCH_scrub.json, or the dict wire-bytes (1.3x) / folded-over-unfolded IR filter (1.05x) / metrics on-off ratio (0.95) / fleet bytes-reduction (5x) floors broke, or multitenant admission stopped rejecting"
   fi
   rm -f "${FRESH_BENCH}"
 else
   echo "no committed BENCH_scrub.json; skipping benchmark gate"
 fi
+
+# ------------------------------------------------- ingest vs parent ----------
+# The committed baseline was measured on some other machine; this races the
+# columnar scan and both join runs against the parent commit's build on
+# this one (5 to 11 alternating pairs, median >= 0.85x the parent's). When
+# the parent's own runs spread wider than that 15% bound the race cannot
+# tell, and says so instead of passing or failing.
+note "ingest microbench vs the parent commit (same machine)"
+ingest_status=0
+"${REPO}/tools/ingest_vs_parent.sh" || ingest_status=$?
+case "${ingest_status}" in
+  0) ;;
+  2) UNRESOLVED=$((UNRESOLVED + 1))
+     echo "UNRESOLVED: the parent's ingest runs spread wider than the 15% bound; re-run tools/ingest_vs_parent.sh on a quieter machine" ;;
+  *) fail "an ingest scan or join run fell below 0.85x the parent commit's median events/sec (re-run: tools/ingest_vs_parent.sh; logs: ${REPO}/build-parent/)" ;;
+esac
 
 # ------------------------------------------------------------- clang-tidy ----
 if [ "${RUN_TIDY}" -eq 1 ]; then
@@ -232,5 +261,9 @@ note "summary"
 if [ "${FAILURES}" -ne 0 ]; then
   echo "${FAILURES} gate(s) failed"
   exit 1
+fi
+if [ "${UNRESOLVED}" -ne 0 ]; then
+  echo "all resolved gates passed; ${UNRESOLVED} could not resolve on this machine (see UNRESOLVED above)"
+  exit 0
 fi
 echo "all gates passed"

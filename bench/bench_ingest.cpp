@@ -262,12 +262,12 @@ FilterWorkload MakeFilterWorkload(size_t events_per_batch) {
       "bid.price > 0.5 AND bid.tag != 'nosuch' "
       "GROUP BY bid.user_id WINDOW 1 s DURATION 60 s;");
   for (const ExprPtr& conjunct : aq.conjuncts) {
-    Result<CompiledExpr> compiled =
-        CompileExpr(*conjunct, aq.query.sources, aq.schemas);
-    if (!compiled.ok()) {
+    Result<ExprProgram> program = LowerExpr(*conjunct, aq.query.sources,
+                                            aq.schemas, /*fold=*/false);
+    if (!program.ok()) {
       std::abort();
     }
-    f.unfolded.push_back(LowerExpr(*compiled, aq.schemas, /*fold=*/false));
+    f.unfolded.push_back(std::move(program).value());
   }
 
   static const char* kTags[] = {"organic", "paid", "house", "remnant"};

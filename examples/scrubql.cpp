@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string>
 
 #include "src/common/strings.h"
@@ -198,9 +199,9 @@ int main(int argc, char** argv) {
   // Interactive: one query per line.
   std::printf("scrubql> ");
   std::fflush(stdout);
-  char line[4096];
+  std::string line;
   int status = 0;
-  while (std::fgets(line, sizeof(line), stdin) != nullptr) {
+  while (std::getline(std::cin, line)) {
     const std::string query(StripWhitespace(line));
     if (query == "quit" || query == "exit") {
       break;

@@ -45,7 +45,6 @@
 #include "src/event/column_batch.h"
 #include "src/event/event.h"
 #include "src/event/wire.h"
-#include "src/plan/expr_eval.h"
 #include "src/plan/group_key.h"
 #include "src/plan/plan.h"
 

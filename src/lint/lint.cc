@@ -711,13 +711,12 @@ class Linter {
         }
         const Expr& e = *aq_.conjuncts[c];
         const SourceSpan span = e.span.IsValid() ? e.span : where_span;
-        Result<CompiledExpr> compiled =
-            CompileExpr(e, single_source, single_schema);
-        if (!compiled.ok()) {
+        Result<ExprProgram> program =
+            LowerExpr(e, single_source, single_schema);
+        if (!program.ok()) {
           continue;  // admission rejects it elsewhere
         }
-        ExprProgram program = LowerExpr(*compiled, single_schema);
-        const ProgramAnalysis analysis = AnalyzeProgram(program);
+        const ProgramAnalysis analysis = AnalyzeProgram(*program);
         if (analysis.predicate == PredicateClass::kAlwaysFalse) {
           Emit(LintSeverity::kWarning, lint_rules::kFilterContradiction,
                "WHERE conjunct can never be true: it filters out every "
@@ -742,9 +741,9 @@ class Linter {
                  span);
           }
         }
-        FoldProgram(&program, analysis);
+        FoldProgram(&*program, analysis);
         if (analysis.predicate == PredicateClass::kUnknown) {
-          programs.push_back(std::move(program));
+          programs.push_back(std::move(program).value());
           spans.push_back(span);
         }
       }

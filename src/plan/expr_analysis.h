@@ -7,11 +7,10 @@
 //    defined before use (textually; jumps are forward-only so textual order
 //    is a sound over-approximation), pool indexes valid, jump targets
 //    forward and in bounds, type tags well-formed for their opcode, result
-//    register defined. Lowering runs it on every program it builds; a
-//    failure is a planner bug, and under debug or SCRUB_IR_VERIFY builds
-//    (tools/check.sh runs a dedicated pass; sanitizer flavors enable it
-//    automatically) it aborts the process instead of shipping a broken
-//    program to the fleet.
+//    register defined. LowerExpr runs it on every program it builds and, in
+//    every build, returns a failure as its status instead of the program:
+//    a planner bug fails admission rather than shipping a broken program
+//    to the fleet.
 //
 //  * AnalyzeProgram — a forward abstract interpreter over a product domain:
 //    per-register type masks (which runtime classes a register may hold),

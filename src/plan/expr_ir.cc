@@ -1,7 +1,5 @@
 #include "src/plan/expr_ir.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -159,6 +157,105 @@ BinaryOp BinaryOpOf(IrOp op) {
   }
 }
 
+Value ApplyBinaryOp(BinaryOp op, const Value& lhs, const Value& rhs) {
+  if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
+    const bool l = lhs.is_bool() && lhs.AsBool();
+    const bool r = rhs.is_bool() && rhs.AsBool();
+    return Value(op == BinaryOp::kAnd ? (l && r) : (l || r));
+  }
+  if (op == BinaryOp::kContains) {
+    if (!lhs.is_list()) {
+      return Value(false);
+    }
+    for (const Value& item : lhs.AsList()) {
+      if (item == rhs) {
+        return Value(true);
+      }
+    }
+    return Value(false);
+  }
+
+  if (IsArithmeticOp(op)) {
+    if (!lhs.is_numeric() || !rhs.is_numeric()) {
+      return Value::Null();
+    }
+    const bool integral = lhs.is_int() && rhs.is_int();
+    if (integral && op != BinaryOp::kDiv) {
+      const int64_t a = lhs.AsInt();
+      const int64_t b = rhs.AsInt();
+      switch (op) {
+        case BinaryOp::kAdd:
+          return Value(a + b);
+        case BinaryOp::kSub:
+          return Value(a - b);
+        case BinaryOp::kMul:
+          return Value(a * b);
+        default:
+          break;
+      }
+    }
+    const double a = lhs.AsNumber();
+    const double b = rhs.AsNumber();
+    switch (op) {
+      case BinaryOp::kAdd:
+        return Value(a + b);
+      case BinaryOp::kSub:
+        return Value(a - b);
+      case BinaryOp::kMul:
+        return Value(a * b);
+      case BinaryOp::kDiv:
+        if (b == 0.0) {
+          return Value::Null();
+        }
+        return Value(a / b);
+      default:
+        break;
+    }
+    return Value::Null();
+  }
+
+  // Comparisons: null never matches (except = / != treat two nulls equal).
+  if (lhs.is_null() || rhs.is_null()) {
+    if (op == BinaryOp::kEq) {
+      return Value(lhs.is_null() && rhs.is_null());
+    }
+    if (op == BinaryOp::kNe) {
+      return Value(lhs.is_null() != rhs.is_null());
+    }
+    return Value(false);
+  }
+  switch (op) {
+    case BinaryOp::kEq:
+      return Value(lhs == rhs);
+    case BinaryOp::kNe:
+      return Value(lhs != rhs);
+    case BinaryOp::kLt:
+      return Value(lhs.Compare(rhs) < 0);
+    case BinaryOp::kLe:
+      return Value(lhs.Compare(rhs) <= 0);
+    case BinaryOp::kGt:
+      return Value(lhs.Compare(rhs) > 0);
+    case BinaryOp::kGe:
+      return Value(lhs.Compare(rhs) >= 0);
+    default:
+      break;
+  }
+  return Value::Null();
+}
+
+Value ApplyUnaryOp(UnaryOp op, const Value& operand) {
+  if (op == UnaryOp::kNegate) {
+    if (!operand.is_numeric()) {
+      return Value::Null();
+    }
+    if (operand.is_int()) {
+      return Value(-operand.AsInt());
+    }
+    return Value(-operand.AsDoubleExact());
+  }
+  return Value(!(operand.is_bool() && operand.AsBool()));
+}
+
 namespace {
 
 IrOp IrOpOf(BinaryOp op) {
@@ -190,29 +287,35 @@ IrOp IrOpOf(BinaryOp op) {
 
 bool Truthy(const Value& v) { return v.is_bool() && v.AsBool(); }
 
+int SourceIndexOf(const std::string& qualifier,
+                  const std::vector<std::string>& sources) {
+  for (size_t i = 0; i < sources.size(); ++i) {
+    if (sources[i] == qualifier) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
 // Install-time evaluation of subtrees whose value does not depend on any
 // event. Uses the interpreter's own operator implementations (and its AND/OR
 // short-circuit rules: a constant-false AND operand or constant-true OR
 // operand decides the result because operands are side-effect-free), so the
 // fold cannot drift from runtime evaluation.
-std::optional<Value> TryConstEval(const CompiledExpr& e) {
+std::optional<Value> TryConstEval(const Expr& e) {
   switch (e.kind) {
-    case CompiledKind::kLiteral:
+    case ExprKind::kLiteral:
       return e.literal;
-    case CompiledKind::kField:
-    case CompiledKind::kRequestId:
-    case CompiledKind::kTimestamp:
-      return std::nullopt;
-    case CompiledKind::kUnary: {
-      std::optional<Value> child = TryConstEval(e.children[0]);
+    case ExprKind::kUnary: {
+      std::optional<Value> child = TryConstEval(*e.children[0]);
       if (!child.has_value()) {
         return std::nullopt;
       }
       return ApplyUnaryOp(e.unary_op, *child);
     }
-    case CompiledKind::kBinary: {
-      const std::optional<Value> lhs = TryConstEval(e.children[0]);
-      const std::optional<Value> rhs = TryConstEval(e.children[1]);
+    case ExprKind::kBinary: {
+      const std::optional<Value> lhs = TryConstEval(*e.children[0]);
+      const std::optional<Value> rhs = TryConstEval(*e.children[1]);
       if (e.binary_op == BinaryOp::kAnd) {
         if (lhs.has_value() && !Truthy(*lhs)) {
           return Value(false);
@@ -242,41 +345,103 @@ std::optional<Value> TryConstEval(const CompiledExpr& e) {
       }
       return ApplyBinaryOp(e.binary_op, *lhs, *rhs);
     }
-    case CompiledKind::kInList: {
-      std::optional<Value> probe = TryConstEval(e.children[0]);
+    case ExprKind::kInList: {
+      std::optional<Value> probe = TryConstEval(*e.children[0]);
       if (!probe.has_value()) {
         return std::nullopt;
       }
       if (probe->is_null()) {
         return Value(false);
       }
-      for (const Value& member : e.in_list) {
-        if (*probe == member) {
+      for (size_t i = 1; i < e.children.size(); ++i) {
+        if (*probe == e.children[i]->literal) {
           return Value(true);
         }
       }
       return Value(false);
     }
+    case ExprKind::kFieldRef:
+    case ExprKind::kAggregate:
+    case ExprKind::kStar:
+      break;
   }
   return std::nullopt;
 }
 
 class Lowering {
  public:
-  Lowering(const std::vector<SchemaPtr>& schemas, bool fold)
-      : schemas_(schemas), fold_(fold) {
+  Lowering(const std::vector<std::string>& sources,
+           const std::vector<SchemaPtr>& schemas, bool fold)
+      : sources_(sources), schemas_(schemas), fold_(fold) {
     program_.source_count =
         static_cast<uint16_t>(schemas.empty() ? 1 : schemas.size());
   }
 
-  ExprProgram Run(const CompiledExpr& expr) {
+  Result<ExprProgram> Run(const Expr& expr) {
+    // The whole tree is checked up front: folding may drop a subtree from
+    // the program, but a malformed one is still an analyzer bug.
+    const Status checked = Check(expr);
+    if (!checked.ok()) {
+      return checked;
+    }
     program_.result = Lower(expr);
-    program_.num_regs = next_reg_;
+    if (next_reg_ > UINT16_MAX) {
+      return InvalidArgument(
+          StrFormat("expression needs %u registers; at most %u fit a program",
+                    next_reg_, static_cast<unsigned>(UINT16_MAX)));
+    }
+    program_.num_regs = static_cast<uint16_t>(next_reg_);
     return std::move(program_);
   }
 
  private:
-  uint16_t NewReg() { return next_reg_++; }
+  // Every reference resolves, every IN member is a literal, and no
+  // aggregate or `*` reached scalar lowering.
+  Status Check(const Expr& e) const {
+    switch (e.kind) {
+      case ExprKind::kLiteral:
+        return OkStatus();
+      case ExprKind::kFieldRef: {
+        const int source = SourceIndexOf(e.qualifier, sources_);
+        if (source < 0) {
+          return InternalError(StrFormat(
+              "unresolved qualifier '%s' (analyzer should have bound it)",
+              e.qualifier.c_str()));
+        }
+        if (e.field == kRequestIdField || e.field == kTimestampField ||
+            schemas_[static_cast<size_t>(source)]->FieldIndex(e.field) >= 0) {
+          return OkStatus();
+        }
+        return InternalError(StrFormat(
+            "field '%s' vanished from schema '%s'", e.field.c_str(),
+            sources_[static_cast<size_t>(source)].c_str()));
+      }
+      case ExprKind::kAggregate:
+        return InternalError(
+            "aggregate reached the scalar expression compiler");
+      case ExprKind::kStar:
+        return InternalError("'*' reached the scalar expression compiler");
+      case ExprKind::kUnary:
+      case ExprKind::kBinary:
+      case ExprKind::kInList:
+        break;
+    }
+    for (size_t i = 0; i < e.children.size(); ++i) {
+      if (e.kind == ExprKind::kInList && i > 0 &&
+          e.children[i]->kind != ExprKind::kLiteral) {
+        return InternalError("IN members must be literals");
+      }
+      const Status s = Check(*e.children[i]);
+      if (!s.ok()) {
+        return s;
+      }
+    }
+    return OkStatus();
+  }
+
+  // Register numbers wrap past UINT16_MAX; Run rejects such a program
+  // before anything reads them.
+  uint16_t NewReg() { return static_cast<uint16_t>(next_reg_++); }
 
   uint16_t Emit(IrOp op, TypeMask types, uint16_t a = 0, uint16_t b = 0,
                 int32_t imm = -1) {
@@ -300,7 +465,7 @@ class Lowering {
 
   // Coerce-to-bool of an operand expression: the value both AND and OR
   // produce for each side.
-  uint16_t LowerCoerced(const CompiledExpr& e, uint16_t dst) {
+  uint16_t LowerCoerced(const Expr& e, uint16_t dst) {
     const uint16_t r = Lower(e);
     IrInst inst;
     inst.op = IrOp::kCoerceBool;
@@ -311,89 +476,94 @@ class Lowering {
     return dst;
   }
 
-  uint16_t Lower(const CompiledExpr& e) {
+  uint16_t Lower(const Expr& e) {
     if (fold_) {
       if (std::optional<Value> v = TryConstEval(e); v.has_value()) {
         return EmitConst(std::move(*v));
       }
     }
     switch (e.kind) {
-      case CompiledKind::kLiteral:
-        return EmitConst(e.literal);
-      case CompiledKind::kField: {
+      case ExprKind::kFieldRef: {
+        const auto source =
+            static_cast<uint16_t>(SourceIndexOf(e.qualifier, sources_));
+        if (e.field == kRequestIdField) {
+          return Emit(IrOp::kLoadRequestId, kMaskNull | kMaskInt, source);
+        }
+        if (e.field == kTimestampField) {
+          return Emit(IrOp::kLoadTimestamp, kMaskNull | kMaskInt, source);
+        }
+        const EventSchema& schema = *schemas_[source];
+        const auto field = static_cast<uint16_t>(schema.FieldIndex(e.field));
         int32_t path_index = -1;
         TypeMask mask = kMaskAny;  // nested descents are dynamically typed
         if (!e.path.empty()) {
           program_.paths.push_back(e.path);
           path_index = static_cast<int32_t>(program_.paths.size()) - 1;
-        } else if (static_cast<size_t>(e.source) < schemas_.size() &&
-                   static_cast<size_t>(e.field_index) <
-                       schemas_[static_cast<size_t>(e.source)]
-                           ->field_count()) {
-          mask = FieldTypeMask(schemas_[static_cast<size_t>(e.source)]
-                                   ->field(static_cast<size_t>(e.field_index))
-                                   .type);
+        } else {
+          mask = FieldTypeMask(schema.field(field).type);
         }
-        return Emit(IrOp::kLoadField, mask, static_cast<uint16_t>(e.source),
-                    static_cast<uint16_t>(e.field_index), path_index);
+        return Emit(IrOp::kLoadField, mask, source, field, path_index);
       }
-      case CompiledKind::kRequestId:
-        return Emit(IrOp::kLoadRequestId, kMaskNull | kMaskInt,
-                    static_cast<uint16_t>(e.source));
-      case CompiledKind::kTimestamp:
-        return Emit(IrOp::kLoadTimestamp, kMaskNull | kMaskInt,
-                    static_cast<uint16_t>(e.source));
-      case CompiledKind::kUnary: {
-        const uint16_t a = Lower(e.children[0]);
+      case ExprKind::kUnary: {
+        const uint16_t a = Lower(*e.children[0]);
         if (e.unary_op == UnaryOp::kNegate) {
           return Emit(IrOp::kNeg, kMaskNull | kMaskNumeric, a);
         }
         return Emit(IrOp::kNot, kMaskBool, a);
       }
-      case CompiledKind::kBinary:
+      case ExprKind::kBinary:
         return LowerBinary(e);
-      case CompiledKind::kInList: {
-        const uint16_t probe = Lower(e.children[0]);
-        program_.lists.push_back(e.in_list);
+      case ExprKind::kInList: {
+        const uint16_t probe = Lower(*e.children[0]);
+        std::vector<Value> members;
+        members.reserve(e.children.size() - 1);
+        for (size_t i = 1; i < e.children.size(); ++i) {
+          members.push_back(e.children[i]->literal);
+        }
+        program_.lists.push_back(std::move(members));
         return Emit(IrOp::kInList, kMaskBool, probe, 0,
                     static_cast<int32_t>(program_.lists.size()) - 1);
       }
+      case ExprKind::kLiteral:
+        return EmitConst(e.literal);
+      case ExprKind::kAggregate:
+      case ExprKind::kStar:
+        break;  // Check rejected these
     }
     return EmitConst(Value::Null());
   }
 
-  uint16_t LowerBinary(const CompiledExpr& e) {
+  uint16_t LowerBinary(const Expr& e) {
     const BinaryOp op = e.binary_op;
+    const Expr& lhs = *e.children[0];
+    const Expr& rhs = *e.children[1];
     if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
       if (fold_) {
         // One constant side left (a deciding constant folded the whole node
         // in Lower): the result reduces to the other side coerced.
-        const std::optional<Value> lhs = TryConstEval(e.children[0]);
-        const std::optional<Value> rhs = TryConstEval(e.children[1]);
-        if (lhs.has_value() || rhs.has_value()) {
-          const CompiledExpr& live =
-              lhs.has_value() ? e.children[1] : e.children[0];
-          return LowerCoerced(live, NewReg());
+        const bool lhs_const = TryConstEval(lhs).has_value();
+        if (lhs_const || TryConstEval(rhs).has_value()) {
+          return LowerCoerced(lhs_const ? rhs : lhs, NewReg());
         }
       }
       // d <- coerce(lhs); short-circuit; d <- coerce(rhs). AND/OR always
       // produce a bool, built from each side coerced, and the jump only
       // skips the side that cannot matter.
       const uint16_t d = NewReg();
-      LowerCoerced(e.children[0], d);
+      LowerCoerced(lhs, d);
       const size_t jump_at = program_.insts.size();
       IrInst jump;
       jump.op = op == BinaryOp::kAnd ? IrOp::kJumpIfFalse : IrOp::kJumpIfTrue;
       jump.types = 0;
       jump.a = d;
       program_.insts.push_back(jump);
-      LowerCoerced(e.children[1], d);
+      LowerCoerced(rhs, d);
       program_.insts[jump_at].imm =
           static_cast<int32_t>(program_.insts.size());
       return d;
     }
-    const uint16_t a = Lower(e.children[0]);
-    const uint16_t b = Lower(e.children[1]);
+    const uint16_t a = Lower(lhs);
+    const uint16_t b = Lower(rhs);
     TypeMask mask = kMaskBool;
     if (IsArithmeticOp(op)) {
       mask = op == BinaryOp::kDiv ? (kMaskNull | kMaskDouble)
@@ -402,26 +572,28 @@ class Lowering {
     return Emit(IrOpOf(op), mask, a, b);
   }
 
+  const std::vector<std::string>& sources_;
   const std::vector<SchemaPtr>& schemas_;
   const bool fold_;
   ExprProgram program_;
-  uint16_t next_reg_ = 0;
+  uint32_t next_reg_ = 0;
 };
 
 }  // namespace
 
-ExprProgram LowerExpr(const CompiledExpr& expr,
-                      const std::vector<SchemaPtr>& schemas, bool fold) {
-  Lowering lowering(schemas, fold);
-  ExprProgram program = lowering.Run(expr);
-  const Status verdict = VerifyProgram(program);
+Result<ExprProgram> LowerExpr(const Expr& expr,
+                              const std::vector<std::string>& sources,
+                              const std::vector<SchemaPtr>& schemas,
+                              bool fold) {
+  Lowering lowering(sources, schemas, fold);
+  Result<ExprProgram> program = lowering.Run(expr);
+  if (!program.ok()) {
+    return program;
+  }
+  const Status verdict = VerifyProgram(*program);
   if (!verdict.ok()) {
-#if !defined(NDEBUG) || defined(SCRUB_IR_VERIFY)
-    std::fprintf(stderr, "IR verifier rejected a lowered program: %s\n%s",
-                 verdict.ToString().c_str(),
-                 ProgramToString(program).c_str());
-    std::abort();
-#endif
+    return InternalError("IR verifier rejected a lowered program: " +
+                         verdict.message());
   }
   return program;
 }
@@ -434,15 +606,11 @@ namespace {
 // Loaders bind the program's field references to one representation; the
 // interpreter below is the single definition of every operator, so the row
 // and columnar paths cannot diverge.
-struct TupleLoader {
-  std::span<const Event* const> tuple;
+struct EventLoader {
+  const Event* event;
 
-  Value LoadField(uint16_t source, uint16_t field,
+  Value LoadField(uint16_t /*source*/, uint16_t field,
                   const std::vector<std::string>* path) const {
-    const Event* event = tuple[source];
-    if (event == nullptr) {
-      return Value::Null();
-    }
     const Value* v = &event->field(field);
     if (path != nullptr) {
       for (const std::string& step : *path) {
@@ -458,17 +626,11 @@ struct TupleLoader {
     }
     return *v;
   }
-  Value LoadRequestId(uint16_t source) const {
-    const Event* event = tuple[source];
-    return event == nullptr
-               ? Value::Null()
-               : Value(static_cast<int64_t>(event->request_id()));
+  Value LoadRequestId(uint16_t /*source*/) const {
+    return Value(static_cast<int64_t>(event->request_id()));
   }
-  Value LoadTimestamp(uint16_t source) const {
-    const Event* event = tuple[source];
-    return event == nullptr
-               ? Value::Null()
-               : Value(static_cast<int64_t>(event->timestamp()));
+  Value LoadTimestamp(uint16_t /*source*/) const {
+    return Value(static_cast<int64_t>(event->timestamp()));
   }
 };
 
@@ -612,18 +774,8 @@ Value RunWithScratch(const ExprProgram& p, const Loader& loader) {
 
 }  // namespace
 
-Value EvalProgram(const ExprProgram& program, const EventTuple& tuple) {
-  return RunWithScratch(program, TupleLoader{tuple});
-}
-
 Value EvalProgramSingle(const ExprProgram& program, const Event& event) {
-  const Event* const one = &event;
-  return RunWithScratch(program, TupleLoader{{&one, 1}});
-}
-
-bool EvalProgramPredicate(const ExprProgram& program,
-                          const EventTuple& tuple) {
-  return Truthy(EvalProgram(program, tuple));
+  return RunWithScratch(program, EventLoader{&event});
 }
 
 bool EvalProgramPredicateSingle(const ExprProgram& program,
@@ -639,11 +791,6 @@ Value EvalProgramColumns(const ExprProgram& program, const ColumnBatch& batch,
 Value EvalProgramMixed(const ExprProgram& program,
                        std::span<const TupleSlot> slots) {
   return RunWithScratch(program, MixedLoader{slots.data()});
-}
-
-bool EvalProgramPredicateColumns(const ExprProgram& program,
-                                 const ColumnBatch& batch, size_t row) {
-  return Truthy(EvalProgramColumns(program, batch, row));
 }
 
 namespace {

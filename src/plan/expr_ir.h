@@ -1,11 +1,12 @@
 // Typed register-style expression IR: the one expression evaluator.
 //
-// CompiledExpr is a tree: convenient to build, but every evaluation would
-// walk pointers and re-discover structure the planner already knew at
-// install time. Scrub admits long-running standing queries, so anything
-// learned once at install is amortized over millions of evaluated events —
-// the paper's argument for pushing work toward query admission. LowerExpr
-// flattens a CompiledExpr into a linear program over virtual registers with
+// The analyzer's Expr is a tree that names fields: convenient to validate,
+// but every evaluation would walk pointers and re-resolve names the planner
+// already knew at install time. Scrub admits long-running standing queries,
+// so anything learned once at install is amortized over millions of
+// evaluated events — the paper's argument for pushing work toward query
+// admission. LowerExpr resolves an Expr against the query's sources and
+// flattens it into a linear program over virtual registers with
 // pre-resolved constant/list/path pools and a schema-derived type tag per
 // instruction. The same program drives the agent's host filter (single
 // event and vectorized), central's group keys, aggregate arguments and raw
@@ -14,12 +15,13 @@
 // the verifier, the abstract interpreter, constant folding, and the
 // semantic lint rules all consume this IR.
 //
-// Every binary/unary instruction routes through ApplyBinaryOp/ApplyUnaryOp,
-// and AND/OR lower to a coerce-then-short-circuit sequence (operands are
-// side-effect-free, so strict and short-circuit evaluation agree on values;
-// the jumps only skip work). The test suite's tree walker
-// (tests/tree_eval.h) is the independent oracle these semantics are
-// checked against.
+// ApplyBinaryOp/ApplyUnaryOp are the single definition of every operator:
+// every binary/unary instruction routes through them, as do the compare
+// kernels, constant folding and central's output expressions. AND/OR lower
+// to a coerce-then-short-circuit sequence (operands are side-effect-free, so
+// strict and short-circuit evaluation agree on values; the jumps only skip
+// work). The test suite's tree walker (tests/tree_eval.h) is the
+// independent oracle these semantics are checked against.
 
 #ifndef SRC_PLAN_EXPR_IR_H_
 #define SRC_PLAN_EXPR_IR_H_
@@ -31,7 +33,8 @@
 
 #include "src/common/status.h"
 #include "src/event/column_batch.h"
-#include "src/plan/expr_eval.h"
+#include "src/event/event.h"
+#include "src/query/ast.h"
 
 namespace scrub {
 
@@ -40,8 +43,8 @@ namespace scrub {
 //
 // A TypeMask is the set of runtime value classes a register may hold; the
 // lowering stamps each instruction with the mask of its destination, seeded
-// from the schema (the analyzer's types, carried through CompileExpr's
-// field indexes) and from operator result typing. kMaskNull is always
+// from the schema (the analyzer's types, found by resolving each field
+// reference) and from operator result typing. kMaskNull is always
 // possible for field loads: an unset field is null.
 
 using TypeMask = uint8_t;
@@ -120,34 +123,40 @@ struct ExprProgram {
   bool empty() const { return insts.empty(); }
 };
 
-// Lowers a compiled expression. `schemas` is indexed by source (the same
-// list CompileExpr resolved field indexes against) and seeds the per-field
-// type tags. With `fold` (the default), subtrees whose value is decidable at
-// install time collapse to a single kConst — including short-circuit
-// collapses such as `x AND false` — using the evaluator's own operator
-// implementations, so folding cannot drift from evaluation. The verifier
-// runs on every lowering; see expr_analysis.h for the hard-fail contract.
-ExprProgram LowerExpr(const CompiledExpr& expr,
-                      const std::vector<SchemaPtr>& schemas,
-                      bool fold = true);
+// Operator semantics. No short-circuiting; null propagates through
+// arithmetic and fails comparisons (except =/!= against another null).
+Value ApplyBinaryOp(BinaryOp op, const Value& lhs, const Value& rhs);
+Value ApplyUnaryOp(UnaryOp op, const Value& operand);
 
-// Row-oriented execution. The single-event forms bind the event in place
-// (no per-call allocation); the agent and both baselines call them per event.
-Value EvalProgram(const ExprProgram& program, const EventTuple& tuple);
+// Lowers a type-checked scalar expression. Field references resolve by name
+// against `sources`/`schemas` (parallel: the query's source list, or one
+// source of it); qualifiers must already be canonicalized by the analyzer,
+// so an unresolved name, an aggregate or `*` is an InternalError. The schema
+// types seed the per-field type tags. With `fold` (the default), subtrees
+// whose value is decidable at install time collapse to a single kConst —
+// including short-circuit collapses such as `x AND false` — using the
+// evaluator's own operator implementations, so folding cannot drift from
+// evaluation. A program needing more than UINT16_MAX registers is
+// InvalidArgument. Every program is verified (expr_analysis.h) before it is
+// returned; a rejected one comes back as the verifier's error, never as a
+// program.
+Result<ExprProgram> LowerExpr(const Expr& expr,
+                              const std::vector<std::string>& sources,
+                              const std::vector<SchemaPtr>& schemas,
+                              bool fold = true);
+
+// Single-event execution binds the event in place (no per-call allocation);
+// the agent and both baselines call it per event.
 Value EvalProgramSingle(const ExprProgram& program, const Event& event);
-bool EvalProgramPredicate(const ExprProgram& program, const EventTuple& tuple);
 bool EvalProgramPredicateSingle(const ExprProgram& program,
                                 const Event& event);
 
 // Columnar execution (source_count must be 1).
 Value EvalProgramColumns(const ExprProgram& program, const ColumnBatch& batch,
                          size_t row);
-bool EvalProgramPredicateColumns(const ExprProgram& program,
-                                 const ColumnBatch& batch, size_t row);
 
 // One source slot of a join tuple: a (batch, row) columnar reference. A
-// null batch = absent source (loads evaluate to null, like a null
-// EventTuple entry).
+// null batch = absent source (loads evaluate to null).
 struct TupleSlot {
   const ColumnBatch* batch = nullptr;
   uint32_t row = 0;
@@ -155,7 +164,8 @@ struct TupleSlot {
 
 // Multi-source execution over a join tuple: each slot binds its source to
 // the batch row the join buffered, so joined tuples fold column-direct — no
-// Event materialization. Exactly EvalProgram's semantics slot for slot.
+// Event materialization. Each present slot reads exactly what
+// EvalProgramColumns would.
 Value EvalProgramMixed(const ExprProgram& program,
                        std::span<const TupleSlot> slots);
 // Compacts `selection` to the rows where the predicate holds, preserving

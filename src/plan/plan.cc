@@ -4,7 +4,6 @@
 
 #include "src/common/strings.h"
 #include "src/plan/expr_analysis.h"
-#include "src/plan/expr_eval.h"
 
 namespace scrub {
 
@@ -68,16 +67,30 @@ namespace {
 // Lower to the IR and apply the analysis-driven constant fold. Every
 // consumer (host filter, group keys, raw select, aggregate args) goes
 // through this one helper, so all evaluators execute the same lowering.
-ExprProgram LowerOptimized(const CompiledExpr& expr,
-                           const std::vector<SchemaPtr>& schemas,
-                           PredicateClass* predicate = nullptr) {
-  ExprProgram program = LowerExpr(expr, schemas);
-  const ProgramAnalysis analysis = AnalyzeProgram(program);
-  FoldProgram(&program, analysis);
+Result<ExprProgram> LowerOptimized(const Expr& expr,
+                                   const std::vector<std::string>& sources,
+                                   const std::vector<SchemaPtr>& schemas,
+                                   PredicateClass* predicate = nullptr) {
+  Result<ExprProgram> program = LowerExpr(expr, sources, schemas);
+  if (!program.ok()) {
+    return program;
+  }
+  const ProgramAnalysis analysis = AnalyzeProgram(*program);
+  FoldProgram(&*program, analysis);
   if (predicate != nullptr) {
     *predicate = analysis.predicate;
   }
   return program;
+}
+
+// A predicate's size on the wire: one per node, per nested-path step and
+// per IN member.
+int NodeCount(const Expr& e) {
+  int n = 1 + static_cast<int>(e.path.size());
+  for (const ExprPtr& c : e.children) {
+    n += NodeCount(*c);
+  }
+  return n;
 }
 
 class Planner {
@@ -122,23 +135,20 @@ class Planner {
         if (src != static_cast<int>(i) && src != -1) {
           continue;
         }
-        Result<CompiledExpr> compiled =
-            CompileExpr(*aq_.conjuncts[c], single_source, single_schema);
-        if (!compiled.ok()) {
-          return compiled.status();
-        }
-        sp.predicate_nodes += compiled->node_count;
-
         // Lower/fold for the hot path: an always-true conjunct drops out, an
         // always-false one makes the whole source filter unsatisfiable.
         PredicateClass cls = PredicateClass::kUnknown;
-        ExprProgram program =
-            LowerOptimized(*compiled, single_schema, &cls);
+        Result<ExprProgram> program = LowerOptimized(
+            *aq_.conjuncts[c], single_source, single_schema, &cls);
+        if (!program.ok()) {
+          return program.status();
+        }
+        sp.predicate_nodes += NodeCount(*aq_.conjuncts[c]);
         if (cls == PredicateClass::kAlwaysFalse) {
           sp.never_matches = true;
         }
         if (cls == PredicateClass::kUnknown) {
-          sp.programs.push_back(std::move(program));
+          sp.programs.push_back(std::move(program).value());
         }
       }
 
@@ -196,25 +206,23 @@ class Planner {
 
     if (!central->aggregate_mode) {
       for (const SelectItem& item : q.select) {
-        Result<CompiledExpr> compiled =
-            CompileExpr(*item.expr, q.sources, aq_.schemas);
-        if (!compiled.ok()) {
-          return compiled.status();
+        Result<ExprProgram> program =
+            LowerOptimized(*item.expr, q.sources, aq_.schemas);
+        if (!program.ok()) {
+          return program.status();
         }
-        central->raw_select_programs.push_back(
-            LowerOptimized(*compiled, aq_.schemas));
+        central->raw_select_programs.push_back(std::move(program).value());
       }
       return OkStatus();
     }
 
     for (const ExprPtr& g : q.group_by) {
-      Result<CompiledExpr> compiled =
-          CompileExpr(*g, q.sources, aq_.schemas);
-      if (!compiled.ok()) {
-        return compiled.status();
+      Result<ExprProgram> program =
+          LowerOptimized(*g, q.sources, aq_.schemas);
+      if (!program.ok()) {
+        return program.status();
       }
-      central->group_by_programs.push_back(
-          LowerOptimized(*compiled, aq_.schemas));
+      central->group_by_programs.push_back(std::move(program).value());
     }
 
     for (const SelectItem& item : q.select) {
@@ -245,13 +253,13 @@ class Planner {
         spec.func = e.agg_func;
         spec.topk_k = e.topk_k;
         if (!e.children.empty()) {
-          Result<CompiledExpr> arg =
-              CompileExpr(*e.children[0], aq_.query.sources, aq_.schemas);
+          Result<ExprProgram> arg = LowerOptimized(
+              *e.children[0], aq_.query.sources, aq_.schemas);
           if (!arg.ok()) {
             return arg.status();
           }
           spec.has_arg = true;
-          spec.arg_program = LowerOptimized(*arg, aq_.schemas);
+          spec.arg_program = std::move(arg).value();
         }
         out.kind = OutputKind::kAggregate;
         out.index = static_cast<int>(central->aggregates.size());

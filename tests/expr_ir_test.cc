@@ -19,38 +19,20 @@
 namespace scrub {
 namespace {
 
-CompiledExpr Lit(Value v) {
-  CompiledExpr e;
-  e.kind = CompiledKind::kLiteral;
-  e.literal = std::move(v);
-  return e;
+ExprPtr Lit(Value v) { return Expr::MakeLiteral(std::move(v)); }
+
+// A field of the fixture's bid schema, by index.
+ExprPtr FieldRef(int index) {
+  static const char* const kFields[] = {"won", "user_id", "price", "country"};
+  return Expr::MakeFieldRef("bid", kFields[index]);
 }
 
-CompiledExpr FieldRef(int index) {
-  CompiledExpr e;
-  e.kind = CompiledKind::kField;
-  e.source = 0;
-  e.field_index = index;
-  return e;
+ExprPtr Bin(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
+  return Expr::MakeBinary(op, std::move(lhs), std::move(rhs));
 }
 
-CompiledExpr Bin(BinaryOp op, CompiledExpr lhs, CompiledExpr rhs) {
-  CompiledExpr e;
-  e.kind = CompiledKind::kBinary;
-  e.binary_op = op;
-  e.children.push_back(std::move(lhs));
-  e.children.push_back(std::move(rhs));
-  e.node_count = 1 + e.children[0].node_count + e.children[1].node_count;
-  return e;
-}
-
-CompiledExpr Un(UnaryOp op, CompiledExpr operand) {
-  CompiledExpr e;
-  e.kind = CompiledKind::kUnary;
-  e.unary_op = op;
-  e.children.push_back(std::move(operand));
-  e.node_count = 1 + e.children[0].node_count;
-  return e;
+ExprPtr Un(UnaryOp op, ExprPtr operand) {
+  return Expr::MakeUnary(op, std::move(operand));
 }
 
 class ExprIrTest : public ::testing::Test {
@@ -75,6 +57,13 @@ class ExprIrTest : public ::testing::Test {
     return e;
   }
 
+  // Lowers over the bid source alone; every expression here is valid.
+  ExprProgram Lower(const ExprPtr& expr, bool fold = true) const {
+    Result<ExprProgram> p = LowerExpr(*expr, {"bid"}, schemas_, fold);
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    return p.ok() ? std::move(p).value() : ExprProgram{};
+  }
+
   SchemaPtr schema_;
   std::vector<SchemaPtr> schemas_;
 };
@@ -83,12 +72,12 @@ class ExprIrTest : public ::testing::Test {
 // Verifier.
 
 TEST_F(ExprIrTest, VerifierAcceptsLoweredPrograms) {
-  const CompiledExpr expr = Bin(
+  const ExprPtr expr = Bin(
       BinaryOp::kAnd,
       Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(2.5))),
       Bin(BinaryOp::kOr, Bin(BinaryOp::kEq, FieldRef(3), Lit(Value("US"))),
           Un(UnaryOp::kNot, FieldRef(0))));
-  const ExprProgram p = LowerExpr(expr, schemas_, /*fold=*/false);
+  const ExprProgram p = Lower(expr, /*fold=*/false);
   EXPECT_TRUE(VerifyProgram(p).ok()) << VerifyProgram(p).ToString();
 }
 
@@ -161,10 +150,10 @@ TEST_F(ExprIrTest, VerifierRejectsMalformedPrograms) {
 // Folding.
 
 TEST_F(ExprIrTest, ConstantSubtreesFoldAtLowering) {
-  const CompiledExpr expr =
+  const ExprPtr expr =
       Bin(BinaryOp::kAdd, Lit(Value(int64_t{1})),
           Bin(BinaryOp::kMul, Lit(Value(int64_t{2})), Lit(Value(int64_t{3}))));
-  const ExprProgram p = LowerExpr(expr, schemas_);
+  const ExprProgram p = Lower(expr);
   ASSERT_EQ(p.insts.size(), 1u);
   EXPECT_EQ(p.insts[0].op, IrOp::kConst);
   const Event e = MakeBid(1, 10, 3.0, "US");
@@ -172,10 +161,10 @@ TEST_F(ExprIrTest, ConstantSubtreesFoldAtLowering) {
 }
 
 TEST_F(ExprIrTest, FoldProgramCollapsesDecidableResult) {
-  const CompiledExpr expr =
+  const ExprPtr expr =
       Bin(BinaryOp::kAdd, Lit(Value(int64_t{1})),
           Bin(BinaryOp::kMul, Lit(Value(int64_t{2})), Lit(Value(int64_t{3}))));
-  ExprProgram p = LowerExpr(expr, schemas_, /*fold=*/false);
+  ExprProgram p = Lower(expr, /*fold=*/false);
   ASSERT_GT(p.insts.size(), 1u);
   const ProgramAnalysis analysis = AnalyzeProgram(p);
   ASSERT_TRUE(analysis.result.constant.has_value());
@@ -189,25 +178,22 @@ TEST_F(ExprIrTest, FoldProgramCollapsesDecidableResult) {
 
 TEST_F(ExprIrTest, ShortCircuitConstantsDecideConjunctions) {
   // `price > 1 AND false` is false no matter what price holds.
-  const ExprProgram and_false = LowerExpr(
+  const ExprProgram and_false = Lower(
       Bin(BinaryOp::kAnd, Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(1.0))),
-          Lit(Value(false))),
-      schemas_);
+          Lit(Value(false))));
   ASSERT_EQ(and_false.insts.size(), 1u);
   EXPECT_EQ(and_false.consts[and_false.insts[0].imm], Value(false));
 
-  const ExprProgram or_true = LowerExpr(
+  const ExprProgram or_true = Lower(
       Bin(BinaryOp::kOr, Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(1.0))),
-          Lit(Value(true))),
-      schemas_);
+          Lit(Value(true))));
   ASSERT_EQ(or_true.insts.size(), 1u);
   EXPECT_EQ(or_true.consts[or_true.insts[0].imm], Value(true));
 
   // A non-deciding constant side reduces to the other operand (coerced).
-  const ExprProgram and_true = LowerExpr(
+  const ExprProgram and_true = Lower(
       Bin(BinaryOp::kAnd, Lit(Value(true)),
-          Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(1.0)))),
-      schemas_);
+          Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(1.0)))));
   for (const IrInst& inst : and_true.insts) {
     EXPECT_NE(inst.op, IrOp::kJumpIfFalse);
     EXPECT_NE(inst.op, IrOp::kJumpIfTrue);
@@ -218,14 +204,13 @@ TEST_F(ExprIrTest, ShortCircuitConstantsDecideConjunctions) {
 // Abstract interpretation.
 
 TEST_F(ExprIrTest, AnalysisClassifiesTautologyAndNullCompare) {
-  const ExprProgram taut = LowerExpr(
-      Bin(BinaryOp::kLt, Lit(Value(int64_t{1})), Lit(Value(int64_t{2}))),
-      schemas_, /*fold=*/false);
+  const ExprProgram taut = Lower(
+      Bin(BinaryOp::kLt, Lit(Value(int64_t{1})), Lit(Value(int64_t{2}))), /*fold=*/false);
   EXPECT_EQ(AnalyzeProgram(taut).predicate, PredicateClass::kAlwaysTrue);
 
   // Ordered comparison against an always-null operand is never true.
-  const ExprProgram null_cmp = LowerExpr(
-      Bin(BinaryOp::kLt, Lit(Value::Null()), FieldRef(2)), schemas_,
+  const ExprProgram null_cmp = Lower(
+      Bin(BinaryOp::kLt, Lit(Value::Null()), FieldRef(2)),
       /*fold=*/false);
   const ProgramAnalysis analysis = AnalyzeProgram(null_cmp);
   EXPECT_EQ(analysis.predicate, PredicateClass::kAlwaysFalse);
@@ -242,11 +227,11 @@ TEST_F(ExprIrTest, AnalysisOfSecondSourceLoadStaysInRegisterBounds) {
                                     .AddField("line_item_id", FieldType::kLong)
                                     .AddField("cost", FieldType::kDouble)
                                     .Build();
-  CompiledExpr cost;
-  cost.kind = CompiledKind::kField;
-  cost.source = 1;
-  cost.field_index = 1;
-  const ExprProgram p = LowerExpr(cost, {schema_, impression});
+  Result<ExprProgram> lowered =
+      LowerExpr(*Expr::MakeFieldRef("impression", "cost"),
+                {"bid", "impression"}, {schema_, impression});
+  ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+  const ExprProgram& p = *lowered;
   ASSERT_TRUE(VerifyProgram(p).ok()) << VerifyProgram(p).ToString();
   ASSERT_EQ(p.num_regs, 1u);
   ASSERT_EQ(p.insts.size(), 1u);
@@ -259,8 +244,8 @@ TEST_F(ExprIrTest, AnalysisOfSecondSourceLoadStaysInRegisterBounds) {
 }
 
 TEST_F(ExprIrTest, AnalysisFlagsProvableDivisionByZero) {
-  const ExprProgram p = LowerExpr(
-      Bin(BinaryOp::kDiv, FieldRef(2), Lit(Value(int64_t{0}))), schemas_,
+  const ExprProgram p = Lower(
+      Bin(BinaryOp::kDiv, FieldRef(2), Lit(Value(int64_t{0}))),
       /*fold=*/false);
   const ProgramAnalysis analysis = AnalyzeProgram(p);
   EXPECT_EQ(analysis.result.types, kMaskNull);
@@ -272,8 +257,8 @@ TEST_F(ExprIrTest, TypeDisjointEqualityFolds) {
   // A string field can never equal an integer literal (numeric classes
   // merge, but string vs numeric is disjoint) — though null intrudes, Eq
   // with one null operand is false, so the fold holds.
-  const ExprProgram p = LowerExpr(
-      Bin(BinaryOp::kEq, FieldRef(3), Lit(Value(int64_t{7}))), schemas_,
+  const ExprProgram p = Lower(
+      Bin(BinaryOp::kEq, FieldRef(3), Lit(Value(int64_t{7}))),
       /*fold=*/false);
   EXPECT_EQ(AnalyzeProgram(p).predicate, PredicateClass::kAlwaysFalse);
 }
@@ -283,10 +268,10 @@ TEST_F(ExprIrTest, TypeDisjointEqualityFolds) {
 
 TEST_F(ExprIrTest, ConjunctSetDetectsEqualityContradiction) {
   // user_id == 200 AND user_id >= 500.
-  const ExprProgram a = LowerExpr(
-      Bin(BinaryOp::kEq, FieldRef(1), Lit(Value(int64_t{200}))), schemas_);
-  const ExprProgram b = LowerExpr(
-      Bin(BinaryOp::kGe, FieldRef(1), Lit(Value(int64_t{500}))), schemas_);
+  const ExprProgram a = Lower(
+      Bin(BinaryOp::kEq, FieldRef(1), Lit(Value(int64_t{200}))));
+  const ExprProgram b = Lower(
+      Bin(BinaryOp::kGe, FieldRef(1), Lit(Value(int64_t{500}))));
   const ConjunctSetResult r = AnalyzeConjunctSet({&a, &b});
   EXPECT_TRUE(r.contradiction);
   EXPECT_EQ(r.contradiction_source, 0);
@@ -296,26 +281,26 @@ TEST_F(ExprIrTest, ConjunctSetDetectsEqualityContradiction) {
 TEST_F(ExprIrTest, ConjunctSetDetectsEmptyIntegerRange) {
   // user_id > 1 AND user_id < 2: no integer strictly between, and the field
   // is integer-typed, so the band is empty.
-  const ExprProgram a = LowerExpr(
-      Bin(BinaryOp::kGt, FieldRef(1), Lit(Value(int64_t{1}))), schemas_);
-  const ExprProgram b = LowerExpr(
-      Bin(BinaryOp::kLt, FieldRef(1), Lit(Value(int64_t{2}))), schemas_);
+  const ExprProgram a = Lower(
+      Bin(BinaryOp::kGt, FieldRef(1), Lit(Value(int64_t{1}))));
+  const ExprProgram b = Lower(
+      Bin(BinaryOp::kLt, FieldRef(1), Lit(Value(int64_t{2}))));
   EXPECT_TRUE(AnalyzeConjunctSet({&a, &b}).contradiction);
 
   // The same band on a double field is satisfiable (e.g. 1.5).
-  const ExprProgram c = LowerExpr(
-      Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(int64_t{1}))), schemas_);
-  const ExprProgram d = LowerExpr(
-      Bin(BinaryOp::kLt, FieldRef(2), Lit(Value(int64_t{2}))), schemas_);
+  const ExprProgram c = Lower(
+      Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(int64_t{1}))));
+  const ExprProgram d = Lower(
+      Bin(BinaryOp::kLt, FieldRef(2), Lit(Value(int64_t{2}))));
   EXPECT_FALSE(AnalyzeConjunctSet({&c, &d}).contradiction);
 }
 
 TEST_F(ExprIrTest, ConjunctSetMarksImpliedBoundsRedundant) {
   // price > 10 implies price > 5: the weaker bound is redundant.
   const ExprProgram strong =
-      LowerExpr(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(10.0))), schemas_);
+      Lower(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(10.0))));
   const ExprProgram weak =
-      LowerExpr(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(5.0))), schemas_);
+      Lower(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(5.0))));
   const ConjunctSetResult r = AnalyzeConjunctSet({&strong, &weak});
   EXPECT_FALSE(r.contradiction);
   EXPECT_EQ(r.redundant, std::vector<int>{1});
@@ -323,10 +308,10 @@ TEST_F(ExprIrTest, ConjunctSetMarksImpliedBoundsRedundant) {
 
 TEST_F(ExprIrTest, ConjunctSetEqualityPinsSubsumeConsistentBounds) {
   // user_id == 7 AND user_id < 10: the pin decides the range check.
-  const ExprProgram pin = LowerExpr(
-      Bin(BinaryOp::kEq, FieldRef(1), Lit(Value(int64_t{7}))), schemas_);
-  const ExprProgram range = LowerExpr(
-      Bin(BinaryOp::kLt, FieldRef(1), Lit(Value(int64_t{10}))), schemas_);
+  const ExprProgram pin = Lower(
+      Bin(BinaryOp::kEq, FieldRef(1), Lit(Value(int64_t{7}))));
+  const ExprProgram range = Lower(
+      Bin(BinaryOp::kLt, FieldRef(1), Lit(Value(int64_t{10}))));
   const ConjunctSetResult r = AnalyzeConjunctSet({&pin, &range});
   EXPECT_FALSE(r.contradiction);
   EXPECT_EQ(r.redundant, std::vector<int>{1});
@@ -334,9 +319,9 @@ TEST_F(ExprIrTest, ConjunctSetEqualityPinsSubsumeConsistentBounds) {
 
 TEST_F(ExprIrTest, ConjunctSetLeavesDisjointFieldsAlone) {
   const ExprProgram a =
-      LowerExpr(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(10.0))), schemas_);
-  const ExprProgram b = LowerExpr(
-      Bin(BinaryOp::kEq, FieldRef(3), Lit(Value("US"))), schemas_);
+      Lower(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(10.0))));
+  const ExprProgram b = Lower(
+      Bin(BinaryOp::kEq, FieldRef(3), Lit(Value("US"))));
   const ConjunctSetResult r = AnalyzeConjunctSet({&a, &b});
   EXPECT_FALSE(r.contradiction);
   EXPECT_TRUE(r.redundant.empty());
@@ -346,8 +331,8 @@ TEST_F(ExprIrTest, ConjunctSetLeavesDisjointFieldsAlone) {
 // Disassembly.
 
 TEST_F(ExprIrTest, ProgramToStringRendersTypedFieldLoads) {
-  const ExprProgram p = LowerExpr(
-      Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(2.5))), schemas_,
+  const ExprProgram p = Lower(
+      Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(2.5))),
       /*fold=*/false);
   const std::string text = ProgramToString(p, {"bid"}, schemas_);
   EXPECT_NE(text.find("bid.price"), std::string::npos) << text;
@@ -370,9 +355,9 @@ TEST_F(ExprIrTest, PredicateBatchMatchesRowEvaluation) {
     batch.AppendEvent(e);
     events.push_back(std::move(e));
   }
-  const CompiledExpr expr =
+  const ExprPtr expr =
       Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(4.0)));
-  const ExprProgram p = LowerExpr(expr, schemas_);
+  const ExprProgram p = Lower(expr);
 
   std::vector<uint32_t> selection(batch.rows());
   for (uint32_t i = 0; i < batch.rows(); ++i) {
@@ -382,11 +367,11 @@ TEST_F(ExprIrTest, PredicateBatchMatchesRowEvaluation) {
 
   std::vector<uint32_t> expected;
   for (uint32_t i = 0; i < batch.rows(); ++i) {
-    if (TreePredicateSingle(expr, events[i])) {
+    if (TreePredicateSingle(*expr, events[i])) {
       expected.push_back(i);
     }
-    EXPECT_EQ(EvalProgramPredicateColumns(p, batch, i),
-              TreePredicateSingle(expr, events[i]))
+    EXPECT_EQ(EvalProgramColumns(p, batch, i),
+              TreeEvalSingle(*expr, events[i]))
         << "row " << i;
   }
   EXPECT_EQ(selection, expected);

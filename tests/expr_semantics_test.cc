@@ -19,7 +19,6 @@
 #include "src/event/schema.h"
 #include "src/event/wire.h"
 #include "src/plan/expr_analysis.h"
-#include "src/plan/expr_eval.h"
 #include "src/plan/expr_ir.h"
 #include "src/plan/vectorized.h"
 #include "tests/tree_eval.h"
@@ -231,58 +230,45 @@ Value RandomLeafValue(Rng& rng) {
   }
 }
 
-CompiledExpr RandomExprTree(Rng& rng, int depth) {
-  CompiledExpr e;
+ExprPtr RandomExprTree(Rng& rng, int depth) {
   // Leaves: literals (any class, deliberately including nulls and classes
   // that mismatch whatever operator sits above) or field/system loads.
   if (depth <= 0 || rng.NextBool(0.3)) {
+    static const char* const kFields[] = {"won", "user_id", "price",
+                                          "country"};
     switch (rng.NextBelow(4)) {
-      case 0: {
-        e.kind = CompiledKind::kField;
-        e.source = 0;
-        e.field_index = static_cast<int>(rng.NextBelow(4));
-        break;
-      }
+      case 0:
+        return Expr::MakeFieldRef("bid", kFields[rng.NextBelow(4)]);
       case 1:
-        e.kind = rng.NextBool(0.5) ? CompiledKind::kRequestId
-                                   : CompiledKind::kTimestamp;
-        e.source = 0;
-        break;
+        return Expr::MakeFieldRef(
+            "bid", std::string(rng.NextBool(0.5) ? kRequestIdField
+                                                 : kTimestampField));
       default:
-        e.kind = CompiledKind::kLiteral;
-        e.literal = RandomLeafValue(rng);
-        break;
+        return Expr::MakeLiteral(RandomLeafValue(rng));
     }
-    return e;
   }
   const uint64_t pick = rng.NextBelow(10);
   if (pick == 0) {
-    e.kind = CompiledKind::kUnary;
-    e.unary_op = rng.NextBool(0.5) ? UnaryOp::kNegate : UnaryOp::kNot;
-    e.children.push_back(RandomExprTree(rng, depth - 1));
-    e.node_count = 1 + e.children[0].node_count;
-    return e;
+    const UnaryOp op = rng.NextBool(0.5) ? UnaryOp::kNegate : UnaryOp::kNot;
+    return Expr::MakeUnary(op, RandomExprTree(rng, depth - 1));
   }
   if (pick == 1) {
-    e.kind = CompiledKind::kInList;
-    e.children.push_back(RandomExprTree(rng, depth - 1));
+    ExprPtr probe = RandomExprTree(rng, depth - 1);
+    std::vector<ExprPtr> members;
     for (uint64_t i = 0; i < rng.NextBelow(4); ++i) {
-      e.in_list.push_back(RandomLeafValue(rng));
+      members.push_back(Expr::MakeLiteral(RandomLeafValue(rng)));
     }
-    e.node_count = 1 + e.children[0].node_count;
-    return e;
+    return Expr::MakeInList(std::move(probe), std::move(members));
   }
   static constexpr BinaryOp kOps[] = {
       BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul, BinaryOp::kDiv,
       BinaryOp::kEq,  BinaryOp::kNe,  BinaryOp::kLt,  BinaryOp::kLe,
       BinaryOp::kGt,  BinaryOp::kGe,  BinaryOp::kAnd, BinaryOp::kOr,
       BinaryOp::kContains};
-  e.kind = CompiledKind::kBinary;
-  e.binary_op = kOps[rng.NextBelow(sizeof(kOps) / sizeof(kOps[0]))];
-  e.children.push_back(RandomExprTree(rng, depth - 1));
-  e.children.push_back(RandomExprTree(rng, depth - 1));
-  e.node_count = 1 + e.children[0].node_count + e.children[1].node_count;
-  return e;
+  const BinaryOp op = kOps[rng.NextBelow(sizeof(kOps) / sizeof(kOps[0]))];
+  ExprPtr lhs = RandomExprTree(rng, depth - 1);
+  ExprPtr rhs = RandomExprTree(rng, depth - 1);
+  return Expr::MakeBinary(op, std::move(lhs), std::move(rhs));
 }
 
 TEST(IrDifferentialTest, AllEvaluatorsAgreeOnRandomExpressions) {
@@ -319,9 +305,14 @@ TEST(IrDifferentialTest, AllEvaluatorsAgreeOnRandomExpressions) {
 
   int folded_programs = 0;
   for (int trial = 0; trial < 400; ++trial) {
-    const CompiledExpr expr = RandomExprTree(rng, 3);
-    const ExprProgram lowered = LowerExpr(expr, schemas);
-    ExprProgram unfolded = LowerExpr(expr, schemas, /*fold=*/false);
+    const ExprPtr expr = RandomExprTree(rng, 3);
+    Result<ExprProgram> folded = LowerExpr(*expr, {"bid"}, schemas);
+    Result<ExprProgram> raw = LowerExpr(*expr, {"bid"}, schemas,
+                                        /*fold=*/false);
+    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    const ExprProgram lowered = std::move(folded).value();
+    ExprProgram unfolded = std::move(raw).value();
     ASSERT_TRUE(VerifyProgram(lowered).ok());
     ASSERT_TRUE(VerifyProgram(unfolded).ok());
     const ProgramAnalysis analysis = AnalyzeProgram(unfolded);
@@ -329,7 +320,7 @@ TEST(IrDifferentialTest, AllEvaluatorsAgreeOnRandomExpressions) {
       ++folded_programs;
     }
     for (size_t row = 0; row < events.size(); ++row) {
-      const Value expected = TreeEvalSingle(expr, events[row]);
+      const Value expected = TreeEvalSingle(*expr, events[row]);
       EXPECT_EQ(EvalProgramSingle(lowered, events[row]), expected)
           << "trial " << trial << " row " << row << "\n"
           << ProgramToString(lowered, {"bid"}, schemas);
@@ -348,7 +339,7 @@ TEST(IrDifferentialTest, AllEvaluatorsAgreeOnRandomExpressions) {
     EvalProgramPredicateBatch(lowered, batch, &selection);
     std::vector<uint32_t> expected_sel;
     for (uint32_t i = 0; i < batch.rows(); ++i) {
-      if (TreePredicateSingle(expr, events[i])) {
+      if (TreePredicateSingle(*expr, events[i])) {
         expected_sel.push_back(i);
       }
     }
@@ -469,31 +460,28 @@ class CompareKernelTest : public ::testing::Test {
     for (const Value& literal : literals) {
       for (const BinaryOp op : kOps) {
         for (const bool field_on_lhs : {true, false}) {
-          CompiledExpr load;
-          load.kind = CompiledKind::kField;
-          load.field_index = static_cast<int>(field);
-          CompiledExpr konst;
-          konst.kind = CompiledKind::kLiteral;
-          konst.literal = literal;
-          CompiledExpr cmp;
-          cmp.kind = CompiledKind::kBinary;
-          cmp.binary_op = op;
-          cmp.children = field_on_lhs ? std::vector<CompiledExpr>{load, konst}
-                                      : std::vector<CompiledExpr>{konst, load};
+          ExprPtr load = Expr::MakeFieldRef("k", schema_->field(field).name);
+          ExprPtr konst = Expr::MakeLiteral(literal);
+          const ExprPtr cmp =
+              field_on_lhs
+                  ? Expr::MakeBinary(op, std::move(load), std::move(konst))
+                  : Expr::MakeBinary(op, std::move(konst), std::move(load));
           const std::string what =
               schema_->field(field).name + " " + BinaryOpName(op) + " " +
               literal.ToString() + (field_on_lhs ? "" : " (literal first)");
 
           std::vector<uint32_t> expected;
           for (const uint32_t r : start) {
-            if (TreePredicateSingle(cmp, events_[r])) {
+            if (TreePredicateSingle(*cmp, events_[r])) {
               expected.push_back(r);
             }
           }
           for (const bool fold : {false, true}) {
+            Result<ExprProgram> program =
+                LowerExpr(*cmp, {"k"}, {schema_}, fold);
+            ASSERT_TRUE(program.ok()) << program.status().ToString();
             std::vector<uint32_t> selection = start;
-            EvalProgramPredicateBatch(LowerExpr(cmp, {schema_}, fold), batch,
-                                      &selection);
+            EvalProgramPredicateBatch(*program, batch, &selection);
             EXPECT_EQ(selection, expected)
                 << what << (fold ? " folded" : " unfolded");
           }

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/plan/expr_eval.h"
 #include "src/plan/expr_ir.h"
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
@@ -38,19 +37,22 @@ class NestedObjectTest : public ::testing::Test {
     return e;
   }
 
-  CompiledExpr CompileWhere(std::string_view text) {
+  // The analyzed WHERE of a single-source query, for direct evaluation.
+  ExprPtr ParseWhere(std::string_view text) {
     Result<AnalyzedQuery> aq = ParseAndAnalyze(text, registry_);
     EXPECT_TRUE(aq.ok()) << aq.status().ToString();
-    Result<CompiledExpr> compiled =
-        CompileExpr(*aq->query.where, aq->query.sources, aq->schemas);
-    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-    return std::move(compiled).value();
+    return aq->query.where->Clone();
   }
 
   // The lowered IR's verdict, checked against the tree oracle.
-  bool Matches(const CompiledExpr& pred, const Event& e) {
-    const bool ir = EvalProgramPredicateSingle(LowerExpr(pred, {schema_}), e);
-    EXPECT_EQ(ir, TreePredicateSingle(pred, e));
+  bool Matches(const ExprPtr& pred, const Event& e) {
+    Result<ExprProgram> program = LowerExpr(*pred, {"bid"}, {schema_});
+    if (!program.ok()) {
+      ADD_FAILURE() << program.status().ToString();
+      return false;
+    }
+    const bool ir = EvalProgramPredicateSingle(*program, e);
+    EXPECT_EQ(ir, TreePredicateSingle(*pred, e));
     return ir;
   }
 
@@ -83,21 +85,21 @@ TEST_F(NestedObjectTest, PathIntoNonObjectRejected) {
 }
 
 TEST_F(NestedObjectTest, PredicateOnNestedString) {
-  const CompiledExpr pred =
-      CompileWhere("SELECT COUNT(*) FROM bid WHERE bid.device.os = 'ios';");
+  const ExprPtr pred =
+      ParseWhere("SELECT COUNT(*) FROM bid WHERE bid.device.os = 'ios';");
   EXPECT_TRUE(Matches(pred, MakeBid(1, 1, "ios", 3)));
   EXPECT_FALSE(Matches(pred, MakeBid(2, 2, "android", 3)));
 }
 
 TEST_F(NestedObjectTest, DeepPathAndArithmetic) {
-  const CompiledExpr pred = CompileWhere(
+  const ExprPtr pred = ParseWhere(
       "SELECT COUNT(*) FROM bid WHERE bid.device.hw.generation + 1 > 3;");
   EXPECT_TRUE(Matches(pred, MakeBid(1, 1, "ios", 3)));
   EXPECT_FALSE(Matches(pred, MakeBid(2, 1, "ios", 1)));
 }
 
 TEST_F(NestedObjectTest, MissingPathYieldsNull) {
-  const CompiledExpr pred = CompileWhere(
+  const ExprPtr pred = ParseWhere(
       "SELECT COUNT(*) FROM bid WHERE bid.device.carrier = 'tmo';");
   // Field exists but has no 'carrier' member: null never matches equality.
   EXPECT_FALSE(Matches(pred, MakeBid(1, 1, "ios", 3)));

@@ -1,10 +1,10 @@
-// Unit tests for src/plan: expression compilation/evaluation and the
+// Unit tests for src/plan: expression lowering/evaluation and the
 // host/central planner split. Expressions run through the lowered IR and are
 // checked against the tree oracle (tests/tree_eval.h).
 
 #include <gtest/gtest.h>
 
-#include "src/plan/expr_eval.h"
+#include "src/event/column_batch.h"
 #include "src/plan/expr_ir.h"
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
@@ -48,21 +48,22 @@ class PlanTest : public ::testing::Test {
     return PlanQuery(*aq, 1, submit);
   }
 
-  // Compiles the WHERE of a single-source query for direct evaluation.
-  CompiledExpr CompileWhere(std::string_view text) {
+  // The analyzed WHERE of a single-source query, for direct evaluation.
+  ExprPtr ParseWhere(std::string_view text) {
     Result<AnalyzedQuery> aq = ParseAndAnalyze(text, registry_);
     EXPECT_TRUE(aq.ok()) << aq.status().ToString();
-    Result<CompiledExpr> compiled =
-        CompileExpr(*aq->query.where, aq->query.sources, aq->schemas);
-    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-    return std::move(compiled).value();
+    return aq->query.where->Clone();
   }
 
   // The lowered IR's verdict on a bid, checked against the tree oracle.
-  bool Matches(const CompiledExpr& pred, const Event& e) {
-    const bool ir =
-        EvalProgramPredicateSingle(LowerExpr(pred, {bid_schema_}), e);
-    EXPECT_EQ(ir, TreePredicateSingle(pred, e));
+  bool Matches(const ExprPtr& pred, const Event& e) {
+    Result<ExprProgram> program = LowerExpr(*pred, {"bid"}, {bid_schema_});
+    if (!program.ok()) {
+      ADD_FAILURE() << program.status().ToString();
+      return false;
+    }
+    const bool ir = EvalProgramPredicateSingle(*program, e);
+    EXPECT_EQ(ir, TreePredicateSingle(*pred, e));
     return ir;
   }
 
@@ -72,7 +73,7 @@ class PlanTest : public ::testing::Test {
 };
 
 TEST_F(PlanTest, PredicateEvaluation) {
-  const CompiledExpr pred = CompileWhere(
+  const ExprPtr pred = ParseWhere(
       "SELECT COUNT(*) FROM bid WHERE bid.price > 1.5 AND "
       "bid.country IN ('US', 'CA');");
   Event yes = MakeBid(1, 10, 100, 2.0, "US");
@@ -84,35 +85,35 @@ TEST_F(PlanTest, PredicateEvaluation) {
 }
 
 TEST_F(PlanTest, ArithmeticAndComparisonSemantics) {
-  const CompiledExpr pred = CompileWhere(
+  const ExprPtr pred = ParseWhere(
       "SELECT COUNT(*) FROM bid WHERE bid.price * 2 + 1 >= 4.0;");
   EXPECT_TRUE(Matches(pred, MakeBid(1, 0, 1, 1.5, "US")));
   EXPECT_FALSE(Matches(pred, MakeBid(1, 0, 1, 1.49, "US")));
 }
 
 TEST_F(PlanTest, NullFieldsFailComparisons) {
-  const CompiledExpr pred =
-      CompileWhere("SELECT COUNT(*) FROM bid WHERE bid.price > 0.0;");
+  const ExprPtr pred =
+      ParseWhere("SELECT COUNT(*) FROM bid WHERE bid.price > 0.0;");
   Event e(bid_schema_, 1, 0);  // price never set -> null
   EXPECT_FALSE(Matches(pred, e));
 
-  const CompiledExpr isnull =
-      CompileWhere("SELECT COUNT(*) FROM bid WHERE bid.price = NULL;");
+  const ExprPtr isnull =
+      ParseWhere("SELECT COUNT(*) FROM bid WHERE bid.price = NULL;");
   EXPECT_TRUE(Matches(isnull, e));
   EXPECT_FALSE(
       Matches(isnull, MakeBid(1, 0, 1, 2.0, "US")));
 }
 
 TEST_F(PlanTest, DivisionByZeroYieldsNull) {
-  const CompiledExpr pred =
-      CompileWhere("SELECT COUNT(*) FROM bid WHERE bid.price / 0 > 1;");
+  const ExprPtr pred =
+      ParseWhere("SELECT COUNT(*) FROM bid WHERE bid.price / 0 > 1;");
   // null > 1 is false, not a crash.
   EXPECT_FALSE(Matches(pred, MakeBid(1, 0, 1, 5.0, "US")));
 }
 
 TEST_F(PlanTest, ContainsEvaluation) {
-  const CompiledExpr pred =
-      CompileWhere("SELECT COUNT(*) FROM bid WHERE bid.items CONTAINS 7;");
+  const ExprPtr pred =
+      ParseWhere("SELECT COUNT(*) FROM bid WHERE bid.items CONTAINS 7;");
   Event with(bid_schema_, 1, 0);
   with.SetField(3, Value(std::vector<Value>{Value(int64_t{5}),
                                             Value(int64_t{7})}));
@@ -125,7 +126,7 @@ TEST_F(PlanTest, ContainsEvaluation) {
 }
 
 TEST_F(PlanTest, SystemFieldAccess) {
-  const CompiledExpr pred = CompileWhere(
+  const ExprPtr pred = ParseWhere(
       "SELECT COUNT(*) FROM bid WHERE __timestamp >= 100 AND "
       "__request_id = 9;");
   EXPECT_TRUE(Matches(pred, MakeBid(9, 100, 1, 1.0, "US")));
@@ -135,7 +136,7 @@ TEST_F(PlanTest, SystemFieldAccess) {
 
 TEST_F(PlanTest, ShortCircuitAndOr) {
   // Right side would be null-ish; short circuit means the left decides.
-  const CompiledExpr pred = CompileWhere(
+  const ExprPtr pred = ParseWhere(
       "SELECT COUNT(*) FROM bid WHERE bid.price > 100.0 AND "
       "bid.country = 'US';");
   EXPECT_FALSE(Matches(pred, MakeBid(1, 0, 1, 1.0, "US")));
@@ -204,18 +205,24 @@ TEST_F(PlanTest, JoinedTupleEvaluation) {
   Result<AnalyzedQuery> aq = ParseAndAnalyze(
       "SELECT COUNT(*) FROM bid, click WHERE bid.user_id = 5;", registry_);
   ASSERT_TRUE(aq.ok());
-  // Cross-source select expression compiled against the full source list.
-  Result<CompiledExpr> user_ref = CompileExpr(
-      *Expr::MakeFieldRef("click", "model"), aq->query.sources, aq->schemas);
-  ASSERT_TRUE(user_ref.ok());
+  // Cross-source select expression lowered against the full source list,
+  // evaluated over a joined tuple the way central's join fold binds it.
+  const ExprPtr model_ref = Expr::MakeFieldRef("click", "model");
+  Result<ExprProgram> program =
+      LowerExpr(*model_ref, aq->query.sources, aq->schemas);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
   Event bid = MakeBid(1, 0, 5, 1.0, "US");
   Event click(click_schema_, 1, 5);
   click.SetField(0, Value(int64_t{5}));
   click.SetField(1, Value("modelB"));
-  EventTuple tuple{&bid, &click};
-  EXPECT_EQ(EvalProgram(LowerExpr(*user_ref, aq->schemas), tuple),
+  ColumnBatch bids(bid_schema_);
+  bids.AppendEvent(bid);
+  ColumnBatch clicks(click_schema_);
+  clicks.AppendEvent(click);
+  const TupleSlot slots[] = {{&bids, 0}, {&clicks, 0}};
+  EXPECT_EQ(EvalProgramMixed(*program, slots), Value("modelB"));
+  EXPECT_EQ(TreeEval(*model_ref, aq->query.sources, {&bid, &click}),
             Value("modelB"));
-  EXPECT_EQ(TreeEval(*user_ref, tuple), Value("modelB"));
 }
 
 TEST_F(PlanTest, OutputExprEvaluation) {

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "src/plan/expr_ir.h"
+#include "src/plan/plan.h"
 #include "src/query/analyzer.h"
 #include "src/query/lexer.h"
 #include "src/query/parser.h"
+#include "src/scrub/scrub_system.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 namespace {
@@ -416,6 +420,74 @@ TEST(QueryLimitsTest, TreeHeightLimitIsExact) {
                   .ok());
   ExpectTooDeep("SELECT COUNT(*) FROM bid WHERE " +
                 AdditionChain(kMaxExprHeight) + " > 1;");
+}
+
+// "(leaf + leaf) + (leaf + leaf)"-style: a balanced sum of `leaves` leaves,
+// whose height grows only with log2(leaves).
+void AppendBalancedSum(int leaves, std::string* out) {
+  if (leaves == 1) {
+    *out += "bid.bid_price";
+    return;
+  }
+  *out += "(";
+  AppendBalancedSum(leaves / 2, out);
+  *out += " + ";
+  AppendBalancedSum(leaves - leaves / 2, out);
+  *out += ")";
+}
+
+std::string WideQuery(int leaves) {
+  std::string text = "SELECT COUNT(*) FROM bid WHERE ";
+  AppendBalancedSum(leaves, &text);
+  return text + " > 100;";
+}
+
+TEST(QueryLimitsTest, WideExpressionRejectedAtPlanning) {
+  // Lowered, `sum > 100` takes one register per leaf load, per addition,
+  // for the constant and for the comparison: 2 * leaves + 1. A program
+  // addresses at most UINT16_MAX registers, so past 32,767 leaves the query
+  // is refused at planning — its height (17) is far under kMaxExprHeight.
+  ScrubSystem system;
+  const std::string wide = WideQuery(33000);
+  Result<AnalyzedQuery> aq = ParseAndAnalyze(wide, system.schemas());
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  Result<QueryPlan> plan = PlanQuery(*aq, 1, 0);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find("66001 registers"),
+            std::string::npos)
+      << plan.status().ToString();
+
+  // Admission refuses it too, and no query object leaves the server.
+  Result<SubmittedQuery> submitted =
+      system.Submit(wide, [](const ResultRow&) {});
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(system.server().active_queries(), 0u);
+  EXPECT_EQ(system.transport().bytes_sent(TrafficCategory::kScrubControl),
+            0u);
+
+  // 32,767 leaves need exactly 65,535 registers: the widest program that
+  // fits plans, and evaluates to the tree oracle's value.
+  Result<AnalyzedQuery> widest =
+      ParseAndAnalyze(WideQuery(32767), system.schemas());
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  Result<QueryPlan> fits = PlanQuery(*widest, 2, 0);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  ASSERT_EQ(fits->host.sources.size(), 1u);
+  ASSERT_EQ(fits->host.sources[0].programs.size(), 1u);
+  const ExprProgram& program = fits->host.sources[0].programs[0];
+  EXPECT_EQ(program.num_regs, UINT16_MAX);
+  const SchemaPtr bid = *system.schemas().Get("bid");
+  const int price = bid->FieldIndex("bid_price");
+  ASSERT_GE(price, 0);
+  for (const Value& v : {Value(0.5), Value(0.001), Value::Null()}) {
+    Event e(bid, /*request_id=*/1, /*timestamp=*/0);
+    e.SetField(static_cast<size_t>(price), v);
+    EXPECT_EQ(EvalProgramSingle(program, e),
+              TreeEvalSingle(*widest->query.where, e))
+        << v.ToString();
+  }
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // A deliberately naive, single-threaded reference executor: the oracle the
 // differential tests compare Scrub against.
 //
-// It shares nothing with Scrub's execution machinery except CompileExpr,
-// the operator definitions (ApplyBinaryOp/ApplyUnaryOp) and the
-// output-expression renderer, so both sides agree on operator semantics by
-// construction. It compiles its own WHERE, group keys, raw select items and
-// aggregate arguments straight from the AnalyzedQuery and evaluates them
-// with the tree walker in tests/tree_eval.h — it never reads the planner's
+// It shares nothing with Scrub's execution machinery except the operator
+// definitions (ApplyBinaryOp/ApplyUnaryOp) and the output-expression
+// renderer, so both sides agree on operator semantics by construction. It
+// copies its own WHERE, group keys, raw select items and aggregate
+// arguments straight from the AnalyzedQuery and evaluates those trees with
+// the tree walker in tests/tree_eval.h — it never reads the planner's
 // lowered, folded or pruned programs. Everything the paper's
 // pipeline does incrementally — host-side selection/projection, batching,
 // the symmetric hash join, per-window accumulators, sketches — the oracle
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "src/common/strings.h"
-#include "src/plan/expr_eval.h"
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
 #include "tests/tree_eval.h"
@@ -62,29 +61,28 @@ class ReferenceExecutor {
   // execution only) and joins are at most two-way, like the pipeline's
   // pairwise tuples.
   ReferenceExecutor(const AnalyzedQuery& analyzed, CentralPlan plan)
-      : plan_(std::move(plan)) {
+      : plan_(std::move(plan)), sources_(analyzed.query.sources) {
     assert(!plan_.SamplingActive());
     assert(plan_.sources.size() <= 2);
     const Query& q = analyzed.query;
     if (q.where != nullptr) {
-      where_ = Compile(analyzed, *q.where);
-      has_where_ = true;
+      where_ = q.where->Clone();
     }
     if (plan_.aggregate_mode) {
       for (const ExprPtr& g : q.group_by) {
-        group_by_.push_back(Compile(analyzed, *g));
+        group_by_.push_back(g->Clone());
       }
       // Aggregate slots in the order the planner numbers them: depth-first
       // through each select item, items in select order.
       for (const SelectItem& item : q.select) {
-        CollectAggregateArgs(analyzed, *item.expr);
+        CollectAggregateArgs(*item.expr);
       }
       if (agg_args_.size() != plan_.aggregates.size()) {
         std::abort();  // slot numbering drifted from the planner's
       }
     } else {
       for (const SelectItem& item : q.select) {
-        raw_select_.push_back(Compile(analyzed, *item.expr));
+        raw_select_.push_back(item.expr->Clone());
       }
     }
     events_.resize(plan_.sources.size());
@@ -153,33 +151,15 @@ class ReferenceExecutor {
     std::vector<NaiveAcc> slots;
   };
 
-  // One aggregate slot's argument; COUNT(*) has none.
-  struct AggArg {
-    bool has_arg = false;
-    CompiledExpr arg;
-  };
-
-  static CompiledExpr Compile(const AnalyzedQuery& analyzed, const Expr& e) {
-    Result<CompiledExpr> compiled =
-        CompileExpr(e, analyzed.query.sources, analyzed.schemas);
-    if (!compiled.ok()) {
-      std::abort();
-    }
-    return std::move(compiled).value();
-  }
-
-  void CollectAggregateArgs(const AnalyzedQuery& analyzed, const Expr& e) {
+  // One aggregate slot's argument; COUNT(*) has none (null).
+  void CollectAggregateArgs(const Expr& e) {
     if (e.kind == ExprKind::kAggregate) {
-      AggArg slot;
-      if (!e.children.empty()) {
-        slot.has_arg = true;
-        slot.arg = Compile(analyzed, *e.children[0]);
-      }
-      agg_args_.push_back(std::move(slot));
+      agg_args_.push_back(e.children.empty() ? nullptr
+                                             : e.children[0]->Clone());
       return;
     }
     for (const ExprPtr& child : e.children) {
-      CollectAggregateArgs(analyzed, *child);
+      CollectAggregateArgs(*child);
     }
   }
 
@@ -259,15 +239,15 @@ class ReferenceExecutor {
 
     if (!plan_.aggregate_mode) {
       for (const EventTuple& tuple : tuples) {
-        if (has_where_ && !TreePredicate(where_, tuple)) {
+        if (where_ != nullptr && !TreePredicate(*where_, sources_, tuple)) {
           continue;
         }
         ResultRow row;
         row.query_id = plan_.query_id;
         row.window_start = start;
         row.window_end = end;
-        for (const CompiledExpr& e : raw_select_) {
-          row.values.push_back(TreeEval(e, tuple));
+        for (const ExprPtr& e : raw_select_) {
+          row.values.push_back(TreeEval(*e, sources_, tuple));
         }
         row.error_bounds.assign(row.values.size(), 0.0);
         rows->push_back(std::move(row));
@@ -277,13 +257,13 @@ class ReferenceExecutor {
 
     std::map<std::string, NaiveGroup> groups;
     for (const EventTuple& tuple : tuples) {
-      if (has_where_ && !TreePredicate(where_, tuple)) {
+      if (where_ != nullptr && !TreePredicate(*where_, sources_, tuple)) {
         continue;
       }
       std::vector<Value> key;
       std::string rendered;
-      for (const CompiledExpr& g : group_by_) {
-        key.push_back(TreeEval(g, tuple));
+      for (const ExprPtr& g : group_by_) {
+        key.push_back(TreeEval(*g, sources_, tuple));
         rendered += key.back().ToString() + "\x1f";
       }
       NaiveGroup& group = groups[rendered];
@@ -292,7 +272,8 @@ class ReferenceExecutor {
         group.slots.resize(plan_.aggregates.size());
       }
       for (size_t i = 0; i < plan_.aggregates.size(); ++i) {
-        Update(plan_.aggregates[i], agg_args_[i], tuple, &group.slots[i]);
+        Update(plan_.aggregates[i], agg_args_[i].get(), tuple,
+               &group.slots[i]);
       }
     }
 
@@ -326,11 +307,11 @@ class ReferenceExecutor {
            e.timestamp() < plan_.end_time;
   }
 
-  static void Update(const AggregateSpec& spec, const AggArg& slot,
-                     const EventTuple& tuple, NaiveAcc* acc) {
+  void Update(const AggregateSpec& spec, const Expr* arg_expr,
+              const EventTuple& tuple, NaiveAcc* acc) const {
     Value arg;
-    if (slot.has_arg) {
-      arg = TreeEval(slot.arg, tuple);
+    if (arg_expr != nullptr) {
+      arg = TreeEval(*arg_expr, sources_, tuple);
       if (arg.is_null()) {
         return;  // aggregates skip null arguments
       }
@@ -413,11 +394,11 @@ class ReferenceExecutor {
   }
 
   CentralPlan plan_;
-  CompiledExpr where_;
-  bool has_where_ = false;
-  std::vector<CompiledExpr> group_by_;    // aggregate mode
-  std::vector<AggArg> agg_args_;          // aggregate mode, one per slot
-  std::vector<CompiledExpr> raw_select_;  // raw mode
+  std::vector<std::string> sources_;  // what the trees' qualifiers name
+  ExprPtr where_;                     // null: no WHERE
+  std::vector<ExprPtr> group_by_;     // aggregate mode
+  std::vector<ExprPtr> agg_args_;     // aggregate mode, one per slot
+  std::vector<ExprPtr> raw_select_;   // raw mode
   std::vector<std::vector<Event>> events_;  // per source, arrival order
 };
 

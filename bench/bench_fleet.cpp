@@ -20,9 +20,7 @@
 //                        did not vanish, it moved off the bottleneck node.
 //
 // The flat/hierarchical byte ratio at the default scale is the
-// "fleet bytes_reduction" gate in tools/bench_compare.py (floor 5x). The
-// agent_preaggregate ablation rides along for both topologies: COUNT/SUM
-// deltas from the agents shrink the agent->{central,combiner} hop too.
+// "fleet bytes_reduction" gate in tools/bench_compare.py (floor 5x).
 //
 // Usage: bench_fleet [scale] > BENCH_scrub.json   (default scale 10)
 
@@ -42,9 +40,8 @@ constexpr TimeMicros kLoadDuration = 4 * kMicrosPerSecond;
 struct TopoResult {
   std::string topology;
   size_t regions = 0;
-  bool preaggregate = false;
   uint64_t central_link_bytes = 0;
-  uint64_t event_bytes = 0;    // raw/pre-agg batches reaching central
+  uint64_t event_bytes = 0;    // raw event batches reaching central
   uint64_t partial_bytes = 0;  // combiner envelopes reaching central
   double central_cpu_seconds = 0.0;
   double combiner_cpu_seconds = 0.0;
@@ -53,7 +50,7 @@ struct TopoResult {
   uint64_t events = 0;      // platform bid events generated
 };
 
-TopoResult RunOne(size_t scale, size_t regions, bool preaggregate) {
+TopoResult RunOne(size_t scale, size_t regions) {
   SystemConfig config;
   config.seed = 7;
   config.platform.seed = 7;
@@ -64,7 +61,6 @@ TopoResult RunOne(size_t scale, size_t regions, bool preaggregate) {
   config.platform.num_campaigns = 8;
   config.platform.line_items_per_campaign = 3;
   config.combiner_regions = regions;
-  config.agent_preaggregate = preaggregate;
 
   ScrubSystem system(config);
   PoissonLoadConfig load;
@@ -74,7 +70,6 @@ TopoResult RunOne(size_t scale, size_t regions, bool preaggregate) {
 
   TopoResult r;
   r.regions = regions;
-  r.preaggregate = preaggregate;
   auto submitted = system.Submit(
       "SELECT bid.campaign_id, COUNT(*), SUM(bid.bid_price) FROM bid "
       "GROUP BY bid.campaign_id WINDOW 1 s DURATION 4 s;",
@@ -109,9 +104,6 @@ TopoResult RunOne(size_t scale, size_t regions, bool preaggregate) {
   }
   r.events = system.platform().stats().bids;
   r.topology = regions > 0 ? "hierarchical" : "flat";
-  if (preaggregate) {
-    r.topology += "_preagg";
-  }
   if (r.rows == 0) {
     std::abort();  // the run must actually compute something
   }
@@ -124,12 +116,10 @@ int Main(int argc, char** argv) {
   const size_t regions = 4;  // one combiner per DC
 
   std::vector<TopoResult> results;
-  results.push_back(RunOne(scale, 0, false));
-  results.push_back(RunOne(scale, regions, false));
-  results.push_back(RunOne(scale, 0, true));
-  results.push_back(RunOne(scale, regions, true));
+  results.push_back(RunOne(scale, 0));
+  results.push_back(RunOne(scale, regions));
 
-  // COUNT(*) is exact under any merge association: every topology must
+  // COUNT(*) is exact under any merge association: both topologies must
   // report the identical windows and total. A mismatch is a correctness bug,
   // not a measurement artifact.
   for (const TopoResult& r : results) {

@@ -15,7 +15,6 @@ void ScrubAgent::InstallQuery(const HostPlan& plan) {
   }
   ActiveQuery& q = queries_.emplace(plan.query_id, ActiveQuery(plan))
                        .first->second;
-  q.stats.preaggregated = plan.preaggregate;
   for (const HostSourcePlan& sp : plan.sources) {
     q.stats.source_types.push_back(sp.event_type);
   }
@@ -82,22 +81,6 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
       }
     }
     ++counter.sampled;
-
-    // Pre-aggregation path: selection runs here on the folded IR, then the
-    // event folds into its slot's delta cells — the same arithmetic
-    // central's accumulator update runs, so shipping deltas changes bytes,
-    // never results.
-    if (q.plan.preaggregate) {
-      int64_t insts = 0;
-      const bool selected = sp->Selects(event, &insts);
-      ns += c.predicate_term_ns * insts;
-      if (!selected) {
-        ++q.stats.events_filtered;
-        continue;
-      }
-      ns += PreAggFold(q, event, ts);
-      continue;
-    }
 
     // 2. Staging: record the sampled event's row in the shared staging
     // batch of its type and defer selection + projection to the flush,
@@ -334,81 +317,6 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
   }
 }
 
-int64_t ScrubAgent::PreAggFold(ActiveQuery& q, const Event& event,
-                               TimeMicros ts) {
-  const CostModel& c = config_.costs;
-  int64_t ns = c.enqueue_ns;
-  ActiveQuery::PreAggState& slot = q.preagg[WindowStartFor(q, ts)];
-  ++slot.events;
-  ++q.stats.events_staged;
-
-  GroupKey key;
-  key.reserve(q.plan.group_by_programs.size());
-  for (const ExprProgram& g : q.plan.group_by_programs) {
-    ns += c.predicate_term_ns * static_cast<int64_t>(g.insts.size());
-    key.push_back(EvalProgramSingle(g, event));
-  }
-  HashedGroupKey hk(std::move(key));
-  size_t idx;
-  const auto it = slot.index.find(hk);
-  if (it != slot.index.end()) {
-    idx = it->second;
-  } else {
-    idx = slot.groups.size();
-    PreAggGroup group;
-    group.keys = hk.key;
-    group.cells.resize(q.plan.preagg.size());
-    slot.groups.push_back(std::move(group));
-    slot.index.emplace(std::move(hk), idx);
-  }
-
-  PreAggGroup& group = slot.groups[idx];
-  for (size_t i = 0; i < q.plan.preagg.size(); ++i) {
-    const HostPlan::PreAggSpec& spec = q.plan.preagg[i];
-    // The aggregation CPU the flat topology spends at central runs here on
-    // the application host — the cost the ablation makes visible.
-    ns += c.central_group_update_ns;
-    Value arg;
-    if (spec.has_arg) {
-      arg = EvalProgramSingle(spec.arg_program, event);
-      if (arg.is_null()) {
-        continue;  // SQL semantics, mirroring central's accumulator update
-      }
-    }
-    PreAggCell& cell = group.cells[i];
-    ++cell.count;
-    if (spec.func == AggregateFunc::kSum) {
-      cell.sum += arg.is_numeric() ? arg.AsNumber() : 0.0;
-    }
-  }
-  return ns;
-}
-
-void ScrubAgent::FlushPreAgg(QueryId query_id, ActiveQuery& q, TimeMicros now,
-                             std::vector<EventBatch>* batches) {
-  if (q.preagg.empty()) {
-    return;
-  }
-  std::vector<PreAggSlot> slots;
-  slots.reserve(q.preagg.size());
-  uint64_t events = 0;
-  for (auto& [start, state] : q.preagg) {
-    PreAggSlot slot;
-    slot.window_start = start;
-    slot.events = state.events;
-    slot.groups = std::move(state.groups);
-    events += state.events;
-    slots.push_back(std::move(slot));
-  }
-  q.preagg.clear();
-
-  EventBatch batch;
-  batch.format = BatchFormat::kPreAgg;
-  batch.event_count = events;
-  batch.payload = EncodePreAggBatch(slots);
-  Ship(query_id, q, std::move(batch), now, batches);
-}
-
 std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
                                           std::vector<QueryId>* expired) {
   std::vector<EventBatch> batches;
@@ -431,9 +339,7 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
         q.pending_counters[prev].window_start = prev;
       }
     }
-    if (q.plan.preaggregate) {
-      FlushPreAgg(it->first, q, now, &batches);
-    } else if (q.plan.sources.size() > 1) {
+    if (q.plan.sources.size() > 1) {
       FlushColumnJoin(it->first, q, now, &batches);
     } else {
       FlushColumns(it->first, q, now, &batches);

@@ -19,9 +19,7 @@
 // logged event at most once, into one staging ColumnBatch per event type,
 // and each query that keeps the event records only its row index. Host cost
 // therefore grows with the number of live queries by a per-query index push,
-// not by a per-query copy of the event. Pre-aggregating queries
-// (HostPlan::preaggregate) are the one exception: they select at log() time
-// and fold into per-group delta cells instead of staging events.
+// not by a per-query copy of the event.
 //
 // Every unit of work is charged to the host's CostMeter in simulated
 // nanoseconds; LogEvent returns the charge so the application can add it to
@@ -45,7 +43,6 @@
 #include "src/event/column_batch.h"
 #include "src/event/event.h"
 #include "src/event/wire.h"
-#include "src/plan/group_key.h"
 #include "src/plan/plan.h"
 
 namespace scrub {
@@ -78,9 +75,9 @@ struct EventBatch {
   uint64_t seq = 0;
   uint64_t epoch = 0;
   BatchFormat format = BatchFormat::kColumnar;  // how `payload` is laid out
-  // EncodeColumnBatch (kColumnar), EncodeColumnJoinBatch (kColumnarJoin) or
-  // EncodePreAggBatch (kPreAgg). A counters-only batch has event_count 0
-  // and an empty payload; central never reads it.
+  // EncodeColumnBatch (kColumnar) or EncodeColumnJoinBatch (kColumnarJoin).
+  // A counters-only batch has event_count 0 and an empty payload; central
+  // never reads it.
   std::string payload;
   size_t event_count = 0;
   std::vector<WindowCounter> counters;  // deltas since the previous flush
@@ -142,13 +139,11 @@ struct AgentQueryStats {
   // Per-source, per-field wire encoding chosen by the most recent columnar
   // flush that shipped data (EncodeColumnBatch's convention: -1 dropped or
   // all-null, 0 plain, n > 0 dictionary with n entries). Empty until a
-  // columnar flush ships; pre-aggregating queries never fill it.
+  // columnar flush ships.
   std::vector<std::vector<int>> last_encodings;
-  // Staging shape, fixed at install: whether this query pre-aggregates
-  // instead of staging events, and the plan-ordered source event types.
+  // Staging shape, fixed at install: the plan-ordered source event types.
   // Lives in the stats (not the ActiveQuery) so DescribeQuery can still
   // render it after teardown.
-  bool preaggregated = false;
   std::vector<std::string> source_types;
 };
 
@@ -230,17 +225,6 @@ class ScrubAgent {
     std::vector<uint8_t> staging_order;
     // Counter deltas keyed by window start, flushed incrementally.
     std::map<TimeMicros, WindowCounter> pending_counters;
-    // Pre-aggregation path (plan.preaggregate): selected events fold into
-    // per-(slot, group) COUNT/SUM delta cells; a flush ships one kPreAgg
-    // batch of deltas instead of the events. `index` maps a hashed group
-    // key to its position in `groups`, which preserves first-touch order so
-    // the encoded payload is a deterministic function of the event stream.
-    struct PreAggState {
-      uint64_t events = 0;  // selected events folded into this slot
-      std::unordered_map<HashedGroupKey, size_t, HashedGroupKeyHash> index;
-      std::vector<PreAggGroup> groups;
-    };
-    std::map<TimeMicros, PreAggState> preagg;
     AgentQueryStats stats;
 
     explicit ActiveQuery(const HostPlan& p) : plan(p) {}
@@ -278,13 +262,6 @@ class ScrubAgent {
 
   // Total rows staged across a query's per-source row lists.
   size_t StagedRows(const ActiveQuery& q) const;
-
-  // Pre-aggregation path: folds one selected event into its slot's delta
-  // cells (returns the CPU charged), and flushes the accumulated deltas as
-  // a single kPreAgg batch.
-  int64_t PreAggFold(ActiveQuery& q, const Event& event, TimeMicros ts);
-  void FlushPreAgg(QueryId query_id, ActiveQuery& q, TimeMicros now,
-                   std::vector<EventBatch>* batches);
 
   // Sends one flushed batch: stamps the header (next sequence number),
   // attaches the query's pending counter deltas (so they ride with the

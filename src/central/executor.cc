@@ -411,15 +411,6 @@ Status Executor::DecodeAndFold(QueryState& q, HostId host,
     m.batches += 1;
     m.cpu_ns += WorkerPool::ThreadCpuNs() - t0;
   };
-  if (batch.format == BatchFormat::kPreAgg) {
-    Result<std::vector<PreAggSlot>> slots = DecodePreAggBatch(batch.payload);
-    if (!slots.ok()) {
-      return slots.status();
-    }
-    stamp_decode(slots->size());
-    FoldPreAgg(q, host, *slots);
-    return OkStatus();
-  }
   if (batch.format == BatchFormat::kColumnar) {
     Result<ColumnBatch> cols = DecodeColumnBatch(*registry_, batch.payload);
     if (!cols.ok()) {
@@ -475,67 +466,6 @@ void Executor::StampDecodeRows(QueryState& q, size_t rows) {
   m.rows_in += rows;
   m.rows_out += rows;
   m.batches += 1;
-}
-
-void Executor::FoldPreAgg(QueryState& q, HostId host,
-                          const std::vector<PreAggSlot>& slots) {
-  const bool metrics = MetricsOn();
-  uint64_t t0 = 0;
-  uint64_t ingested0 = 0;
-  uint64_t late0 = 0;
-  if (metrics) {
-    EnsureOpIndex(q);
-    t0 = WorkerPool::ThreadCpuNs();
-    ingested0 = q.stats.events_ingested;
-    late0 = q.stats.events_late;
-  }
-  const CentralPlan& plan = q.plan;
-  for (const PreAggSlot& slot : slots) {
-    meter_->ChargeScrub(config_->costs.central_ingest_ns);
-    q.stats.events_ingested += slot.events;
-    const std::vector<WindowState*> windows = WindowsFor(q, slot.window_start);
-    if (windows.empty()) {
-      q.stats.events_late += slot.events;
-      continue;
-    }
-    for (WindowState* w : windows) {
-      w->input_events += slot.events;
-      HostWindowStats& hs = w->host_stats[host];
-      hs.readings.resize(q.pipeline.bounded_aggregates.size());
-      hs.received += slot.events;
-      for (const PreAggGroup& g : slot.groups) {
-        GroupKey key = g.keys;  // each covering window owns its key
-        HashedGroupKey hk(std::move(key));
-        const bool track = accountant_ != nullptr && accountant_->active();
-        const size_t creation_bytes =
-            track ? GroupCreationBytes(*config_, plan, hk.key) : 0;
-        GroupState& group = w->groups[std::move(hk)];
-        if (group.accumulators.empty()) {
-          group.accumulators.resize(plan.aggregates.size());
-          if (track) {
-            ChargeState(q, *w, creation_bytes);
-          }
-        }
-        const size_t cells = std::min(g.cells.size(),
-                                      group.accumulators.size());
-        for (size_t i = 0; i < cells; ++i) {
-          meter_->ChargeScrub(config_->costs.central_group_update_ns);
-          group.accumulators[i].count += g.cells[i].count;
-          group.accumulators[i].sum += g.cells[i].sum;
-        }
-      }
-    }
-  }
-  if (metrics && q.op_fold >= 0) {
-    // Pre-aggregated deltas fold straight into GroupFold (no join, no
-    // per-row representation): rows are the events the slots represent.
-    OperatorMetrics& m = q.stats.op_metrics[static_cast<size_t>(q.op_fold)];
-    const uint64_t represented = q.stats.events_ingested - ingested0;
-    m.rows_in += represented;
-    m.rows_out += represented - (q.stats.events_late - late0);
-    m.batches += 1;
-    m.cpu_ns += WorkerPool::ThreadCpuNs() - t0;
-  }
 }
 
 void Executor::FoldColumnJoin(QueryState& q, HostId host,

@@ -68,7 +68,7 @@ namespace scrub {
 // Group keys and mergeable aggregate state are shared with the sharded
 // deployment (ShardedCentral) and the regional combiner tier, whose
 // coordinators merge per-shard / per-region partials. The key types live in
-// src/plan/group_key.h so host-side code shares the exact hash.
+// src/plan/group_key.h.
 
 // One aggregate's running state within one group. Mergeable: partials from
 // independent shards combine into the same state one stream would build.
@@ -444,13 +444,6 @@ class Executor {
   // Decode operator: wire payload -> InputChunk, then Fold. (The dedup and
   // counter admission stays with the owning facility.)
   Status DecodeAndFold(QueryState& q, HostId host, const EventBatch& batch);
-
-  // Absorbs pre-aggregated COUNT/SUM deltas (BatchFormat::kPreAgg). Sound
-  // even for sliding windows: every ts inside one slide-grid slot is covered
-  // by the same window set, so folding a slot at its window_start assigns
-  // each delta to exactly the windows its events would have reached.
-  void FoldPreAgg(QueryState& q, HostId host,
-                  const std::vector<PreAggSlot>& slots);
 
   // Window-assigns each chunk position, then runs Join / GroupFold /
   // Project per covering window.

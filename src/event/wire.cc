@@ -791,95 +791,4 @@ BatchFormat EncodeEvents(const std::vector<Event>& events, std::string* out) {
   return BatchFormat::kColumnarJoin;
 }
 
-std::string EncodePreAggBatch(const std::vector<PreAggSlot>& slots) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(slots.size()));
-  for (const PreAggSlot& slot : slots) {
-    PutU64(&out, static_cast<uint64_t>(slot.window_start));
-    PutU64(&out, slot.events);
-    PutU32(&out, static_cast<uint32_t>(slot.groups.size()));
-    for (const PreAggGroup& group : slot.groups) {
-      PutU32(&out, static_cast<uint32_t>(group.keys.size()));
-      for (const Value& key : group.keys) {
-        EncodeValue(key, &out);
-      }
-      PutU32(&out, static_cast<uint32_t>(group.cells.size()));
-      for (const PreAggCell& cell : group.cells) {
-        PutU64(&out, cell.count);
-        PutDouble(&out, cell.sum);
-      }
-    }
-  }
-  return out;
-}
-
-Result<std::vector<PreAggSlot>> DecodePreAggBatch(const std::string& buffer) {
-  size_t off = 0;
-  uint32_t slot_count = 0;
-  if (!GetU32(buffer, &off, &slot_count)) {
-    return InvalidArgument("truncated preagg batch: slot count");
-  }
-  // Each slot needs at least 20 bytes; cap against what the buffer could
-  // possibly hold so a hostile count cannot force a huge reserve.
-  if (static_cast<size_t>(slot_count) > (buffer.size() - off) / 20 + 1) {
-    return InvalidArgument("preagg slot count exceeds buffer");
-  }
-  std::vector<PreAggSlot> slots;
-  slots.reserve(slot_count);
-  for (uint32_t s = 0; s < slot_count; ++s) {
-    PreAggSlot slot;
-    uint64_t start = 0;
-    uint32_t group_count = 0;
-    if (!GetU64(buffer, &off, &start) || !GetU64(buffer, &off, &slot.events) ||
-        !GetU32(buffer, &off, &group_count)) {
-      return InvalidArgument("truncated preagg slot header");
-    }
-    slot.window_start = static_cast<int64_t>(start);
-    if (static_cast<size_t>(group_count) > (buffer.size() - off) / 8 + 1) {
-      return InvalidArgument("preagg group count exceeds buffer");
-    }
-    slot.groups.reserve(group_count);
-    for (uint32_t g = 0; g < group_count; ++g) {
-      PreAggGroup group;
-      uint32_t key_count = 0;
-      if (!GetU32(buffer, &off, &key_count)) {
-        return InvalidArgument("truncated preagg group: key count");
-      }
-      if (static_cast<size_t>(key_count) > (buffer.size() - off) + 1) {
-        return InvalidArgument("preagg key count exceeds buffer");
-      }
-      group.keys.reserve(key_count);
-      for (uint32_t k = 0; k < key_count; ++k) {
-        Result<Value> key = DecodeValue(buffer, &off, /*depth=*/0);
-        if (!key.ok()) {
-          return key.status();
-        }
-        group.keys.push_back(std::move(key).value());
-      }
-      uint32_t cell_count = 0;
-      if (!GetU32(buffer, &off, &cell_count)) {
-        return InvalidArgument("truncated preagg group: cell count");
-      }
-      if (static_cast<size_t>(cell_count) > (buffer.size() - off) / 16 + 1) {
-        return InvalidArgument("preagg cell count exceeds buffer");
-      }
-      group.cells.reserve(cell_count);
-      for (uint32_t c = 0; c < cell_count; ++c) {
-        PreAggCell cell;
-        if (!GetU64(buffer, &off, &cell.count) ||
-            !GetDouble(buffer, &off, &cell.sum)) {
-          return InvalidArgument("truncated preagg cell");
-        }
-        group.cells.push_back(cell);
-      }
-      slot.groups.push_back(std::move(group));
-    }
-    slots.push_back(std::move(slot));
-  }
-  if (off != buffer.size()) {
-    return InvalidArgument("trailing bytes after preagg batch");
-  }
-  return slots;
-}
-
 }  // namespace scrub

@@ -28,9 +28,7 @@ namespace scrub {
 // counters-only batch carries no payload at all.
 enum class BatchFormat : uint8_t {
   kColumnar = 1,
-  // Agent-side pre-aggregation ablation: the payload is per-(slot, group)
-  // COUNT/SUM cells, not events (EncodePreAggBatch below).
-  kPreAgg = 2,
+  // 2 is unassigned: central rejects it like any other unknown format.
   // Multi-source (join) columnar staging: one columnar section per query
   // source plus the explicit arrival-order interleave, so the central join
   // replays the exact sequence in which the host logged the events
@@ -146,41 +144,6 @@ Result<ColumnJoinBatch> DecodeColumnJoinBatch(const SchemaRegistry& registry,
 // kMaxColumnJoinSections) and the events' own order as the interleave. No
 // events append nothing and return kColumnar.
 BatchFormat EncodeEvents(const std::vector<Event>& events, std::string* out);
-
-// ---- Pre-aggregated batch format (BatchFormat::kPreAgg) --------------------
-//
-// The agent-side pre-aggregation ablation ships per-(slot, group) COUNT/SUM
-// deltas instead of events. Layout (reusing the record codec's primitives):
-//   u32 slot_count
-//   per slot:
-//     u64 window_start (slide-grid slot, micros)
-//     u64 folded event count
-//     u32 group_count
-//     per group:
-//       u32 key_count,  key_count tagged values (the record codec's encoding)
-//       u32 cell_count, cell_count x (u64 count + f64 sum)
-// Decode applies the record codec's hostile-input discipline: truncation
-// checks on every read, counts capped by the remaining bytes, trailing
-// bytes rejected.
-
-struct PreAggCell {
-  uint64_t count = 0;
-  double sum = 0.0;
-};
-
-struct PreAggGroup {
-  std::vector<Value> keys;
-  std::vector<PreAggCell> cells;  // one per aggregate slot, in plan order
-};
-
-struct PreAggSlot {
-  int64_t window_start = 0;
-  uint64_t events = 0;  // selected events folded into this slot
-  std::vector<PreAggGroup> groups;
-};
-
-std::string EncodePreAggBatch(const std::vector<PreAggSlot>& slots);
-Result<std::vector<PreAggSlot>> DecodePreAggBatch(const std::string& buffer);
 
 }  // namespace scrub
 

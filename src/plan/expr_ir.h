@@ -146,7 +146,7 @@ Result<ExprProgram> LowerExpr(const Expr& expr,
                               bool fold = true);
 
 // Single-event execution binds the event in place (no per-call allocation);
-// the agent and both baselines call it per event.
+// both baselines call it per event.
 Value EvalProgramSingle(const ExprProgram& program, const Event& event);
 bool EvalProgramPredicateSingle(const ExprProgram& program,
                                 const Event& event);

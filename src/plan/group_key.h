@@ -1,8 +1,7 @@
 // Group keys shared by every layer that buckets rows by GROUP BY values:
-// the central fold, the sharded coordinator's partial merge, the regional
-// combiner tier, and the agent-side pre-aggregation mode. Extracted from
-// the executor so host-side code can hash keys without depending on the
-// central library.
+// the central fold, the sharded coordinator's partial merge and the
+// regional combiner tier. One definition of the key and its hash is what
+// lets those pipelines bucket (and order) groups identically.
 
 #ifndef SRC_PLAN_GROUP_KEY_H_
 #define SRC_PLAN_GROUP_KEY_H_

@@ -17,9 +17,6 @@ size_t HostPlan::WireSize() const {
     n += static_cast<size_t>(s.predicate_nodes) * 24;
     n += s.keep_field.size();
   }
-  if (preaggregate) {
-    n += 16 + 24 * (group_by_programs.size() + preagg.size());
-  }
   return n;
 }
 

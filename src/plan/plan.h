@@ -53,7 +53,7 @@ struct HostSourcePlan {
   std::vector<ExprProgram> programs;
   bool never_matches = false;
 
-  // The host filter on one event, exactly as the agent runs it: a
+  // The host filter on one event, as both baselines run it: a
   // never_matches source passes nothing, otherwise the programs run in order
   // and the first failure stops. Adds the instructions of every program run
   // to *insts_run (hosts charge predicate_term_ns per instruction).
@@ -79,21 +79,6 @@ struct HostPlan {
   TimeMicros slide_micros = 0;
   double event_sample_rate = 1.0;
   std::vector<HostSourcePlan> sources;
-
-  // Agent-side pre-aggregation (the opt-in ablation of the paper's strict
-  // hosts-select-only rule): when set, the agent folds selected events into
-  // per-(slot, group) COUNT/SUM cells and ships the deltas instead of the
-  // events. The query server stamps this only for single-source, unsampled
-  // aggregate queries whose aggregates are all COUNT or SUM — the cases
-  // where the host-side fold is exactly the central fold.
-  struct PreAggSpec {
-    AggregateFunc func = AggregateFunc::kCount;
-    bool has_arg = false;
-    ExprProgram arg_program;
-  };
-  bool preaggregate = false;
-  std::vector<ExprProgram> group_by_programs;  // group key, in query order
-  std::vector<PreAggSpec> preagg;              // one per aggregate slot
 
   // Approximate size of this query object on the wire (dissemination cost).
   size_t WireSize() const;

@@ -102,7 +102,6 @@ ScrubSystem::ScrubSystem(SystemConfig config)
       RemoveHierQuery(id);
     };
   }
-  config_.server.agent_preaggregate = config_.agent_preaggregate;
 
   // One agent per monitorable host.
   for (size_t i = 0; i < registry_.size(); ++i) {
@@ -633,9 +632,7 @@ std::string ScrubSystem::DescribeQuery(QueryId id) const {
   if (s != nullptr) {
     const std::vector<std::string>& source_names = s->source_types;
     out += StrFormat("  staging: %s\n",
-                     s->preaggregated          ? "pre-aggregated"
-                     : source_names.size() > 1 ? "columnar join"
-                                               : "columnar");
+                     source_names.size() > 1 ? "columnar join" : "columnar");
     for (size_t i = 0; i < source_names.size(); ++i) {
       std::string line =
           StrFormat("    source %s:", source_names[i].c_str());
@@ -643,9 +640,7 @@ std::string ScrubSystem::DescribeQuery(QueryId id) const {
           i < s->last_encodings.size() && !s->last_encodings[i].empty()
               ? &s->last_encodings[i]
               : nullptr;
-      if (s->preaggregated) {
-        line += " delta cells";
-      } else if (enc == nullptr) {
+      if (enc == nullptr) {
         line += " no columnar flush shipped yet";
       } else {
         Result<SchemaPtr> schema = schemas_.Get(source_names[i]);

@@ -66,11 +66,6 @@ struct SystemConfig {
   // digests to the central coordinator. Raw-mode and join queries keep the
   // flat path regardless (the paper's host rule).
   size_t combiner_regions = 0;
-  // Paper-faithful ablation: agents pre-aggregate COUNT/SUM-only queries
-  // host-side and ship per-group deltas instead of events (the relaxation
-  // the paper argues against generalizing; eligibility is gated at the
-  // server). Off by default.
-  bool agent_preaggregate = false;
   // Chaos: installed on the transport at construction. Deterministic per
   // FaultPlan::seed; an inert plan (the default) injects nothing.
   FaultPlan faults;

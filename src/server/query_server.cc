@@ -130,35 +130,6 @@ Result<SubmittedQuery> QueryServer::SubmitParsed(const Query& query,
   plan->central.hosts_targeted = targeted->size();
   plan->central.hosts_sampled = chosen.size();
 
-  // Agent-side pre-aggregation ablation: stamp the host plan only when the
-  // host-side fold is provably the central fold — a single-source,
-  // unsampled aggregate query whose aggregates are all plain COUNT/SUM.
-  // Sampled plans are excluded because Eq. 2-3 error bounds need per-host
-  // readings no delta cell can carry; sketches/min-max stay central-side.
-  if (config_.agent_preaggregate && plan->central.aggregate_mode &&
-      !plan->central.is_join() && !plan->central.SamplingActive()) {
-    bool eligible = true;
-    for (const AggregateSpec& spec : plan->central.aggregates) {
-      if (spec.func != AggregateFunc::kCount &&
-          spec.func != AggregateFunc::kSum) {
-        eligible = false;
-        break;
-      }
-    }
-    if (eligible) {
-      plan->host.preaggregate = true;
-      plan->host.group_by_programs = plan->central.group_by_programs;
-      plan->host.preagg.reserve(plan->central.aggregates.size());
-      for (const AggregateSpec& spec : plan->central.aggregates) {
-        HostPlan::PreAggSpec p;
-        p.func = spec.func;
-        p.has_arg = spec.has_arg;
-        p.arg_program = spec.arg_program;
-        plan->host.preagg.push_back(std::move(p));
-      }
-    }
-  }
-
   ActiveInfo info;
   info.installed_hosts = chosen;
   info.end_time = plan->host.end_time;

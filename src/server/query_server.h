@@ -71,10 +71,6 @@ struct ServerConfig {
   // construction — the flat topology.
   std::function<Status(const CentralPlan&, ResultSink)> central_install;
   std::function<void(QueryId)> central_remove;
-  // Paper-faithful ablation: stamp eligible COUNT/SUM-only aggregate
-  // queries for agent-side pre-aggregation (HostPlan::preaggregate), the
-  // relaxation of the paper's strict hosts-select-only rule.
-  bool agent_preaggregate = false;
   // Predicted-cost admission control for heavy multi-tenant traffic: each
   // submission's central CPU demand is predicted from the lint cost model
   // (PredictCentralCostNsPerSec) and the sum over live queries must stay

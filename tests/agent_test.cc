@@ -44,9 +44,6 @@ std::vector<Event> DecodeShipped(const SchemaRegistry& registry,
       }
       break;
     }
-    case BatchFormat::kPreAgg:
-      ADD_FAILURE() << "unexpected pre-aggregated batch";
-      break;
   }
   return out;
 }

@@ -288,6 +288,26 @@ TEST_F(CentralTest, BatchForUnknownQueryIsIgnored) {
   EXPECT_TRUE(central_->IngestBatch(batch, 0).ok());
 }
 
+TEST_F(CentralTest, UnknownBatchFormatIsRejectedAndFoldsNothing) {
+  // Only the two columnar formats fold. An unassigned format byte (2) is
+  // refused even when the payload would decode as columnar.
+  CentralPlan plan = PlanFor(
+      "SELECT bid.user_id, COUNT(*) FROM bid GROUP BY bid.user_id "
+      "WINDOW 2 s DURATION 10 s;");
+  ASSERT_TRUE(central_->InstallQuery(plan, Sink()).ok());
+  EventBatch batch = MakeBatch(plan.query_id, 0, {MakeBid(1, 100, 3, 1.0)});
+  batch.format = static_cast<BatchFormat>(2);
+  ASSERT_FALSE(batch.payload.empty());
+  const Status status = central_->IngestBatch(batch, 0);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.ToString().find("batch format 2"), std::string::npos)
+      << status.ToString();
+  ASSERT_NE(central_->StatsFor(plan.query_id), nullptr);
+  EXPECT_EQ(central_->StatsFor(plan.query_id)->events_ingested, 0u);
+  central_->OnTick(60 * kMicrosPerSecond);
+  EXPECT_TRUE(rows_.empty());
+}
+
 TEST_F(CentralTest, DuplicateInstallRejected) {
   CentralPlan plan = PlanFor("SELECT COUNT(*) FROM bid;");
   ASSERT_TRUE(central_->InstallQuery(plan, Sink()).ok());

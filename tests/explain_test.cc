@@ -201,22 +201,6 @@ TEST(DescribeQueryTest, ReportsStagingAndColumnEncodings) {
   EXPECT_NE(j.find("source bid:"), std::string::npos) << j;
   EXPECT_NE(j.find("source impression:"), std::string::npos) << j;
   EXPECT_NE(j.find("line_item_id=plain"), std::string::npos) << j;
-
-  // Pre-aggregating queries ship delta cells, not staged events.
-  SystemConfig preagg_config = config;
-  preagg_config.agent_preaggregate = true;
-  ScrubSystem preagg_system(preagg_config);
-  preagg_system.workload().SchedulePoissonLoad(load);
-  Result<SubmittedQuery> preagg_sub = preagg_system.Submit(
-      "SELECT bid.country, COUNT(*) FROM bid GROUP BY bid.country "
-      "WINDOW 2 s DURATION 4 s;",
-      [](const ResultRow&) {});
-  ASSERT_TRUE(preagg_sub.ok());
-  preagg_system.RunUntil(5 * kMicrosPerSecond);
-  preagg_system.Drain();
-  const std::string p = preagg_system.DescribeQuery(preagg_sub->id);
-  EXPECT_NE(p.find("staging: pre-aggregated\n"), std::string::npos) << p;
-  EXPECT_NE(p.find("source bid: delta cells"), std::string::npos) << p;
 }
 
 }  // namespace

@@ -245,7 +245,10 @@ TEST_F(PlanTest, NodeCountsChargeable) {
   ASSERT_TRUE(plan.ok());
   // Conjuncts: (price > 1.0) has 3 nodes; (country = 'US') has 3 nodes.
   EXPECT_EQ(plan->host.sources[0].predicate_nodes, 6);
-  EXPECT_GT(plan->host.WireSize(), 64u);
+  // Header 64, then per source: type name "bid" + 16, 24 per predicate
+  // node, one projection-mask byte per schema field.
+  EXPECT_EQ(plan->host.WireSize(),
+            64u + 3u + 16u + 6u * 24u + bid_schema_->field_count());
 }
 
 TEST_F(PlanTest, SamplingRatesPropagate) {

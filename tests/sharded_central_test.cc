@@ -91,9 +91,10 @@ class ShardedCentralTest : public ::testing::Test {
   SchemaPtr imp_schema_;
 };
 
-TEST_F(ShardedCentralTest, PreAggregatedBatchIsRejectedAndFoldsNothing) {
-  // Shards fold events; pre-aggregated deltas have no request ids to route
-  // by, so the router refuses them instead of misreading the payload.
+TEST_F(ShardedCentralTest, UnknownBatchFormatIsRejectedAndFoldsNothing) {
+  // Shards fold only the two columnar formats. A batch whose format byte is
+  // unassigned (2) is refused even when its payload would decode as
+  // columnar, instead of being misread.
   const char* query =
       "SELECT bid.user_id, COUNT(*) FROM bid GROUP BY bid.user_id "
       "WINDOW 2 s DURATION 10 s;";
@@ -105,16 +106,9 @@ TEST_F(ShardedCentralTest, PreAggregatedBatchIsRejectedAndFoldsNothing) {
                     rows.push_back(row);
                   })
                   .ok());
-  PreAggSlot slot;
-  slot.window_start = 0;
-  slot.events = 5;
-  slot.groups.push_back(PreAggGroup{{Value(int64_t{3})}, {PreAggCell{5, 0}}});
-  EventBatch batch;
-  batch.query_id = plan.query_id;
-  batch.host = 0;
-  batch.format = BatchFormat::kPreAgg;
-  batch.event_count = 5;
-  batch.payload = EncodePreAggBatch({slot});
+  EventBatch batch = Pack(plan.query_id, RandomBids(5, 7, 3));
+  batch.format = static_cast<BatchFormat>(2);
+  ASSERT_FALSE(batch.payload.empty());
   const Status status = sharded.IngestBatch(batch, 0);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   for (const uint64_t load : sharded.ShardLoads(plan.query_id)) {

@@ -20,7 +20,7 @@ against the committed baseline:
   * the multitenant section must show predicted-cost admission actually
     working (admits AND cost rejections, counts summing to submissions),
     with the usual relative events/sec gate on admitted-tenant throughput;
-  * fleet runs, keyed by topology (flat / hierarchical / *_preagg):
+  * fleet runs, keyed by topology (flat / hierarchical):
     central-link bytes and central CPU must not GROW by more than the
     threshold, and the fresh flat/hierarchical bytes ratio must hold the
     scaling floor (default 5x) — the combiner tier's reason to exist.

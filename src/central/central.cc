@@ -95,10 +95,9 @@ Status ScrubCentral::IngestBatch(const EventBatch& batch, TimeMicros now) {
   for (const WindowCounter& counter : batch.counters) {
     for (WindowState* w : executor_.WindowsFor(q, counter.window_start)) {
       HostWindowStats& hs = w->host_stats[batch.host];
-      hs.population += counter.seen;
-      hs.sampled += counter.sampled;
+      hs.counts.population += counter.seen;
+      hs.counts.sampled += counter.sampled;
       hs.shed += counter.shed;
-      hs.readings.resize(q.pipeline.bounded_aggregates.size());
     }
   }
 

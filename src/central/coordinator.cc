@@ -67,7 +67,6 @@ void PartialCoordinator::AbsorbCounters(
     return;
   }
   Coordinator& c = it->second;
-  const bool keep_counters = c.plan.SamplingActive();
   for (const WindowCounter& counter : counters) {
     if (counter.window_start < c.plan.start_time ||
         counter.window_start >= c.plan.end_time) {
@@ -78,15 +77,11 @@ void PartialCoordinator::AbsorbCounters(
     if (counter.window_start <= c.closed_through) {
       continue;
     }
-    c.window_hosts[counter.window_start].insert(host);
-    if (counter.shed > 0) {
-      c.window_shed[counter.window_start] += counter.shed;
-    }
-    if (keep_counters) {
-      HostCounter& hc = c.window_counters[counter.window_start][host];
-      hc.population += counter.seen;
-      hc.sampled += counter.sampled;
-    }
+    SlotCounters& slot = c.slots[counter.window_start];
+    HostCounts& hc = slot.hosts[host];
+    hc.population += counter.seen;
+    hc.sampled += counter.sampled;
+    slot.shed += counter.shed;
   }
 }
 
@@ -122,7 +117,7 @@ void PartialCoordinator::AbsorbPartial(WindowPartial&& partial) {
             ? HashedGroupKey(std::move(partial.keys[g]),
                              partial.key_hashes[g])
             : HashedGroupKey(std::move(partial.keys[g]));
-    CoordGroup& merged = window[std::move(hk)];
+    GroupState& merged = window[std::move(hk)];
     if (merged.accumulators.empty()) {
       meter_.ChargeScrub(
           static_cast<int64_t>(partial.accumulators[g].size()) *
@@ -170,7 +165,7 @@ void PartialCoordinator::ForwardRow(const ResultRow& row) {
 }
 
 void PartialCoordinator::FinalizeWindow(Coordinator& c, TimeMicros start,
-                                        CoordinatorGroups& groups) {
+                                        GroupMap& groups) {
   // The coordinator pipeline is the single Finalize op; one timed batch per
   // finalized window.
   const bool metrics = config_.collect_op_metrics && !c.pipeline.ops.empty();
@@ -184,190 +179,44 @@ void PartialCoordinator::FinalizeWindow(Coordinator& c, TimeMicros start,
     groups_in = groups.size();
   }
   const CentralPlan& plan = c.plan;
-  // Completeness: union of hosts heard from across the slide-grid slots the
-  // window covers. An empty union means no counters ever flowed (hand-built
-  // batches) — expected set unknown, report 1.0.
+  // Sum the slide-grid slots the window covers: the union of hosts heard
+  // from with their global M_i / m_i, in host order, and the agent shed.
+  std::map<HostId, HostCounts> hosts;
+  uint64_t agent_shed = 0;
+  for (auto sit = c.slots.lower_bound(start);
+       sit != c.slots.end() && sit->first < start + plan.window_micros;
+       ++sit) {
+    for (const auto& [host, counts] : sit->second.hosts) {
+      HostCounts& hc = hosts[host];
+      hc.population += counts.population;
+      hc.sampled += counts.sampled;
+    }
+    agent_shed += sit->second.shed;
+  }
+  // An empty union means no counters ever flowed (hand-built batches):
+  // expected set unknown, report 1.0.
   double completeness = 1.0;
-  if (plan.hosts_sampled > 0) {
-    std::set<HostId> hosts;
-    for (auto sit = c.window_hosts.lower_bound(start);
-         sit != c.window_hosts.end() &&
-         sit->first < start + plan.window_micros;
-         ++sit) {
-      hosts.insert(sit->second.begin(), sit->second.end());
-    }
-    if (!hosts.empty()) {
-      completeness =
-          std::min(1.0, static_cast<double>(hosts.size()) /
-                            static_cast<double>(plan.hosts_sampled));
-    }
+  if (plan.hosts_sampled > 0 && !hosts.empty()) {
+    completeness = std::min(1.0, static_cast<double>(hosts.size()) /
+                                     static_cast<double>(plan.hosts_sampled));
   }
   // Fidelity: central-side shed from the partials, agent-side shed from the
-  // counters of every slide-grid slot the window covers — the same ratio
-  // the single-instance close computes per window.
-  uint64_t input_events = 0;
-  uint64_t shed_events = 0;
+  // counters.
+  WindowShed central;
   const auto fit = c.window_fidelity.find(start);
   if (fit != c.window_fidelity.end()) {
-    input_events = fit->second.input_events;
-    shed_events = std::min(fit->second.shed_events, input_events);
+    central = fit->second;
   }
-  uint64_t agent_shed = 0;
-  for (auto sit = c.window_shed.lower_bound(start);
-       sit != c.window_shed.end() && sit->first < start + plan.window_micros;
-       ++sit) {
-    agent_shed += sit->second;
-  }
-  const uint64_t attempted = input_events + agent_shed;
   const double fidelity =
-      attempted == 0 ? 1.0
-                     : static_cast<double>(input_events - shed_events) /
-                           static_cast<double>(attempted);
-  ++c.stats.windows_closed;
-  c.stats.completeness_sum += completeness;
-  c.stats.completeness_min = std::min(c.stats.completeness_min, completeness);
-  if (completeness < 1.0) {
-    ++c.stats.windows_incomplete;
-  }
-  c.stats.agent_events_shed += agent_shed;
-  c.stats.fidelity_sum += fidelity;
-  c.stats.fidelity_min = std::min(c.stats.fidelity_min, fidelity);
-  if (fidelity < 1.0) {
-    ++c.stats.windows_lossy;
-  }
-  // Finalize-stage sampling inputs: global per-host M_i / m_i summed over
-  // the slots this window covers, and the ratio fallback scale (Eq. 1) for
-  // scaled slots outside the bounded set (join plans).
-  const bool sampling = plan.SamplingActive();
-  std::map<HostId, HostCounter> host_counters;
-  double ratio_scale = 1.0;
-  if (sampling) {
-    for (auto sit = c.window_counters.lower_bound(start);
-         sit != c.window_counters.end() &&
-         sit->first < start + plan.window_micros;
-         ++sit) {
-      for (const auto& [host, counter] : sit->second) {
-        HostCounter& hc = host_counters[host];
-        hc.population += counter.population;
-        hc.sampled += counter.sampled;
-      }
-    }
-    uint64_t population = 0;
-    uint64_t sampled = 0;
-    for (const auto& [host, hc] : host_counters) {
-      population += hc.population;
-      sampled += hc.sampled;
-    }
-    if (sampled > 0 && population > 0) {
-      ratio_scale =
-          static_cast<double>(population) / static_cast<double>(sampled);
-    }
-    if (plan.hosts_sampled > 0 && plan.hosts_targeted > 0) {
-      ratio_scale *= static_cast<double>(plan.hosts_targeted) /
-                     static_cast<double>(plan.hosts_sampled);
-    }
-  }
-  // Ungrouped queries emit a row even for empty windows (series stay
-  // continuous), matching single-instance behaviour.
-  if (plan.group_by_programs.empty() && groups.empty()) {
-    groups[HashedGroupKey(GroupKey{})].accumulators.resize(
-        plan.aggregates.size());
-  }
-  const std::vector<int>& bounded = c.pipeline.bounded_aggregates;
-  // Same canonical order as the single-instance close: merge order depends
-  // on shard/region partial arrival, which must not leak into row order.
-  std::vector<std::pair<const HashedGroupKey*, CoordGroup*>> ordered;
-  ordered.reserve(groups.size());
-  for (auto& [hashed_key, group] : groups) {
-    ordered.emplace_back(&hashed_key, &group);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) {
-              return CanonicalGroupOrder(*a.first, *b.first);
-            });
-  for (auto& [hashed_key_ptr, group_ptr] : ordered) {
-    const HashedGroupKey& hashed_key = *hashed_key_ptr;
-    CoordGroup& group = *group_ptr;
-    if (group.accumulators.empty()) {
-      group.accumulators.resize(plan.aggregates.size());
-    }
-    std::vector<Value> agg_values(plan.aggregates.size());
-    std::vector<double> agg_bounds(plan.aggregates.size(), 0.0);
-    for (size_t i = 0; i < plan.aggregates.size(); ++i) {
-      const AggregateSpec& spec = plan.aggregates[i];
-      const auto bounded_it =
-          std::find(bounded.begin(), bounded.end(), static_cast<int>(i));
-      if (sampling && bounded_it != bounded.end()) {
-        // Per-group Eq. 1-3: this group's readings for the slot, per host,
-        // against the *global* per-host population counters. Sampled events
-        // from a host that landed in other groups are zero readings for
-        // this one (m_h - count_{h,g}).
-        const size_t s =
-            static_cast<size_t>(bounded_it - bounded.begin());
-        std::vector<HostSampleStats> host_stats;
-        for (const auto& [host, hc] : host_counters) {
-          HostSampleStats h;
-          h.population = hc.population;
-          uint64_t observed = 0;
-          const auto rit = group.host_readings.find(host);
-          if (rit != group.host_readings.end() && s < rit->second.size()) {
-            h.readings = rit->second[s];
-            observed = h.readings.count();
-          }
-          const uint64_t zeros =
-              hc.sampled > observed ? hc.sampled - observed : 0;
-          if (zeros > 0) {
-            h.readings.Merge(RunningStats::Constant(zeros, 0.0));
-          }
-          host_stats.push_back(std::move(h));
-        }
-        // Hosts that shipped events but no counters (hand-built batches):
-        // no population info, so the observed readings stand in for it.
-        for (const auto& [host, readings] : group.host_readings) {
-          if (host_counters.count(host) > 0) {
-            continue;
-          }
-          HostSampleStats h;
-          if (s < readings.size()) {
-            h.readings = readings[s];
-          }
-          h.population = h.readings.count();
-          host_stats.push_back(std::move(h));
-        }
-        agg_values[i] = FinalizeBoundedSlot(
-            spec, group.accumulators[i], std::move(host_stats),
-            plan.hosts_sampled, plan.hosts_targeted, ratio_scale,
-            &agg_bounds[i]);
-        continue;
-      }
-      const double scale =
-          (c.pipeline.needs_scaling && spec.ScalesUnderSampling())
-              ? ratio_scale
-              : 1.0;
-      agg_values[i] = FinalizeAccumulator(spec, group.accumulators[i], scale);
-    }
-    ResultRow row;
-    row.query_id = plan.query_id;
-    row.window_start = start;
-    row.window_end = start + plan.window_micros;
-    row.completeness = completeness;
-    row.fidelity = fidelity;
-    for (const OutputColumn& column : plan.outputs) {
-      row.values.push_back(
-          EvalOutputExpr(column.expr, hashed_key.key, agg_values));
-      row.error_bounds.push_back(
-          column.expr.kind == OutputKind::kAggregate
-              ? agg_bounds[static_cast<size_t>(column.expr.index)]
-              : 0.0);
-    }
-    ++c.stats.groups_emitted;
-    ++c.stats.rows_emitted;
-    c.sink(row);
-  }
+      RecordWindowClose(c.stats, completeness, central.input_events,
+                        central.shed_events, agent_shed);
+  const size_t rows = FinalizeGroups(
+      plan, c.pipeline, start, completeness, fidelity,
+      {hosts.begin(), hosts.end()}, groups, c.stats, c.sink);
   if (metrics) {
     OperatorMetrics& m = c.stats.op_metrics.front();
     m.rows_in += groups_in;
-    m.rows_out += ordered.size();
+    m.rows_out += rows;
     m.batches += 1;
     m.cpu_ns += WorkerPool::ThreadCpuNs() - t0;
   }
@@ -389,24 +238,11 @@ void PartialCoordinator::OnTick(TimeMicros now) {
         ++wit;
       }
     }
-    // GC completeness / counter slots no still-open window can cover.
-    while (!c.window_hosts.empty() &&
-           c.window_hosts.begin()->first + c.plan.window_micros +
-                   config_.allowed_lateness <=
-               now) {
-      c.window_hosts.erase(c.window_hosts.begin());
-    }
-    while (!c.window_counters.empty() &&
-           c.window_counters.begin()->first + c.plan.window_micros +
-                   config_.allowed_lateness <=
-               now) {
-      c.window_counters.erase(c.window_counters.begin());
-    }
-    while (!c.window_shed.empty() &&
-           c.window_shed.begin()->first + c.plan.window_micros +
-                   config_.allowed_lateness <=
-               now) {
-      c.window_shed.erase(c.window_shed.begin());
+    // GC counter slots no still-open window can cover.
+    while (!c.slots.empty() && c.slots.begin()->first + c.plan.window_micros +
+                                       config_.allowed_lateness <=
+                                   now) {
+      c.slots.erase(c.slots.begin());
     }
     if (now >= c.plan.end_time + config_.allowed_lateness) {
       retired_stats_[cit->first] = c.stats;

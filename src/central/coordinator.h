@@ -5,11 +5,12 @@
 // inner centrals) stop at WindowClose and emit mergeable WindowPartials.
 // Something must hold the global picture — per-slot host presence for
 // completeness, per-host M_i / m_i for the Eq. 1-3 estimator, shed ledgers
-// for fidelity — merge partials per (window, group), and run Finalize
-// exactly once per window. That something used to be a private struct
-// inside ShardedCentral; the regional combiner tier needs the identical
-// merge-and-finalize contract one network hop further out, so it now lives
-// here and ShardedCentral delegates to it.
+// for fidelity — merge partials per (window, group) into the executor's
+// GroupState map, and run Finalize exactly once per window. Finalize itself
+// is the executor's FinalizeGroups, the same body a single instance runs,
+// so the coordinator adds only the merge and the per-slot counter
+// bookkeeping. ShardedCentral and the regional combiner tier (one network
+// hop further out) both delegate to it.
 //
 // Differences from the embedded original (both inert for the synchronous
 // sharded deployment, load-bearing for the distributed tier):
@@ -29,7 +30,6 @@
 #define SRC_CENTRAL_COORDINATOR_H_
 
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -89,23 +89,9 @@ class PartialCoordinator {
   const CentralConfig& config() const { return config_; }
 
  private:
-  // Merged per-group state: accumulators plus, for sampled plans, the
-  // per-host readings (parallel to the pipeline's scaled slots) the Eq. 1-3
-  // Finalize consumes. Keyed sorted so the estimator's host iteration —
-  // float summation order included — is deterministic.
-  struct CoordGroup {
-    std::vector<AggAccumulator> accumulators;
-    std::map<HostId, std::vector<RunningStats>> host_readings;
-  };
-
-  using CoordinatorGroups =
-      std::unordered_map<HashedGroupKey, CoordGroup, HashedGroupKeyHash>;
-
-  // Global per-host sampling counters for one slide-grid slot (M_i / m_i
-  // summed over the admitted batches/digests).
-  struct HostCounter {
-    uint64_t population = 0;
-    uint64_t sampled = 0;
+  struct SlotCounters {
+    std::map<HostId, HostCounts> hosts;
+    uint64_t shed = 0;
   };
 
   // Central-side fidelity inputs for one window, summed over partials.
@@ -122,17 +108,16 @@ class PartialCoordinator {
     ResultSink sink;
     bool raw = false;  // raw-mode: forward rows, no merge state
     CentralQueryStats stats;
-    // window -> group key -> merged accumulators (+ per-host readings).
-    std::map<TimeMicros, CoordinatorGroups> windows;
+    // window -> group key -> merged accumulators and, for sampled plans,
+    // per-host readings: the executor's GroupState, merged from partials.
+    std::map<TimeMicros, GroupMap> windows;
     // Sender-level dedup (per sender host, per epoch).
     std::unordered_map<HostId, std::map<uint64_t, SeqTracker>> dedup;
-    // Hosts heard from per slide-grid slot — the completeness source.
-    std::map<TimeMicros, std::set<HostId>> window_hosts;
-    // Sampled plans: per-slot per-host M_i / m_i. The Finalize estimator
-    // sums the slots each window covers.
-    std::map<TimeMicros, std::map<HostId, HostCounter>> window_counters;
-    // Agent staging shed per slide-grid slot — fidelity's agent part.
-    std::map<TimeMicros, uint64_t> window_shed;
+    // Per slide-grid slot: the hosts heard from (completeness) with their
+    // M_i / m_i summed over the admitted batches/digests (the estimator),
+    // and the agent staging shed (fidelity's agent part). A window sums the
+    // slots it covers.
+    std::map<TimeMicros, SlotCounters> slots;
     // Central-side fidelity inputs per window, merged from partials.
     std::map<TimeMicros, WindowShed> window_fidelity;
     // Windows at or before this start have finalized; later arrivals for
@@ -141,8 +126,9 @@ class PartialCoordinator {
     uint64_t partials_late = 0;
   };
 
-  void FinalizeWindow(Coordinator& c, TimeMicros start,
-                      CoordinatorGroups& groups);
+  // Gathers the window's completeness, fidelity and per-host counters from
+  // the slide-grid slot maps, then runs the shared Finalize (FinalizeGroups).
+  void FinalizeWindow(Coordinator& c, TimeMicros start, GroupMap& groups);
 
   CentralConfig config_;
   CostMeter meter_;

@@ -177,7 +177,6 @@ WindowPartial WindowPartial::Clone() const {
   WindowPartial copy;
   copy.query_id = query_id;
   copy.window_start = window_start;
-  copy.completeness = completeness;
   copy.keys = keys;
   copy.key_hashes = key_hashes;
   copy.accumulators.reserve(accumulators.size());
@@ -306,27 +305,184 @@ Value FinalizeAccumulator(const AggregateSpec& spec,
   return Value::Null();
 }
 
-Value FinalizeBoundedSlot(const AggregateSpec& spec, const AggAccumulator& acc,
-                          std::vector<HostSampleStats> hosts,
-                          uint64_t hosts_sampled, uint64_t hosts_targeted,
+namespace {
+
+// The Eq. 1-3 path for one bounded slot of one group; `s` indexes the
+// slot's readings (parallel to the pipeline's scaled slots). Each counted
+// host's readings go against its M_i, with the sampled events this group
+// did not see (filtered out, or folded into other groups) as zero
+// readings. Hosts that shipped events but no counters (hand-built batches)
+// follow, their observed readings standing in for the population. Silent
+// sampled hosts are padded to hosts_sampled, and N is max(hosts_targeted,
+// hosts). On estimator failure (no hosts at all), falls back to the
+// exact-path finalization scaled by `fallback_scale` with a zero bound.
+Value FinalizeBoundedSlot(const CentralPlan& plan, size_t slot, size_t s,
+                          const GroupState& group, const HostCountList& hosts,
+                          const std::vector<HostId>& counted,
                           double fallback_scale, double* error_bound) {
+  std::vector<HostSampleStats> samples;
+  for (const auto& [host, counts] : hosts) {
+    HostSampleStats h;
+    h.population = counts.population;
+    const auto rit = group.host_readings.find(host);
+    if (rit != group.host_readings.end() && s < rit->second.size()) {
+      h.readings = rit->second[s];
+    }
+    const uint64_t observed = h.readings.count();
+    if (counts.sampled > observed) {
+      h.readings.Merge(
+          RunningStats::Constant(counts.sampled - observed, 0.0));
+    }
+    samples.push_back(std::move(h));
+  }
+  for (const auto& [host, readings] : group.host_readings) {
+    if (!std::binary_search(counted.begin(), counted.end(), host)) {
+      HostSampleStats h;
+      if (s < readings.size()) {
+        h.readings = readings[s];
+      }
+      h.population = h.readings.count();
+      samples.push_back(std::move(h));
+    }
+  }
   *error_bound = 0.0;
-  // Sampled hosts that reported nothing this window estimate zero totals.
-  const uint64_t reporting = hosts.size();
-  for (uint64_t i = reporting; i < hosts_sampled; ++i) {
-    hosts.emplace_back();
+  for (uint64_t i = samples.size(); i < plan.hosts_sampled; ++i) {
+    samples.emplace_back();
   }
   const uint64_t total_hosts =
-      std::max<uint64_t>(hosts_targeted, hosts.size());
-  if (!hosts.empty()) {
-    Result<ApproxSum> est = EstimateSum(hosts, total_hosts, 0.95);
+      std::max<uint64_t>(plan.hosts_targeted, samples.size());
+  if (!samples.empty()) {
+    Result<ApproxSum> est = EstimateSum(samples, total_hosts, 0.95);
     if (est.ok()) {
       *error_bound = std::isfinite(est->error_bound) ? est->error_bound : 0.0;
       return Value(est->estimate);
     }
   }
   // Exact-path finalization on estimator failure (no hosts at all).
-  return FinalizeAccumulator(spec, acc, fallback_scale);
+  return FinalizeAccumulator(plan.aggregates[slot], group.accumulators[slot],
+                             fallback_scale);
+}
+
+}  // namespace
+
+double RecordWindowClose(CentralQueryStats& stats, double completeness,
+                         uint64_t input_events, uint64_t shed_events,
+                         uint64_t agent_shed) {
+  ++stats.windows_closed;
+  stats.completeness_sum += completeness;
+  stats.completeness_min = std::min(stats.completeness_min, completeness);
+  if (completeness < 1.0) {
+    ++stats.windows_incomplete;
+  }
+  const uint64_t central_shed = std::min(shed_events, input_events);
+  const uint64_t attempted = input_events + agent_shed;
+  const double fidelity =
+      attempted == 0 ? 1.0
+                     : static_cast<double>(input_events - central_shed) /
+                           static_cast<double>(attempted);
+  stats.agent_events_shed += agent_shed;
+  stats.fidelity_sum += fidelity;
+  stats.fidelity_min = std::min(stats.fidelity_min, fidelity);
+  if (fidelity < 1.0) {
+    ++stats.windows_lossy;
+  }
+  return fidelity;
+}
+
+size_t FinalizeGroups(const CentralPlan& plan,
+                      const PhysicalPipeline& pipeline, TimeMicros start,
+                      double completeness, double fidelity,
+                      const HostCountList& hosts, GroupMap& groups,
+                      CentralQueryStats& stats, const ResultSink& sink) {
+  // Ungrouped aggregate queries emit a row even for an empty window, so
+  // time series stay continuous.
+  if (plan.group_by_programs.empty() && groups.empty()) {
+    groups[HashedGroupKey(GroupKey{})].accumulators.resize(
+        plan.aggregates.size());
+  }
+  // Ratio estimator (Eq. 1): (N / n) * (sum M_i / sum m_i) over reporting
+  // hosts; the fallback for scaled slots outside the bounded set.
+  double ratio_scale = 1.0;
+  if (pipeline.needs_scaling) {
+    uint64_t population = 0;
+    uint64_t sampled = 0;
+    for (const auto& [host, counts] : hosts) {
+      population += counts.population;
+      sampled += counts.sampled;
+    }
+    if (sampled > 0 && population > 0) {
+      ratio_scale =
+          static_cast<double>(population) / static_cast<double>(sampled);
+    }
+    if (plan.hosts_sampled > 0 && plan.hosts_targeted > 0) {
+      ratio_scale *= static_cast<double>(plan.hosts_targeted) /
+                     static_cast<double>(plan.hosts_sampled);
+    }
+  }
+  const std::vector<int>& bounded = pipeline.bounded_aggregates;
+  const std::vector<int>& scaled = pipeline.scaled_slots;
+  std::vector<HostId> counted;
+  if (!bounded.empty()) {
+    counted.reserve(hosts.size());
+    for (const auto& [host, counts] : hosts) {
+      counted.push_back(host);
+    }
+    std::sort(counted.begin(), counted.end());
+  }
+  // Canonical group order: neither hash-map layout nor partial arrival
+  // order may leak into row order.
+  std::vector<std::pair<const HashedGroupKey*, GroupState*>> ordered;
+  ordered.reserve(groups.size());
+  for (auto& [hashed_key, group] : groups) {
+    ordered.emplace_back(&hashed_key, &group);
+  }
+  std::sort(ordered.begin(), ordered.end(),
+            [](const auto& a, const auto& b) {
+              return CanonicalGroupOrder(*a.first, *b.first);
+            });
+  for (auto& [hashed_key_ptr, group_ptr] : ordered) {
+    GroupState& group = *group_ptr;
+    if (group.accumulators.empty()) {
+      group.accumulators.resize(plan.aggregates.size());
+    }
+    std::vector<Value> agg_values(plan.aggregates.size());
+    std::vector<double> agg_bounds(plan.aggregates.size(), 0.0);
+    for (size_t i = 0; i < plan.aggregates.size(); ++i) {
+      const AggregateSpec& spec = plan.aggregates[i];
+      const int slot = static_cast<int>(i);
+      if (std::find(bounded.begin(), bounded.end(), slot) != bounded.end()) {
+        // Per-group Eq. 1-3: this group's readings for the slot, per host,
+        // against the window's per-host population counters.
+        const size_t s = static_cast<size_t>(
+            std::find(scaled.begin(), scaled.end(), slot) - scaled.begin());
+        agg_values[i] = FinalizeBoundedSlot(plan, i, s, group, hosts, counted,
+                                            ratio_scale, &agg_bounds[i]);
+        continue;
+      }
+      const double scale =
+          (pipeline.needs_scaling && spec.ScalesUnderSampling()) ? ratio_scale
+                                                                 : 1.0;
+      agg_values[i] = FinalizeAccumulator(spec, group.accumulators[i], scale);
+    }
+    ResultRow row;
+    row.query_id = plan.query_id;
+    row.window_start = start;
+    row.window_end = start + plan.window_micros;
+    row.completeness = completeness;
+    row.fidelity = fidelity;
+    for (const OutputColumn& column : plan.outputs) {
+      row.values.push_back(
+          EvalOutputExpr(column.expr, hashed_key_ptr->key, agg_values));
+      row.error_bounds.push_back(
+          column.expr.kind == OutputKind::kAggregate
+              ? agg_bounds[static_cast<size_t>(column.expr.index)]
+              : 0.0);
+    }
+    ++stats.groups_emitted;
+    ++stats.rows_emitted;
+    sink(row);
+  }
+  return ordered.size();
 }
 
 std::string ResultRow::ToString() const {
@@ -569,43 +725,22 @@ void Executor::FoldInto(QueryState& q, WindowState& w, const InputChunk& chunk,
       ShedEvent(q, w);
       return;
     }
-    if (w.spill != nullptr ||
-        (accountant_ != nullptr && accountant_->active() && OverBudget(q))) {
-      // Deferring must still record the host's first touch now: host_stats
-      // insertion order feeds float summation in Finalize, and the unbounded
-      // run inserts hosts in arrival order, not replay order.
-      w.host_stats[host];
-      SpillOrShed(q, w, chunk, i, host);
-      return;
-    }
   }
-  HostWindowStats& hs = w.host_stats[host];
-  hs.readings.resize(q.pipeline.bounded_aggregates.size());
-  ++hs.received;
-
+  // The host is heard from (completeness). Its first touch also fixes its
+  // place in host_stats, whose order Finalize sums the estimator in, so a
+  // deferred event records it now, in arrival order, not at replay.
+  w.host_stats[host];
+  if (!w.replaying &&
+      (w.spill != nullptr ||
+       (accountant_ != nullptr && accountant_->active() && OverBudget(q)))) {
+    SpillOrShed(q, w, chunk, i, host);
+    return;
+  }
   if (q.plan.is_join()) {
     JoinFold(q, w, chunk, i, column_source, host);
     return;
   }
-
-  const ColumnBatch& batch = *chunk.columns;
-  const size_t row = chunk.row(i);
-  // Per-host readings for the Eq. 1-3 slots.
-  for (size_t b = 0; b < q.pipeline.bounded_aggregates.size(); ++b) {
-    const AggregateSpec& spec = q.plan.aggregates[static_cast<size_t>(
-        q.pipeline.bounded_aggregates[b])];
-    double v = 1.0;  // COUNT: indicator reading
-    if (spec.func == AggregateFunc::kSum) {
-      const Value* cached =
-          cache != nullptr ? cache->Lookup(spec.arg_program, i) : nullptr;
-      const Value arg =
-          cached != nullptr ? *cached
-                            : EvalProgramColumns(spec.arg_program, batch, row);
-      v = arg.is_numeric() ? arg.AsNumber() : 0.0;
-    }
-    hs.readings[b].Add(v);
-  }
-  GroupFoldColumn(q, w, batch, row, host, cache, i);
+  GroupFoldColumn(q, w, *chunk.columns, chunk.row(i), host, cache, i);
 }
 
 bool Executor::OverBudget(const QueryState& q) const {
@@ -901,69 +1036,6 @@ void Executor::UpdateAccumulatorValue(const AggregateSpec& spec,
   }
 }
 
-double Executor::GroupScaleFor(const QueryState& q,
-                               const WindowState& w) const {
-  if (!q.pipeline.needs_scaling) {
-    return 1.0;
-  }
-  // Ratio estimator: (N / n) * (sum M_i / sum m_i) over reporting hosts.
-  uint64_t population = 0;
-  uint64_t sampled = 0;
-  for (const auto& [host, hs] : w.host_stats) {
-    population += hs.population;
-    sampled += hs.sampled;
-  }
-  double scale = 1.0;
-  if (sampled > 0 && population > 0) {
-    scale = static_cast<double>(population) / static_cast<double>(sampled);
-  }
-  if (q.plan.hosts_sampled > 0 && q.plan.hosts_targeted > 0) {
-    scale *= static_cast<double>(q.plan.hosts_targeted) /
-             static_cast<double>(q.plan.hosts_sampled);
-  }
-  return scale;
-}
-
-Value Executor::FinalizeAggregate(const QueryState& q, const WindowState& w,
-                                  int slot, const AggAccumulator& acc,
-                                  double group_scale,
-                                  double* error_bound) const {
-  *error_bound = 0.0;
-  const AggregateSpec& spec = q.plan.aggregates[static_cast<size_t>(slot)];
-  const std::vector<int>& bounded = q.pipeline.bounded_aggregates;
-  const auto bounded_it = std::find(bounded.begin(), bounded.end(), slot);
-  const double scale =
-      (q.pipeline.needs_scaling && spec.ScalesUnderSampling()) ? group_scale
-                                                               : 1.0;
-
-  if (bounded_it != bounded.end()) {
-    // Eq. 1-3 over the window's per-host stats (ungrouped single-instance
-    // path; the sharded coordinator feeds FinalizeBoundedSlot directly from
-    // merged per-group readings instead).
-    const size_t b = static_cast<size_t>(bounded_it - bounded.begin());
-    std::vector<HostSampleStats> hosts;
-    for (const auto& [host, hs] : w.host_stats) {
-      HostSampleStats h;
-      h.population = hs.population;
-      if (b < hs.readings.size()) {
-        h.readings = hs.readings[b];
-      }
-      // Sampled-but-filtered events are zero readings.
-      const uint64_t zeros =
-          hs.sampled > hs.received ? hs.sampled - hs.received : 0;
-      if (zeros > 0) {
-        h.readings.Merge(RunningStats::Constant(zeros, 0.0));
-      }
-      hosts.push_back(std::move(h));
-    }
-    return FinalizeBoundedSlot(spec, acc, std::move(hosts),
-                               q.plan.hosts_sampled, q.plan.hosts_targeted,
-                               scale, error_bound);
-  }
-
-  return FinalizeAccumulator(spec, acc, scale);
-}
-
 double Executor::WindowCompleteness(const QueryState& q,
                                     const WindowState& w) const {
   // Expected set = the hosts the plan was disseminated to. With heartbeat
@@ -1009,34 +1081,16 @@ void Executor::CloseWindow(QueryState& q, WindowState* w) {
   ReplaySpill(q, w);
   const CentralPlan& plan = q.plan;
 
-  const double completeness = WindowCompleteness(q, *w);
-  ++q.stats.windows_closed;
-  q.stats.completeness_sum += completeness;
-  q.stats.completeness_min = std::min(q.stats.completeness_min, completeness);
-  if (completeness < 1.0) {
-    ++q.stats.windows_incomplete;
-  }
-
-  // Fidelity: the fraction of events bound for this window that actually
-  // folded in. The denominator includes the agent-side staging shed reported
-  // via counters; the numerator drops every central-side ladder rung
+  // Fidelity's denominator includes the agent-side staging shed reported
+  // via counters; its numerator drops every central-side ladder rung
   // (budget shed, join-capacity shed, spill I/O losses).
   uint64_t agent_shed = 0;
   for (const auto& [shed_host, hs] : w->host_stats) {
     agent_shed += hs.shed;
   }
-  const uint64_t central_shed = std::min(w->shed_events, w->input_events);
-  const uint64_t attempted = w->input_events + agent_shed;
-  const double fidelity =
-      attempted == 0 ? 1.0
-                     : static_cast<double>(w->input_events - central_shed) /
-                           static_cast<double>(attempted);
-  q.stats.agent_events_shed += agent_shed;
-  q.stats.fidelity_sum += fidelity;
-  q.stats.fidelity_min = std::min(q.stats.fidelity_min, fidelity);
-  if (fidelity < 1.0) {
-    ++q.stats.windows_lossy;
-  }
+  const double completeness = WindowCompleteness(q, *w);
+  const double fidelity = RecordWindowClose(
+      q.stats, completeness, w->input_events, w->shed_events, agent_shed);
   // The window's charged state dies with it (partials move it to the
   // coordinator's accounting domain, emission frees it).
   const auto release_state = [&] {
@@ -1073,9 +1127,8 @@ void Executor::CloseWindow(QueryState& q, WindowState* w) {
     WindowPartial partial;
     partial.query_id = plan.query_id;
     partial.window_start = w->start;
-    partial.completeness = completeness;
     partial.input_events = w->input_events;
-    partial.shed_events = central_shed;
+    partial.shed_events = std::min(w->shed_events, w->input_events);
     if (metrics) {
       // Export the delta since this shard's previous partial; the
       // coordinator sums deltas into upstream_op_metrics. Stamping close
@@ -1123,61 +1176,24 @@ void Executor::CloseWindow(QueryState& q, WindowState* w) {
     return;
   }
 
-  // Everything below is the Finalize operator: estimator scales,
-  // accumulator finalization, canonical-order emission.
+  // Everything below is the Finalize operator, fed the window's per-host
+  // counters in host_stats order (the estimator's summation order).
   const uint64_t t_finalize = stamp_close();
-
-  // Ungrouped aggregate queries emit a row even for an empty window, so
-  // time series stay continuous.
-  if (plan.group_by_programs.empty() && w->groups.empty()) {
-    GroupState& g = w->groups[HashedGroupKey(GroupKey{})];
-    g.accumulators.resize(plan.aggregates.size());
-  }
-
-  const double group_scale = GroupScaleFor(q, *w);
-  std::vector<std::pair<const HashedGroupKey*, GroupState*>> ordered;
-  ordered.reserve(w->groups.size());
-  for (auto& [hashed_key, group] : w->groups) {
-    ordered.emplace_back(&hashed_key, &group);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) {
-              return CanonicalGroupOrder(*a.first, *b.first);
-            });
-  for (auto& [hashed_key_ptr, group_ptr] : ordered) {
-    const HashedGroupKey& hashed_key = *hashed_key_ptr;
-    GroupState& group = *group_ptr;
-    ResultRow row;
-    row.query_id = plan.query_id;
-    row.window_start = w->start;
-    row.window_end = w->start + plan.window_micros;
-    row.completeness = completeness;
-    row.fidelity = fidelity;
-
-    std::vector<Value> agg_values(plan.aggregates.size());
-    std::vector<double> agg_bounds(plan.aggregates.size(), 0.0);
-    for (size_t i = 0; i < plan.aggregates.size(); ++i) {
-      agg_values[i] =
-          FinalizeAggregate(q, *w, static_cast<int>(i), group.accumulators[i],
-                            group_scale, &agg_bounds[i]);
+  HostCountList hosts;
+  if (q.pipeline.needs_scaling) {
+    hosts.reserve(w->host_stats.size());
+    for (const auto& [host, hs] : w->host_stats) {
+      hosts.emplace_back(host, hs.counts);
     }
-    for (const OutputColumn& column : plan.outputs) {
-      row.values.push_back(
-          EvalOutputExpr(column.expr, hashed_key.key, agg_values));
-      row.error_bounds.push_back(
-          column.expr.kind == OutputKind::kAggregate
-              ? agg_bounds[static_cast<size_t>(column.expr.index)]
-              : 0.0);
-    }
-    ++q.stats.groups_emitted;
-    ++q.stats.rows_emitted;
-    q.sink(row);
   }
+  const size_t rows =
+      FinalizeGroups(plan, q.pipeline, w->start, completeness, fidelity,
+                     hosts, w->groups, q.stats, q.sink);
   if (metrics && q.op_finalize >= 0) {
     OperatorMetrics& m =
         q.stats.op_metrics[static_cast<size_t>(q.op_finalize)];
-    m.rows_in += ordered.size();
-    m.rows_out += ordered.size();
+    m.rows_in += rows;
+    m.rows_out += rows;
     m.batches += 1;
     m.cpu_ns += WorkerPool::ThreadCpuNs() - t_finalize;
   }

@@ -16,11 +16,12 @@
 //   WindowClose — lateness-gated close: completeness, orphan accounting,
 //                 then row emission (single instance) or a mergeable
 //                 WindowPartial (shard role).
-//   Finalize    — accumulators -> values. Under sampling this is where the
-//                 Eq. 1-3 estimator runs: over per-window host readings on a
-//                 single instance, or — via FinalizeBoundedSlot, shared with
-//                 the ShardedCentral coordinator — over globally merged
-//                 per-(group, host) readings, which is what lets sampled
+//   Finalize    — accumulators -> values, written once (FinalizeGroups) and
+//                 called by both the single-instance close and the
+//                 PartialCoordinator. Under sampling this is where the
+//                 Eq. 1-3 estimator runs, over per-(group, host) readings:
+//                 folded locally on a single instance, merged from shard
+//                 partials at the coordinator, which is what lets sampled
 //                 plans shard.
 //
 // The executor holds no per-query state: it interprets a QueryState, which
@@ -93,18 +94,6 @@ struct AggAccumulator {
 Value FinalizeAccumulator(const AggregateSpec& spec,
                           const AggAccumulator& acc, double scale);
 
-// The Finalize operator's Eq. 1-3 path for one scaled aggregate slot, shared
-// by the single-instance close and the ShardedCentral coordinator. `hosts`
-// carries one HostSampleStats per reporting host (readings already include
-// the sampled-but-filtered zero observations); silent sampled hosts are
-// padded to `hosts_sampled`, N is max(hosts_targeted, hosts.size()). On
-// estimator failure (no hosts at all), falls back to the exact-path
-// finalization scaled by `fallback_scale` with a zero bound.
-Value FinalizeBoundedSlot(const AggregateSpec& spec, const AggAccumulator& acc,
-                          std::vector<HostSampleStats> hosts,
-                          uint64_t hosts_sampled, uint64_t hosts_targeted,
-                          double fallback_scale, double* error_bound);
-
 // Per-host readings for the pipeline's scaled slots within one group, as
 // shipped shard -> coordinator (Eq. 3 needs per-host variance, so sums are
 // not enough).
@@ -113,13 +102,11 @@ struct GroupHostReadings {
   std::vector<RunningStats> readings;  // parallel to pipeline.scaled_slots
 };
 
-// One shard's finished window, shipped to the sharded coordinator.
+// One shard's finished window, shipped to the sharded coordinator. Shards
+// report no completeness: the coordinator computes it from the counters.
 struct WindowPartial {
   QueryId query_id = 0;
   TimeMicros window_start = 0;
-  // Fraction of the plan's sampled host set heard from this window (1.0
-  // when unknown). The coordinator takes the min across shards.
-  double completeness = 1.0;
   std::vector<GroupKey> keys;
   // GroupKeyHash of each key, parallel to `keys`: the coordinator's merge
   // reuses the shard's hashes instead of rehashing.
@@ -278,24 +265,56 @@ struct CentralQueryStats {
 
 struct GroupState {
   std::vector<AggAccumulator> accumulators;  // key lives in the map key
-  // Shard pipelines under sampling (pipeline.collect_group_readings): the
-  // per-host readings for the scaled slots, exported into
-  // WindowPartial::group_readings at WindowClose. Keyed sorted so the
-  // export order — and hence the coordinator's merge — is deterministic.
+  // The one per-host reading store for the Eq. 1-3 estimator
+  // (pipeline.collect_group_readings): this group's readings per host for
+  // the scaled slots. A single instance finalizes from it; a shard exports
+  // it into WindowPartial::group_readings and the coordinator merges it
+  // back into its own GroupStates. Keyed sorted so the export order, and
+  // hence the coordinator's merge, is deterministic.
   std::map<HostId, std::vector<RunningStats>> host_readings;
 };
 
-// Per-host sampling bookkeeping within one window (Eqs. 1-3).
+// One window's groups, on a single instance, a shard or the coordinator.
+using GroupMap =
+    std::unordered_map<HashedGroupKey, GroupState, HashedGroupKeyHash>;
+
+// One host's sampling counters over one window (Eqs. 1-3).
+struct HostCounts {
+  uint64_t population = 0;  // M_i: events the agent saw
+  uint64_t sampled = 0;     // m_i: events it sampled (shipped or filtered)
+};
+using HostCountList = std::vector<std::pair<HostId, HostCounts>>;
+
+// Books one closed window into `stats` and returns its fidelity: the
+// fraction of the events bound for the window (central input plus the
+// agent's staging shed) that folded in. Shared by every window close.
+double RecordWindowClose(CentralQueryStats& stats, double completeness,
+                         uint64_t input_events, uint64_t shed_events,
+                         uint64_t agent_shed);
+
+// The Finalize operator, shared by the single-instance close and the
+// PartialCoordinator. Adds the empty ungrouped group, computes the Eq. 1
+// ratio scale from `hosts`, finalizes every slot (Eq. 1-3 with a bound on
+// the pipeline's bounded slots, else exact or ratio-scaled), and emits one
+// row per group in canonical order. `hosts` lists each host's M_i / m_i in
+// the order the estimator sums them; a host's sampled events missing from
+// a group's readings are that group's zero readings, and hosts with
+// readings but no counters follow with M_i = their reading count. Returns
+// the number of rows emitted.
+size_t FinalizeGroups(const CentralPlan& plan,
+                      const PhysicalPipeline& pipeline, TimeMicros start,
+                      double completeness, double fidelity,
+                      const HostCountList& hosts, GroupMap& groups,
+                      CentralQueryStats& stats, const ResultSink& sink);
+
+// Per-host bookkeeping within one window: counters, plus presence (every
+// host heard from has an entry, which is what completeness counts).
 struct HostWindowStats {
-  uint64_t population = 0;  // M_i: from agent counters
-  uint64_t sampled = 0;     // m_i: from agent counters
-  uint64_t received = 0;    // events that actually arrived (post-selection)
+  HostCounts counts;
   // Events the agent staged for this window but shed before shipping
   // (staging buffer/budget overflow), from agent counters. Folded into the
   // window's fidelity, never into the sampling estimator.
   uint64_t shed = 0;
-  // Readings per *bounded* aggregate (ungrouped scaled COUNT/SUM slots).
-  std::vector<RunningStats> readings;
 };
 
 // The symmetric hash join's window-scoped buffer (DESIGN.md §11.2). One
@@ -355,7 +374,7 @@ class JoinBuffer {
 
 struct WindowState {
   TimeMicros start = 0;
-  std::unordered_map<HashedGroupKey, GroupState, HashedGroupKeyHash> groups;
+  GroupMap groups;
   JoinBuffer join;  // join plans only
   std::unordered_map<HostId, HostWindowStats> host_stats;
   bool closed = false;
@@ -533,16 +552,10 @@ class Executor {
   // folds; `arg` is null for argument-less aggregates).
   void UpdateAccumulatorValue(const AggregateSpec& spec, AggAccumulator* acc,
                               const Value& arg);
-  // Finalize operator for one slot (single-instance close): Eq. 1-3 over
-  // the window's per-host readings for bounded slots, else exact/ratio.
-  Value FinalizeAggregate(const QueryState& q, const WindowState& w, int slot,
-                          const AggAccumulator& acc, double group_scale,
-                          double* error_bound) const;
-  double GroupScaleFor(const QueryState& q, const WindowState& w) const;
-
-  // Shard role under sampling: fold this row's readings for the scaled
-  // slots into the group's per-host stats. `eval` evaluates an aggregate
-  // argument against the row's representation.
+  // Sampled plans with Eq. 1-3 slots (pipeline.collect_group_readings):
+  // fold this row's readings for the scaled slots into the group's per-host
+  // stats. `eval` evaluates an aggregate argument against the row's
+  // representation.
   template <typename EvalArg>
   void CollectGroupReadings(QueryState& q, GroupState* group, HostId host,
                             EvalArg&& eval) {

@@ -23,7 +23,10 @@ size_t AccumulatorWireSize(const AggAccumulator& acc) {
 }
 
 size_t PartialWireSize(const WindowPartial& partial) {
-  size_t n = 28;  // query_id + window_start + completeness + counts
+  // query_id + window_start + group count (20) and 8 reserved header
+  // bytes. The transport's bandwidth term charges this estimate, so the
+  // header size fixes hierarchical delivery timing and fleet byte counts.
+  size_t n = 28;
   for (size_t g = 0; g < partial.keys.size(); ++g) {
     n += 8;  // stored key hash
     for (const Value& v : partial.keys[g]) {

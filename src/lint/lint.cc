@@ -331,8 +331,8 @@ class Linter {
   // --- (j) scrubql-sampling-sharded-estimate ---------------------------------
   //
   // Purely informational. A sampled + grouped COUNT/SUM on a single central
-  // instance only gets the Eq. 1 ratio scale (per-host readings are kept per
-  // window, not per group). Under the sharded deployment the coordinator's
+  // instance only gets the Eq. 1 ratio scale (its pipeline bounds ungrouped
+  // plans only). Under the sharded deployment the coordinator's
   // Finalize merges per-(group, host) readings globally, so the same query
   // reports a full Eq. 2-3 error bound per group. Troubleshooters reading a
   // grouped estimate should know which deployment produced it.

@@ -81,12 +81,13 @@ PhysicalPipeline CompilePhysical(const CentralPlan& plan, PipelineRole role) {
   switch (role) {
     case PipelineRole::kSingleInstance:
       p.needs_scaling = sampling;
-      // Per-host readings exist per window only for the ungrouped non-join
-      // fold, so only those plans get single-instance Eq. 1-3 bounds;
+      // Only ungrouped non-join plans get single-instance Eq. 1-3 bounds,
+      // from the per-(group, host) readings the fold collects for them;
       // grouped scaled slots use the ratio fallback.
       if (sampling && plan.group_by_programs.empty() && !plan.is_join()) {
         p.bounded_aggregates = p.scaled_slots;
       }
+      p.collect_group_readings = !p.bounded_aggregates.empty();
       break;
     case PipelineRole::kShard:
       // Shards neither scale nor bound: the estimator needs the global

@@ -19,7 +19,8 @@
 // pipeline at WindowClose is what lets sampled plans shard: shards fold
 // per-(group, host) readings locally, and the coordinator — the only place
 // with the global per-host population counts Equations 1-3 need — runs the
-// estimator once per (window, group).
+// estimator once per (window, group), through the same Finalize body a
+// single instance runs over its own per-(group, host) readings.
 
 #ifndef SRC_PLAN_PHYSICAL_H_
 #define SRC_PLAN_PHYSICAL_H_
@@ -132,17 +133,18 @@ struct PhysicalPipeline {
   // Aggregate slots that scale under sampling (COUNT / SUM), in slot order.
   std::vector<int> scaled_slots;
   // Slots that get the full Eq. 1-3 treatment at Finalize. Single instance:
-  // scaled slots of ungrouped non-join sampled plans (per-host readings are
-  // tracked per window). Coordinator: every scaled slot of a non-join
-  // sampled plan — shards ship per-(group, host) readings, so the bound is
-  // computed per group. Shards never finalize.
+  // scaled slots of ungrouped non-join sampled plans. Coordinator: every
+  // scaled slot of a non-join sampled plan, bounded per group from the
+  // shards' per-(group, host) readings. Shards never finalize.
   std::vector<int> bounded_aggregates;
   // Scaled slots not in bounded_aggregates fall back to the global ratio
   // estimate (Eq. 1 without bounds) when sampling is active: grouped plans
   // on a single instance, join plans everywhere.
   bool needs_scaling = false;
-  // Shard role only: fold per-(group, host) readings for the scaled slots
-  // into WindowPartials so the coordinator's Finalize sees Eq. 3's s_i^2.
+  // Fold per-(group, host) readings for the scaled slots, the Eq. 3 s_i^2
+  // input: shards of sampled non-join plans (shipped in WindowPartials to
+  // the coordinator's Finalize) and single instances with bounded slots
+  // (read by their own Finalize).
   bool collect_group_readings = false;
 
   // One "Op(detail)" line per operator, newline-terminated (EXPLAIN). When

@@ -180,7 +180,6 @@ class MergeAlgebraTest : public ::testing::Test {
         into[s].Merge(std::move(from[s]));
       }
     }
-    a.completeness = std::min(a.completeness, b.completeness);
     a.input_events += b.input_events;
     a.shed_events += b.shed_events;
     return a;

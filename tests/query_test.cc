@@ -339,6 +339,48 @@ TEST_F(AnalyzerTest, SourceValidation) {
   EXPECT_EQ(three.status().code(), StatusCode::kUnimplemented);
 }
 
+TEST_F(AnalyzerTest, HostSampledJoinRefused) {
+  // Each source's hosts would be sampled independently, so the joined count
+  // comes out several times too low; admission refuses it in plain words.
+  Result<AnalyzedQuery> aq = Run(
+      "SELECT COUNT(*) FROM bid, exclusion WINDOW 5 s DURATION 20 s "
+      "SAMPLE HOSTS 50%;");
+  ASSERT_FALSE(aq.ok());
+  EXPECT_EQ(aq.status().code(), StatusCode::kUnimplemented);
+  EXPECT_NE(aq.status().message().find("SAMPLE HOSTS on a join"),
+            std::string::npos)
+      << aq.status().ToString();
+  // Event sampling on a join, and host sampling on one source, still pass.
+  EXPECT_TRUE(Run("SELECT COUNT(*) FROM bid, exclusion WINDOW 5 s "
+                  "DURATION 20 s SAMPLE EVENTS 50%;")
+                  .ok());
+  EXPECT_TRUE(Run("SELECT COUNT(*) FROM bid WINDOW 5 s DURATION 20 s "
+                  "SAMPLE HOSTS 50%;")
+                  .ok());
+}
+
+TEST(HostSampledJoinAdmissionTest, SubmitRefusesBeforeAnyInstall) {
+  ScrubSystem system;
+  Result<SubmittedQuery> submitted = system.Submit(
+      "SELECT COUNT(*) FROM bid, impression WINDOW 5 s DURATION 20 s "
+      "SAMPLE HOSTS 50%;",
+      [](const ResultRow&) {});
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(system.server().active_queries(), 0u);
+  EXPECT_EQ(system.transport().bytes_sent(TrafficCategory::kScrubControl),
+            0u);
+  size_t agents = 0;
+  for (size_t i = 0; i < system.registry().size(); ++i) {
+    const ScrubAgent* agent = system.agent(static_cast<HostId>(i));
+    if (agent != nullptr) {
+      ++agents;
+      EXPECT_EQ(agent->active_queries(), 0u);
+    }
+  }
+  EXPECT_GT(agents, 0u);
+}
+
 TEST_F(AnalyzerTest, DurationLimits) {
   EXPECT_FALSE(
       Run("SELECT COUNT(*) FROM bid WINDOW 10 m DURATION 1 m;").ok());

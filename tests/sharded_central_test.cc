@@ -426,6 +426,108 @@ TEST_F(ShardedCentralTest, RawModeShardsAndMatchesSingleInstance) {
   EXPECT_EQ(sharded_rows, single_rows);
 }
 
+// The single instance and the sharded coordinator finalize a sampled
+// ungrouped window through the same Eq. 1-3 body, fed by different reading
+// stores (one shard's groups vs several shards' merged partials). They must
+// agree on every value and bound up to float summation order.
+class FinalizeParityTest : public ShardedCentralTest {
+ protected:
+  // Six hosts with distinct M_i / m_i. Hosts 0-4 ship fewer events than
+  // they sampled (the rest were sampled but filtered out, i.e. zero
+  // readings), host 2 ships one event whose SUM argument is null, and host 5
+  // only heartbeats its counters.
+  std::vector<EventBatch> Batches(QueryId qid, TimeMicros window_start) {
+    Rng rng(41);
+    std::vector<EventBatch> batches;
+    for (int h = 0; h < 6; ++h) {
+      const uint64_t seen = 100 + 37 * static_cast<uint64_t>(h);
+      const uint64_t sampled = 40 + 7 * static_cast<uint64_t>(h);
+      std::vector<Event> shipped;
+      if (h < 5) {
+        const uint64_t ship = sampled - 3 - static_cast<uint64_t>(h);
+        for (uint64_t i = 0; i < ship; ++i) {
+          Event e(bid_schema_, rng.NextUint64(),
+                  window_start + 100 + static_cast<TimeMicros>(i));
+          e.SetField(0, Value(static_cast<int64_t>(i % 5)));
+          if (h != 2 || i != 0) {
+            e.SetField(1, Value(rng.NextDouble() * (h + 1)));
+          }
+          shipped.push_back(std::move(e));
+        }
+      }
+      EventBatch batch = Pack(qid, shipped);
+      batch.host = static_cast<HostId>(h);
+      WindowCounter counter;
+      counter.window_start = window_start;
+      counter.seen = seen;
+      counter.sampled = sampled;
+      batch.counters.push_back(counter);
+      batches.push_back(std::move(batch));
+    }
+    return batches;
+  }
+
+  template <typename Central>
+  std::vector<ResultRow> Run(Central& central, const CentralPlan& plan) {
+    std::vector<ResultRow> rows;
+    EXPECT_TRUE(central
+                    .InstallQuery(plan, [&](const ResultRow& row) {
+                      rows.push_back(row);
+                    })
+                    .ok());
+    for (const EventBatch& batch : Batches(plan.query_id, plan.start_time)) {
+      EXPECT_TRUE(central.IngestBatch(batch, 0).ok());
+    }
+    central.OnTick(60 * kMicrosPerSecond);
+    return rows;
+  }
+};
+
+TEST_F(FinalizeParityTest, SampledUngroupedCountAndSumMatchSingleInstance) {
+  const struct {
+    const char* query;
+    uint64_t targeted;
+    uint64_t sampled;
+  } cases[] = {
+      {"SELECT COUNT(*), SUM(bid.price) FROM bid WINDOW 10 s DURATION 10 s "
+       "SAMPLE EVENTS 50%;",
+       6, 6},
+      // One sampled host never reports (padded as a zero-total host) and
+      // two hosts were not sampled at all (Eq. 1's N / n stage).
+      {"SELECT COUNT(*), SUM(bid.price) FROM bid WINDOW 10 s DURATION 10 s "
+       "SAMPLE HOSTS 75%;",
+       9, 7},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.query);
+    CentralPlan plan = PlanFor(c.query, 1);
+    plan.hosts_targeted = c.targeted;
+    plan.hosts_sampled = c.sampled;
+    ScrubCentral single(&registry_);
+    const std::vector<ResultRow> expected = Run(single, plan);
+    ASSERT_EQ(expected.size(), 1u);
+    ASSERT_EQ(expected[0].values.size(), 2u);
+    for (const size_t shards : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE(StrFormat("%zu shard(s)", shards));
+      ShardedCentral sharded(&registry_, shards);
+      const std::vector<ResultRow> rows = Run(sharded, plan);
+      ASSERT_EQ(rows.size(), 1u);
+      EXPECT_EQ(rows[0].completeness, expected[0].completeness);
+      EXPECT_EQ(rows[0].fidelity, expected[0].fidelity);
+      for (size_t i = 0; i < 2; ++i) {
+        const double want = expected[0].values[i].AsNumber();
+        const double want_bound = expected[0].error_bounds[i];
+        EXPECT_GT(want_bound, 0.0) << "column " << i;
+        EXPECT_NEAR(rows[0].values[i].AsNumber(), want,
+                    1e-12 * std::abs(want))
+            << "column " << i;
+        EXPECT_NEAR(rows[0].error_bounds[i], want_bound, 1e-12 * want_bound)
+            << "column " << i;
+      }
+    }
+  }
+}
+
 TEST_F(ShardedCentralTest, RemoveQueryFlushesPendingWindows) {
   ShardedCentral sharded(&registry_, 2);
   const CentralPlan plan = PlanFor(

@@ -124,6 +124,18 @@ else
        --gtest_filter='SpillCorruptionTest.*' > /dev/null; then
     fail "spill corruption tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/spill_test --gtest_filter='SpillCorruptionTest.*')"
   fi
+  # The single instance and the sharded coordinator share one Finalize body
+  # fed by differently built reading stores; the fixture that holds their
+  # sampled estimates and bounds equal runs by name.
+  note "finalize parity under ASan+UBSan"
+  if ! "${BUILD_DIR}/tests/sharded_central_test" --gtest_list_tests \
+       --gtest_filter='FinalizeParityTest.*' 2>/dev/null | grep -q '^  '; then
+    fail "FinalizeParityTest fixture missing from sharded_central_test"
+  elif ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+       "${BUILD_DIR}/tests/sharded_central_test" \
+       --gtest_filter='FinalizeParityTest.*' > /dev/null; then
+    fail "finalize parity tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/sharded_central_test --gtest_filter='FinalizeParityTest.*')"
+  fi
   # Only the expression IR reaches the branch-free compare kernels, and their
   # typed loops index raw column storage; the fixture that checks them
   # against the tree oracle on every column representation runs by name.

@@ -92,8 +92,10 @@ Status ScrubCentral::IngestBatch(const EventBatch& batch, TimeMicros now) {
   // Fold the agent's sampling counters into per-window host stats. A
   // counter covers one slide period; every window containing that period
   // absorbs it.
+  std::vector<WindowState*> windows;
   for (const WindowCounter& counter : batch.counters) {
-    for (WindowState* w : executor_.WindowsFor(q, counter.window_start)) {
+    executor_.WindowsFor(q, counter.window_start, &windows);
+    for (WindowState* w : windows) {
       HostWindowStats& hs = w->host_stats[batch.host];
       hs.counts.population += counter.seen;
       hs.counts.sampled += counter.sampled;

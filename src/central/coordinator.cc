@@ -108,17 +108,20 @@ void PartialCoordinator::AbsorbPartial(WindowPartial&& partial) {
     ws.input_events += partial.input_events;
     ws.shed_events += partial.shed_events;
   }
-  auto& window = c.windows[partial.window_start];
+  GroupTable& window = c.windows[partial.window_start];
   for (size_t g = 0; g < partial.keys.size(); ++g) {
     // Reuse the hash the shard computed at fold time; recompute only for
     // partials from senders that predate hash caching.
-    HashedGroupKey hk =
-        g < partial.key_hashes.size()
-            ? HashedGroupKey(std::move(partial.keys[g]),
-                             partial.key_hashes[g])
-            : HashedGroupKey(std::move(partial.keys[g]));
-    GroupState& merged = window[std::move(hk)];
-    if (merged.accumulators.empty()) {
+    const size_t hash = g < partial.key_hashes.size()
+                            ? partial.key_hashes[g]
+                            : GroupKeyHash{}(partial.keys[g]);
+    uint32_t found = window.Find(partial.keys[g], hash);
+    const bool fresh = found == GroupTable::kNone;
+    if (fresh) {
+      found = window.Insert(std::move(partial.keys[g]), hash);
+    }
+    GroupState& merged = window[found].state;
+    if (fresh) {
       meter_.ChargeScrub(
           static_cast<int64_t>(partial.accumulators[g].size()) *
           config_.costs.central_group_update_ns);
@@ -165,7 +168,7 @@ void PartialCoordinator::ForwardRow(const ResultRow& row) {
 }
 
 void PartialCoordinator::FinalizeWindow(Coordinator& c, TimeMicros start,
-                                        GroupMap& groups) {
+                                        GroupTable& groups) {
   // The coordinator pipeline is the single Finalize op; one timed batch per
   // finalized window.
   const bool metrics = config_.collect_op_metrics && !c.pipeline.ops.empty();

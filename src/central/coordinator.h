@@ -6,7 +6,7 @@
 // Something must hold the global picture — per-slot host presence for
 // completeness, per-host M_i / m_i for the Eq. 1-3 estimator, shed ledgers
 // for fidelity — merge partials per (window, group) into the executor's
-// GroupState map, and run Finalize exactly once per window. Finalize itself
+// GroupTable, and run Finalize exactly once per window. Finalize itself
 // is the executor's FinalizeGroups, the same body a single instance runs,
 // so the coordinator adds only the merge and the per-slot counter
 // bookkeeping. ShardedCentral and the regional combiner tier (one network
@@ -109,8 +109,8 @@ class PartialCoordinator {
     bool raw = false;  // raw-mode: forward rows, no merge state
     CentralQueryStats stats;
     // window -> group key -> merged accumulators and, for sampled plans,
-    // per-host readings: the executor's GroupState, merged from partials.
-    std::map<TimeMicros, GroupMap> windows;
+    // per-host readings: the executor's GroupTable, merged from partials.
+    std::map<TimeMicros, GroupTable> windows;
     // Sender-level dedup (per sender host, per epoch).
     std::unordered_map<HostId, std::map<uint64_t, SeqTracker>> dedup;
     // Per slide-grid slot: the hosts heard from (completeness) with their
@@ -128,7 +128,7 @@ class PartialCoordinator {
 
   // Gathers the window's completeness, fidelity and per-host counters from
   // the slide-grid slot maps, then runs the shared Finalize (FinalizeGroups).
-  void FinalizeWindow(Coordinator& c, TimeMicros start, GroupMap& groups);
+  void FinalizeWindow(Coordinator& c, TimeMicros start, GroupTable& groups);
 
   CentralConfig config_;
   CostMeter meter_;

@@ -18,7 +18,7 @@ namespace {
 // The sizes are the representation-independent literals of
 // src/common/state_bytes.h, never sizeof or capacity (DESIGN.md §13.1).
 size_t GroupCreationBytes(const CentralConfig& config, const CentralPlan& plan,
-                          const GroupKey& key) {
+                          std::span<const Value> key) {
   size_t bytes = kGroupStateBytes + plan.aggregates.size() * kAccumulatorBytes;
   for (const Value& v : key) {
     bytes += v.WireSize();
@@ -51,7 +51,85 @@ int SourceIndex(const CentralPlan& plan, const std::string& type) {
 // sheds any other host, so replay reads one as corruption.
 bool SpillableHost(HostId host) { return host >= kInvalidHost; }
 
+// The argument an argument-less aggregate (COUNT(*)) is updated with.
+const Value kNoArg;
+
+// True when windows running past end_time add nothing: the span's last full
+// window ends exactly at end_time, so the full windows already cover every
+// in-span timestamp of the trailing ones. Otherwise (a duration that is not
+// a multiple of the slide) the trailing windows are the only cover of the
+// span's tail, and they stay.
+bool TrailingWindowsRedundant(const CentralPlan& plan, TimeMicros window,
+                              TimeMicros slide) {
+  const TimeMicros span = plan.end_time - plan.start_time;
+  return slide > 0 && span >= window && (span - window) % slide == 0;
+}
+
 }  // namespace
+
+uint32_t GroupTable::Find(std::span<const Value> key, size_t hash) const {
+  if (index_.empty()) {
+    return kNone;
+  }
+  const size_t mask = index_.size() - 1;
+  for (size_t slot = HashMix64(hash) & mask;; slot = (slot + 1) & mask) {
+    const uint32_t g = index_[slot];
+    if (g == 0) {
+      return kNone;
+    }
+    const HashedGroupKey& stored = groups_[g - 1].key;
+    if (stored.hash == hash &&
+        std::equal(key.begin(), key.end(), stored.key.begin(),
+                   stored.key.end())) {
+      return g - 1;
+    }
+  }
+}
+
+uint32_t GroupTable::Insert(GroupKey key, size_t hash) {
+  if ((groups_.size() + 1) * 2 > index_.size()) {
+    Grow();
+  }
+  const uint32_t g = static_cast<uint32_t>(groups_.size());
+  groups_.push_back(Group{HashedGroupKey{std::move(key), hash}, {}});
+  const size_t mask = index_.size() - 1;
+  size_t slot = HashMix64(hash) & mask;
+  while (index_[slot] != 0) {
+    slot = (slot + 1) & mask;
+  }
+  index_[slot] = g + 1;
+  return g;
+}
+
+void GroupTable::Grow() {
+  index_.assign(std::max<size_t>(16, index_.size() * 2), 0);
+  const size_t mask = index_.size() - 1;
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    size_t slot = HashMix64(groups_[g].key.hash) & mask;
+    while (index_[slot] != 0) {
+      slot = (slot + 1) & mask;
+    }
+    index_[slot] = static_cast<uint32_t>(g + 1);
+  }
+}
+
+void ChunkEvalCache::Build(const CentralPlan& plan, const ColumnBatch& batch,
+                           const uint32_t* selection, size_t selected) {
+  std::vector<const ExprProgram*> programs;
+  if (plan.aggregate_mode) {
+    for (const ExprProgram& g : plan.group_by_programs) {
+      programs.push_back(&g);
+    }
+    for (const AggregateSpec& spec : plan.aggregates) {
+      programs.push_back(spec.has_arg ? &spec.arg_program : nullptr);
+    }
+  } else {
+    for (const ExprProgram& e : plan.raw_select_programs) {
+      programs.push_back(&e);
+    }
+  }
+  FoldColumns(programs, batch, selection, selected, &folded);
+}
 
 uint32_t JoinBuffer::Find(RequestId rid) const {
   if (index_.empty()) {
@@ -392,13 +470,13 @@ double RecordWindowClose(CentralQueryStats& stats, double completeness,
 size_t FinalizeGroups(const CentralPlan& plan,
                       const PhysicalPipeline& pipeline, TimeMicros start,
                       double completeness, double fidelity,
-                      const HostCountList& hosts, GroupMap& groups,
+                      const HostCountList& hosts, GroupTable& groups,
                       CentralQueryStats& stats, const ResultSink& sink) {
   // Ungrouped aggregate queries emit a row even for an empty window, so
   // time series stay continuous.
   if (plan.group_by_programs.empty() && groups.empty()) {
-    groups[HashedGroupKey(GroupKey{})].accumulators.resize(
-        plan.aggregates.size());
+    const uint32_t g = groups.Insert(GroupKey{}, GroupKeyHash{}(GroupKey{}));
+    groups[g].state.accumulators.resize(plan.aggregates.size());
   }
   // Ratio estimator (Eq. 1): (N / n) * (sum M_i / sum m_i) over reporting
   // hosts; the fallback for scaled slots outside the bounded set.
@@ -429,19 +507,19 @@ size_t FinalizeGroups(const CentralPlan& plan,
     }
     std::sort(counted.begin(), counted.end());
   }
-  // Canonical group order: neither hash-map layout nor partial arrival
+  // Canonical group order: neither insertion order nor partial arrival
   // order may leak into row order.
-  std::vector<std::pair<const HashedGroupKey*, GroupState*>> ordered;
+  std::vector<GroupTable::Group*> ordered;
   ordered.reserve(groups.size());
-  for (auto& [hashed_key, group] : groups) {
-    ordered.emplace_back(&hashed_key, &group);
+  for (GroupTable::Group& g : groups) {
+    ordered.push_back(&g);
   }
   std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) {
-              return CanonicalGroupOrder(*a.first, *b.first);
+            [](const GroupTable::Group* a, const GroupTable::Group* b) {
+              return CanonicalGroupOrder(a->key, b->key);
             });
-  for (auto& [hashed_key_ptr, group_ptr] : ordered) {
-    GroupState& group = *group_ptr;
+  for (GroupTable::Group* entry : ordered) {
+    GroupState& group = entry->state;
     if (group.accumulators.empty()) {
       group.accumulators.resize(plan.aggregates.size());
     }
@@ -472,7 +550,7 @@ size_t FinalizeGroups(const CentralPlan& plan,
     row.fidelity = fidelity;
     for (const OutputColumn& column : plan.outputs) {
       row.values.push_back(
-          EvalOutputExpr(column.expr, hashed_key_ptr->key, agg_values));
+          EvalOutputExpr(column.expr, entry->key.key, agg_values));
       row.error_bounds.push_back(
           column.expr.kind == OutputKind::kAggregate
               ? agg_bounds[static_cast<size_t>(column.expr.index)]
@@ -520,16 +598,25 @@ TimeMicros Executor::WindowStartFor(const QueryState& q, TimeMicros ts) const {
   return q.plan.start_time + (rel / grid) * grid;
 }
 
-std::vector<WindowState*> Executor::WindowsFor(QueryState& q, TimeMicros ts) {
-  std::vector<WindowState*> out;
+void Executor::WindowsFor(QueryState& q, TimeMicros ts,
+                          std::vector<WindowState*>* out) {
+  out->clear();
   if (ts < q.plan.start_time || ts >= q.plan.end_time) {
-    return out;
+    return;
   }
   const TimeMicros window = q.plan.window_micros;
   TimeMicros slide = q.plan.slide_micros;
   if (slide <= 0) {
     slide = window;
   }
+  // A window running past end_time holds only the span's tail yet would
+  // report full completeness, like the leading windows that would start
+  // before start_time and are never created. It is not created either
+  // when full windows cover that tail.
+  const TimeMicros last_end =
+      TrailingWindowsRedundant(q.plan, window, slide)
+          ? q.plan.end_time
+          : std::numeric_limits<TimeMicros>::max();
   // Newest covering window first, then earlier ones on the slide grid until
   // the window no longer covers ts.
   for (TimeMicros start = WindowStartFor(q, ts);
@@ -537,14 +624,33 @@ std::vector<WindowState*> Executor::WindowsFor(QueryState& q, TimeMicros ts) {
     if (start <= q.closed_through) {
       break;  // this and all earlier covering windows have emitted
     }
-    WindowState& w = q.windows[start];
-    w.start = start;
-    out.push_back(&w);
+    if (start <= last_end - window) {
+      WindowState& w = q.windows[start];
+      w.start = start;
+      out->push_back(&w);
+    }
     if (slide <= 0) {
       break;  // untimed single-window query
     }
   }
-  return out;
+}
+
+void Executor::CoverCell(const QueryState& q, TimeMicros ts, TimeMicros* lo,
+                         TimeMicros* hi) const {
+  *lo = ts;
+  *hi = ts;  // empty: the next row resolves its windows afresh
+  const TimeMicros window = q.plan.window_micros;
+  const TimeMicros grid = q.plan.slide_micros > 0 ? q.plan.slide_micros
+                                                  : window;
+  if (ts < q.plan.start_time || ts >= q.plan.end_time || grid <= 0 ||
+      window % grid != 0) {
+    return;
+  }
+  // Every ts in one slide-grid cell is covered by the same windows when the
+  // window spans whole cells.
+  const TimeMicros start = WindowStartFor(q, ts);
+  *lo = std::max(start, q.plan.start_time);
+  *hi = std::min(start + grid, q.plan.end_time);
 }
 
 Status Executor::DecodeAndFold(QueryState& q, HostId host,
@@ -665,50 +771,45 @@ void Executor::Fold(QueryState& q, HostId host, const InputChunk& chunk) {
       q.plan.is_join()
           ? SourceIndex(q.plan, chunk.columns->schema()->type_name())
           : -1;
-  // Non-join chunks precompute the group-key / aggregate-argument programs
-  // in one vectorized pass per program (FoldColumns). Pure computation, so
-  // the transcript is identical with or without it.
+  // Non-join chunks evaluate the group-key / aggregate-argument programs
+  // in one vectorized pass per program (FoldColumns) before any row folds.
   ChunkEvalCache cache;
-  const ChunkEvalCache* cache_ptr = nullptr;
   if (!q.plan.is_join()) {
-    std::vector<const ExprProgram*> programs;
-    const auto add = [&](const ExprProgram& p) {
-      if (cache.index.emplace(&p, programs.size()).second) {
-        programs.push_back(&p);
-      }
-    };
-    if (q.plan.aggregate_mode) {
-      for (const ExprProgram& g : q.plan.group_by_programs) {
-        add(g);
-      }
-      for (const AggregateSpec& spec : q.plan.aggregates) {
-        if (spec.has_arg) {
-          add(spec.arg_program);
-        }
-      }
-    } else {
-      for (const ExprProgram& e : q.plan.raw_select_programs) {
-        add(e);
-      }
-    }
-    if (!programs.empty()) {
-      FoldColumns(programs, *chunk.columns, chunk.selection, chunk.size(),
-                  &cache.folded);
-      cache_ptr = &cache;
-    }
+    cache.Build(q.plan, *chunk.columns, chunk.selection, chunk.size());
   }
+  // The fold's scratch: the row's group key, and the covering windows of
+  // the last row's slide-grid cell [cell_lo, cell_hi). Both live on this
+  // call's stack because distinct QueryStates fold concurrently.
+  GroupKey key;
+  std::vector<WindowState*> windows;
+  TimeMicros cell_lo = 0;
+  TimeMicros cell_hi = 0;
   const size_t n = chunk.size();
   for (size_t i = 0; i < n; ++i) {
     meter_->ChargeScrub(config_->costs.central_ingest_ns);
     ++q.stats.events_ingested;
-    const std::vector<WindowState*> windows =
-        WindowsFor(q, chunk.timestamp(i));
+    const TimeMicros ts = chunk.timestamp(i);
+    if (ts < cell_lo || ts >= cell_hi) {
+      CoverCell(q, ts, &cell_lo, &cell_hi);
+      WindowsFor(q, ts, &windows);
+      // The host is heard from (completeness). Its first touch also fixes
+      // its place in host_stats, whose order Finalize sums the estimator
+      // in. A chunk has one host, so one touch per window per cell visit
+      // suffices. A shedding window never records the host; a window
+      // starts shedding only after the host's first touch, so its state
+      // here is the state its first row in this cell would see.
+      for (WindowState* w : windows) {
+        if (!w->shedding) {
+          w->host_stats[host];
+        }
+      }
+    }
     if (windows.empty()) {
       ++q.stats.events_late;
       continue;
     }
     for (WindowState* w : windows) {
-      FoldInto(q, *w, chunk, i, column_source, host, cache_ptr);
+      FoldInto(q, *w, chunk, i, column_source, host, cache, key);
     }
   }
   if (metrics) {
@@ -718,7 +819,7 @@ void Executor::Fold(QueryState& q, HostId host, const InputChunk& chunk) {
 
 void Executor::FoldInto(QueryState& q, WindowState& w, const InputChunk& chunk,
                         size_t i, int column_source, HostId host,
-                        const ChunkEvalCache* cache) {
+                        const ChunkEvalCache& cache, GroupKey& key) {
   if (!w.replaying) {
     ++w.input_events;  // fidelity denominator: folded, deferred, or shed
     if (w.shedding) {
@@ -726,10 +827,8 @@ void Executor::FoldInto(QueryState& q, WindowState& w, const InputChunk& chunk,
       return;
     }
   }
-  // The host is heard from (completeness). Its first touch also fixes its
-  // place in host_stats, whose order Finalize sums the estimator in, so a
-  // deferred event records it now, in arrival order, not at replay.
-  w.host_stats[host];
+  // A deferred event's host is already in host_stats, in arrival order,
+  // not at replay.
   if (!w.replaying &&
       (w.spill != nullptr ||
        (accountant_ != nullptr && accountant_->active() && OverBudget(q)))) {
@@ -737,10 +836,10 @@ void Executor::FoldInto(QueryState& q, WindowState& w, const InputChunk& chunk,
     return;
   }
   if (q.plan.is_join()) {
-    JoinFold(q, w, chunk, i, column_source, host);
+    JoinFold(q, w, chunk, i, column_source, host, key);
     return;
   }
-  GroupFoldColumn(q, w, *chunk.columns, chunk.row(i), host, cache, i);
+  GroupFoldColumn(q, w, host, cache, i, key);
 }
 
 bool Executor::OverBudget(const QueryState& q) const {
@@ -839,13 +938,24 @@ void Executor::ReplaySpill(QueryState& q, WindowState* w) {
             Record{b, static_cast<uint32_t>(blocks[b]->rows() - 1),
                    static_cast<HostId>(host)});
       }
+      // Each block folds as one whole-block chunk, evaluated once like any
+      // chunk, at the record's row.
+      std::vector<InputChunk> chunks;
+      std::vector<ChunkEvalCache> caches(blocks.size());
       std::vector<int> sources;  // join source of each block, or -1
-      for (const std::shared_ptr<ColumnBatch>& block : blocks) {
-        sources.push_back(SourceIndex(q.plan, block->schema()->type_name()));
+      for (size_t b = 0; b < blocks.size(); ++b) {
+        chunks.push_back(InputChunk::Columns(blocks[b], nullptr, 0));
+        if (!q.plan.is_join()) {
+          caches[b].Build(q.plan, *blocks[b], nullptr, blocks[b]->rows());
+        }
+        sources.push_back(
+            SourceIndex(q.plan, blocks[b]->schema()->type_name()));
       }
+      GroupKey key;
       for (const Record& r : records) {
-        FoldInto(q, *w, InputChunk::Columns(blocks[r.block], &r.row, 1), 0,
-                 sources[r.block], r.host);
+        w->host_stats[r.host];  // presence, as in Fold
+        FoldInto(q, *w, chunks[r.block], r.row, sources[r.block], r.host,
+                 caches[r.block], key);
         ++replayed;
       }
     }
@@ -861,7 +971,7 @@ void Executor::ReplaySpill(QueryState& q, WindowState* w) {
 }
 
 void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
-                        size_t i, int source, HostId host) {
+                        size_t i, int source, HostId host, GroupKey& key) {
   // Symmetric hash join on request id, scoped to the window.
   if (source < 0) {
     return;  // not part of this query (shouldn't happen: host filtered)
@@ -900,7 +1010,7 @@ void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
       const JoinBuffer::Entry& partner = buffer.entry(e);
       slots[other] = TupleSlot{partner.batch, partner.row};
       ++q.stats.tuples_joined;
-      GroupFoldMixed(q, w, tuple, host);
+      GroupFoldMixed(q, w, tuple, host, key);
     }
     slots[other] = TupleSlot{};  // absent again for the next partner source
   }
@@ -915,10 +1025,12 @@ void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
 // The one group-fold body. Single-source (batch, row) folds and join tuples
 // funnel through here with their own `eval`, so the raw-emission path, group
 // creation and accounting, the Eq. 1-3 readings, and the null-skip aggregate
-// update cannot drift between them.
+// update cannot drift between them. A row that hits an existing group
+// allocates nothing: its key is built in the caller's scratch `key` and
+// probes the window's table by hash and borrowed values.
 template <typename EvalFn>
 void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
-                             EvalFn&& eval) {
+                             GroupKey& key, EvalFn&& eval) {
   const CentralPlan& plan = q.plan;
   if (!plan.aggregate_mode) {
     // Project operator: raw rows render and emit eagerly.
@@ -927,8 +1039,8 @@ void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
     row.window_start = w.start;
     row.window_end = w.start + plan.window_micros;
     row.values.reserve(plan.raw_select_programs.size());
-    for (const ExprProgram& e : plan.raw_select_programs) {
-      row.values.push_back(eval(e));
+    for (size_t j = 0; j < plan.raw_select_programs.size(); ++j) {
+      row.values.push_back(eval(plan.raw_select_programs[j], j));
     }
     row.error_bounds.assign(row.values.size(), 0.0);
     ++q.stats.rows_emitted;
@@ -936,52 +1048,51 @@ void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
     return;
   }
 
-  GroupKey key;
-  key.reserve(plan.group_by_programs.size());
-  for (const ExprProgram& g : plan.group_by_programs) {
-    key.push_back(eval(g));
+  const size_t args = plan.group_by_programs.size();  // first argument slot
+  key.resize(args);
+  for (size_t g = 0; g < args; ++g) {
+    key[g] = eval(plan.group_by_programs[g], g);
   }
-  // One hash per row, reused for the map probe (and, pre-bucketed, by the
-  // sharded router).
-  HashedGroupKey hk(std::move(key));
-  const bool track = accountant_ != nullptr && accountant_->active();
-  const size_t creation_bytes =
-      track ? GroupCreationBytes(*config_, plan, hk.key) : 0;
-  GroupState& group = w.groups[std::move(hk)];
-  if (group.accumulators.empty()) {
-    group.accumulators.resize(plan.aggregates.size());
-    if (track) {
-      ChargeState(q, w, creation_bytes);
+  // One hash per row, reused for the probe and stored with a new key.
+  const size_t hash = GroupKeyHash{}(key);
+  uint32_t g = w.groups.Find(key, hash);
+  if (g == GroupTable::kNone) {
+    g = w.groups.Insert(key, hash);
+    w.groups[g].state.accumulators.resize(plan.aggregates.size());
+    if (accountant_ != nullptr && accountant_->active()) {
+      ChargeState(q, w, GroupCreationBytes(*config_, plan, key));
     }
   }
+  GroupState& group = w.groups[g].state;
   CollectGroupReadings(q, &group, host, eval);
   for (size_t i = 0; i < plan.aggregates.size(); ++i) {
     meter_->ChargeScrub(config_->costs.central_group_update_ns);
     const AggregateSpec& spec = plan.aggregates[i];
-    Value arg;
-    if (spec.has_arg) {
-      arg = eval(spec.arg_program);
-      if (arg.is_null()) {
-        continue;  // SQL-style: aggregates skip null arguments
-      }
+    if (!spec.has_arg) {
+      UpdateAccumulatorValue(spec, &group.accumulators[i], kNoArg);
+      continue;
+    }
+    const auto& arg = eval(spec.arg_program, args + i);
+    if (arg.is_null()) {
+      continue;  // SQL-style: aggregates skip null arguments
     }
     UpdateAccumulatorValue(spec, &group.accumulators[i], arg);
   }
 }
 
-void Executor::GroupFoldColumn(QueryState& q, WindowState& w,
-                               const ColumnBatch& batch, size_t row,
-                               HostId host, const ChunkEvalCache* cache,
-                               size_t pos) {
-  GroupFoldWith(q, w, host, [&](const ExprProgram& e) {
-    const Value* cached = cache != nullptr ? cache->Lookup(e, pos) : nullptr;
-    return cached != nullptr ? *cached : EvalProgramColumns(e, batch, row);
-  });
+void Executor::GroupFoldColumn(QueryState& q, WindowState& w, HostId host,
+                               const ChunkEvalCache& cache, size_t pos,
+                               GroupKey& key) {
+  GroupFoldWith(q, w, host, key,
+                [&](const ExprProgram&, size_t slot) -> const Value& {
+                  return cache.At(slot, pos);
+                });
 }
 
 void Executor::GroupFoldMixed(QueryState& q, WindowState& w,
-                              std::span<const TupleSlot> slots, HostId host) {
-  GroupFoldWith(q, w, host, [&](const ExprProgram& e) {
+                              std::span<const TupleSlot> slots, HostId host,
+                              GroupKey& key) {
+  GroupFoldWith(q, w, host, key, [&](const ExprProgram& e, size_t) {
     return EvalProgramMixed(e, slots);
   });
 }
@@ -1154,9 +1265,11 @@ void Executor::CloseWindow(QueryState& q, WindowState* w) {
     if (ship_readings) {
       partial.group_readings.reserve(w->groups.size());
     }
-    for (auto& [hashed_key, group] : w->groups) {
-      partial.keys.push_back(hashed_key.key);
-      partial.key_hashes.push_back(hashed_key.hash);
+    // The window dies with this export, so its keys move out.
+    for (GroupTable::Group& entry : w->groups) {
+      GroupState& group = entry.state;
+      partial.keys.push_back(std::move(entry.key.key));
+      partial.key_hashes.push_back(entry.key.hash);
       partial.accumulators.push_back(std::move(group.accumulators));
       if (ship_readings) {
         std::vector<GroupHostReadings> readings;

@@ -12,7 +12,13 @@
 //                 pins; joined tuples evaluate straight off those columns,
 //                 so no joined event is materialized as an Event.
 //   GroupFold   — group-key evaluation + accumulator update (or, raw mode,
-//                 Project: eager per-tuple row emission).
+//                 Project: eager per-tuple row emission) into the window's
+//                 flat GroupTable. A row that hits an existing group
+//                 allocates nothing: its values come from the chunk's
+//                 slot-indexed column evaluations (ChunkEvalCache), its key
+//                 is built in a scratch key on the Fold's stack, and its
+//                 covering windows and host presence resolve once per
+//                 slide-grid cell, not per row.
 //   WindowClose — lateness-gated close: completeness, orphan accounting,
 //                 then row emission (single instance) or a mergeable
 //                 WindowPartial (shard role).
@@ -29,15 +35,17 @@
 // may be executed concurrently (shards touch disjoint state); one may not.
 //
 // Everything here preserves the exact observable sequence of the code it
-// was carved from — meter charges, stats increments, map insertion orders —
-// so transcripts are byte-identical to the pre-executor central for every
-// worker-count x pipeline combination (the determinism suites enforce it).
+// was carved from — meter charges, stats increments, group and host
+// insertion orders — so transcripts are byte-identical to the pre-executor
+// central for every worker-count x pipeline combination (the determinism
+// suites enforce it).
 
 #ifndef SRC_CENTRAL_EXECUTOR_H_
 #define SRC_CENTRAL_EXECUTOR_H_
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -190,7 +198,7 @@ struct CentralConfig {
   size_t min_topk_capacity = 100;
   int hll_precision = kDefaultHllPrecision;
   // ---- Memory-pressure resilience (DESIGN.md §13) ----
-  // Logical-byte budgets over WindowState group maps and join buffers
+  // Logical-byte budgets over WindowState group tables and join buffers
   // (0 = unlimited). When a query crosses its budget, its open windows
   // switch to defer-and-replay spill; when the central total crosses, every
   // query's do. Charges use logical (wire) sizes, so a budget is crossed at
@@ -264,7 +272,7 @@ struct CentralQueryStats {
 // Execution state the operators fold into.
 
 struct GroupState {
-  std::vector<AggAccumulator> accumulators;  // key lives in the map key
+  std::vector<AggAccumulator> accumulators;  // key lives in the table
   // The one per-host reading store for the Eq. 1-3 estimator
   // (pipeline.collect_group_readings): this group's readings per host for
   // the scaled slots. A single instance finalizes from it; a shard exports
@@ -275,8 +283,49 @@ struct GroupState {
 };
 
 // One window's groups, on a single instance, a shard or the coordinator.
-using GroupMap =
-    std::unordered_map<HashedGroupKey, GroupState, HashedGroupKeyHash>;
+// The shape of JoinBuffer:
+//
+//  * an open-addressing index (power-of-two, linear probing, load <= 1/2)
+//    over HashMix64 of the key's GroupKeyHash, whose slots hold group + 1;
+//  * groups in one deque in first-insertion order, each holding its key
+//    (stored once, beside its hash) and its GroupState. A deque, not a
+//    vector: growing never moves a group or holds two copies of the groups
+//    (a vector raised join's max_rss_mb by 4.7%), and references to a
+//    group survive later inserts.
+//
+// Find probes with borrowed key values, so a row that hits an existing
+// group allocates nothing; only Insert takes a key in. Keys equal under
+// Value::operator== (int 1 and double 1.0) are one group, keyed by the
+// first arrival.
+class GroupTable {
+ public:
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  struct Group {
+    HashedGroupKey key;
+    GroupState state;
+  };
+
+  size_t size() const { return groups_.size(); }
+  bool empty() const { return groups_.empty(); }
+  Group& operator[](uint32_t g) { return groups_[g]; }
+  // First-insertion order.
+  std::deque<Group>::iterator begin() { return groups_.begin(); }
+  std::deque<Group>::iterator end() { return groups_.end(); }
+
+  // Index of the group whose key equals `key` (GroupKeyHash `hash`), or
+  // kNone.
+  uint32_t Find(std::span<const Value> key, size_t hash) const;
+  // Appends a group for `key` (absent) with an empty state and returns its
+  // index.
+  uint32_t Insert(GroupKey key, size_t hash);
+
+ private:
+  void Grow();
+
+  std::vector<uint32_t> index_;  // group + 1 per slot, 0 = empty
+  std::deque<Group> groups_;
+};
 
 // One host's sampling counters over one window (Eqs. 1-3).
 struct HostCounts {
@@ -304,7 +353,7 @@ double RecordWindowClose(CentralQueryStats& stats, double completeness,
 size_t FinalizeGroups(const CentralPlan& plan,
                       const PhysicalPipeline& pipeline, TimeMicros start,
                       double completeness, double fidelity,
-                      const HostCountList& hosts, GroupMap& groups,
+                      const HostCountList& hosts, GroupTable& groups,
                       CentralQueryStats& stats, const ResultSink& sink);
 
 // Per-host bookkeeping within one window: counters, plus presence (every
@@ -374,7 +423,7 @@ class JoinBuffer {
 
 struct WindowState {
   TimeMicros start = 0;
-  GroupMap groups;
+  GroupTable groups;
   JoinBuffer join;  // join plans only
   std::unordered_map<HostId, HostWindowStats> host_stats;
   bool closed = false;
@@ -435,18 +484,20 @@ struct ColumnJoinSlice {
   std::vector<uint32_t> rows;
 };
 
-// Per-chunk precomputed column evaluations (vectorized FoldColumns), keyed
-// by program identity and indexed by chunk position. Built once per columnar
-// non-join chunk; the per-row folds consult it and fall back to the per-row
-// evaluator for any program not precomputed. Pure caching: building or
-// skipping it changes no observable (charges, stats, transcripts).
+// Per-chunk column evaluations (vectorized FoldColumns) in fixed slots. In
+// aggregate mode group-by program g sits at slot g and aggregate i's
+// argument at slot G + i (G = group-by count; argument-less aggregates
+// leave their slot empty); in raw mode select program j sits at slot j.
+// Built once per non-join chunk, so a row reads its values by (slot,
+// position) with no lookup and no copy. Pure computation: building it
+// changes no observable (charges, stats, transcripts).
 struct ChunkEvalCache {
-  std::unordered_map<const ExprProgram*, size_t> index;
   FoldedColumns folded;
 
-  const Value* Lookup(const ExprProgram& p, size_t pos) const {
-    const auto it = index.find(&p);
-    return it == index.end() ? nullptr : &folded.values[it->second][pos];
+  void Build(const CentralPlan& plan, const ColumnBatch& batch,
+             const uint32_t* selection, size_t selected);
+  const Value& At(size_t slot, size_t pos) const {
+    return folded.values[slot][pos];
   }
 };
 
@@ -487,10 +538,14 @@ class Executor {
   void CloseWindow(QueryState& q, WindowState* w);
 
   TimeMicros WindowStartFor(const QueryState& q, TimeMicros ts) const;
-  // All still-open windows covering ts: one for tumbling queries, up to
-  // window/slide for sliding queries. Empty when ts is out of span or every
-  // covering window has already closed (late data).
-  std::vector<WindowState*> WindowsFor(QueryState& q, TimeMicros ts);
+  // Fills `out` with the still-open windows covering ts, newest first: one
+  // for tumbling queries, up to window/slide for sliding queries. A window
+  // running past the query's end_time is not created when full windows
+  // cover its part of the span (the duration is a multiple of the slide),
+  // so a sliding query emits no half-filled trailing rows. Empty when ts is
+  // out of span or every covering window has already closed (late data).
+  void WindowsFor(QueryState& q, TimeMicros ts,
+                  std::vector<WindowState*>* out);
   // Observed fraction of the plan's expected host set for this window.
   double WindowCompleteness(const QueryState& q, const WindowState& w) const;
 
@@ -508,13 +563,20 @@ class Executor {
   void StampFoldMetrics(QueryState& q, size_t rows, uint64_t t0,
                         uint64_t joined0, uint64_t emitted0, uint64_t late0,
                         uint64_t shed0, uint64_t spilled0) const;
-  // One chunk position folded into one covering window: host stats, bounded
-  // readings, then the Join or GroupFold/Project operator. Under memory
-  // pressure the event is deferred to the window's spill run (or shed and
-  // counted) instead.
+  // The timestamps [*lo, *hi) that share ts's covering windows: its
+  // slide-grid cell within the span, or an empty range when ts is out of
+  // span or the window is not a multiple of the slide (hand-built plans).
+  void CoverCell(const QueryState& q, TimeMicros ts, TimeMicros* lo,
+                 TimeMicros* hi) const;
+  // One chunk position folded into one covering window: the Join or
+  // GroupFold/Project operator. Under memory pressure the event is deferred
+  // to the window's spill run (or shed and counted) instead. The caller has
+  // already recorded the host in the window's host_stats. `cache` holds
+  // the chunk's column evaluations (non-join plans); `key` is the caller's
+  // scratch group key, reused row to row.
   void FoldInto(QueryState& q, WindowState& w, const InputChunk& chunk,
                 size_t i, int column_source, HostId host,
-                const ChunkEvalCache* cache = nullptr);
+                const ChunkEvalCache& cache, GroupKey& key);
   // True once the query (or the whole central) is over its state budget.
   bool OverBudget(const QueryState& q) const;
   // Pressure path for one event: append to the window's spill run, opening
@@ -532,22 +594,25 @@ class Executor {
   // Join operator. `source` is the chunk's source index (a chunk carries
   // one schema; -1 = not a source of this query).
   void JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
-                size_t i, int source, HostId host);
+                size_t i, int source, HostId host, GroupKey& key);
   // GroupFold/Project with the tuple's shape abstracted behind an
-  // expression evaluator: one body for single-source rows and join tuples,
-  // so the folds cannot drift from each other. Defined in the .cc (every
-  // instantiation lives there).
+  // expression evaluator, `eval(program, slot)` with ChunkEvalCache's slot
+  // numbering: one body for single-source rows and join tuples, so the
+  // folds cannot drift from each other. The group key is built in `key`
+  // and copied into the window's table only when the group is new.
+  // Defined in the .cc (every instantiation lives there).
   template <typename EvalFn>
   void GroupFoldWith(QueryState& q, WindowState& w, HostId host,
-                     EvalFn&& eval);
-  // GroupFold/Project straight off columns (non-join plans). `pos` is the
-  // chunk position for `cache` lookups (cache may be null).
-  void GroupFoldColumn(QueryState& q, WindowState& w,
-                       const ColumnBatch& batch, size_t row, HostId host,
-                       const ChunkEvalCache* cache, size_t pos);
+                     GroupKey& key, EvalFn&& eval);
+  // GroupFold/Project straight off the chunk's evaluated columns (non-join
+  // plans) at chunk position `pos`.
+  void GroupFoldColumn(QueryState& q, WindowState& w, HostId host,
+                       const ChunkEvalCache& cache, size_t pos,
+                       GroupKey& key);
   // GroupFold/Project over a join tuple, column-direct on every side.
   void GroupFoldMixed(QueryState& q, WindowState& w,
-                      std::span<const TupleSlot> slots, HostId host);
+                      std::span<const TupleSlot> slots, HostId host,
+                      GroupKey& key);
   // Accumulator update with the argument already evaluated (shared by both
   // folds; `arg` is null for argument-less aggregates).
   void UpdateAccumulatorValue(const AggregateSpec& spec, AggAccumulator* acc,
@@ -564,12 +629,13 @@ class Executor {
     }
     std::vector<RunningStats>& readings = group->host_readings[host];
     readings.resize(q.pipeline.scaled_slots.size());
+    const size_t args = q.plan.group_by_programs.size();
     for (size_t s = 0; s < q.pipeline.scaled_slots.size(); ++s) {
-      const AggregateSpec& spec =
-          q.plan.aggregates[static_cast<size_t>(q.pipeline.scaled_slots[s])];
+      const size_t agg = static_cast<size_t>(q.pipeline.scaled_slots[s]);
+      const AggregateSpec& spec = q.plan.aggregates[agg];
       double v = 1.0;  // COUNT: indicator reading
       if (spec.func == AggregateFunc::kSum) {
-        const Value arg = eval(spec.arg_program);
+        const auto& arg = eval(spec.arg_program, args + agg);
         v = arg.is_numeric() ? arg.AsNumber() : 0.0;
       }
       readings[s].Add(v);

@@ -7,7 +7,7 @@
 #define SRC_PLAN_GROUP_KEY_H_
 
 #include <cstddef>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "src/event/value.h"
@@ -16,8 +16,10 @@ namespace scrub {
 
 using GroupKey = std::vector<Value>;
 
+// Takes the key's values as a span so a probe can hash values it borrows
+// (the fold's per-row scratch key) as cheaply as a stored GroupKey.
 struct GroupKeyHash {
-  size_t operator()(const GroupKey& key) const {
+  size_t operator()(std::span<const Value> key) const {
     size_t seed = 0x517cc1b7;
     for (const Value& v : key) {
       seed ^= v.Hash() + 0x9E3779B97F4A7C15ULL + (seed << 6) + (seed >> 2);
@@ -26,32 +28,20 @@ struct GroupKeyHash {
   }
 };
 
-// A group key bundled with its hash, computed once per row: the fold's map
-// probe, the coordinator's merge and the shard re-bucket all reuse it
-// instead of rehashing a vector<Value>. The hash is exactly GroupKeyHash's,
-// so every pipeline (row, columnar, sharded, hierarchical) buckets groups
-// identically — part of the byte-identical-transcript argument.
+// A stored group key bundled with its hash, computed once when the row
+// first probes: the group table, the coordinator's merge and the canonical
+// sort all reuse it instead of rehashing a vector<Value>. The hash is
+// exactly GroupKeyHash's, so every pipeline (single instance, sharded,
+// hierarchical) buckets groups identically — part of the byte-identical-
+// transcript argument.
 struct HashedGroupKey {
   GroupKey key;
   size_t hash = 0;
-
-  HashedGroupKey() = default;
-  explicit HashedGroupKey(GroupKey k)
-      : key(std::move(k)), hash(GroupKeyHash{}(key)) {}
-  HashedGroupKey(GroupKey k, size_t h) : key(std::move(k)), hash(h) {}
-
-  bool operator==(const HashedGroupKey& other) const {
-    return key == other.key;
-  }
-};
-
-struct HashedGroupKeyHash {
-  size_t operator()(const HashedGroupKey& k) const { return k.hash; }
 };
 
 // Canonical emission order for grouped rows: hash first, key values as the
-// tie-break so the order stays total across hash collisions. Group maps are
-// insertion-ordered by arrival, and arrival order is the one thing a
+// tie-break so the order stays total across hash collisions. Group tables
+// are insertion-ordered by arrival, and arrival order is the one thing a
 // topology change legitimately perturbs — every sink that emits one row per
 // group sorts by this instead, which is what makes result transcripts
 // byte-identical across the flat, sharded, and hierarchical pipelines.

@@ -257,6 +257,9 @@ void FoldColumns(const std::vector<const ExprProgram*>& programs,
     return selection != nullptr ? selection[i] : i;
   };
   for (size_t p = 0; p < programs.size(); ++p) {
+    if (programs[p] == nullptr) {
+      continue;
+    }
     const ExprProgram& prog = *programs[p];
     std::vector<Value>& vals = out->values[p];
     vals.resize(selected);

@@ -44,8 +44,7 @@ bool RunCompareKernel(const ColumnBatch& batch, size_t field, BinaryOp op,
 // ---- Batched group-key / aggregate-argument evaluation ---------------------
 
 // The per-program values for every selected row: values[p][i] is program p
-// evaluated at selection[i]. A missing (empty) inner vector means the
-// program list was empty.
+// evaluated at selection[i]. A null program leaves its inner vector empty.
 struct FoldedColumns {
   std::vector<std::vector<Value>> values;  // [program][selection index]
 };

@@ -254,6 +254,38 @@ TEST_F(CentralTest, WindowStatePeakMatchesChargedFormula) {
                 (96 + 120));
 }
 
+// A group is charged once, when it is created, even when it holds no
+// accumulators: a GROUP BY with no aggregates must not look like a new
+// group on every row, or a budget would spill or shed it for nothing.
+TEST_F(CentralTest, GroupByWithoutAggregatesChargesEachGroupOnce) {
+  CentralConfig config;
+  config.track_state_bytes = true;
+  ScrubCentral central(&registry_, config);
+  CentralPlan keys_only = PlanFor(
+      "SELECT bid.user_id FROM bid GROUP BY bid.user_id "
+      "WINDOW 10 s DURATION 10 s;");
+  CentralPlan counted = PlanFor(
+      "SELECT bid.user_id, COUNT(*) FROM bid GROUP BY bid.user_id "
+      "WINDOW 10 s DURATION 10 s;");
+  ASSERT_TRUE(central.InstallQuery(keys_only, Sink()).ok());
+  ASSERT_TRUE(central.InstallQuery(counted, Sink()).ok());
+  std::vector<Event> bids;
+  for (int i = 0; i < 300; ++i) {
+    bids.push_back(MakeBid(static_cast<RequestId>(i), 100 + i, i % 3, i));
+  }
+  for (const CentralPlan* plan : {&keys_only, &counted}) {
+    ASSERT_TRUE(
+        central.IngestBatch(MakeBatch(plan->query_id, 0, bids), 0).ok());
+  }
+  // 3 groups: shell 96 B + the key's wire size (a long: 9 B), plus one
+  // 120 B accumulator each for COUNT(*).
+  const size_t keys_peak = central.accountant().peak(keys_only.query_id);
+  const size_t counted_peak = central.accountant().peak(counted.query_id);
+  EXPECT_EQ(keys_peak, 3u * (96 + 9));
+  EXPECT_EQ(counted_peak, 3u * (96 + 120 + 9));
+  EXPECT_LE(keys_peak, counted_peak);
+}
+
 TEST_F(CentralTest, LateEventsDroppedAndCounted) {
   CentralPlan plan = PlanFor(
       "SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 10 s;");

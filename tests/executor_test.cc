@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,9 +108,10 @@ class ExecutorTest : public ::testing::Test {
     Executor executor(&registry_, &config_, &meter_);
     // Open every window of the span, as agent heartbeat counters would, so
     // ungrouped queries emit a row per window like the reference does.
+    std::vector<WindowState*> windows;
     for (TimeMicros ts = q.plan.start_time; ts < q.plan.end_time;
          ts += q.plan.window_micros) {
-      executor.WindowsFor(q, ts);
+      executor.WindowsFor(q, ts, &windows);
     }
     for (const auto& [host, chunk] : chunks) {
       executor.Fold(q, host, chunk);
@@ -652,6 +654,140 @@ TEST_F(JoinBufferTest, SpilledEntriesReplayByteIdentically) {
   EXPECT_EQ(spilled.rows, unbounded.rows);
   EXPECT_EQ(spilled.stats.tuples_joined, unbounded.stats.tuples_joined);
   EXPECT_EQ(spilled.stats.join_orphans, unbounded.stats.join_orphans);
+}
+
+// The window group table: an open-addressing index over GroupKeyHash with
+// groups kept in first-insertion order. These drive it directly (forced
+// collisions, numeric cross-type keys, growth) and through the fold.
+class GroupTableTest : public ExecutorTest {
+ protected:
+  static size_t HashOf(const GroupKey& key) { return GroupKeyHash{}(key); }
+
+  // Inserts `key` under `hash` (its own hash by default) and returns the
+  // group index.
+  static uint32_t Add(GroupTable& table, GroupKey key,
+                      std::optional<size_t> hash = std::nullopt) {
+    const size_t h = hash.value_or(HashOf(key));
+    EXPECT_EQ(table.Find(key, h), GroupTable::kNone);
+    return table.Insert(std::move(key), h);
+  }
+};
+
+TEST_F(GroupTableTest, ForcedHashCollisionKeepsKeysApart) {
+  GroupTable table;
+  const GroupKey a{Value(int64_t{7})};
+  const GroupKey b{Value("seven")};
+  const GroupKey c{Value(int64_t{8})};
+  // Three keys under one hash value: every probe walks the same cluster
+  // and only key equality tells them apart.
+  const size_t h = 42;
+  EXPECT_EQ(Add(table, a, h), 0u);
+  EXPECT_EQ(Add(table, b, h), 1u);
+  EXPECT_EQ(Add(table, c, h), 2u);
+  EXPECT_EQ(table.Find(a, h), 0u);
+  EXPECT_EQ(table.Find(b, h), 1u);
+  EXPECT_EQ(table.Find(c, h), 2u);
+  EXPECT_EQ(table.Find(GroupKey{Value(int64_t{9})}, h), GroupTable::kNone);
+  // The same key under a different hash is a different probe: hash and
+  // values must both match.
+  EXPECT_EQ(table.Find(a, h + 1), GroupTable::kNone);
+  EXPECT_EQ(table.size(), 3u);
+}
+
+TEST_F(GroupTableTest, IntAndWholeDoubleAreOneGroup) {
+  GroupTable table;
+  const GroupKey as_int{Value(int64_t{1}), Value("x")};
+  const GroupKey as_double{Value(1.0), Value("x")};
+  ASSERT_EQ(HashOf(as_int), HashOf(as_double));
+  Add(table, as_int);
+  EXPECT_EQ(table.Find(as_double, HashOf(as_double)), 0u);
+  // The first arrival's representation is the stored key.
+  EXPECT_TRUE(table[0].key.key[0].is_int());
+  EXPECT_EQ(table.Find(GroupKey{Value(1.5), Value("x")},
+                       HashOf(GroupKey{Value(1.5), Value("x")})),
+            GroupTable::kNone);
+}
+
+TEST_F(GroupTableTest, GrowthKeepsFirstInsertionOrder) {
+  // 5,000 groups take the index from 16 slots through ten doublings;
+  // strided keys also stress the low bits the slot mask keeps.
+  GroupTable table;
+  std::vector<GroupKey> keys;
+  for (int64_t i = 0; i < 5000; ++i) {
+    keys.push_back({Value(i * 4096), Value(i % 3 == 0 ? Value("s")
+                                                      : Value::Null())});
+    EXPECT_EQ(Add(table, keys.back()), static_cast<uint32_t>(i));
+  }
+  ASSERT_EQ(table.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(table.Find(keys[i], HashOf(keys[i])), i);
+  }
+  size_t i = 0;
+  for (const GroupTable::Group& g : table) {
+    ASSERT_LT(i, keys.size());
+    EXPECT_EQ(g.key.key, keys[i]);
+    EXPECT_EQ(g.key.hash, HashOf(keys[i]));
+    ++i;
+  }
+}
+
+TEST_F(GroupTableTest, NullAndStringKeys) {
+  GroupTable table;
+  const GroupKey null_first{Value::Null(), Value("a")};
+  const GroupKey string_first{Value("a"), Value::Null()};
+  const GroupKey both_null{Value::Null(), Value::Null()};
+  const GroupKey empty_string{Value(""), Value::Null()};
+  Add(table, null_first);
+  Add(table, string_first);
+  Add(table, both_null);
+  Add(table, empty_string);
+  // Nulls group together (SQL GROUP BY semantics), by position.
+  EXPECT_EQ(table.Find(GroupKey{Value::Null(), Value("a")},
+                       HashOf(null_first)),
+            0u);
+  EXPECT_EQ(table.Find(both_null, HashOf(both_null)), 2u);
+  EXPECT_EQ(table.Find(empty_string, HashOf(empty_string)), 3u);
+  EXPECT_EQ(table.size(), 4u);
+}
+
+TEST_F(GroupTableTest, UngroupedEmptyKeyIsOneGroup) {
+  GroupTable table;
+  const GroupKey empty;
+  Add(table, empty);
+  EXPECT_EQ(table.Find(empty, HashOf(empty)), 0u);
+  // One null value is a different key than no values at all.
+  const GroupKey one_null{Value::Null()};
+  EXPECT_EQ(table.Find(one_null, HashOf(one_null)), GroupTable::kNone);
+}
+
+TEST_F(GroupTableTest, ManyGroupsAcrossChunksFoldLikeTheReference) {
+  // 2,000 distinct users over 4 windows, folded in uneven chunks whose
+  // timestamps jump between windows: every window's table grows through
+  // several sizes and every row after a group's first is a probe hit.
+  const char* query =
+      "SELECT bid.user_id, COUNT(*), SUM(bid.price), MIN(bid.price) "
+      "FROM bid GROUP BY bid.user_id WINDOW 1 s DURATION 4 s;";
+  Rng rng(29);
+  std::vector<Event> events;
+  for (int i = 0; i < 6000; ++i) {
+    Event e(bid_schema_, rng.NextUint64(),
+            static_cast<TimeMicros>(rng.NextBelow(4'000'000)));
+    e.SetField(0, Value(static_cast<int64_t>(rng.NextBelow(2000))));
+    e.SetField(1, Value(rng.NextDouble() * 5));
+    events.push_back(std::move(e));
+  }
+  const auto batch = ToColumns(bid_schema_, events);
+  std::vector<uint32_t> all(events.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    all[i] = static_cast<uint32_t>(i);
+  }
+  std::vector<std::pair<HostId, InputChunk>> pieces;
+  for (size_t start = 0, len = 1; start < all.size(); start += len, len += 7) {
+    pieces.emplace_back(
+        HostId{0}, InputChunk::Columns(batch, all.data() + start,
+                                       std::min(len, all.size() - start)));
+  }
+  ExpectMatchesReference(query, events, RunRows(query, pieces));
 }
 
 }  // namespace

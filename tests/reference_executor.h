@@ -17,7 +17,9 @@
 //
 // Semantics intentionally mirrored from ScrubCentral:
 //  * windows start on the slide grid at plan.start_time; events are admitted
-//    when start <= ts < min(start + window, end_time);
+//    when start <= ts < min(start + window, end_time); a window running past
+//    end_time exists only when the full windows leave the span's tail
+//    uncovered (a duration that is not a multiple of the slide);
 //  * aggregates skip null arguments (SQL-style);
 //  * COUNT finalizes as int64, SUM/AVG as double, AVG of nothing is null;
 //  * ungrouped aggregate queries emit a row even for an empty window;
@@ -123,8 +125,16 @@ class ReferenceExecutor {
                                 : plan_.end_time - plan_.start_time;
     const TimeMicros slide =
         plan_.slide_micros > 0 ? plan_.slide_micros : window;
+    // Windows running past end_time exist only when the full windows leave
+    // the span's tail uncovered (a duration not a multiple of the slide).
+    const TimeMicros span = plan_.end_time - plan_.start_time;
+    const bool clip_trailing =
+        slide > 0 && span >= window && (span - window) % slide == 0;
     for (TimeMicros start = plan_.start_time; start < plan_.end_time;
          start += slide) {
+      if (clip_trailing && start + window > plan_.end_time) {
+        break;
+      }
       ExecuteWindow(start, window, &rows);
       if (slide <= 0) {
         break;

@@ -164,6 +164,44 @@ TEST_F(SlidingCentralTest, SlidingAverageSmoothsAcrossWindows) {
   EXPECT_EQ(counts[6], 1);
 }
 
+TEST_F(SlidingCentralTest, TrailingWindowsEndByTheDuration) {
+  // Window 4 s, slide 1 s, duration 20 s: the windows starting at 17, 18
+  // and 19 s would run past the span and hold only its last seconds, which
+  // the window [16, 20) already covers. An event at 18.5 s counts in the
+  // windows at 15 and 16 s only, and no window ends after 20 s.
+  CentralPlan plan = PlanFor(
+      "SELECT COUNT(*) FROM bid WINDOW 4 s SLIDE 1 s DURATION 20 s;");
+  ASSERT_TRUE(central_->InstallQuery(plan, [this](const ResultRow& row) {
+    rows_.push_back(row);
+  }).ok());
+  Ingest(plan.query_id, {MakeBid(1, 18'500'000)});
+  central_->OnTick(60 * kMicrosPerSecond);
+  std::map<TimeMicros, int64_t> counts;
+  for (const ResultRow& row : rows_) {
+    EXPECT_LE(row.window_end, 20 * kMicrosPerSecond);
+    if (row.values[0].AsInt() > 0) {
+      counts[row.window_start] = row.values[0].AsInt();
+    }
+  }
+  EXPECT_EQ(counts, (std::map<TimeMicros, int64_t>{{15'000'000, 1},
+                                                   {16'000'000, 1}}));
+}
+
+TEST_F(SlidingCentralTest, UncoveredTailKeepsItsClippedWindow) {
+  // Tumbling 3 s windows over 10 s: only [9, 12) covers [9, 10), so it
+  // stays (clipped at the duration) rather than losing the tail's events.
+  CentralPlan plan =
+      PlanFor("SELECT COUNT(*) FROM bid WINDOW 3 s DURATION 10 s;");
+  ASSERT_TRUE(central_->InstallQuery(plan, [this](const ResultRow& row) {
+    rows_.push_back(row);
+  }).ok());
+  Ingest(plan.query_id, {MakeBid(1, 9'500'000)});
+  central_->OnTick(60 * kMicrosPerSecond);
+  ASSERT_FALSE(rows_.empty());
+  EXPECT_EQ(rows_.back().window_start, 9 * kMicrosPerSecond);
+  EXPECT_EQ(rows_.back().values[0].AsInt(), 1);
+}
+
 TEST(SlidingIntegrationTest, EndToEndSlidingCount) {
   SystemConfig config;
   config.seed = 61;
@@ -187,7 +225,7 @@ TEST(SlidingIntegrationTest, EndToEndSlidingCount) {
   system.RunUntil(11 * kMicrosPerSecond);
   system.Drain();
 
-  // Windows at 0,2,4,6,8 s (those starting within the span).
+  // Windows at 0,2,4,6 s (those within the span).
   ASSERT_GE(series.size(), 4u);
   // Steady traffic: interior 4-second windows hold roughly twice the events
   // of a 2-second slide; ratio between adjacent interior windows is ~1.

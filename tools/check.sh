@@ -112,6 +112,18 @@ else
        --gtest_filter='JoinBufferTest.*' > /dev/null; then
     fail "join buffer tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/executor_test --gtest_filter='JoinBufferTest.*')"
   fi
+  # The window group table probes a hand-sized open-addressing index and
+  # hands out references into a vector that grows under them; its fixture
+  # (forced collisions, growth, the fold over many groups) runs by name.
+  note "group table under ASan+UBSan"
+  if ! "${BUILD_DIR}/tests/executor_test" --gtest_list_tests \
+       --gtest_filter='GroupTableTest.*' 2>/dev/null | grep -q '^  '; then
+    fail "GroupTableTest fixture missing from executor_test"
+  elif ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+       "${BUILD_DIR}/tests/executor_test" \
+       --gtest_filter='GroupTableTest.*' > /dev/null; then
+    fail "group table tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/executor_test --gtest_filter='GroupTableTest.*')"
+  fi
   # Spill replay is the only reader of event records: a run damaged on disk
   # (truncation, bad length or host, flipped type-name/tag/payload bytes)
   # must end as counted shed. Its fixture runs by name too.

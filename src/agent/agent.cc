@@ -18,11 +18,45 @@ void ScrubAgent::InstallQuery(const HostPlan& plan) {
   for (const HostSourcePlan& sp : plan.sources) {
     q.stats.source_types.push_back(sp.event_type);
   }
+  routes_stale_ = true;
 }
 
 void ScrubAgent::RemoveQuery(QueryId query_id) {
-  queries_.erase(query_id);
+  if (queries_.erase(query_id) > 0) {
+    routes_stale_ = true;
+  }
   staging_accountant_.ReleaseAll(query_id);  // staged events die with it
+}
+
+void ScrubAgent::RebuildRoutes() {
+  // Routes are refilled in place, so a rebuild allocates only for a type
+  // no query read before.
+  for (auto& [type, route] : routes_) {
+    route.entries.clear();
+  }
+  // queries_ order is the order LogEvent offers an event to its readers,
+  // and so the order the sampling RNG draws in.
+  for (auto& [qid, q] : queries_) {
+    for (size_t si = 0; si < q.plan.sources.size(); ++si) {
+      const std::string& type = q.plan.sources[si].event_type;
+      // A plan reading one type twice stages it as its first source only.
+      if (q.plan.FindSource(type) != &q.plan.sources[si]) {
+        continue;
+      }
+      routes_[type].entries.push_back({&q, static_cast<uint32_t>(si)});
+    }
+  }
+  std::erase_if(routes_,
+                [](const auto& route) { return route.second.entries.empty(); });
+  routes_stale_ = false;
+}
+
+ScrubAgent::Route* ScrubAgent::RouteFor(const Event& event) {
+  if (routes_stale_) {
+    RebuildRoutes();
+  }
+  const auto it = routes_.find(event.type_name());
+  return it == routes_.end() ? nullptr : &it->second;
 }
 
 TimeMicros ScrubAgent::WindowStartFor(const ActiveQuery& q,
@@ -40,6 +74,26 @@ TimeMicros ScrubAgent::WindowStartFor(const ActiveQuery& q,
   return q.plan.start_time + (rel / grid) * grid;
 }
 
+WindowCounter& ScrubAgent::CounterFor(ActiveQuery& q, TimeMicros ts) {
+  if (q.slot_counter != nullptr && ts >= q.slot_lo && ts < q.slot_hi) {
+    return *q.slot_counter;
+  }
+  const TimeMicros window_start = WindowStartFor(q, ts);
+  WindowCounter& counter = q.pending_counters[window_start];
+  counter.window_start = window_start;
+  // The slot is one grid cell; an untimed plan has one slot, its span.
+  TimeMicros grid = q.plan.slide_micros;
+  if (grid <= 0) {
+    grid = q.plan.window_micros;
+  }
+  q.slot_lo = window_start;
+  q.slot_hi = grid <= 0 || window_start > q.plan.end_time - grid
+                  ? q.plan.end_time
+                  : window_start + grid;
+  q.slot_counter = &counter;
+  return counter;
+}
+
 int64_t ScrubAgent::LogEvent(const Event& event) {
   ++total_events_logged_;
   const CostModel& c = config_.costs;
@@ -50,26 +104,26 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
   int64_t ns = c.log_fixed_ns +
                c.log_per_field_ns * static_cast<int64_t>(event.field_count());
 
+  Route* route = RouteFor(event);
+  if (route == nullptr) {
+    meter_->ChargeScrub(ns);
+    return ns;
+  }
   const TimeMicros ts = event.timestamp();
   // The event is copied once, when the first query keeps it; every keeping
   // query then records the same row of the shared batch.
   bool appended = false;
   uint32_t shared_row = 0;
-  for (auto& [qid, q] : queries_) {
+  for (const Route::Entry& entry : route->entries) {
+    ActiveQuery& q = *entry.query;
     // Span check: cheap, and implements local self-expiry.
     if (ts < q.plan.start_time || ts >= q.plan.end_time) {
-      continue;
-    }
-    const HostSourcePlan* sp = q.plan.FindSource(event.type_name());
-    if (sp == nullptr) {
       continue;
     }
     ++q.stats.events_considered;
 
     // Window counters: M_i before anything else.
-    const TimeMicros window_start = WindowStartFor(q, ts);
-    WindowCounter& counter = q.pending_counters[window_start];
-    counter.window_start = window_start;
+    WindowCounter& counter = CounterFor(q, ts);
     ++counter.seen;
 
     // 1. Event sampling, before any other per-query work.
@@ -89,11 +143,7 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
     // work actually runs. Capacity and budget are per query; shedding,
     // never blocking.
     ns += c.enqueue_ns;
-    const size_t si = static_cast<size_t>(sp - q.plan.sources.data());
-    if (q.columns.empty()) {
-      q.columns.resize(q.plan.sources.size());
-    }
-    if (StagedRows(q) >= config_.staging_capacity) {
+    if (q.staged >= config_.staging_capacity) {
       ++q.stats.events_dropped;
       ++counter.shed;
     } else if (staging_accountant_.active() &&
@@ -105,16 +155,19 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
       ++counter.shed;
     } else {
       if (!appended) {
-        ColumnBatch& shared =
-            staging_.try_emplace(event.type_name(), event.schema())
-                .first->second;
-        shared_row = static_cast<uint32_t>(shared.rows());
-        shared.AppendEvent(event);
+        if (route->staging == nullptr) {
+          route->staging =
+              &staging_.try_emplace(event.type_name(), event.schema())
+                   .first->second;
+        }
+        shared_row = static_cast<uint32_t>(route->staging->rows());
+        route->staging->AppendEvent(event);
         appended = true;
       }
-      q.columns[si].push_back(shared_row);
+      q.columns[entry.source].push_back(shared_row);
+      ++q.staged;
       if (q.plan.sources.size() > 1) {
-        q.staging_order.push_back(static_cast<uint8_t>(si));
+        q.staging_order.push_back(static_cast<uint8_t>(entry.source));
       }
     }
   }
@@ -133,6 +186,7 @@ void ScrubAgent::Ship(QueryId query_id, ActiveQuery& q, EventBatch batch,
     batch.counters.push_back(counter);
   }
   q.pending_counters.clear();
+  q.slot_counter = nullptr;
   q.stats.events_shipped += batch.event_count;
   // Serialization is Scrub work on the host.
   meter_->ChargeScrub(static_cast<int64_t>(batch.payload.size()) *
@@ -158,14 +212,6 @@ void ScrubAgent::HoldForRetransmit(ActiveQuery& q, QueryId query_id,
     q.stats.events_abandoned += held.front().batch.event_count;
     held.pop_front();
   }
-}
-
-size_t ScrubAgent::StagedRows(const ActiveQuery& q) const {
-  size_t rows = 0;
-  for (const std::vector<uint32_t>& r : q.columns) {
-    rows += r.size();
-  }
-  return rows;
 }
 
 size_t ScrubAgent::shared_staged_rows() const {
@@ -197,8 +243,9 @@ void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
   }
   const HostSourcePlan& sp = q.plan.sources[0];
   const ColumnBatch& cols = staging_.at(sp.event_type);
-  std::vector<uint32_t> selection = std::move(q.columns[0]);
-  q.columns[0].clear();
+  // Selection compacts the row list in place; it is cleared (capacity
+  // kept) once the batches are encoded.
+  std::vector<uint32_t>& selection = q.columns[0];
   meter_->ChargeScrub(SelectStaged(sp, cols, &selection, &q.stats));
 
   const size_t max_batch = config_.max_batch_events;
@@ -214,6 +261,7 @@ void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
                       &batch.payload, &q.stats.last_encodings[0]);
     Ship(query_id, q, std::move(batch), now, batches);
   }
+  selection.clear();
 }
 
 void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
@@ -223,10 +271,10 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
     return;
   }
   const size_t num_sources = q.plan.sources.size();
-  std::vector<std::vector<uint32_t>> staged = std::move(q.columns);
-  q.columns.clear();
-  std::vector<uint8_t> order = std::move(q.staging_order);
-  q.staging_order.clear();
+  // The row lists and the interleave are read in place and cleared
+  // (capacity kept) at the end.
+  std::vector<std::vector<uint32_t>>& staged = q.columns;
+  std::vector<uint8_t>& order = q.staging_order;
 
   // Per-source selection over the query's own rows.
   int64_t ns = 0;
@@ -315,11 +363,16 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
     }
     Ship(query_id, q, std::move(batch), now, batches);
   }
+  for (std::vector<uint32_t>& rows : staged) {
+    rows.clear();
+  }
+  order.clear();
 }
 
 std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
                                           std::vector<QueryId>* expired) {
   std::vector<EventBatch> batches;
+  bool retired = false;
   for (auto it = queries_.begin(); it != queries_.end();) {
     ActiveQuery& q = it->second;
     // Heartbeat: make sure the current window has a counter entry even if
@@ -352,6 +405,7 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
     }
     // A flush drains the query's row lists completely, so its whole byte
     // charge comes back.
+    q.staged = 0;
     if (staging_accountant_.active()) {
       staging_accountant_.ReleaseAll(it->first);
     }
@@ -362,9 +416,13 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
       }
       retired_stats_[it->first] = q.stats;
       it = queries_.erase(it);
+      retired = true;
     } else {
       ++it;
     }
+  }
+  if (retired) {
+    routes_stale_ = true;
   }
   // Every query's row list was drained above (and removed queries took
   // theirs with them), so nothing references the shared rows any more.

@@ -21,6 +21,17 @@
 // therefore grows with the number of live queries by a per-query index push,
 // not by a per-query copy of the event.
 //
+// Dispatch is resolved once per change to the query table, not per log()
+// call. Each event type has a route: the queries that read it (with the
+// plan source they read it as) in the query table's iteration order, plus
+// that type's staging batch. Install, remove and retirement at flush mark
+// the routes stale, and the next log() rebuilds them once, however many
+// queries changed; log() then walks only the readers of the event's type,
+// and the single sampling RNG draws for the same queries in the same order
+// as a walk over the whole table would. Each query also caches the window
+// slot its last event landed in, so an event in the same slot skips the
+// window arithmetic and the counter-map lookup.
+//
 // Every unit of work is charged to the host's CostMeter in simulated
 // nanoseconds; LogEvent returns the charge so the application can add it to
 // the request's latency (that is how E7/E8 measure the paper's 2.5% CPU /
@@ -165,6 +176,9 @@ class ScrubAgent {
     staging_accountant_.set_budgets(config_.staging_budget_bytes,
                                     /*total_bytes=*/0);
   }
+  // The routes point into this agent's own query table and staging.
+  ScrubAgent(const ScrubAgent&) = delete;
+  ScrubAgent& operator=(const ScrubAgent&) = delete;
 
   // Installs a query object received from the query server. Idempotent: a
   // duplicate install (retry that raced its ack) is a no-op, preserving
@@ -213,21 +227,48 @@ class ScrubAgent {
     HostPlan plan;
     // Sampled events are staged un-filtered in the agent's shared per-type
     // batch (`staging_`); selection and projection run vectorized at flush.
-    // Per plan source (lazily sized to plan.sources), this query's staged
-    // row indices into the shared batch of that source's event type, in
-    // ascending (arrival) order. Single-source plans use slot 0; joins
-    // stage every source and record the arrival interleave in
-    // `staging_order` so the central join folds events in arrival order.
+    // Per plan source, this query's staged row indices into the shared
+    // batch of that source's event type, in ascending (arrival) order.
+    // Single-source plans use slot 0; joins stage every source and record
+    // the arrival interleave in `staging_order` so the central join folds
+    // events in arrival order. A flush clears the lists, keeping their
+    // capacity.
     std::vector<std::vector<uint32_t>> columns;
     // Source index of each column-staged event, in arrival order. Only
     // maintained for multi-source plans (a single source's arrival order is
     // its row list's order).
     std::vector<uint8_t> staging_order;
+    // Rows across `columns`, against staging_capacity. Zeroed when a flush
+    // drains the lists.
+    size_t staged = 0;
     // Counter deltas keyed by window start, flushed incrementally.
     std::map<TimeMicros, WindowCounter> pending_counters;
+    // The counter of the slot the last considered event landed in, and the
+    // timestamps [slot_lo, slot_hi) that slot covers. Null until an event
+    // arrives and again whenever Ship empties pending_counters.
+    WindowCounter* slot_counter = nullptr;
+    TimeMicros slot_lo = 0;
+    TimeMicros slot_hi = 0;
     AgentQueryStats stats;
 
-    explicit ActiveQuery(const HostPlan& p) : plan(p) {}
+    explicit ActiveQuery(const HostPlan& p)
+        : plan(p), columns(p.sources.size()) {}
+  };
+
+  // The readers of one event type. An entry per query that reads the type,
+  // in queries_ iteration order, naming the query's first plan source of
+  // that type. Pointers into queries_ and staging_ stay valid across
+  // rehashes (node-based maps). Once a query leaves, the routes are stale
+  // and nothing reads them until RebuildRoutes has run.
+  struct Route {
+    struct Entry {
+      ActiveQuery* query;
+      uint32_t source;
+    };
+    std::vector<Entry> entries;
+    // The type's shared staging batch (staging_ never drops one); null
+    // until this route first keeps an event.
+    ColumnBatch* staging = nullptr;
   };
 
   // A flushed batch awaiting its ack.
@@ -260,9 +301,6 @@ class ScrubAgent {
   void FlushColumnJoin(QueryId query_id, ActiveQuery& q, TimeMicros now,
                        std::vector<EventBatch>* batches);
 
-  // Total rows staged across a query's per-source row lists.
-  size_t StagedRows(const ActiveQuery& q) const;
-
   // Sends one flushed batch: stamps the header (next sequence number),
   // attaches the query's pending counter deltas (so they ride with the
   // first batch of the flush), charges serialization, counts the shipment,
@@ -275,10 +313,16 @@ class ScrubAgent {
                          const EventBatch& batch, TimeMicros now);
 
   TimeMicros WindowStartFor(const ActiveQuery& q, TimeMicros ts) const;
+  // The pending counter of ts's window slot: the cached slot's when ts
+  // falls in it, else the map entry for WindowStartFor(ts), which becomes
+  // the cached slot.
+  WindowCounter& CounterFor(ActiveQuery& q, TimeMicros ts);
 
-  // Records one staged-but-shed event in the window's counter, so central
-  // can fold the loss into that window's fidelity.
-  void CountShed(ActiveQuery& q, TimeMicros ts);
+  // Re-derives routes_ from queries_ (in its iteration order).
+  void RebuildRoutes();
+  // The route of the event's type, or null when no query reads the type.
+  // Rebuilds the routes first when the query table changed since.
+  Route* RouteFor(const Event& event);
 
   // Stats survive retirement; explicit RemoveQuery discards them (existing
   // behavior), in which case this returns nullptr.
@@ -304,6 +348,11 @@ class ScrubAgent {
   // (capacity kept) at the end of every Flush, when no row list references
   // it any more.
   std::unordered_map<std::string, ColumnBatch> staging_;
+  // Per event type, the queries that read it (see Route).
+  std::unordered_map<std::string, Route> routes_;
+  // Set by every change to queries_; routes_ may hold pointers to removed
+  // queries until RouteFor rebuilds them.
+  bool routes_stale_ = false;
   std::unordered_map<QueryId, AgentQueryStats> retired_stats_;
   // Retransmit buffers outlive query retirement: the final flush's batches
   // are still owed to ScrubCentral. They drain via ack or deadline.

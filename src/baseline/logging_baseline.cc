@@ -74,14 +74,19 @@ Result<LoggingPipeline::BatchAnswer> LoggingPipeline::RunQuery(
   }
   // Batch queries look backwards over stored history: anchor the span at
   // the epoch and widen it to cover the whole log (and at least one window)
-  // before analysis, which enforces window <= duration.
+  // before analysis, which enforces window <= duration. The widened span is
+  // rounded up to the slide grid, since the analyzer refuses an explicit
+  // duration off it.
   Query query = parsed->Clone();
   query.start_offset_micros = 0;
   const TimeMicros window = query.window_micros > 0
                                 ? query.window_micros
                                 : options.default_window_micros;
-  query.duration_micros =
+  const TimeMicros slide =
+      query.slide_micros > 0 ? query.slide_micros : window;
+  const TimeMicros span =
       std::max({query.duration_micros, window, last_arrival_ + 1});
+  query.duration_micros = (span + slide - 1) / slide * slide;
   AnalyzerOptions opts = options;
   opts.max_duration_micros =
       std::max(opts.max_duration_micros, query.duration_micros);

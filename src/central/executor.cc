@@ -54,17 +54,6 @@ bool SpillableHost(HostId host) { return host >= kInvalidHost; }
 // The argument an argument-less aggregate (COUNT(*)) is updated with.
 const Value kNoArg;
 
-// True when windows running past end_time add nothing: the span's last full
-// window ends exactly at end_time, so the full windows already cover every
-// in-span timestamp of the trailing ones. Otherwise (a duration that is not
-// a multiple of the slide) the trailing windows are the only cover of the
-// span's tail, and they stay.
-bool TrailingWindowsRedundant(const CentralPlan& plan, TimeMicros window,
-                              TimeMicros slide) {
-  const TimeMicros span = plan.end_time - plan.start_time;
-  return slide > 0 && span >= window && (span - window) % slide == 0;
-}
-
 }  // namespace
 
 uint32_t GroupTable::Find(std::span<const Value> key, size_t hash) const {
@@ -609,14 +598,10 @@ void Executor::WindowsFor(QueryState& q, TimeMicros ts,
   if (slide <= 0) {
     slide = window;
   }
-  // A window running past end_time holds only the span's tail yet would
+  // A window running past end_time would hold only the span's tail yet
   // report full completeness, like the leading windows that would start
-  // before start_time and are never created. It is not created either
-  // when full windows cover that tail.
-  const TimeMicros last_end =
-      TrailingWindowsRedundant(q.plan, window, slide)
-          ? q.plan.end_time
-          : std::numeric_limits<TimeMicros>::max();
+  // before start_time, so neither is created. Admission keeps the span a
+  // multiple of the slide, so the full windows cover every in-span ts.
   // Newest covering window first, then earlier ones on the slide grid until
   // the window no longer covers ts.
   for (TimeMicros start = WindowStartFor(q, ts);
@@ -624,7 +609,7 @@ void Executor::WindowsFor(QueryState& q, TimeMicros ts,
     if (start <= q.closed_through) {
       break;  // this and all earlier covering windows have emitted
     }
-    if (start <= last_end - window) {
+    if (start <= q.plan.end_time - window) {
       WindowState& w = q.windows[start];
       w.start = start;
       out->push_back(&w);

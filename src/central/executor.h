@@ -540,8 +540,8 @@ class Executor {
   TimeMicros WindowStartFor(const QueryState& q, TimeMicros ts) const;
   // Fills `out` with the still-open windows covering ts, newest first: one
   // for tumbling queries, up to window/slide for sliding queries. A window
-  // running past the query's end_time is not created when full windows
-  // cover its part of the span (the duration is a multiple of the slide),
+  // running past the query's end_time is never created (admission keeps
+  // the duration a multiple of the slide, so full windows cover the span),
   // so a sliding query emits no half-filled trailing rows. Empty when ts is
   // out of span or every covering window has already closed (late data).
   void WindowsFor(QueryState& q, TimeMicros ts,

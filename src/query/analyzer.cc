@@ -131,14 +131,9 @@ class Analyzer {
     if (q->window_micros == 0) {
       q->window_micros = options_.default_window_micros;
     }
-    if (q->duration_micros == 0) {
+    const bool default_duration = q->duration_micros == 0;
+    if (default_duration) {
       q->duration_micros = options_.default_duration_micros;
-    }
-    if (q->duration_micros > options_.max_duration_micros) {
-      return InvalidArgument(StrFormat(
-          "duration exceeds the maximum of %lld hours",
-          static_cast<long long>(options_.max_duration_micros /
-                                 kMicrosPerHour)));
     }
     if (q->window_micros > q->duration_micros) {
       return InvalidArgument("window is longer than the query duration");
@@ -151,6 +146,22 @@ class Analyzer {
     }
     if (q->window_micros % q->slide_micros != 0) {
       return InvalidArgument("window must be a multiple of the slide");
+    }
+    // A span that is not a multiple of the slide ends inside a window, which
+    // would report full completeness over the part of it the span covers.
+    // A defaulted duration rounds up to the next whole slide instead.
+    const TimeMicros tail = q->duration_micros % q->slide_micros;
+    if (tail != 0) {
+      if (!default_duration) {
+        return InvalidArgument("duration must be a multiple of the slide");
+      }
+      q->duration_micros += q->slide_micros - tail;
+    }
+    if (q->duration_micros > options_.max_duration_micros) {
+      return InvalidArgument(StrFormat(
+          "duration exceeds the maximum of %lld hours",
+          static_cast<long long>(options_.max_duration_micros /
+                                 kMicrosPerHour)));
     }
     return OkStatus();
   }

@@ -190,7 +190,8 @@ struct Query {
   // Windowing & span. Zero means "use default" (filled by the analyzer).
   // slide < window gives sliding windows (the extension Section 3.2 calls
   // out); the analyzer defaults slide to window (tumbling) and requires the
-  // window to be a multiple of the slide.
+  // window to be a multiple of the slide. An explicit duration must be a
+  // multiple of the slide too; a defaulted one is rounded up to the next.
   TimeMicros window_micros = 0;
   TimeMicros slide_micros = 0;
   TimeMicros start_offset_micros = 0;  // relative to submission time

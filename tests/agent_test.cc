@@ -2,6 +2,7 @@
 // shedding, window counters, flush batching, self-expiry, and the shared
 // staging batches every query's staged rows point into.
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -753,7 +754,7 @@ TEST_P(SharedStagingLifecycleTest, OtherQueriesShipIdenticalBytes) {
   // interval, so it keeps rows there and is then skipped.
   const HostPlan q2 = GetParam() == Disturbance::kExpire
                           ? PlanFor("SELECT COUNT(*) FROM bid "
-                                    "WINDOW 1 s DURATION 1500 ms;")
+                                    "WINDOW 500 ms DURATION 1500 ms;")
                           : PlanFor("SELECT bid.user_id, COUNT(*) FROM bid "
                                     "GROUP BY bid.user_id "
                                     "WINDOW 1 s DURATION 60 s;");
@@ -870,6 +871,297 @@ TEST_F(SharedStagingTest, SchemaDriftMigratesSharedColumnForEveryQuery) {
   // The solo q2 agent never saw the drift: its column stayed typed.
   EXPECT_GT(solo[1]->StatsFor(plans[1].query_id)->last_encodings[0][country],
             0);
+}
+
+// --- Install-time dispatch ----------------------------------------------------
+//
+// log() walks a per-type route built when the query table changes, and each
+// query caches the window slot of its last event. These pin that the routes
+// and the slot cache behave exactly like resolving every (event, query)
+// afresh: same readers, same RNG draw order, same per-window counters.
+
+class AgentDispatchTest : public SharedStagingTest {
+ protected:
+  Event Bid(TimeMicros ts) {
+    Event e(bid_, next_rid_++, ts);
+    e.SetField(0, Value(int64_t{1}));
+    e.SetField(1, Value(2.5));
+    e.SetField(2, Value("US"));
+    return e;
+  }
+
+  Event Click(TimeMicros ts) {
+    Event e(click_, next_rid_++, ts);
+    e.SetField(0, Value("page-0"));
+    e.SetField(1, Value("b"));
+    return e;
+  }
+
+  // The counters of every batch in `batches` for `id`, by window start.
+  static std::map<TimeMicros, WindowCounter> CountersFor(
+      const std::vector<EventBatch>& batches, QueryId id) {
+    std::map<TimeMicros, WindowCounter> out;
+    for (const EventBatch& b : BatchesFor(batches, id)) {
+      for (const WindowCounter& c : b.counters) {
+        WindowCounter& sum = out[c.window_start];
+        sum.window_start = c.window_start;
+        sum.seen += c.seen;
+        sum.sampled += c.sampled;
+        sum.shed += c.shed;
+      }
+    }
+    return out;
+  }
+};
+
+TEST_F(AgentDispatchTest, UnreadTypeStagesNothingAndPaysOnlyTheFloor) {
+  ScrubAgent agent(/*host=*/1, &meter_, Config(), /*sampling_seed=*/7);
+  ScrubAgent idle(/*host=*/1, &meter_, Config(), /*sampling_seed=*/7);
+  const HostPlan bids =
+      PlanFor("SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 60 s;");
+  agent.InstallQuery(bids);
+  // Clicks interleaved with bids: the unread type never reaches a query.
+  EXPECT_EQ(agent.LogEvent(Click(100)), idle.LogEvent(Click(100)));
+  EXPECT_EQ(agent.shared_staged_rows(), 0u);
+  EXPECT_EQ(agent.StatsFor(bids.query_id)->events_considered, 0u);
+  agent.LogEvent(Bid(200));
+  EXPECT_EQ(agent.LogEvent(Click(300)), idle.LogEvent(Click(300)));
+  agent.LogEvent(Bid(400));
+  EXPECT_EQ(agent.shared_staged_rows(), 2u);
+  EXPECT_EQ(agent.StatsFor(bids.query_id)->events_considered, 2u);
+  const std::vector<EventBatch> out = agent.Flush(kSecond);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].event_count, 2u);
+  EXPECT_EQ(agent.total_events_logged(), 4u);
+}
+
+TEST_F(AgentDispatchTest, RemovedAndRetiredQueriesLeaveTheRoutes) {
+  const HostPlan kept_a = PlanFor(
+      "SELECT bid.country, COUNT(*) FROM bid WHERE bid.price > 2.0 "
+      "GROUP BY bid.country WINDOW 1 s DURATION 60 s;");
+  const HostPlan removed = PlanFor(
+      "SELECT bid.user_id, COUNT(*) FROM bid GROUP BY bid.user_id "
+      "WINDOW 1 s DURATION 60 s;");
+  const HostPlan expiring =
+      PlanFor("SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 1 s;");
+  const HostPlan kept_b = PlanFor(
+      "SELECT bid.user_id, COUNT(*) FROM bid, impression "
+      "GROUP BY bid.user_id WINDOW 1 s DURATION 60 s;");
+  const std::vector<HostPlan> kept = {kept_a, kept_b};
+  ScrubAgent shared(/*host=*/1, &meter_, Config(), /*sampling_seed=*/7);
+  for (const HostPlan& p : {kept_a, removed, expiring, kept_b}) {
+    shared.InstallQuery(p);
+  }
+  std::vector<std::unique_ptr<ScrubAgent>> solo =
+      SoloAgents(kept, /*seed=*/7);
+
+  Rng rng(5);
+  for (int second = 0; second < 3; ++second) {
+    const std::vector<Event> events = Interval(rng, second * kSecond);
+    for (size_t i = 0; i < events.size(); ++i) {
+      if (second == 0 && i == events.size() / 2) {
+        const uint64_t before =
+            shared.StatsFor(removed.query_id)->events_considered;
+        EXPECT_GT(before, 0u);
+        shared.RemoveQuery(removed.query_id);
+        EXPECT_EQ(shared.StatsFor(removed.query_id), nullptr);
+      }
+      shared.LogEvent(events[i]);
+      for (auto& agent : solo) {
+        agent->LogEvent(events[i]);
+      }
+    }
+    const TimeMicros now = (second + 1) * kSecond;
+    const std::vector<EventBatch> out = shared.Flush(now);
+    EXPECT_TRUE(BatchesFor(out, removed.query_id).empty());
+    // The expiring query ships its one window at the first flush, which
+    // retires it; later events never reach it.
+    EXPECT_EQ(BatchesFor(out, expiring.query_id).empty(), second > 0);
+    EXPECT_FALSE(shared.HasQuery(expiring.query_id));
+    const AgentQueryStats* retired = shared.StatsFor(expiring.query_id);
+    ASSERT_NE(retired, nullptr);
+    EXPECT_GT(retired->events_considered, 0u);
+    if (second == 0) {
+      // Interval 0 holds every event of the expiring query's span.
+      uint64_t bids = 0;
+      for (const Event& e : events) {
+        bids += e.type_name() == "bid" ? 1 : 0;
+      }
+      EXPECT_EQ(retired->events_considered, bids);
+    }
+    for (size_t i = 0; i < kept.size(); ++i) {
+      const QueryId id = kept[i].query_id;
+      const std::string context =
+          "query " + std::to_string(id) + " second " + std::to_string(second);
+      const std::vector<EventBatch> a = solo[i]->Flush(now);
+      const std::vector<EventBatch> b = BatchesFor(out, id);
+      ExpectSameShipment(a, b, context);
+      ASSERT_EQ(a.size(), b.size()) << context;
+      for (size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k].payload, b[k].payload) << context;
+      }
+      ExpectSameStats(solo[i]->StatsFor(id), shared.StatsFor(id), context);
+    }
+  }
+  EXPECT_EQ(shared.active_queries(), 2u);
+}
+
+TEST_F(AgentDispatchTest, SlotCacheMatchesPerEventWindowLookup) {
+  // Timestamps step back and forth across slot boundaries (slots 2, 1, 2,
+  // 1, ...), under sampling and a staging cap, so seen, sampled and shed
+  // must each land in the event's own window.
+  AgentConfig config = Config();
+  config.staging_capacity = 5;
+  config.staging_budget_bytes = 0;
+  ScrubAgent agent(/*host=*/1, &meter_, config, /*sampling_seed=*/11);
+  const HostPlan plan = PlanFor(
+      "SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 60 s "
+      "SAMPLE EVENTS 50%;");
+  agent.InstallQuery(plan);
+  const std::vector<TimeMicros> stamps = {
+      2'100'000, 1'500'000, 2'200'000, 1'600'000, 2'999'999, 1'000'000,
+      3'000'000, 2'000'000, 1'999'999, 3'500'000, 2'300'000, 1'100'000,
+      2'400'000, 1'200'000, 3'100'000, 2'500'000, 1'300'000, 2'600'000};
+  // The per-event reference: the agent's sampling stream (its only
+  // sampled query draws once per considered event), each event's window
+  // from its own timestamp, and the cap applied in arrival order.
+  Rng draws(11);
+  std::map<TimeMicros, WindowCounter> expected;
+  size_t staged = 0;
+  for (const TimeMicros ts : stamps) {
+    agent.LogEvent(Bid(ts));
+    const TimeMicros w = ts / kSecond * kSecond;
+    WindowCounter& c = expected[w];
+    c.window_start = w;
+    ++c.seen;
+    if (!draws.NextBool(0.5)) {
+      continue;
+    }
+    ++c.sampled;
+    if (staged == config.staging_capacity) {
+      ++c.shed;
+    } else {
+      ++staged;
+    }
+  }
+  const std::vector<EventBatch> out = agent.Flush(4 * kSecond);
+  const std::map<TimeMicros, WindowCounter> got =
+      CountersFor(out, plan.query_id);
+  ASSERT_EQ(got.size(), expected.size());
+  uint64_t shed = 0;
+  for (const auto& [w, c] : expected) {
+    ASSERT_EQ(got.count(w), 1u) << w;
+    EXPECT_EQ(got.at(w).seen, c.seen) << w;
+    EXPECT_EQ(got.at(w).sampled, c.sampled) << w;
+    EXPECT_EQ(got.at(w).shed, c.shed) << w;
+    shed += c.shed;
+  }
+  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(agent.StatsFor(plan.query_id)->events_dropped, shed);
+  EXPECT_EQ(agent.StatsFor(plan.query_id)->events_staged, staged);
+}
+
+TEST_F(AgentDispatchTest, SameSlotAfterFlushLandsInAFreshCounter) {
+  ScrubAgent agent(/*host=*/1, &meter_, Config(), /*sampling_seed=*/7);
+  const HostPlan plan =
+      PlanFor("SELECT COUNT(*) FROM bid WINDOW 10 s DURATION 60 s;");
+  agent.InstallQuery(plan);
+  agent.LogEvent(Bid(1'000'000));
+  agent.LogEvent(Bid(1'200'000));
+  std::map<TimeMicros, WindowCounter> first =
+      CountersFor(agent.Flush(1'500'000), plan.query_id);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].seen, 2u);
+  // Same 10 s slot as the events before the flush: a new delta, shipped by
+  // the next flush, not an update to the counter that already shipped.
+  agent.LogEvent(Bid(1'600'000));
+  std::map<TimeMicros, WindowCounter> second =
+      CountersFor(agent.Flush(2'000'000), plan.query_id);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].seen, 1u);
+  EXPECT_EQ(second[0].sampled, 1u);
+  EXPECT_TRUE(CountersFor(agent.Flush(3'000'000), plan.query_id).empty());
+}
+
+TEST_F(AgentDispatchTest, SampledQueriesDrawInQueryTableOrder) {
+  // Three sampled queries share the agent's one RNG stream, so each event's
+  // coin flips must come in the query table's order, which is also the
+  // order Flush ships the queries in.
+  const std::vector<double> rates = {0.3, 0.5, 0.7};
+  std::map<QueryId, double> rate_of;
+  ScrubAgent agent(/*host=*/1, &meter_, Config(), /*sampling_seed=*/21);
+  agent.InstallQuery(
+      PlanFor("SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 60 s;"));
+  for (const double rate : rates) {
+    const HostPlan plan = PlanFor(
+        "SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 60 s SAMPLE EVENTS " +
+        std::to_string(static_cast<int>(rate * 100)) + "%;");
+    rate_of[plan.query_id] = rate;
+    agent.InstallQuery(plan);
+  }
+  const int kEvents = 40;
+  for (int i = 0; i < kEvents; ++i) {
+    agent.LogEvent(Bid(1000 * (i + 1)));
+  }
+  const std::vector<EventBatch> out = agent.Flush(kSecond);
+  std::vector<QueryId> order;
+  for (const EventBatch& b : out) {
+    if (order.empty() || order.back() != b.query_id) {
+      order.push_back(b.query_id);
+    }
+  }
+  ASSERT_EQ(order.size(), rates.size() + 1);
+  Rng draws(21);
+  std::map<QueryId, uint64_t> expected;
+  for (int i = 0; i < kEvents; ++i) {
+    for (const QueryId id : order) {
+      if (rate_of.count(id) > 0) {
+        expected[id] += draws.NextBool(rate_of[id]) ? 1 : 0;
+      }
+    }
+  }
+  for (const auto& [id, sampled] : expected) {
+    const std::map<TimeMicros, WindowCounter> got = CountersFor(out, id);
+    ASSERT_EQ(got.size(), 1u) << "query " << id;
+    EXPECT_EQ(got.at(0).seen, static_cast<uint64_t>(kEvents));
+    EXPECT_EQ(got.at(0).sampled, sampled) << "query " << id;
+  }
+}
+
+TEST_F(AgentDispatchTest, SampledQueryBetweenUnsampledOnesMatchesSolo) {
+  // The sampled query is installed second, between two unsampled ones, and
+  // mid-stream, so every install rebuilds the routes around it; its coin
+  // flips must still come from the agent's stream in the same order as a
+  // solo agent's.
+  const std::vector<HostPlan> plans = {
+      PlanFor("SELECT bid.country, COUNT(*) FROM bid GROUP BY bid.country "
+              "WINDOW 1 s DURATION 60 s;"),
+      PlanFor("SELECT bid.user_id, COUNT(*) FROM bid WHERE bid.price > 1.0 "
+              "GROUP BY bid.user_id WINDOW 1 s DURATION 60 s "
+              "SAMPLE EVENTS 30%;"),
+      PlanFor("SELECT bid.user_id, COUNT(*) FROM bid, impression "
+              "GROUP BY bid.user_id WINDOW 1 s DURATION 60 s;"),
+  };
+  AgentConfig config = Config();
+  config.staging_budget_bytes = 0;
+  config.staging_capacity = 1024;
+  ScrubAgent shared(/*host=*/1, &meter_, config, /*sampling_seed=*/13);
+  std::vector<std::unique_ptr<ScrubAgent>> solo;
+  Rng rng(17);
+  for (int second = 0; second < 4; ++second) {
+    if (second < static_cast<int>(plans.size())) {
+      shared.InstallQuery(plans[second]);
+      solo.push_back(std::make_unique<ScrubAgent>(/*host=*/1, &meter_,
+                                                  config, /*seed=*/13));
+      solo.back()->InstallQuery(plans[second]);
+    }
+    const std::vector<HostPlan> live(plans.begin(),
+                                     plans.begin() + solo.size());
+    LogAndCompare(shared, solo, live, Interval(rng, second * kSecond),
+                  (second + 1) * kSecond);
+  }
+  EXPECT_GT(shared.StatsFor(plans[1].query_id)->events_sampled_out, 0u);
+  EXPECT_GT(shared.StatsFor(plans[1].query_id)->events_shipped, 0u);
 }
 
 }  // namespace

@@ -98,6 +98,34 @@ TEST_F(BaselineTest, BatchQueryAppliesSelection) {
   EXPECT_EQ(answer->rows[0].values[0], Value(int64_t{10}));
 }
 
+TEST_F(BaselineTest, BatchSpanLongerThanTheWindowRoundsToTheSlideGrid) {
+  // A second of traffic queried with a 100 ms window: the span widened to
+  // the last arrival is off the window grid, and RunQuery rounds it up
+  // rather than handing the analyzer a duration it refuses.
+  for (int round = 0; round < 10; ++round) {
+    scheduler_.RunUntil(round * 100 * kMicrosPerMilli);
+    for (int i = 0; i < 5; ++i) {
+      logger_(host_a_, MakeBid(static_cast<RequestId>(round * 5 + i),
+                               scheduler_.Now() + i, i, 1.5));
+    }
+    pipeline_->PumpFlushes();
+  }
+  scheduler_.RunUntil(2 * kMicrosPerSecond);
+  const TimeMicros window = 100 * kMicrosPerMilli;
+  ASSERT_GT(pipeline_->data_complete_at(), window);
+  ASSERT_NE((pipeline_->data_complete_at() + 1) % window, 0);
+
+  Result<LoggingPipeline::BatchAnswer> answer =
+      pipeline_->RunQuery("SELECT COUNT(*) FROM bid WINDOW 100 ms;");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->events_scanned, 50u);
+  int64_t counted = 0;
+  for (const ResultRow& row : answer->rows) {
+    counted += row.values[0].AsInt();
+  }
+  EXPECT_EQ(counted, 50);
+}
+
 TEST_F(BaselineTest, InvalidBatchQueryRejected) {
   EXPECT_FALSE(pipeline_->RunQuery("SELECT COUNT(*) FROM ghost;").ok());
 }

@@ -17,9 +17,8 @@
 //
 // Semantics intentionally mirrored from ScrubCentral:
 //  * windows start on the slide grid at plan.start_time; events are admitted
-//    when start <= ts < min(start + window, end_time); a window running past
-//    end_time exists only when the full windows leave the span's tail
-//    uncovered (a duration that is not a multiple of the slide);
+//    when start <= ts < start + window; no window runs past end_time
+//    (admission keeps the duration a multiple of the slide);
 //  * aggregates skip null arguments (SQL-style);
 //  * COUNT finalizes as int64, SUM/AVG as double, AVG of nothing is null;
 //  * ungrouped aggregate queries emit a row even for an empty window;
@@ -125,14 +124,11 @@ class ReferenceExecutor {
                                 : plan_.end_time - plan_.start_time;
     const TimeMicros slide =
         plan_.slide_micros > 0 ? plan_.slide_micros : window;
-    // Windows running past end_time exist only when the full windows leave
-    // the span's tail uncovered (a duration not a multiple of the slide).
-    const TimeMicros span = plan_.end_time - plan_.start_time;
-    const bool clip_trailing =
-        slide > 0 && span >= window && (span - window) % slide == 0;
+    // No window runs past end_time: admission keeps the span a multiple of
+    // the slide, so the full windows cover it.
     for (TimeMicros start = plan_.start_time; start < plan_.end_time;
          start += slide) {
-      if (clip_trailing && start + window > plan_.end_time) {
+      if (start + window > plan_.end_time) {
         break;
       }
       ExecuteWindow(start, window, &rows);

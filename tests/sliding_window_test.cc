@@ -187,19 +187,28 @@ TEST_F(SlidingCentralTest, TrailingWindowsEndByTheDuration) {
                                                    {16'000'000, 1}}));
 }
 
-TEST_F(SlidingCentralTest, UncoveredTailKeepsItsClippedWindow) {
-  // Tumbling 3 s windows over 10 s: only [9, 12) covers [9, 10), so it
-  // stays (clipped at the duration) rather than losing the tail's events.
-  CentralPlan plan =
-      PlanFor("SELECT COUNT(*) FROM bid WINDOW 3 s DURATION 10 s;");
-  ASSERT_TRUE(central_->InstallQuery(plan, [this](const ResultRow& row) {
-    rows_.push_back(row);
-  }).ok());
-  Ingest(plan.query_id, {MakeBid(1, 9'500'000)});
-  central_->OnTick(60 * kMicrosPerSecond);
-  ASSERT_FALSE(rows_.empty());
-  EXPECT_EQ(rows_.back().window_start, 9 * kMicrosPerSecond);
-  EXPECT_EQ(rows_.back().values[0].AsInt(), 1);
+TEST_F(SlidingCentralTest, DurationOffTheSlideGridIsRefused) {
+  // Tumbling 3 s windows over 10 s would end the span inside [9, 12), a
+  // window holding 1 s of data yet reporting full completeness. Admission
+  // refuses the explicit duration; a defaulted one rounds up to the grid.
+  Result<AnalyzedQuery> clipped = ParseAndAnalyze(
+      "SELECT COUNT(*) FROM bid WINDOW 3 s DURATION 10 s;", registry_);
+  ASSERT_FALSE(clipped.ok());
+  EXPECT_EQ(clipped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(clipped.status().ToString().find(
+                "duration must be a multiple of the slide"),
+            std::string::npos);
+  EXPECT_FALSE(ParseAndAnalyze(
+                   "SELECT COUNT(*) FROM bid WINDOW 4 s SLIDE 2 s "
+                   "DURATION 11 s;",
+                   registry_)
+                   .ok());
+  Result<AnalyzedQuery> defaulted =
+      ParseAndAnalyze("SELECT COUNT(*) FROM bid WINDOW 7 s;", registry_);
+  ASSERT_TRUE(defaulted.ok()) << defaulted.status().ToString();
+  EXPECT_EQ(defaulted->query.duration_micros % (7 * kMicrosPerSecond), 0);
+  EXPECT_GE(defaulted->query.duration_micros,
+            AnalyzerOptions{}.default_duration_micros);
 }
 
 TEST(SlidingIntegrationTest, EndToEndSlidingCount) {

@@ -124,6 +124,19 @@ else
        --gtest_filter='GroupTableTest.*' > /dev/null; then
     fail "group table tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/executor_test --gtest_filter='GroupTableTest.*')"
   fi
+  # The agent's per-type routes hold raw pointers into its query table and
+  # its staging batches: a route left stale by a remove or a retirement is
+  # a use-after-free that only ASan reports, so the dispatch and shared
+  # staging fixtures run by name.
+  note "agent dispatch under ASan+UBSan"
+  if ! "${BUILD_DIR}/tests/agent_test" --gtest_list_tests \
+       --gtest_filter='AgentDispatchTest.*' 2>/dev/null | grep -q '^  '; then
+    fail "AgentDispatchTest fixture missing from agent_test"
+  elif ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+       "${BUILD_DIR}/tests/agent_test" \
+       --gtest_filter='AgentDispatchTest.*:*SharedStaging*' > /dev/null; then
+    fail "agent dispatch tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/agent_test --gtest_filter='AgentDispatchTest.*:*SharedStaging*')"
+  fi
   # Spill replay is the only reader of event records: a run damaged on disk
   # (truncation, bad length or host, flipped type-name/tag/payload bytes)
   # must end as counted shed. Its fixture runs by name too.

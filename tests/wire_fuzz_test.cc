@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -842,6 +843,262 @@ TEST_F(ColumnWireFuzzTest, RowAndColumnarCodecsAgreeOnRandomSchemas) {
       }
     }
   }
+}
+
+// ---- Golden wire bytes ----------------------------------------------------
+// The columnar and join encoders are the contract between every deployed
+// agent and ScrubCentral: how they build a payload may change, the bytes they
+// emit may not. This pins one FNV-1a hash over a seeded corpus of payloads
+// and the per-field encodings the encoder reports. The corpus covers every
+// field type, all-null and no-null columns, type-drifted values (the generic
+// fallback), low- and high-cardinality strings (dictionary, plain, and the
+// 256-entry dictionary overflow), random selections in any order, random
+// keep_field masks (including short ones), appends to a non-empty buffer,
+// and multi-section join batches.
+
+class GoldenWireTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
+
+  static void Mix(uint64_t* h, const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      *h = (*h ^ p[i]) * 1099511628211ULL;
+    }
+  }
+  static void MixU64(uint64_t* h, uint64_t v) { Mix(h, &v, sizeof(v)); }
+
+  // How one column of the corpus is populated.
+  struct ColumnShape {
+    double null_rate = 0.0;  // 1.0 = all-null
+    bool drift = false;      // some values of the wrong type
+    uint64_t cardinality = 0;  // string pool size
+  };
+
+  static Value Scalar(FieldType type, uint64_t cardinality, Rng* rng) {
+    switch (type) {
+      case FieldType::kBool:
+        return Value(rng->NextBool(0.5));
+      case FieldType::kInt:
+      case FieldType::kLong:
+      case FieldType::kDateTime:
+        return Value(static_cast<int64_t>(rng->NextUint64()));
+      case FieldType::kFloat:
+      case FieldType::kDouble: {
+        static const double kSpecial[] = {0.0, -0.0, 1e300, -2.5,
+                                          std::numeric_limits<double>::infinity(),
+                                          std::numeric_limits<double>::quiet_NaN()};
+        if (rng->NextBool(0.1)) {
+          return Value(kSpecial[rng->NextBelow(std::size(kSpecial))]);
+        }
+        return Value(static_cast<double>(rng->NextUint64() % 100'000) / 7.0);
+      }
+      case FieldType::kString:
+      default: {
+        const uint64_t k = rng->NextBelow(cardinality == 0 ? 1 : cardinality);
+        std::string s = StrFormat("v%llu", static_cast<unsigned long long>(k));
+        // A few values carry an empty tail or an embedded NUL.
+        if (k % 11 == 3) {
+          s.push_back('\0');
+          s.append("z");
+        } else if (k % 13 == 5) {
+          s.clear();
+        }
+        return Value(std::move(s));
+      }
+    }
+  }
+
+  static Value Generate(FieldType type, const ColumnShape& shape, Rng* rng) {
+    switch (type) {
+      case FieldType::kBool:
+      case FieldType::kInt:
+      case FieldType::kLong:
+      case FieldType::kFloat:
+      case FieldType::kDouble:
+      case FieldType::kDateTime:
+      case FieldType::kString:
+        if (shape.drift && rng->NextBool(0.2)) {
+          return type == FieldType::kString
+                     ? Value(static_cast<int64_t>(rng->NextUint64() % 50))
+                     : Scalar(FieldType::kString, 7, rng);
+        }
+        return Scalar(type, shape.cardinality, rng);
+      default:
+        return RandomValue(type, rng);
+    }
+  }
+
+  // A random schema registered in `registry` and a batch of `rows` rows.
+  static ColumnBatch RandomBatch(const std::string& name, size_t rows,
+                                 SchemaRegistry* registry, Rng* rng) {
+    static const FieldType kTypes[] = {
+        FieldType::kBool,       FieldType::kInt,       FieldType::kLong,
+        FieldType::kFloat,      FieldType::kDouble,    FieldType::kDateTime,
+        FieldType::kString,     FieldType::kBoolList,  FieldType::kIntList,
+        FieldType::kLongList,   FieldType::kFloatList, FieldType::kDoubleList,
+        FieldType::kStringList, FieldType::kObject};
+    static const uint64_t kCardinality[] = {1, 3, 40, 300, 1'000'000};
+    const size_t field_count = 1 + rng->NextBelow(8);
+    auto builder = EventSchema::Builder(name);
+    std::vector<FieldType> types;
+    std::vector<ColumnShape> shapes;
+    for (size_t f = 0; f < field_count; ++f) {
+      types.push_back(kTypes[rng->NextBelow(std::size(kTypes))]);
+      // Strings are over-represented: the dictionary choice is the
+      // encoder's only data-dependent layout decision.
+      if (rng->NextBool(0.25)) {
+        types.back() = FieldType::kString;
+      }
+      builder.AddField(StrFormat("f%zu", f), types.back());
+      ColumnShape shape;
+      switch (rng->NextBelow(4)) {
+        case 0:
+          shape.null_rate = 1.0;
+          break;
+        case 1:
+          shape.null_rate = 0.0;
+          break;
+        default:
+          shape.null_rate = rng->NextBool(0.5) ? 0.1 : 0.6;
+      }
+      shape.drift = rng->NextBool(0.15);
+      shape.cardinality = kCardinality[rng->NextBelow(std::size(kCardinality))];
+      shapes.push_back(shape);
+    }
+    SchemaPtr schema = *builder.Build();
+    EXPECT_TRUE(registry->Register(schema).ok());
+    ColumnBatch batch(schema);
+    for (size_t r = 0; r < rows; ++r) {
+      Event e(schema, rng->NextUint64(),
+              static_cast<TimeMicros>(rng->NextUint64() >> 1));
+      for (size_t f = 0; f < field_count; ++f) {
+        if (!rng->NextBool(shapes[f].null_rate)) {
+          e.SetField(f, Generate(types[f], shapes[f], rng));
+        }
+      }
+      batch.AppendEvent(e);
+    }
+    return batch;
+  }
+
+  static size_t RandomRows(Rng* rng) {
+    // Mostly small (bitmap padding edges 0, 8, 16), sometimes past the
+    // 256-entry dictionary cap.
+    return rng->NextBool(0.15) ? 200 + rng->NextBelow(200) : rng->NextBelow(34);
+  }
+
+  // A random selection over `rows`: a subset in ascending order, or (less
+  // often) a shuffled one with repeats.
+  static std::vector<uint32_t> RandomSelection(size_t rows, Rng* rng) {
+    std::vector<uint32_t> sel;
+    // data() must not be null even when nothing is selected: a null
+    // selection means every row.
+    sel.reserve(rows + 1);
+    if (rows == 0) {
+      return sel;
+    }
+    if (rng->NextBool(0.75)) {
+      const double keep = rng->NextDouble();
+      for (size_t r = 0; r < rows; ++r) {
+        if (rng->NextBool(keep)) {
+          sel.push_back(static_cast<uint32_t>(r));
+        }
+      }
+    } else {
+      const size_t n = rng->NextBelow(rows + 1);
+      for (size_t i = 0; i < n; ++i) {
+        sel.push_back(static_cast<uint32_t>(rng->NextBelow(rows)));
+      }
+    }
+    return sel;
+  }
+
+  static std::vector<bool> RandomKeep(size_t fields, Rng* rng) {
+    // Sometimes shorter than the schema: fields past the mask are kept.
+    const size_t n = rng->NextBool(0.2) ? rng->NextBelow(fields + 1) : fields;
+    std::vector<bool> keep(n);
+    for (size_t f = 0; f < n; ++f) {
+      keep[f] = rng->NextBool(0.7);
+    }
+    return keep;
+  }
+};
+
+TEST_F(GoldenWireTest, SeededCorpusHashIsPinned) {
+  Rng rng(0x901dea);
+  uint64_t h = kFnvBasis;
+  for (int trial = 0; trial < 600; ++trial) {
+    SchemaRegistry registry;
+    std::string out;
+    // Encoders append: start some payloads after existing bytes.
+    if (rng.NextBool(0.2)) {
+      out.assign(rng.NextBelow(40), 'p');
+    }
+    const size_t prefix = out.size();
+    if (trial % 4 != 3) {
+      ColumnBatch batch = RandomBatch(StrFormat("g%d", trial), RandomRows(&rng),
+                                      &registry, &rng);
+      std::vector<uint32_t> sel;
+      const bool selected = rng.NextBool(0.6);
+      if (selected) {
+        sel = RandomSelection(batch.rows(), &rng);
+      }
+      std::vector<bool> keep;
+      const bool masked = rng.NextBool(0.4);
+      if (masked) {
+        keep = RandomKeep(batch.column_count(), &rng);
+      }
+      std::vector<int> encodings;
+      const size_t n = EncodeColumnBatch(
+          batch, selected ? sel.data() : nullptr,
+          selected ? sel.size() : batch.rows(), masked ? &keep : nullptr, &out,
+          &encodings);
+      ASSERT_EQ(n, out.size() - prefix) << "trial " << trial;
+      MixU64(&h, n);
+      for (const int e : encodings) {
+        MixU64(&h, static_cast<uint64_t>(static_cast<int64_t>(e)));
+      }
+    } else {
+      const size_t num_sources = 1 + rng.NextBelow(3);
+      std::vector<ColumnBatch> batches;
+      std::vector<std::vector<uint32_t>> sels(num_sources);
+      std::vector<std::vector<bool>> keeps(num_sources);
+      std::vector<ColumnJoinSection> sections;
+      batches.reserve(num_sources);
+      std::vector<uint8_t> order;
+      for (size_t s = 0; s < num_sources; ++s) {
+        batches.push_back(RandomBatch(StrFormat("g%d_%zu", trial, s),
+                                      rng.NextBelow(20), &registry, &rng));
+        sels[s] = RandomSelection(batches[s].rows(), &rng);
+        keeps[s] = RandomKeep(batches[s].column_count(), &rng);
+        sections.push_back({&batches[s], sels[s].data(), sels[s].size(),
+                            rng.NextBool(0.5) ? &keeps[s] : nullptr});
+        order.insert(order.end(), sels[s].size(), static_cast<uint8_t>(s));
+      }
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.NextBelow(i)]);
+      }
+      std::vector<std::vector<int>> encodings;
+      const size_t n = EncodeColumnJoinBatch(sections, order, &out, &encodings);
+      ASSERT_EQ(n, out.size() - prefix) << "trial " << trial;
+      MixU64(&h, n);
+      for (const std::vector<int>& section : encodings) {
+        MixU64(&h, section.size());
+        for (const int e : section) {
+          MixU64(&h, static_cast<uint64_t>(static_cast<int64_t>(e)));
+        }
+      }
+      // Every join payload decodes with its own registry.
+      const Result<ColumnJoinBatch> decoded =
+          DecodeColumnJoinBatch(registry, out.substr(prefix));
+      ASSERT_TRUE(decoded.ok())
+          << "trial " << trial << ": " << decoded.status().ToString();
+    }
+    Mix(&h, out.data(), out.size());
+  }
+  EXPECT_EQ(h, 0xfb1795db3aaa708fULL) << StrFormat("corpus hash 0x%016llx",
+                                    static_cast<unsigned long long>(h));
 }
 
 }  // namespace

@@ -66,7 +66,9 @@ class CentralBench {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.format = EncodeEvents(events, &batch.payload);
+    std::string encoded;
+    batch.format = EncodeEvents(events, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     return batch;
   }
 
@@ -91,7 +93,9 @@ class CentralBench {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.format = EncodeEvents(events, &batch.payload);
+    std::string encoded;
+    batch.format = EncodeEvents(events, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     return batch;
   }
 

@@ -470,7 +470,9 @@ RunResult RunOne(const Workload& w, Mode mode, CentralConfig config = {}) {
         batch.seq = seq++;
         batch.format = BatchFormat::kColumnarJoin;
         batch.event_count = order.size();
-        EncodeColumnJoinBatch(sections, order, &batch.payload);
+        std::string encoded;
+        EncodeColumnJoinBatch(sections, order, &encoded);
+        batch.payload = BatchPayload(std::move(encoded));
         r.shipped += batch.event_count;
         r.payload_bytes += batch.WireSize();
         if (!central.IngestBatch(batch, now).ok()) {
@@ -497,8 +499,10 @@ RunResult RunOne(const Workload& w, Mode mode, CentralConfig config = {}) {
         sp.SelectBatch(cols, &selection);
         batch.format = BatchFormat::kColumnar;
         batch.event_count = selection.size();
+        std::string encoded;
         EncodeColumnBatch(cols, selection.data(), selection.size(),
-                          &sp.keep_field, &batch.payload, &r.encodings);
+                          &sp.keep_field, &encoded, &r.encodings);
+        batch.payload = BatchPayload(std::move(encoded));
         r.shipped += batch.event_count;
         r.payload_bytes += batch.WireSize();
         if (!central.IngestBatch(batch, now).ok()) {

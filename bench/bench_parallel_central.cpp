@@ -117,7 +117,9 @@ struct Workload {
         batch.host = static_cast<HostId>(host);
         batch.seq = seq++;
         batch.event_count = events.size();
-        batch.format = EncodeEvents(events, &batch.payload);
+        std::string encoded;
+        batch.format = EncodeEvents(events, &encoded);
+        batch.payload = BatchPayload(std::move(encoded));
         per_tick[static_cast<size_t>(tick)].push_back(std::move(batch));
         total_events += events.size();
       }

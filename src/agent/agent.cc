@@ -26,6 +26,7 @@ void ScrubAgent::RemoveQuery(QueryId query_id) {
     routes_stale_ = true;
   }
   staging_accountant_.ReleaseAll(query_id);  // staged events die with it
+  ReleaseDrainedQueue(query_id);
 }
 
 void ScrubAgent::RebuildRoutes() {
@@ -257,8 +258,10 @@ void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
     if (q.stats.last_encodings.empty()) {
       q.stats.last_encodings.resize(1);
     }
+    std::string payload;
     EncodeColumnBatch(cols, selection.data() + start, n, &sp.keep_field,
-                      &batch.payload, &q.stats.last_encodings[0]);
+                      &payload, &q.stats.last_encodings[0]);
+    batch.payload = BatchPayload(std::move(payload));
     Ship(query_id, q, std::move(batch), now, batches);
   }
   selection.clear();
@@ -354,7 +357,9 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
     batch.format = BatchFormat::kColumnarJoin;
     batch.event_count = n;
     std::vector<std::vector<int>> encodings;
-    EncodeColumnJoinBatch(sections, chunk_order, &batch.payload, &encodings);
+    std::string payload;
+    EncodeColumnJoinBatch(sections, chunk_order, &payload, &encodings);
+    batch.payload = BatchPayload(std::move(payload));
     size_t section = 0;
     for (size_t si = 0; si < num_sources; ++si) {
       if (section_of[si] >= 0) {
@@ -415,7 +420,9 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
         expired->push_back(it->first);
       }
       retired_stats_[it->first] = q.stats;
+      const QueryId query_id = it->first;
       it = queries_.erase(it);
+      ReleaseDrainedQueue(query_id);
       retired = true;
     } else {
       ++it;
@@ -471,7 +478,8 @@ std::vector<EventBatch> ScrubAgent::Retransmits(TimeMicros now) {
       }
       ++pit;
     }
-    it = held.empty() ? retransmit_.erase(it) : std::next(it);
+    it = held.empty() && !HasQuery(it->first) ? retransmit_.erase(it)
+                                              : std::next(it);
   }
   return out;
 }
@@ -492,7 +500,12 @@ void ScrubAgent::OnAck(QueryId query_id, uint64_t seq) {
       break;
     }
   }
-  if (held.empty()) {
+  ReleaseDrainedQueue(query_id);
+}
+
+void ScrubAgent::ReleaseDrainedQueue(QueryId query_id) {
+  const auto it = retransmit_.find(query_id);
+  if (it != retransmit_.end() && it->second.empty() && !HasQuery(query_id)) {
     retransmit_.erase(it);
   }
 }

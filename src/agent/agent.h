@@ -43,7 +43,9 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -73,6 +75,31 @@ struct WindowCounter {
   uint64_t shed = 0;
 };
 
+// An encoded batch payload: immutable once built, and shared, not copied,
+// by every copy of its batch (the shipped batch and the retransmit queue's
+// copy hold the same bytes). Compares by content.
+class BatchPayload {
+ public:
+  BatchPayload() = default;
+  explicit BatchPayload(std::string bytes)
+      : bytes_(bytes.empty()
+                   ? nullptr
+                   : std::make_shared<const std::string>(std::move(bytes))) {}
+
+  std::string_view view() const {
+    return bytes_ == nullptr ? std::string_view() : std::string_view(*bytes_);
+  }
+  operator std::string_view() const { return view(); }  // NOLINT(runtime/explicit)
+  size_t size() const { return view().size(); }
+  bool empty() const { return view().empty(); }
+  friend bool operator==(const BatchPayload& a, const BatchPayload& b) {
+    return a.view() == b.view();
+  }
+
+ private:
+  std::shared_ptr<const std::string> bytes_;
+};
+
 // One flush's worth of traffic from a host to ScrubCentral for one query.
 //
 // `seq` numbers batches per (host, query) starting at 1; ScrubCentral acks
@@ -89,7 +116,7 @@ struct EventBatch {
   // EncodeColumnBatch (kColumnar) or EncodeColumnJoinBatch (kColumnarJoin).
   // A counters-only batch has event_count 0 and an empty payload; central
   // never reads it.
-  std::string payload;
+  BatchPayload payload;
   size_t event_count = 0;
   std::vector<WindowCounter> counters;  // deltas since the previous flush
 
@@ -213,7 +240,11 @@ class ScrubAgent {
   // ScrubCentral acked (host, query, seq): drop the retransmit copy.
   void OnAck(QueryId query_id, uint64_t seq);
 
+  // Batches held for retransmission, across every query.
   size_t pending_retransmits() const;
+  // Retransmit queues held, empty ones included: one per live query that
+  // has shipped, plus the undrained queues of retired or removed queries.
+  size_t retransmit_queues() const { return retransmit_.size(); }
   uint64_t epoch() const { return epoch_; }
 
   const AgentQueryStats* StatsFor(QueryId query_id) const;
@@ -271,7 +302,7 @@ class ScrubAgent {
     ColumnBatch* staging = nullptr;
   };
 
-  // A flushed batch awaiting its ack.
+  // A flushed batch awaiting its ack; its payload is the shipped batch's.
   struct PendingBatch {
     EventBatch batch;
     TimeMicros next_retry = 0;
@@ -328,6 +359,10 @@ class ScrubAgent {
   // behavior), in which case this returns nullptr.
   AgentQueryStats* MutableStatsFor(QueryId query_id);
 
+  // Erases the retransmit queue of a query that is no longer live once the
+  // queue is empty.
+  void ReleaseDrainedQueue(QueryId query_id);
+
   // Exponential backoff with +/-25% jitter from the retry stream.
   TimeMicros BackoffFor(int attempts);
 
@@ -354,8 +389,11 @@ class ScrubAgent {
   // queries until RouteFor rebuilds them.
   bool routes_stale_ = false;
   std::unordered_map<QueryId, AgentQueryStats> retired_stats_;
-  // Retransmit buffers outlive query retirement: the final flush's batches
-  // are still owed to ScrubCentral. They drain via ack or deadline.
+  // Retransmit queues, one per query that has held a batch. A live query's
+  // queue stays while it is empty, so steady flush/ack cycles reuse it
+  // instead of reallocating it every flush. Queues outlive query retirement
+  // and removal (the final flush's batches are still owed to ScrubCentral)
+  // and are erased once such a query's queue drains, via ack or deadline.
   std::map<QueryId, std::deque<PendingBatch>> retransmit_;
   std::unordered_map<QueryId, uint64_t> next_seq_;
   uint64_t total_events_logged_ = 0;

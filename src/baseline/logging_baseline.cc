@@ -137,7 +137,9 @@ Result<LoggingPipeline::BatchAnswer> LoggingPipeline::RunQuery(
     batch.query_id = central_plan.query_id;
     batch.host = host;
     batch.event_count = events.size();
-    batch.format = EncodeEvents(events, &batch.payload);
+    std::string encoded;
+    batch.format = EncodeEvents(events, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     s = engine.IngestBatch(batch, last_arrival_);
     if (!s.ok()) {
       return s;

@@ -1,5 +1,7 @@
 #include "src/event/wire.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string_view>
 #include <unordered_map>
@@ -22,24 +24,75 @@ enum ValueTag : uint8_t {
   kTagObject = 7,
 };
 
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
+// ---- Writers ---------------------------------------------------------------
+// Every encoder sizes its output exactly before writing (Value::WireSize for
+// records, a planning pass for columnar batches), grows the buffer once and
+// then writes through a raw cursor: no per-value capacity check, no
+// reallocation.
+
+template <typename T>
+char* Put(char* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+  return p + sizeof(T);
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
+char* PutBytes(char* p, const void* src, size_t n) {
+  if (n != 0) {  // memcpy's pointers must be valid even for n == 0
+    std::memcpy(p, src, n);
+  }
+  return p + n;
 }
 
-void PutDouble(std::string* out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
+// Grows `out` by `n` bytes; returns a cursor to the first new byte.
+char* Extend(std::string* out, size_t n) {
+  const size_t at = out->size();
+  out->resize(at + n);
+  return out->data() + at;
 }
 
+char* WriteValue(const Value& v, char* p) {
+  if (v.is_null()) {
+    *p = static_cast<char>(kTagNull);
+    return p + 1;
+  }
+  if (v.is_bool()) {
+    *p = static_cast<char>(v.AsBool() ? kTagTrue : kTagFalse);
+    return p + 1;
+  }
+  if (v.is_int()) {
+    *p = static_cast<char>(kTagInt);
+    return Put(p + 1, static_cast<uint64_t>(v.AsInt()));
+  }
+  if (v.is_double()) {
+    *p = static_cast<char>(kTagDouble);
+    return Put(p + 1, v.AsDoubleExact());
+  }
+  if (v.is_string()) {
+    const std::string& s = v.AsString();
+    *p = static_cast<char>(kTagString);
+    p = Put(p + 1, static_cast<uint32_t>(s.size()));
+    return PutBytes(p, s.data(), s.size());
+  }
+  if (v.is_list()) {
+    *p = static_cast<char>(kTagList);
+    p = Put(p + 1, static_cast<uint32_t>(v.AsList().size()));
+    for (const Value& e : v.AsList()) {
+      p = WriteValue(e, p);
+    }
+    return p;
+  }
+  const NestedObject& obj = v.AsObject();
+  *p = static_cast<char>(kTagObject);
+  p = Put(p + 1, static_cast<uint32_t>(obj.fields.size()));
+  for (const auto& [name, value] : obj.fields) {
+    p = Put(p, static_cast<uint32_t>(name.size()));
+    p = PutBytes(p, name.data(), name.size());
+    p = WriteValue(value, p);
+  }
+  return p;
+}
+
+// ---- Readers ---------------------------------------------------------------
 // Hostile-input guards: decode runs on bytes that crossed the network, so
 // every length, count and nesting level is attacker-controlled until proven
 // otherwise. A crafted list-of-list-of-... costs ~5 bytes per level; without
@@ -47,82 +100,40 @@ void PutDouble(std::string* out, double v) {
 // size check trips.
 constexpr int kMaxValueDepth = 32;
 
-bool GetU8(const std::string& buf, size_t* off, uint8_t* v) {
-  if (*off >= buf.size()) {
+// True when `n` bytes remain at `off`.
+bool Has(std::string_view buf, size_t off, size_t n) {
+  return off <= buf.size() && buf.size() - off >= n;
+}
+
+template <typename T>
+bool Get(std::string_view buf, size_t* off, T* v) {
+  if (!Has(buf, *off, sizeof(T))) {
     return false;
   }
-  *v = static_cast<uint8_t>(buf[*off]);
-  *off += 1;
+  std::memcpy(v, buf.data() + *off, sizeof(T));
+  *off += sizeof(T);
   return true;
 }
 
-bool GetU32(const std::string& buf, size_t* off, uint32_t* v) {
-  if (*off > buf.size() || buf.size() - *off < 4) {
+// Reads `count` packed values of T with one bounds check.
+template <typename T>
+bool GetArray(std::string_view buf, size_t* off, size_t count, T* v) {
+  if (!Has(buf, *off, count * sizeof(T))) {
     return false;
   }
-  std::memcpy(v, buf.data() + *off, 4);
-  *off += 4;
+  PutBytes(reinterpret_cast<char*>(v), buf.data() + *off, count * sizeof(T));
+  *off += count * sizeof(T);
   return true;
 }
 
-bool GetU64(const std::string& buf, size_t* off, uint64_t* v) {
-  if (*off > buf.size() || buf.size() - *off < 8) {
+bool GetView(std::string_view buf, size_t* off, size_t n,
+             std::string_view* v) {
+  if (!Has(buf, *off, n)) {
     return false;
   }
-  std::memcpy(v, buf.data() + *off, 8);
-  *off += 8;
-  return true;
-}
-
-bool GetDouble(const std::string& buf, size_t* off, double* v) {
-  if (*off > buf.size() || buf.size() - *off < 8) {
-    return false;
-  }
-  std::memcpy(v, buf.data() + *off, 8);
-  *off += 8;
-  return true;
-}
-
-bool GetBytes(const std::string& buf, size_t* off, size_t n, std::string* v) {
-  if (*off > buf.size() || buf.size() - *off < n) {
-    return false;
-  }
-  v->assign(buf.data() + *off, n);
+  *v = buf.substr(*off, n);
   *off += n;
   return true;
-}
-
-void EncodeValue(const Value& v, std::string* out) {
-  if (v.is_null()) {
-    out->push_back(static_cast<char>(kTagNull));
-  } else if (v.is_bool()) {
-    out->push_back(static_cast<char>(v.AsBool() ? kTagTrue : kTagFalse));
-  } else if (v.is_int()) {
-    out->push_back(static_cast<char>(kTagInt));
-    PutU64(out, static_cast<uint64_t>(v.AsInt()));
-  } else if (v.is_double()) {
-    out->push_back(static_cast<char>(kTagDouble));
-    PutDouble(out, v.AsDoubleExact());
-  } else if (v.is_string()) {
-    out->push_back(static_cast<char>(kTagString));
-    PutU32(out, static_cast<uint32_t>(v.AsString().size()));
-    out->append(v.AsString());
-  } else if (v.is_list()) {
-    out->push_back(static_cast<char>(kTagList));
-    PutU32(out, static_cast<uint32_t>(v.AsList().size()));
-    for (const Value& e : v.AsList()) {
-      EncodeValue(e, out);
-    }
-  } else {
-    out->push_back(static_cast<char>(kTagObject));
-    const NestedObject& obj = v.AsObject();
-    PutU32(out, static_cast<uint32_t>(obj.fields.size()));
-    for (const auto& [name, value] : obj.fields) {
-      PutU32(out, static_cast<uint32_t>(name.size()));
-      out->append(name);
-      EncodeValue(value, out);
-    }
-  }
 }
 
 // Column tags for the columnar batch format. Dense and stable, same contract
@@ -141,34 +152,82 @@ enum ColumnTag : uint8_t {
 // stops deduplicating past this and falls back to plain strings.
 constexpr size_t kMaxDictEntries = 256;
 
-// Reads ceil(count/8) bitmap bytes. The caller still has to check padding.
-bool ReadBitmap(const std::string& buf, size_t* off, size_t count,
-                std::vector<uint8_t>* bits) {
-  const size_t nbytes = (count + 7) / 8;
-  if (*off > buf.size() || buf.size() - *off < nbytes) {
-    return false;
-  }
-  bits->assign(buf.begin() + static_cast<ptrdiff_t>(*off),
-               buf.begin() + static_cast<ptrdiff_t>(*off + nbytes));
-  *off += nbytes;
-  return true;
+bool BitSet(const uint8_t* bits, size_t i) {
+  return ((bits[i / 8] >> (i % 8)) & 1U) != 0;
 }
 
-// Bits beyond `count` in the last bitmap byte must be zero; a mismatch means
-// the sender's bitmap disagrees with its row count.
-bool PaddingClear(const std::vector<uint8_t>& bits, size_t count) {
-  if (count % 8 == 0 || bits.empty()) {
-    return true;
-  }
-  return (bits.back() >> (count % 8)) == 0;
+// Bits beyond `count` in the last of a count-bit bitmap's bytes must be
+// zero; a mismatch means the sender's bitmap disagrees with its row count.
+bool PaddingClear(const uint8_t* bits, size_t count) {
+  return count % 8 == 0 || (bits[count / 8] >> (count % 8)) == 0;
 }
 
-Result<Value> DecodeValue(const std::string& buf, size_t* off, int depth) {
+size_t CountSet(const std::vector<uint8_t>& bits) {
+  size_t n = 0;
+  size_t i = 0;
+  for (; i + 8 <= bits.size(); i += 8) {
+    uint64_t word;
+    std::memcpy(&word, bits.data() + i, 8);
+    n += static_cast<size_t>(std::popcount(word));
+  }
+  for (; i < bits.size(); ++i) {
+    n += static_cast<size_t>(std::popcount(bits[i]));
+  }
+  return n;
+}
+
+// Row r's string bytes in a kString or kDict column (kDict rows indirect
+// through their code), without materializing a Value.
+std::string_view StringAt(const ColumnBatch::Column& col, size_t r) {
+  const size_t idx =
+      col.rep == ColumnBatch::Rep::kDict ? static_cast<size_t>(col.ints[r]) : r;
+  return std::string_view(col.arena).substr(
+      col.offsets[idx], col.offsets[idx + 1] - col.offsets[idx]);
+}
+
+// Calls fn(r) for every selected row r whose value is not null, in selection
+// order. `nulls` is the selection-local null bitmap, or null when no selected
+// row is null.
+template <typename Fn>
+void ForEachValue(const uint32_t* selection, size_t rows, const uint8_t* nulls,
+                  Fn fn) {
+  if (nulls == nullptr) {
+    for (size_t i = 0; i < rows; ++i) {
+      fn(selection[i]);
+    }
+    return;
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    if (!BitSet(nulls, i)) {
+      fn(selection[i]);
+    }
+  }
+}
+
+// Scatters `non_null` packed 8-byte values from `src` over the non-null rows
+// of a `rows`-row column; null rows hold T{}.
+template <typename T>
+void ScatterFixed(const char* src, const std::vector<uint8_t>& nulls,
+                  size_t rows, size_t non_null, std::vector<T>* dst) {
+  dst->assign(rows, T{});
+  if (non_null == rows) {
+    PutBytes(reinterpret_cast<char*>(dst->data()), src, rows * sizeof(T));
+    return;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    if (!BitmapGet(nulls, r)) {
+      std::memcpy(&(*dst)[r], src, sizeof(T));
+      src += sizeof(T);
+    }
+  }
+}
+
+Result<Value> DecodeValue(std::string_view buf, size_t* off, int depth) {
   if (depth > kMaxValueDepth) {
     return InvalidArgument("value nesting too deep");
   }
   uint8_t tag;
-  if (!GetU8(buf, off, &tag)) {
+  if (!Get(buf, off, &tag)) {
     return InvalidArgument("truncated value tag");
   }
   switch (tag) {
@@ -180,29 +239,29 @@ Result<Value> DecodeValue(const std::string& buf, size_t* off, int depth) {
       return Value(true);
     case kTagInt: {
       uint64_t v;
-      if (!GetU64(buf, off, &v)) {
+      if (!Get(buf, off, &v)) {
         return InvalidArgument("truncated int value");
       }
       return Value(static_cast<int64_t>(v));
     }
     case kTagDouble: {
       double v;
-      if (!GetDouble(buf, off, &v)) {
+      if (!Get(buf, off, &v)) {
         return InvalidArgument("truncated double value");
       }
       return Value(v);
     }
     case kTagString: {
       uint32_t n;
-      std::string s;
-      if (!GetU32(buf, off, &n) || !GetBytes(buf, off, n, &s)) {
+      std::string_view s;
+      if (!Get(buf, off, &n) || !GetView(buf, off, n, &s)) {
         return InvalidArgument("truncated string value");
       }
-      return Value(std::move(s));
+      return Value(std::string(s));
     }
     case kTagList: {
       uint32_t n;
-      if (!GetU32(buf, off, &n)) {
+      if (!Get(buf, off, &n)) {
         return InvalidArgument("truncated list header");
       }
       // Never trust a length prefix with memory: each element costs at
@@ -223,7 +282,7 @@ Result<Value> DecodeValue(const std::string& buf, size_t* off, int depth) {
     }
     case kTagObject: {
       uint32_t n;
-      if (!GetU32(buf, off, &n)) {
+      if (!Get(buf, off, &n)) {
         return InvalidArgument("truncated object header");
       }
       if (n > buf.size() - *off) {
@@ -233,16 +292,16 @@ Result<Value> DecodeValue(const std::string& buf, size_t* off, int depth) {
       obj.fields.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
         uint32_t name_len;
-        std::string name;
-        if (!GetU32(buf, off, &name_len) ||
-            !GetBytes(buf, off, name_len, &name)) {
+        std::string_view name;
+        if (!Get(buf, off, &name_len) ||
+            !GetView(buf, off, name_len, &name)) {
           return InvalidArgument("truncated object field name");
         }
         Result<Value> item = DecodeValue(buf, off, depth + 1);
         if (!item.ok()) {
           return item.status();
         }
-        obj.fields.emplace_back(std::move(name), std::move(item).value());
+        obj.fields.emplace_back(std::string(name), std::move(item).value());
       }
       return Value(std::move(obj));
     }
@@ -251,27 +310,43 @@ Result<Value> DecodeValue(const std::string& buf, size_t* off, int depth) {
   }
 }
 
+// Pass-1 result for one column of a columnar payload.
+struct ColumnPlan {
+  ColumnTag tag = kColNull;
+  size_t non_null = 0;
+  // Offset of the column's selection-local null bitmap in the encoder's
+  // scratch, or kNoNulls when no selected row is null.
+  size_t bitmap = 0;
+  size_t value_bytes = 0;  // bytes after the bitmap
+  // kColDict: the column's entries and codes in the encoder's scratch.
+  size_t first_entry = 0;
+  size_t entry_count = 0;
+  size_t first_code = 0;
+};
+constexpr size_t kNoNulls = static_cast<size_t>(-1);
+
 }  // namespace
 
 size_t EncodeEvent(const Event& event, std::string* out) {
-  const size_t before = out->size();
+  const size_t n = event.WireSize();
+  char* p = Extend(out, n);
   const std::string& type_name = event.schema()->type_name();
-  PutU32(out, static_cast<uint32_t>(type_name.size()));
-  out->append(type_name);
-  PutU64(out, event.request_id());
-  PutU64(out, static_cast<uint64_t>(event.timestamp()));
+  p = Put(p, static_cast<uint32_t>(type_name.size()));
+  p = PutBytes(p, type_name.data(), type_name.size());
+  p = Put(p, static_cast<uint64_t>(event.request_id()));
+  p = Put(p, static_cast<uint64_t>(event.timestamp()));
   for (size_t i = 0; i < event.field_count(); ++i) {
-    EncodeValue(event.field(i), out);
+    p = WriteValue(event.field(i), p);
   }
-  return out->size() - before;
+  return n;
 }
 
 Result<Event> DecodeEvent(const SchemaRegistry& registry,
                           const std::string& buffer, size_t* offset) {
   uint32_t name_len;
-  std::string type_name;
-  if (!GetU32(buffer, offset, &name_len) ||
-      !GetBytes(buffer, offset, name_len, &type_name)) {
+  std::string_view type_name;
+  if (!Get(buffer, offset, &name_len) ||
+      !GetView(buffer, offset, name_len, &type_name)) {
     return InvalidArgument("truncated event header");
   }
   Result<SchemaPtr> schema = registry.Get(type_name);
@@ -280,8 +355,7 @@ Result<Event> DecodeEvent(const SchemaRegistry& registry,
   }
   uint64_t request_id;
   uint64_t timestamp;
-  if (!GetU64(buffer, offset, &request_id) ||
-      !GetU64(buffer, offset, &timestamp)) {
+  if (!Get(buffer, offset, &request_id) || !Get(buffer, offset, &timestamp)) {
     return InvalidArgument("truncated event metadata");
   }
   Event event(*schema, request_id, static_cast<TimeMicros>(timestamp));
@@ -298,189 +372,215 @@ Result<Event> DecodeEvent(const SchemaRegistry& registry,
 size_t EncodeColumnBatch(const ColumnBatch& batch, const uint32_t* selection,
                          size_t selected, const std::vector<bool>* keep_field,
                          std::string* out, std::vector<int>* encodings) {
-  const size_t before = out->size();
   const size_t rows = selection != nullptr ? selected : batch.rows();
+  std::vector<uint32_t> all_rows;
+  if (selection == nullptr) {
+    all_rows.resize(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      all_rows[i] = static_cast<uint32_t>(i);
+    }
+    selection = all_rows.data();
+  }
+  const size_t columns = batch.column_count();
+  const size_t bitmap_bytes = (rows + 7) / 8;
   if (encodings != nullptr) {
-    encodings->assign(batch.column_count(), 0);
+    encodings->assign(columns, 0);
   }
-  auto row_at = [&](size_t i) -> size_t {
-    return selection != nullptr ? selection[i] : i;
-  };
+
+  // Pass 1: per column, the selection-local null bitmap, the non-null count
+  // and the encoding; together they give the payload's exact size.
+  std::vector<ColumnPlan> plans(columns);
+  std::vector<uint8_t> bitmaps;  // the columns' null bitmaps, back to back
+  std::vector<std::string_view> entries;  // dictionaries, back to back
+  std::vector<uint8_t> codes;             // dictionary codes, back to back
+  std::unordered_map<std::string_view, uint32_t> index;
   const std::string& type_name = batch.schema()->type_name();
-  PutU32(out, static_cast<uint32_t>(type_name.size()));
-  out->append(type_name);
-  PutU32(out, static_cast<uint32_t>(rows));
-  for (size_t i = 0; i < rows; ++i) {
-    PutU64(out, batch.request_id(row_at(i)));
-  }
-  for (size_t i = 0; i < rows; ++i) {
-    PutU64(out, static_cast<uint64_t>(batch.timestamp(row_at(i))));
-  }
-  for (size_t f = 0; f < batch.column_count(); ++f) {
+  size_t total = 4 + type_name.size() + 4 + 16 * rows + columns;
+  for (size_t f = 0; f < columns; ++f) {
+    ColumnPlan& plan = plans[f];
     const bool dropped = keep_field != nullptr && f < keep_field->size() &&
                          !(*keep_field)[f];
     const ColumnBatch::Column& col = batch.column(f);
-    bool all_null = true;
-    if (!dropped) {
-      for (size_t i = 0; i < rows && all_null; ++i) {
-        all_null = BitmapGet(col.nulls, row_at(i));
+    plan.bitmap = kNoNulls;
+    plan.non_null = dropped ? 0 : rows;
+    if (!dropped && !col.nulls.empty()) {
+      plan.bitmap = bitmaps.size();
+      bitmaps.resize(bitmaps.size() + bitmap_bytes, 0);
+      uint8_t* bits = bitmaps.data() + plan.bitmap;
+      for (size_t i = 0; i < rows; ++i) {
+        if (BitmapGet(col.nulls, selection[i])) {
+          bits[i / 8] = static_cast<uint8_t>(bits[i / 8] | (1U << (i % 8)));
+          --plan.non_null;
+        }
+      }
+      if (plan.non_null == rows) {
+        bitmaps.resize(plan.bitmap);
+        plan.bitmap = kNoNulls;
       }
     }
-    if (dropped || all_null) {
-      out->push_back(static_cast<char>(kColNull));
+    if (plan.non_null == 0) {  // dropped, all null, or no rows
       if (encodings != nullptr) {
         (*encodings)[f] = -1;
       }
       continue;
     }
-    std::vector<uint8_t> bits((rows + 7) / 8, 0);
-    size_t non_null = 0;
-    for (size_t i = 0; i < rows; ++i) {
-      if (BitmapGet(col.nulls, row_at(i))) {
-        bits[i / 8] = static_cast<uint8_t>(bits[i / 8] | (1U << (i % 8)));
-      } else {
-        ++non_null;
-      }
-    }
+    total += bitmap_bytes;
+    const uint8_t* nulls =
+        plan.bitmap == kNoNulls ? nullptr : bitmaps.data() + plan.bitmap;
     switch (col.rep) {
-      case ColumnBatch::Rep::kBool: {
-        out->push_back(static_cast<char>(kColBool));
-        out->append(reinterpret_cast<const char*>(bits.data()), bits.size());
-        std::vector<uint8_t> packed((non_null + 7) / 8, 0);
-        size_t k = 0;
-        for (size_t i = 0; i < rows; ++i) {
-          const size_t r = row_at(i);
-          if (BitmapGet(col.nulls, r)) {
-            continue;
-          }
-          if (col.bools[r] != 0) {
-            packed[k / 8] = static_cast<uint8_t>(packed[k / 8] |
-                                                 (1U << (k % 8)));
-          }
-          ++k;
-        }
-        out->append(reinterpret_cast<const char*>(packed.data()),
-                    packed.size());
+      case ColumnBatch::Rep::kBool:
+        plan.tag = kColBool;
+        plan.value_bytes = (plan.non_null + 7) / 8;
         break;
-      }
-      case ColumnBatch::Rep::kInt: {
-        out->push_back(static_cast<char>(kColInt));
-        out->append(reinterpret_cast<const char*>(bits.data()), bits.size());
-        for (size_t i = 0; i < rows; ++i) {
-          const size_t r = row_at(i);
-          if (!BitmapGet(col.nulls, r)) {
-            PutU64(out, static_cast<uint64_t>(col.ints[r]));
-          }
-        }
+      case ColumnBatch::Rep::kInt:
+        plan.tag = kColInt;
+        plan.value_bytes = 8 * plan.non_null;
         break;
-      }
-      case ColumnBatch::Rep::kDouble: {
-        out->push_back(static_cast<char>(kColDouble));
-        out->append(reinterpret_cast<const char*>(bits.data()), bits.size());
-        for (size_t i = 0; i < rows; ++i) {
-          const size_t r = row_at(i);
-          if (!BitmapGet(col.nulls, r)) {
-            PutDouble(out, col.doubles[r]);
-          }
-        }
+      case ColumnBatch::Rep::kDouble:
+        plan.tag = kColDouble;
+        plan.value_bytes = 8 * plan.non_null;
         break;
-      }
       case ColumnBatch::Rep::kString:
       case ColumnBatch::Rep::kDict: {
-        // Byte span of row r's string without materializing a Value (kDict
-        // rows indirect through their code).
-        auto slice = [&col](size_t r) -> std::string_view {
-          const size_t idx = col.rep == ColumnBatch::Rep::kDict
-                                 ? static_cast<size_t>(col.ints[r])
-                                 : r;
-          return std::string_view(col.arena)
-              .substr(col.offsets[idx], col.offsets[idx + 1] - col.offsets[idx]);
-        };
         // Dictionary pass: dedupe the selected non-null strings in
         // first-appearance order. Dict wins only when the dictionary plus
         // one code byte per value is strictly smaller than the plain
         // length-prefixed bytes — so pathological (high-cardinality)
         // columns cost one wasted scan, never wire bytes.
-        std::vector<std::string_view> entries;
-        std::unordered_map<std::string_view, uint32_t> index;
-        std::vector<uint8_t> codes;
-        codes.reserve(non_null);
         size_t plain_bytes = 0;
         size_t entry_bytes = 0;
-        bool eligible =
-            batch.schema()->field(f).type == FieldType::kString;
-        for (size_t i = 0; i < rows && eligible; ++i) {
-          const size_t r = row_at(i);
-          if (BitmapGet(col.nulls, r)) {
-            continue;
-          }
-          const std::string_view sv = slice(r);
+        plan.first_entry = entries.size();
+        plan.first_code = codes.size();
+        bool eligible = batch.schema()->field(f).type == FieldType::kString;
+        index.clear();
+        ForEachValue(selection, rows, nulls, [&](size_t r) {
+          const std::string_view sv = StringAt(col, r);
           plain_bytes += 4 + sv.size();
-          auto it = index.find(sv);
-          if (it == index.end()) {
-            if (entries.size() >= kMaxDictEntries) {
+          if (!eligible) {
+            return;
+          }
+          const auto [it, inserted] = index.try_emplace(
+              sv, static_cast<uint32_t>(entries.size() - plan.first_entry));
+          if (inserted) {
+            if (it->second >= kMaxDictEntries) {
               eligible = false;
-              break;
+              return;
             }
-            it = index.emplace(sv, static_cast<uint32_t>(entries.size()))
-                     .first;
             entries.push_back(sv);
             entry_bytes += 4 + sv.size();
           }
           codes.push_back(static_cast<uint8_t>(it->second));
-        }
-        const size_t dict_bytes = 4 + entry_bytes + codes.size();
-        if (eligible && !entries.empty() && dict_bytes < plain_bytes) {
-          out->push_back(static_cast<char>(kColDict));
-          out->append(reinterpret_cast<const char*>(bits.data()),
-                      bits.size());
-          PutU32(out, static_cast<uint32_t>(entries.size()));
-          for (const std::string_view sv : entries) {
-            PutU32(out, static_cast<uint32_t>(sv.size()));
-            out->append(sv.data(), sv.size());
-          }
-          out->append(reinterpret_cast<const char*>(codes.data()),
-                      codes.size());
+        });
+        plan.entry_count = entries.size() - plan.first_entry;
+        const size_t dict_bytes =
+            4 + entry_bytes + (codes.size() - plan.first_code);
+        if (eligible && plan.entry_count > 0 && dict_bytes < plain_bytes) {
+          plan.tag = kColDict;
+          plan.value_bytes = dict_bytes;
           if (encodings != nullptr) {
-            (*encodings)[f] = static_cast<int>(entries.size());
+            (*encodings)[f] = static_cast<int>(plan.entry_count);
           }
-          break;
-        }
-        out->push_back(static_cast<char>(kColString));
-        out->append(reinterpret_cast<const char*>(bits.data()), bits.size());
-        for (size_t i = 0; i < rows; ++i) {
-          const size_t r = row_at(i);
-          if (!BitmapGet(col.nulls, r)) {
-            const std::string_view sv = slice(r);
-            PutU32(out, static_cast<uint32_t>(sv.size()));
-            out->append(sv.data(), sv.size());
-          }
+        } else {
+          entries.resize(plan.first_entry);
+          codes.resize(plan.first_code);
+          plan.tag = kColString;
+          plan.value_bytes = plain_bytes;
         }
         break;
       }
-      case ColumnBatch::Rep::kGeneric: {
-        out->push_back(static_cast<char>(kColGeneric));
-        out->append(reinterpret_cast<const char*>(bits.data()), bits.size());
-        for (size_t i = 0; i < rows; ++i) {
-          const size_t r = row_at(i);
-          if (!BitmapGet(col.nulls, r)) {
-            EncodeValue(col.generic[r], out);
+      case ColumnBatch::Rep::kGeneric:
+        plan.tag = kColGeneric;
+        ForEachValue(selection, rows, nulls, [&](size_t r) {
+          plan.value_bytes += col.generic[r].WireSize();
+        });
+        break;
+    }
+    total += plan.value_bytes;
+  }
+
+  // Pass 2: write the payload into the exactly-sized buffer.
+  char* p = Extend(out, total);
+  p = Put(p, static_cast<uint32_t>(type_name.size()));
+  p = PutBytes(p, type_name.data(), type_name.size());
+  p = Put(p, static_cast<uint32_t>(rows));
+  for (size_t i = 0; i < rows; ++i) {
+    p = Put(p, static_cast<uint64_t>(batch.request_id(selection[i])));
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    p = Put(p, static_cast<uint64_t>(batch.timestamp(selection[i])));
+  }
+  for (size_t f = 0; f < columns; ++f) {
+    const ColumnPlan& plan = plans[f];
+    *p++ = static_cast<char>(plan.tag);
+    if (plan.tag == kColNull) {
+      continue;
+    }
+    const uint8_t* nulls = nullptr;
+    if (plan.bitmap == kNoNulls) {
+      std::memset(p, 0, bitmap_bytes);
+      p += bitmap_bytes;
+    } else {
+      nulls = bitmaps.data() + plan.bitmap;
+      p = PutBytes(p, nulls, bitmap_bytes);
+    }
+    const ColumnBatch::Column& col = batch.column(f);
+    switch (plan.tag) {
+      case kColBool: {
+        std::memset(p, 0, plan.value_bytes);
+        uint8_t* packed = reinterpret_cast<uint8_t*>(p);
+        size_t k = 0;
+        ForEachValue(selection, rows, nulls, [&](size_t r) {
+          if (col.bools[r] != 0) {
+            packed[k / 8] = static_cast<uint8_t>(packed[k / 8] |
+                                                 (1U << (k % 8)));
           }
-        }
+          ++k;
+        });
+        p += plan.value_bytes;
         break;
       }
+      case kColInt:
+        ForEachValue(selection, rows, nulls,
+                     [&](size_t r) { p = Put(p, col.ints[r]); });
+        break;
+      case kColDouble:
+        ForEachValue(selection, rows, nulls,
+                     [&](size_t r) { p = Put(p, col.doubles[r]); });
+        break;
+      case kColString:
+        ForEachValue(selection, rows, nulls, [&](size_t r) {
+          const std::string_view sv = StringAt(col, r);
+          p = Put(p, static_cast<uint32_t>(sv.size()));
+          p = PutBytes(p, sv.data(), sv.size());
+        });
+        break;
+      case kColDict:
+        p = Put(p, static_cast<uint32_t>(plan.entry_count));
+        for (size_t e = 0; e < plan.entry_count; ++e) {
+          const std::string_view sv = entries[plan.first_entry + e];
+          p = Put(p, static_cast<uint32_t>(sv.size()));
+          p = PutBytes(p, sv.data(), sv.size());
+        }
+        p = PutBytes(p, codes.data() + plan.first_code, plan.non_null);
+        break;
+      case kColGeneric:
+        ForEachValue(selection, rows, nulls,
+                     [&](size_t r) { p = WriteValue(col.generic[r], p); });
+        break;
+      case kColNull:
+        break;
     }
   }
-  return out->size() - before;
+  return total;
 }
 
 Result<ColumnBatch> DecodeColumnBatch(const SchemaRegistry& registry,
-                                      const std::string& buffer) {
+                                      std::string_view buffer) {
   size_t off = 0;
   uint32_t name_len;
-  std::string type_name;
-  if (!GetU32(buffer, &off, &name_len) ||
-      !GetBytes(buffer, &off, name_len, &type_name)) {
+  std::string_view type_name;
+  if (!Get(buffer, &off, &name_len) ||
+      !GetView(buffer, &off, name_len, &type_name)) {
     return InvalidArgument("truncated column batch header");
   }
   Result<SchemaPtr> schema = registry.Get(type_name);
@@ -488,7 +588,7 @@ Result<ColumnBatch> DecodeColumnBatch(const SchemaRegistry& registry,
     return schema.status();
   }
   uint32_t rows;
-  if (!GetU32(buffer, &off, &rows)) {
+  if (!Get(buffer, &off, &rows)) {
     return InvalidArgument("truncated column batch row count");
   }
   // Request id + timestamp alone cost 16 bytes per row; a row count the
@@ -497,106 +597,91 @@ Result<ColumnBatch> DecodeColumnBatch(const SchemaRegistry& registry,
     return InvalidArgument("column batch row count exceeds buffer");
   }
   std::vector<uint64_t> request_ids(rows);
+  if (!GetArray(buffer, &off, rows, request_ids.data())) {
+    return InvalidArgument("truncated request id column");
+  }
   std::vector<int64_t> timestamps(rows);
-  for (uint32_t r = 0; r < rows; ++r) {
-    if (!GetU64(buffer, &off, &request_ids[r])) {
-      return InvalidArgument("truncated request id column");
-    }
+  if (!GetArray(buffer, &off, rows, timestamps.data())) {
+    return InvalidArgument("truncated timestamp column");
   }
-  for (uint32_t r = 0; r < rows; ++r) {
-    uint64_t ts;
-    if (!GetU64(buffer, &off, &ts)) {
-      return InvalidArgument("truncated timestamp column");
-    }
-    timestamps[r] = static_cast<int64_t>(ts);
-  }
+  // Every column after this is checked against the buffer once, as a whole:
+  // its bitmap, then (fixed-width reps) all of its values.
+  const size_t bitmap_bytes = (rows + 7) / 8;
   ColumnBatch batch(*schema);
   for (size_t f = 0; f < (*schema)->field_count(); ++f) {
     uint8_t tag;
-    if (!GetU8(buffer, &off, &tag)) {
+    if (!Get(buffer, &off, &tag)) {
       return InvalidArgument("truncated column tag");
     }
     if (tag == kColNull) {
       batch.FillAllNull(f, rows);
       continue;
     }
-    std::vector<uint8_t> bits;
-    if (!ReadBitmap(buffer, &off, rows, &bits)) {
+    ColumnBatch::Column* col = batch.MutableColumn(f);
+    if (!Has(buffer, off, bitmap_bytes)) {
       return InvalidArgument("truncated null bitmap");
     }
+    const auto* bits = reinterpret_cast<const uint8_t*>(buffer.data() + off);
     if (!PaddingClear(bits, rows)) {
       return InvalidArgument("null bitmap does not match row count");
     }
-    size_t non_null = 0;
-    for (uint32_t r = 0; r < rows; ++r) {
-      if (!BitmapGet(bits, r)) {
-        ++non_null;
-      }
-    }
-    ColumnBatch::Column* col = batch.MutableColumn(f);
-    col->nulls = bits;
+    col->nulls.assign(bits, bits + bitmap_bytes);
+    off += bitmap_bytes;
+    const size_t non_null = rows - CountSet(col->nulls);
     switch (tag) {
       case kColBool: {
         col->rep = ColumnBatch::Rep::kBool;
-        std::vector<uint8_t> packed;
-        if (!ReadBitmap(buffer, &off, non_null, &packed)) {
+        const size_t packed_bytes = (non_null + 7) / 8;
+        if (!Has(buffer, off, packed_bytes)) {
           return InvalidArgument("truncated bool column");
         }
+        const auto* packed =
+            reinterpret_cast<const uint8_t*>(buffer.data() + off);
         if (!PaddingClear(packed, non_null)) {
           return InvalidArgument("bool column padding not zero");
         }
+        off += packed_bytes;
         col->bools.assign(rows, 0);
         size_t k = 0;
         for (uint32_t r = 0; r < rows; ++r) {
-          if (!BitmapGet(bits, r)) {
-            col->bools[r] = BitmapGet(packed, k) ? 1 : 0;
+          if (!BitmapGet(col->nulls, r)) {
+            col->bools[r] = BitSet(packed, k) ? 1 : 0;
             ++k;
           }
         }
         break;
       }
-      case kColInt: {
+      case kColInt:
         col->rep = ColumnBatch::Rep::kInt;
-        col->ints.assign(rows, 0);
-        for (uint32_t r = 0; r < rows; ++r) {
-          if (BitmapGet(bits, r)) {
-            continue;
-          }
-          uint64_t v;
-          if (!GetU64(buffer, &off, &v)) {
-            return InvalidArgument("truncated int column");
-          }
-          col->ints[r] = static_cast<int64_t>(v);
+        if (!Has(buffer, off, 8 * non_null)) {
+          return InvalidArgument("truncated int column");
         }
+        ScatterFixed(buffer.data() + off, col->nulls, rows, non_null,
+                     &col->ints);
+        off += 8 * non_null;
         break;
-      }
-      case kColDouble: {
+      case kColDouble:
         col->rep = ColumnBatch::Rep::kDouble;
-        col->doubles.assign(rows, 0.0);
-        for (uint32_t r = 0; r < rows; ++r) {
-          if (BitmapGet(bits, r)) {
-            continue;
-          }
-          double v;
-          if (!GetDouble(buffer, &off, &v)) {
-            return InvalidArgument("truncated double column");
-          }
-          col->doubles[r] = v;
+        if (!Has(buffer, off, 8 * non_null)) {
+          return InvalidArgument("truncated double column");
         }
+        ScatterFixed(buffer.data() + off, col->nulls, rows, non_null,
+                     &col->doubles);
+        off += 8 * non_null;
         break;
-      }
       case kColString: {
         col->rep = ColumnBatch::Rep::kString;
         col->offsets.assign(1, 0);
+        col->offsets.reserve(static_cast<size_t>(rows) + 1);
         col->arena.clear();
         for (uint32_t r = 0; r < rows; ++r) {
-          if (!BitmapGet(bits, r)) {
+          if (!BitmapGet(col->nulls, r)) {
             uint32_t n;
-            if (!GetU32(buffer, &off, &n) || buffer.size() - off < n) {
+            std::string_view s;
+            if (!Get(buffer, &off, &n) || !GetView(buffer, &off, n, &s)) {
               return InvalidArgument("truncated string column");
             }
-            col->arena.append(buffer, off, n);
-            off += n;
+            col->arena.append(s);
           }
           col->offsets.push_back(static_cast<uint32_t>(col->arena.size()));
         }
@@ -607,7 +692,7 @@ Result<ColumnBatch> DecodeColumnBatch(const SchemaRegistry& registry,
         col->generic.clear();
         col->generic.reserve(rows);
         for (uint32_t r = 0; r < rows; ++r) {
-          if (BitmapGet(bits, r)) {
+          if (BitmapGet(col->nulls, r)) {
             col->generic.emplace_back();
             continue;
           }
@@ -626,7 +711,7 @@ Result<ColumnBatch> DecodeColumnBatch(const SchemaRegistry& registry,
           return InvalidArgument("dictionary column on non-string field");
         }
         uint32_t dict_count;
-        if (!GetU32(buffer, &off, &dict_count)) {
+        if (!Get(buffer, &off, &dict_count)) {
           return InvalidArgument("truncated dictionary header");
         }
         if (dict_count == 0 || dict_count > kMaxDictEntries) {
@@ -641,27 +726,33 @@ Result<ColumnBatch> DecodeColumnBatch(const SchemaRegistry& registry,
         col->arena.clear();
         for (uint32_t d = 0; d < dict_count; ++d) {
           uint32_t n;
-          if (!GetU32(buffer, &off, &n) || buffer.size() - off < n) {
+          std::string_view s;
+          if (!Get(buffer, &off, &n) || !GetView(buffer, &off, n, &s)) {
             return InvalidArgument("truncated dictionary entry");
           }
-          col->arena.append(buffer, off, n);
-          off += n;
+          col->arena.append(s);
           col->offsets.push_back(static_cast<uint32_t>(col->arena.size()));
         }
+        // One code byte per non-null row. The codes present are range-
+        // checked in row order before a short run is reported, the order
+        // a per-code read reports them in.
+        const size_t present = std::min<size_t>(non_null, buffer.size() - off);
+        const auto* code = reinterpret_cast<const uint8_t*>(buffer.data() + off);
         col->ints.assign(rows, 0);
+        size_t k = 0;
         for (uint32_t r = 0; r < rows; ++r) {
-          if (BitmapGet(bits, r)) {
+          if (BitmapGet(col->nulls, r)) {
             continue;
           }
-          uint8_t code;
-          if (!GetU8(buffer, &off, &code)) {
+          if (k == present) {
             return InvalidArgument("truncated dictionary codes");
           }
-          if (code >= dict_count) {
+          if (code[k] >= dict_count) {
             return InvalidArgument("dictionary code out of range");
           }
-          col->ints[r] = code;
+          col->ints[r] = code[k++];
         }
+        off += non_null;
         break;
       }
       default:
@@ -680,29 +771,30 @@ size_t EncodeColumnJoinBatch(const std::vector<ColumnJoinSection>& sections,
                              std::string* out,
                              std::vector<std::vector<int>>* encodings) {
   const size_t before = out->size();
-  PutU32(out, static_cast<uint32_t>(sections.size()));
+  Put(Extend(out, 4), static_cast<uint32_t>(sections.size()));
   if (encodings != nullptr) {
     encodings->assign(sections.size(), {});
   }
   for (size_t s = 0; s < sections.size(); ++s) {
     const ColumnJoinSection& sec = sections[s];
-    const size_t len_pos = out->size();
-    PutU32(out, 0);  // patched below once the section length is known
-    EncodeColumnBatch(*sec.batch, sec.selection, sec.selected, sec.keep_field,
-                      out, encodings != nullptr ? &(*encodings)[s] : nullptr);
-    const uint32_t len = static_cast<uint32_t>(out->size() - len_pos - 4);
-    std::memcpy(&(*out)[len_pos], &len, 4);
+    const size_t len_at = out->size();
+    Extend(out, 4);  // the section length, written once it is known
+    const size_t len = EncodeColumnBatch(
+        *sec.batch, sec.selection, sec.selected, sec.keep_field, out,
+        encodings != nullptr ? &(*encodings)[s] : nullptr);
+    Put(out->data() + len_at, static_cast<uint32_t>(len));
   }
-  PutU32(out, static_cast<uint32_t>(order.size()));
-  out->append(reinterpret_cast<const char*>(order.data()), order.size());
+  char* p = Extend(out, 4 + order.size());
+  p = Put(p, static_cast<uint32_t>(order.size()));
+  PutBytes(p, order.data(), order.size());
   return out->size() - before;
 }
 
 Result<ColumnJoinBatch> DecodeColumnJoinBatch(const SchemaRegistry& registry,
-                                              const std::string& buffer) {
+                                              std::string_view buffer) {
   size_t off = 0;
   uint32_t section_count;
-  if (!GetU32(buffer, &off, &section_count)) {
+  if (!Get(buffer, &off, &section_count)) {
     return InvalidArgument("truncated join batch header");
   }
   if (section_count == 0 || section_count > kMaxColumnJoinSections) {
@@ -713,26 +805,26 @@ Result<ColumnJoinBatch> DecodeColumnJoinBatch(const SchemaRegistry& registry,
   size_t total_rows = 0;
   for (uint32_t s = 0; s < section_count; ++s) {
     uint32_t len;
-    if (!GetU32(buffer, &off, &len) || buffer.size() - off < len) {
+    std::string_view section;
+    if (!Get(buffer, &off, &len) || !GetView(buffer, &off, len, &section)) {
       return InvalidArgument("truncated join batch section");
     }
     // Each section is a complete columnar payload; decoding the exact
-    // subrange inherits the full hostile-input discipline, including its
-    // own trailing-bytes check against the declared section length.
-    Result<ColumnBatch> sec =
-        DecodeColumnBatch(registry, buffer.substr(off, len));
+    // subrange (a view, not a copy) inherits the full hostile-input
+    // discipline, including its own trailing-bytes check against the
+    // declared section length.
+    Result<ColumnBatch> sec = DecodeColumnBatch(registry, section);
     if (!sec.ok()) {
       return sec.status();
     }
-    off += len;
     total_rows += sec->rows();
     out.sections.push_back(std::move(sec).value());
   }
   uint32_t order_count;
-  if (!GetU32(buffer, &off, &order_count)) {
+  if (!Get(buffer, &off, &order_count)) {
     return InvalidArgument("truncated join batch order header");
   }
-  if (order_count != total_rows || buffer.size() - off < order_count) {
+  if (order_count != total_rows || !Has(buffer, off, order_count)) {
     return InvalidArgument("join batch order does not match section rows");
   }
   std::vector<size_t> seen(section_count, 0);

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -69,12 +70,16 @@ Result<Event> DecodeEvent(const SchemaRegistry& registry,
 //                    dictionary + codes are strictly smaller than the plain
 //                    bytes; only string-typed schema fields may carry it.
 //
-// Decode applies the same hostile-input discipline as the record codec:
-// truncation checks on every read, row counts capped by what the remaining
-// bytes could possibly hold, nonzero bitmap padding rejected, unknown column
-// tags rejected, out-of-range dictionary codes and truncated/oversized
-// dictionaries rejected, dict tags on non-string fields rejected, trailing
-// bytes rejected.
+// Encode sizes the payload exactly in a planning pass (null bitmaps,
+// non-null counts, the dict/plain choice) and then writes it into a buffer
+// grown once. Decode applies the same hostile-input discipline as the
+// record codec: every read is truncation-checked (each fixed-width run --
+// request ids, timestamps, a bitmap, an int/double/bool column's values --
+// with one check as a whole, length-prefixed values one by one), row counts
+// capped by what the remaining bytes could possibly hold, nonzero bitmap
+// padding rejected, unknown column tags rejected, out-of-range dictionary
+// codes and truncated/oversized dictionaries rejected, dict tags on
+// non-string fields rejected, trailing bytes rejected.
 
 // Appends the columnar encoding of the selected rows to `out`; returns bytes
 // written. `selection` lists row indices in emission order (nullptr = all
@@ -89,9 +94,10 @@ size_t EncodeColumnBatch(const ColumnBatch& batch, const uint32_t* selection,
                          std::string* out,
                          std::vector<int>* encodings = nullptr);
 
-// Decodes a columnar payload against `registry`.
+// Decodes a columnar payload against `registry`. The batch owns its
+// storage; nothing in it points into `buffer`.
 Result<ColumnBatch> DecodeColumnBatch(const SchemaRegistry& registry,
-                                      const std::string& buffer);
+                                      std::string_view buffer);
 
 // ---- Columnar join batch format (BatchFormat::kColumnarJoin) ---------------
 //
@@ -106,8 +112,9 @@ Result<ColumnBatch> DecodeColumnBatch(const SchemaRegistry& registry,
 //     appear exactly its section's row count of times)
 // Decode rejects out-of-range section counts, truncated sections, order
 // entries that disagree with the sections, and trailing bytes; each section
-// is decoded with the full columnar hostile-input discipline (including the
-// per-section trailing-bytes check).
+// is decoded, as a view of the payload rather than a copy, with the full
+// columnar hostile-input discipline (including the per-section
+// trailing-bytes check).
 
 inline constexpr size_t kMaxColumnJoinSections = 16;
 
@@ -135,7 +142,7 @@ struct ColumnJoinBatch {
 };
 
 Result<ColumnJoinBatch> DecodeColumnJoinBatch(const SchemaRegistry& registry,
-                                              const std::string& buffer);
+                                              std::string_view buffer);
 
 // Builds a batch payload from materialized events (the logging baseline,
 // tests and benches): appends it to `out` and returns its format. Events of

@@ -375,6 +375,106 @@ TEST_F(AgentTest, RetransmitBufferEvictsOldestAtCapacity) {
   EXPECT_EQ(stats->events_abandoned, 1u);
 }
 
+TEST_F(AgentTest, RetransmitQueueOutlivesTheAckButNotTheQuery) {
+  AgentConfig config;
+  config.retransmit_budget = 60 * kMicrosPerSecond;
+  config.retransmit_backoff = 100 * kMicrosPerMilli;
+  ScrubAgent agent(/*host=*/3, &meter_, config, /*sampling_seed=*/99);
+  const auto ack_all = [&agent](const std::vector<EventBatch>& batches) {
+    for (const EventBatch& b : batches) {
+      agent.OnAck(b.query_id, b.seq);
+    }
+  };
+  const HostPlan live = PlanFor("SELECT COUNT(*) FROM bid WINDOW 1 s "
+                                "DURATION 600 s;");
+  agent.InstallQuery(live);
+  EXPECT_EQ(agent.retransmit_queues(), 0u);  // nothing held yet
+
+  // A live query's queue survives every flush/ack cycle that empties it.
+  TimeMicros now = 0;
+  for (int i = 0; i < 5; ++i) {
+    now += kMicrosPerSecond;
+    agent.LogEvent(MakeBid(i + 1, now - 10, 5, 1.0));
+    const std::vector<EventBatch> batches = agent.Flush(now);
+    ASSERT_EQ(batches.size(), 1u);
+    EXPECT_EQ(agent.pending_retransmits(), 1u);
+    ack_all(batches);
+    EXPECT_EQ(agent.pending_retransmits(), 0u);
+    EXPECT_EQ(agent.retransmit_queues(), 1u);
+  }
+
+  // An unacked batch in the reused queue is still re-sent after its backoff.
+  now += kMicrosPerSecond;
+  agent.LogEvent(MakeBid(99, now - 10, 5, 1.0));
+  const std::vector<EventBatch> unacked = agent.Flush(now);
+  ASSERT_EQ(unacked.size(), 1u);
+  EXPECT_TRUE(agent.Retransmits(now + 50 * kMicrosPerMilli).empty());
+  const std::vector<EventBatch> retries =
+      agent.Retransmits(now + 130 * kMicrosPerMilli);
+  ASSERT_EQ(retries.size(), 1u);
+  EXPECT_EQ(retries[0].seq, unacked[0].seq);
+  EXPECT_EQ(retries[0].payload, unacked[0].payload);
+  // The queue's copy shares the shipped batch's bytes rather than copying.
+  EXPECT_EQ(retries[0].payload.view().data(),
+            unacked[0].payload.view().data());
+  EXPECT_EQ(agent.pending_retransmits(), 1u);
+  ack_all(unacked);
+  EXPECT_EQ(agent.pending_retransmits(), 0u);
+  EXPECT_EQ(agent.retransmit_queues(), 1u);
+
+  // 100 short queries come and go, retired or removed, with their queue
+  // empty or still holding a batch at the time. Each queue goes once the
+  // query is gone and the queue has drained, so the count returns to the
+  // live-query count.
+  for (int i = 0; i < 100; ++i) {
+    now += kMicrosPerSecond;
+    const HostPlan brief =
+        PlanFor("SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 1 s;", now);
+    agent.InstallQuery(brief);
+    agent.LogEvent(MakeBid(1000 + i, now + 10, 5, 1.0));
+    std::vector<EventBatch> batches =
+        agent.Flush(now + 500 * kMicrosPerMilli);  // both queries ship
+    ASSERT_EQ(batches.size(), 2u);
+    const bool drained_first = i % 2 == 0;
+    if (drained_first) {
+      ack_all(batches);
+    }
+    EXPECT_EQ(agent.retransmit_queues(), 2u) << "query " << i;
+    if (i % 3 == 0) {
+      agent.RemoveQuery(brief.query_id);
+    } else {
+      now += 2 * kMicrosPerSecond;
+      std::vector<QueryId> expired;
+      ack_all(agent.Flush(now, &expired));
+      ASSERT_EQ(expired, std::vector<QueryId>{brief.query_id});
+    }
+    EXPECT_EQ(agent.retransmit_queues(), drained_first ? 1u : 2u)
+        << "query " << i;
+    ack_all(batches);
+    EXPECT_EQ(agent.retransmit_queues(), 1u) << "query " << i;
+    EXPECT_EQ(agent.pending_retransmits(), 0u);
+  }
+  EXPECT_EQ(agent.active_queries(), 1u);
+
+  // A retired query's undrained queue also goes when its deadline sheds
+  // the last batch.
+  const HostPlan last =
+      PlanFor("SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 1 s;", now);
+  agent.InstallQuery(last);
+  agent.LogEvent(MakeBid(5000, now + 10, 5, 1.0));
+  now += 2 * kMicrosPerSecond;
+  for (const EventBatch& b : agent.Flush(now)) {
+    if (b.query_id == live.query_id) {
+      agent.OnAck(b.query_id, b.seq);
+    }
+  }
+  EXPECT_EQ(agent.retransmit_queues(), 2u);
+  EXPECT_EQ(agent.pending_retransmits(), 1u);
+  (void)agent.Retransmits(now + config.retransmit_budget);
+  EXPECT_EQ(agent.retransmit_queues(), 1u);
+  EXPECT_EQ(agent.pending_retransmits(), 0u);
+}
+
 TEST_F(AgentTest, HeartbeatsOnlyWhenOptedIn) {
   // Default config: a flush with nothing staged ships nothing.
   agent_.InstallQuery(PlanFor("SELECT COUNT(*) FROM bid WINDOW 1 s "

@@ -109,7 +109,9 @@ TEST_P(CentralPropertyTest, MatchesBruteForceReference) {
     batch.query_id = central_plan.query_id;
     batch.host = b;
     batch.event_count = slice.size();
-    batch.format = EncodeEvents(slice, &batch.payload);
+    std::string encoded;
+    batch.format = EncodeEvents(slice, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     ASSERT_TRUE(central.IngestBatch(batch, 0).ok());
   }
   central.OnTick(60 * kMicrosPerSecond);

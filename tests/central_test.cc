@@ -47,7 +47,9 @@ class CentralTest : public ::testing::Test {
     batch.query_id = qid;
     batch.host = host;
     batch.event_count = events.size();
-    batch.format = EncodeEvents(events, &batch.payload);
+    std::string encoded;
+    batch.format = EncodeEvents(events, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     batch.counters = std::move(counters);
     return batch;
   }

@@ -524,7 +524,9 @@ class ShardedSampledDifferentialTest : public ::testing::Test {
       batch.query_id = plan.query_id;
       batch.host = static_cast<HostId>(h);
       batch.event_count = kept.size();
-      batch.format = EncodeEvents(kept, &batch.payload);
+      std::string encoded;
+      batch.format = EncodeEvents(kept, &encoded);
+      batch.payload = BatchPayload(std::move(encoded));
       for (const auto& [w, c] : counters) {
         batch.counters.push_back(c);
       }

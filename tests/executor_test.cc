@@ -350,9 +350,11 @@ class JoinBufferTest : public ExecutorTest {
     batch.query_id = 1;
     batch.format = BatchFormat::kColumnarJoin;
     batch.event_count = arrival.size();
+    std::string encoded;
     EncodeColumnJoinBatch({ColumnJoinSection{&bids, nullptr, bids.rows()},
                            ColumnJoinSection{&imps, nullptr, imps.rows()}},
-                          order, &batch.payload);
+                          order, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     return batch;
   }
 

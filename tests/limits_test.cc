@@ -91,7 +91,9 @@ TEST(JoinBoundTest, ShedsRequestIdsBeyondCapacity) {
   batch.query_id = central_plan.query_id;
   batch.host = 0;
   batch.event_count = events.size();
-  batch.format = EncodeEvents(events, &batch.payload);
+  std::string encoded;
+  batch.format = EncodeEvents(events, &encoded);
+  batch.payload = BatchPayload(std::move(encoded));
   ASSERT_TRUE(central.IngestBatch(batch, 0).ok());
   central.OnTick(60 * kMicrosPerSecond);
 
@@ -147,7 +149,9 @@ TEST(JoinBoundTest, BoundIsPerWindow) {
   batch.query_id = central_plan.query_id;
   batch.host = 0;
   batch.event_count = events.size();
-  batch.format = EncodeEvents(events, &batch.payload);
+  std::string encoded;
+  batch.format = EncodeEvents(events, &encoded);
+  batch.payload = BatchPayload(std::move(encoded));
   ASSERT_TRUE(central.IngestBatch(batch, 0).ok());
   central.OnTick(60 * kMicrosPerSecond);
   EXPECT_EQ(total, 100u);

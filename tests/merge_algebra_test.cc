@@ -83,7 +83,9 @@ class MergeAlgebraTest : public ::testing::Test {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.format = EncodeEvents(events, &batch.payload);
+    std::string encoded;
+    batch.format = EncodeEvents(events, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     return batch;
   }
 

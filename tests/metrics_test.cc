@@ -168,7 +168,9 @@ TEST(MetricsTest, ShardedCentralMergesShardMetricsAtCoordinator) {
     batch.host = 0;
     batch.seq = seq++;
     batch.event_count = events.size();
-    batch.format = EncodeEvents(events, &batch.payload);
+    std::string encoded;
+    batch.format = EncodeEvents(events, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     ASSERT_TRUE(sharded.IngestBatch(batch, (tick + 1) * 500 * kMicrosPerMilli)
                     .ok());
     sharded.OnTick((tick + 1) * 500 * kMicrosPerMilli);

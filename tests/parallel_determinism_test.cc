@@ -99,7 +99,9 @@ class ShardedDeterminismTest : public ::testing::Test {
           batch.host = host;
           batch.seq = seq++;
           batch.event_count = events.size();
-          batch.format = EncodeEvents(events, &batch.payload);
+          std::string encoded;
+          batch.format = EncodeEvents(events, &encoded);
+          batch.payload = BatchPayload(std::move(encoded));
           batches.push_back(std::move(batch));
         }
       }

@@ -65,7 +65,9 @@ class ShardedCentralTest : public ::testing::Test {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.format = EncodeEvents(events, &batch.payload);
+    std::string encoded;
+    batch.format = EncodeEvents(events, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     return batch;
   }
 
@@ -139,8 +141,10 @@ TEST_F(ShardedCentralTest, RowlessJoinBatchFoldsNothing) {
   batch.host = 0;
   batch.format = BatchFormat::kColumnarJoin;
   batch.event_count = 1;
+  std::string encoded;
   EncodeColumnJoinBatch({ColumnJoinSection{&empty, nullptr, 0, nullptr}}, {},
-                        &batch.payload);
+                        &encoded);
+  batch.payload = BatchPayload(std::move(encoded));
   ASSERT_TRUE(DecodeColumnJoinBatch(registry_, batch.payload).ok());
   const Status status = sharded.IngestBatch(batch, 0);
   EXPECT_TRUE(status.ok()) << status.ToString();

@@ -79,7 +79,9 @@ class SlidingCentralTest : public ::testing::Test {
     batch.query_id = qid;
     batch.host = 0;
     batch.event_count = events.size();
-    batch.format = EncodeEvents(events, &batch.payload);
+    std::string encoded;
+    batch.format = EncodeEvents(events, &encoded);
+    batch.payload = BatchPayload(std::move(encoded));
     ASSERT_TRUE(central_->IngestBatch(batch, 0).ok());
   }
 

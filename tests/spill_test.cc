@@ -147,7 +147,9 @@ class SpillCentralTest : public ::testing::Test {
           batch.host = host;
           batch.seq = seq++;
           batch.event_count = events->size();
-          batch.format = EncodeEvents(*events, &batch.payload);
+          std::string encoded;
+          batch.format = EncodeEvents(*events, &encoded);
+          batch.payload = BatchPayload(std::move(encoded));
           EXPECT_TRUE(central.IngestBatch(batch, now).ok());
         }
       }
@@ -367,7 +369,9 @@ class SpillShardedTest : public SpillCentralTest {
         batch.host = host;
         batch.seq = seq++;
         batch.event_count = events.size();
-        batch.format = EncodeEvents(events, &batch.payload);
+        std::string encoded;
+        batch.format = EncodeEvents(events, &encoded);
+        batch.payload = BatchPayload(std::move(encoded));
         batches.push_back(std::move(batch));
       }
       EXPECT_TRUE(central.IngestBatches(batches, now).ok());
@@ -625,7 +629,9 @@ class SpillCorruptionTest : public ::testing::Test {
       const std::vector<Event> slice(
           events.begin() + static_cast<std::ptrdiff_t>(i),
           events.begin() + static_cast<std::ptrdiff_t>(i + batch.event_count));
-      batch.format = EncodeEvents(slice, &batch.payload);
+      std::string encoded;
+      batch.format = EncodeEvents(slice, &encoded);
+      batch.payload = BatchPayload(std::move(encoded));
       EXPECT_TRUE(executor
                       .DecodeAndFold(q,
                                      hostless

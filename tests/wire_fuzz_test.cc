@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
@@ -345,6 +346,39 @@ class ColumnWireFuzzTest : public WireFuzzTest {
   size_t FirstColumnOffset(size_t rows) const {
     return 4 + schema_->type_name().size() + 4 + rows * 16;
   }
+
+  // A second schema whose two columns are both fixed-width, for the
+  // bulk-check boundaries.
+  SchemaPtr Fixed() {
+    if (fixed_ == nullptr) {
+      fixed_ = *EventSchema::Builder("fixed")
+                    .AddField("n", FieldType::kLong)
+                    .AddField("x", FieldType::kDouble)
+                    .Build();
+      EXPECT_TRUE(registry_.Register(fixed_).ok());
+    }
+    return fixed_;
+  }
+
+  // The fixed schema's type name and a row count, written as given.
+  std::string FixedHeader(uint32_t rows) {
+    std::string buf;
+    const std::string& name = Fixed()->type_name();
+    const uint32_t name_len = static_cast<uint32_t>(name.size());
+    buf.append(reinterpret_cast<const char*>(&name_len), 4);
+    buf.append(name);
+    buf.append(reinterpret_cast<const char*>(&rows), 4);
+    return buf;
+  }
+
+  void ExpectRejected(const std::string& buf, const std::string& message) {
+    const Result<ColumnBatch> r = DecodeColumnBatch(registry_, buf);
+    ASSERT_FALSE(r.ok()) << "decoded " << buf.size() << " bytes";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(), message);
+  }
+
+  SchemaPtr fixed_;
 };
 
 TEST_F(ColumnWireFuzzTest, EveryTruncationOfAColumnBatchFailsCleanly) {
@@ -425,6 +459,79 @@ TEST_F(ColumnWireFuzzTest, RandomGarbageNeverCrashesTheColumnarDecoder) {
       buf.push_back(static_cast<char>(rng.NextUint64() & 0xff));
     }
     (void)DecodeColumnBatch(registry_, buf);
+  }
+}
+
+// ---- Bulk-check boundaries ------------------------------------------------
+// The decoder checks each fixed-width run (request ids, timestamps, an int
+// or double column's values) against the buffer once, as a whole. These pin
+// the edges of those checks: exactly one byte short must fail with the same
+// message a per-value read reported, and an empty run must read nothing.
+
+TEST_F(ColumnWireFuzzTest, FixedColumnOneByteShortIsTruncated) {
+  // Three rows, n null in row 1: the int column holds 2 values (16 bytes),
+  // the double column 3 (24 bytes).
+  const SchemaPtr schema = Fixed();
+  ColumnBatch batch(schema);
+  for (size_t i = 0; i < 3; ++i) {
+    Event e(schema, i + 1, 10);
+    if (i != 1) {
+      e.SetField(0, Value(static_cast<int64_t>(i)));
+    }
+    e.SetField(1, Value(0.5 * static_cast<double>(i)));
+    batch.AppendEvent(e);
+  }
+  std::string full;
+  EncodeColumnBatch(batch, nullptr, batch.rows(), nullptr, &full);
+  const size_t int_end = FixedHeader(3).size() + 3 * 16 + 2 + 8 * 2;
+  ASSERT_EQ(full.size(), int_end + 2 + 8 * 3);
+  ExpectRejected(full.substr(0, int_end - 1), "truncated int column");
+  ExpectRejected(full.substr(0, full.size() - 1), "truncated double column");
+  ASSERT_TRUE(DecodeColumnBatch(registry_, full).ok());
+}
+
+TEST_F(ColumnWireFuzzTest, RowCountAtTheCeilingWithShortRowMeta) {
+  // A row count passes the up-front check while rows <= remaining / 16 + 1;
+  // at that ceiling the request-id and timestamp runs must still be
+  // checked, each exactly one byte short here.
+  const auto with_tail = [this](uint32_t rows, size_t tail) {
+    std::string buf = FixedHeader(rows);
+    buf.append(tail, '\x01');
+    return buf;
+  };
+  ExpectRejected(with_tail(1, 7), "truncated request id column");
+  ExpectRejected(with_tail(1, 15), "truncated timestamp column");
+  ExpectRejected(with_tail(2, 31), "truncated timestamp column");
+  ExpectRejected(with_tail(3, 32), "truncated timestamp column");
+  ExpectRejected(with_tail(3, 31), "column batch row count exceeds buffer");
+}
+
+TEST_F(ColumnWireFuzzTest, AllNullIntColumnReadsNoValues) {
+  // An int column whose bitmap marks every row null carries no values, so
+  // the next byte is the double column's tag. The encoder writes such a
+  // column as kColNull; a sender may still use the long form.
+  for (const uint32_t rows : {0u, 3u, 8u}) {
+    std::string buf = FixedHeader(rows);
+    buf.append(16 * static_cast<size_t>(rows), '\0');  // rids, timestamps
+    const size_t bitmap_bytes = (rows + 7) / 8;
+    buf.push_back(2);  // kColInt
+    for (size_t b = 0; b < bitmap_bytes; ++b) {
+      const size_t bits = std::min<size_t>(8, rows - 8 * b);
+      buf.push_back(static_cast<char>((1U << bits) - 1));
+    }
+    buf.push_back(3);  // kColDouble, no nulls
+    buf.append(bitmap_bytes, '\0');
+    for (uint32_t r = 0; r < rows; ++r) {
+      const double v = 1.5 * r;
+      buf.append(reinterpret_cast<const char*>(&v), 8);
+    }
+    const Result<ColumnBatch> decoded = DecodeColumnBatch(registry_, buf);
+    ASSERT_TRUE(decoded.ok()) << rows << ": " << decoded.status().ToString();
+    ASSERT_EQ(decoded->rows(), rows);
+    for (uint32_t r = 0; r < rows; ++r) {
+      EXPECT_TRUE(decoded->IsNull(0, r));
+      EXPECT_EQ(decoded->ValueAt(1, r), Value(1.5 * r));
+    }
   }
 }
 
@@ -690,6 +797,21 @@ TEST_F(JoinWireFuzzTest, TrailingBytesAfterJoinBatchAreRejected) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("trailing"), std::string::npos)
       << r.status().ToString();
+}
+
+TEST_F(JoinWireFuzzTest, SectionEndingInsideAColumnStopsAtTheView) {
+  // Shorten the first section's declared length by 3 bytes: its view now
+  // ends inside the rpc section's last (int) column, while the buffer
+  // itself continues with the db section. The section decoder must see
+  // only its view and report the column truncated.
+  std::string buf = EncodedJoin();
+  uint32_t len;
+  std::memcpy(&len, buf.data() + 4, 4);
+  PatchU32At(&buf, 4, len - 3);
+  const Result<ColumnJoinBatch> r = DecodeColumnJoinBatch(registry_, buf);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(), "truncated int column");
 }
 
 TEST_F(JoinWireFuzzTest, RandomByteFlipsNeverCrashTheJoinDecoder) {

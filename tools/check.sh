@@ -73,18 +73,24 @@ else
        "${BUILD_DIR}/tests/spill_test" > /dev/null; then
     fail "spill stress failed under sanitizers (re-run: SCRUB_SPILL_STRESS_DIVISOR=64 ${BUILD_DIR}/tests/spill_test)"
   fi
-  # The dict/join wire decoders parse hostile bytes; run their fuzz fixtures
-  # by name (in addition to the full ctest pass above) so a fixture rename
-  # or deletion is a visible gate change, not silent coverage loss.
-  note "dict/join wire fuzz under ASan+UBSan"
-  if ! "${BUILD_DIR}/tests/wire_fuzz_test" --gtest_list_tests \
-       --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*' 2>/dev/null | \
-       grep -q '^  '; then
-    fail "dict/join fuzz fixtures missing from wire_fuzz_test"
-  elif ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+  # The wire decoders parse hostile bytes and check each fixed-width run
+  # once, as a whole, instead of per value; run every wire fuzz fixture and
+  # the golden-bytes test by name (in addition to the full ctest pass above)
+  # so a fixture rename or deletion is a visible gate change, not silent
+  # coverage loss.
+  WIRE_FUZZ='WireFuzzTest.*:ColumnWireFuzzTest.*:DictWireFuzzTest.*:JoinWireFuzzTest.*:GoldenWireTest.*'
+  note "wire fuzz and golden bytes under ASan+UBSan"
+  IFS=: read -r -a WIRE_FIXTURES <<< "${WIRE_FUZZ}"
+  for fixture in "${WIRE_FIXTURES[@]}"; do
+    if ! "${BUILD_DIR}/tests/wire_fuzz_test" --gtest_list_tests \
+         --gtest_filter="${fixture}" 2>/dev/null | grep -q '^  '; then
+      fail "${fixture%.\*} fixture missing from wire_fuzz_test"
+    fi
+  done
+  if ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
        "${BUILD_DIR}/tests/wire_fuzz_test" \
-       --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*' > /dev/null; then
-    fail "dict/join wire fuzz failed under sanitizers (re-run: ${BUILD_DIR}/tests/wire_fuzz_test --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*')"
+       --gtest_filter="${WIRE_FUZZ}" > /dev/null; then
+    fail "wire fuzz failed under sanitizers (re-run: ${BUILD_DIR}/tests/wire_fuzz_test --gtest_filter='${WIRE_FUZZ}')"
   fi
   # Query text is the other trust boundary: the expression depth and
   # tree-height limits keep hostile nesting from overflowing the stack, and

@@ -117,7 +117,28 @@ void ChunkEvalCache::Build(const CentralPlan& plan, const ColumnBatch& batch,
       programs.push_back(&e);
     }
   }
-  FoldColumns(programs, batch, selection, selected, &folded);
+  // Typed reads take their program out of the materialized set.
+  selection_ = selection;
+  typed_.assign(programs.size(), nullptr);
+  for (size_t p = 0; p < programs.size(); ++p) {
+    const ExprProgram* prog = programs[p];
+    if (prog == nullptr || prog->insts.size() != 1) {
+      continue;
+    }
+    const IrInst& in = prog->insts[0];
+    if (in.op != IrOp::kLoadField || in.dst != prog->result || in.a != 0 ||
+        in.imm >= 0) {
+      continue;
+    }
+    const ColumnBatch::Column& col = batch.column(in.b);
+    if (col.rep == ColumnBatch::Rep::kInt ||
+        col.rep == ColumnBatch::Rep::kDouble ||
+        col.rep == ColumnBatch::Rep::kBool) {
+      typed_[p] = &col;
+      programs[p] = nullptr;
+    }
+  }
+  FoldColumns(programs, batch, selection, selected, &folded_);
 }
 
 uint32_t JoinBuffer::Find(RequestId rid) const {
@@ -756,8 +777,10 @@ void Executor::Fold(QueryState& q, HostId host, const InputChunk& chunk) {
       q.plan.is_join()
           ? SourceIndex(q.plan, chunk.columns->schema()->type_name())
           : -1;
-  // Non-join chunks evaluate the group-key / aggregate-argument programs
-  // in one vectorized pass per program (FoldColumns) before any row folds.
+  // Non-join chunks resolve the group-key / aggregate-argument programs
+  // once per chunk before any row folds: typed reads in place, the rest in
+  // one FoldColumns pass per program. The cache dies with this call, before
+  // the chunk.
   ChunkEvalCache cache;
   if (!q.plan.is_join()) {
     cache.Build(q.plan, *chunk.columns, chunk.selection, chunk.size());
@@ -1007,6 +1030,21 @@ void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
                        static_cast<uint32_t>(chunk.row(i)));
 }
 
+namespace {
+
+// `eval(program, slot, dst)` into `dst`: an evaluator that filled `dst` in
+// place is done; one that returned a reference elsewhere is copied from.
+template <typename EvalFn>
+void EvalInto(EvalFn& eval, const ExprProgram& program, size_t slot,
+              Value& dst) {
+  const Value& v = eval(program, slot, dst);
+  if (&v != &dst) {
+    dst = v;
+  }
+}
+
+}  // namespace
+
 // The one group-fold body. Single-source (batch, row) folds and join tuples
 // funnel through here with their own `eval`, so the raw-emission path, group
 // creation and accounting, the Eq. 1-3 readings, and the null-skip aggregate
@@ -1023,9 +1061,9 @@ void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
     row.query_id = plan.query_id;
     row.window_start = w.start;
     row.window_end = w.start + plan.window_micros;
-    row.values.reserve(plan.raw_select_programs.size());
+    row.values.resize(plan.raw_select_programs.size());
     for (size_t j = 0; j < plan.raw_select_programs.size(); ++j) {
-      row.values.push_back(eval(plan.raw_select_programs[j], j));
+      EvalInto(eval, plan.raw_select_programs[j], j, row.values[j]);
     }
     row.error_bounds.assign(row.values.size(), 0.0);
     ++q.stats.rows_emitted;
@@ -1036,7 +1074,7 @@ void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
   const size_t args = plan.group_by_programs.size();  // first argument slot
   key.resize(args);
   for (size_t g = 0; g < args; ++g) {
-    key[g] = eval(plan.group_by_programs[g], g);
+    EvalInto(eval, plan.group_by_programs[g], g, key[g]);
   }
   // One hash per row, reused for the probe and stored with a new key.
   const size_t hash = GroupKeyHash{}(key);
@@ -1050,6 +1088,7 @@ void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
   }
   GroupState& group = w.groups[g].state;
   CollectGroupReadings(q, &group, host, eval);
+  Value scratch;
   for (size_t i = 0; i < plan.aggregates.size(); ++i) {
     meter_->ChargeScrub(config_->costs.central_group_update_ns);
     const AggregateSpec& spec = plan.aggregates[i];
@@ -1057,7 +1096,7 @@ void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
       UpdateAccumulatorValue(spec, &group.accumulators[i], kNoArg);
       continue;
     }
-    const auto& arg = eval(spec.arg_program, args + i);
+    const Value& arg = eval(spec.arg_program, args + i, scratch);
     if (arg.is_null()) {
       continue;  // SQL-style: aggregates skip null arguments
     }
@@ -1068,18 +1107,22 @@ void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
 void Executor::GroupFoldColumn(QueryState& q, WindowState& w, HostId host,
                                const ChunkEvalCache& cache, size_t pos,
                                GroupKey& key) {
-  GroupFoldWith(q, w, host, key,
-                [&](const ExprProgram&, size_t slot) -> const Value& {
-                  return cache.At(slot, pos);
-                });
+  GroupFoldWith(
+      q, w, host, key,
+      [&](const ExprProgram&, size_t slot, Value& scratch) -> const Value& {
+        return cache.At(slot, pos, scratch);
+      });
 }
 
 void Executor::GroupFoldMixed(QueryState& q, WindowState& w,
                               std::span<const TupleSlot> slots, HostId host,
                               GroupKey& key) {
-  GroupFoldWith(q, w, host, key, [&](const ExprProgram& e, size_t) {
-    return EvalProgramMixed(e, slots);
-  });
+  GroupFoldWith(
+      q, w, host, key,
+      [&](const ExprProgram& e, size_t, Value& scratch) -> const Value& {
+        scratch = EvalProgramMixed(e, slots);
+        return scratch;
+      });
 }
 
 void Executor::UpdateAccumulatorValue(const AggregateSpec& spec,

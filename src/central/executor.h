@@ -484,21 +484,59 @@ struct ColumnJoinSlice {
   std::vector<uint32_t> rows;
 };
 
-// Per-chunk column evaluations (vectorized FoldColumns) in fixed slots. In
-// aggregate mode group-by program g sits at slot g and aggregate i's
-// argument at slot G + i (G = group-by count; argument-less aggregates
-// leave their slot empty); in raw mode select program j sits at slot j.
-// Built once per non-join chunk, so a row reads its values by (slot,
-// position) with no lookup and no copy. Pure computation: building it
-// changes no observable (charges, stats, transcripts).
-struct ChunkEvalCache {
-  FoldedColumns folded;
-
+// Per-chunk column evaluations in fixed slots. In aggregate mode group-by
+// program g sits at slot g and aggregate i's argument at slot G + i (G =
+// group-by count; argument-less aggregates leave their slot empty); in raw
+// mode select program j sits at slot j. Built once per non-join chunk, so a
+// row reads its values by (slot, position) with no lookup.
+//
+// A slot whose program is one path-free LoadField over a kInt, kDouble or
+// kBool column is a typed read: At() reads the column in place through the
+// selection and builds the Value straight into the caller's scratch (a set
+// null bit, as on every row of a dropped wire column, gives a null Value
+// without touching storage). Every other slot — string, dict and kGeneric
+// columns, path loads, request id / timestamp / constant loads and
+// multi-instruction programs — is materialized once per chunk by
+// FoldColumns and read by reference. A kGeneric column (a type-drifted
+// field, or hostile wire bytes, DESIGN §15.2) is never read as typed: its
+// rep is checked per chunk, so it takes the materialized path.
+//
+// Typed reads hold raw pointers into one chunk's column storage and
+// selection, so a cache must never outlive the chunk it was built from:
+// Fold keeps it on its stack beside the chunk, and spill replay's
+// per-block caches die before the blocks they read. Pure computation:
+// building or reading it changes no observable (charges, stats,
+// transcripts).
+class ChunkEvalCache {
+ public:
   void Build(const CentralPlan& plan, const ColumnBatch& batch,
              const uint32_t* selection, size_t selected);
-  const Value& At(size_t slot, size_t pos) const {
-    return folded.values[slot][pos];
+  // The value of `slot` at chunk position `pos`: `scratch`, filled in
+  // place, for a typed read; a reference to the materialized value
+  // otherwise.
+  const Value& At(size_t slot, size_t pos, Value& scratch) const {
+    const ColumnBatch::Column* col = typed_[slot];
+    if (col == nullptr) {
+      return folded_.values[slot][pos];
+    }
+    const size_t r = selection_ != nullptr ? selection_[pos] : pos;
+    if (BitmapGet(col->nulls, r)) {
+      scratch = Value();
+    } else if (col->rep == ColumnBatch::Rep::kInt) {
+      scratch = Value(col->ints[r]);
+    } else if (col->rep == ColumnBatch::Rep::kDouble) {
+      scratch = Value(col->doubles[r]);
+    } else {
+      scratch = Value(col->bools[r] != 0);
+    }
+    return scratch;
   }
+
+ private:
+  FoldedColumns folded_;
+  // Per slot: the column a typed read reads, or null (materialized slot).
+  std::vector<const ColumnBatch::Column*> typed_;
+  const uint32_t* selection_ = nullptr;
 };
 
 class Executor {
@@ -596,9 +634,12 @@ class Executor {
   void JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
                 size_t i, int source, HostId host, GroupKey& key);
   // GroupFold/Project with the tuple's shape abstracted behind an
-  // expression evaluator, `eval(program, slot)` with ChunkEvalCache's slot
-  // numbering: one body for single-source rows and join tuples, so the
-  // folds cannot drift from each other. The group key is built in `key`
+  // expression evaluator, `eval(program, slot, scratch) -> const Value&`
+  // with ChunkEvalCache's slot numbering: one body for single-source rows
+  // and join tuples, so the folds cannot drift from each other. `eval`
+  // returns either `scratch`, filled in place, or a reference to a value
+  // that outlives the call; a group key slot is its own scratch, so a
+  // typed read lands straight in the key. The group key is built in `key`
   // and copied into the window's table only when the group is new.
   // Defined in the .cc (every instantiation lives there).
   template <typename EvalFn>
@@ -620,7 +661,7 @@ class Executor {
   // Sampled plans with Eq. 1-3 slots (pipeline.collect_group_readings):
   // fold this row's readings for the scaled slots into the group's per-host
   // stats. `eval` evaluates an aggregate argument against the row's
-  // representation.
+  // representation, as in GroupFoldWith.
   template <typename EvalArg>
   void CollectGroupReadings(QueryState& q, GroupState* group, HostId host,
                             EvalArg&& eval) {
@@ -635,7 +676,8 @@ class Executor {
       const AggregateSpec& spec = q.plan.aggregates[agg];
       double v = 1.0;  // COUNT: indicator reading
       if (spec.func == AggregateFunc::kSum) {
-        const auto& arg = eval(spec.arg_program, args + agg);
+        Value scratch;
+        const Value& arg = eval(spec.arg_program, args + agg, scratch);
         v = arg.is_numeric() ? arg.AsNumber() : 0.0;
       }
       readings[s].Add(v);

@@ -72,6 +72,7 @@ void ColumnBatch::Clear() {
     col.arena.clear();
     col.generic.clear();
     col.nulls.clear();
+    col.all_null = false;
     if (col.rep == Rep::kString) {
       col.offsets.push_back(0);
     }
@@ -243,29 +244,13 @@ void ColumnBatch::FillAllNull(size_t field, size_t rows) {
   if (rows % 8 != 0 && !col.nulls.empty()) {
     col.nulls.back() = static_cast<uint8_t>((1U << (rows % 8)) - 1);
   }
-  switch (col.rep) {
-    case Rep::kBool:
-      col.bools.assign(rows, 0);
-      break;
-    case Rep::kInt:
-      col.ints.assign(rows, 0);
-      break;
-    case Rep::kDouble:
-      col.doubles.assign(rows, 0.0);
-      break;
-    case Rep::kString:
-      col.offsets.assign(rows + 1, 0);
-      col.arena.clear();
-      break;
-    case Rep::kGeneric:
-      col.generic.assign(rows, Value());
-      break;
-    case Rep::kDict:
-      col.ints.assign(rows, 0);
-      col.offsets.assign(1, 0);
-      col.arena.clear();
-      break;
-  }
+  col.bools.clear();
+  col.ints.clear();
+  col.doubles.clear();
+  col.offsets.clear();
+  col.arena.clear();
+  col.generic.clear();
+  col.all_null = true;
 }
 
 }  // namespace scrub

@@ -13,7 +13,8 @@
 //
 // Representation invariants (every mutation path upholds them):
 //  * every column holds exactly rows() entries — null rows occupy a
-//    placeholder slot in the typed storage so row indexing stays O(1);
+//    placeholder slot in the typed storage so row indexing stays O(1) —
+//    except a decoded all_null column (FillAllNull), which holds none;
 //  * the null bitmap is authoritative: a set bit means ValueAt() returns
 //    null regardless of the placeholder;
 //  * string columns keep rows()+1 offsets into the arena (null / empty rows
@@ -69,6 +70,10 @@ class ColumnBatch {
     std::string arena;              // kString / kDict payload bytes
     std::vector<Value> generic;     // kGeneric: boxed fallback
     std::vector<uint8_t> nulls;     // authoritative null bitmap
+    // Decode-only (a dropped wire column): every row is null and the typed
+    // storage is empty. Readers that test the bitmap first are unchanged;
+    // a reader that indexes storage unconditionally must check this.
+    bool all_null = false;
 
     // Number of dictionary entries (kDict only).
     size_t dict_size() const {
@@ -120,9 +125,10 @@ class ColumnBatch {
   Column* MutableColumn(size_t field) { return &columns_[field]; }
   void SetRowMeta(std::vector<uint64_t> request_ids,
                   std::vector<int64_t> timestamps);
-  // Resets column `field` to all-null placeholders for `rows` rows, keeping
-  // its schema-derived representation (the wire's "nothing was projected
-  // here" column costs one byte regardless of row count).
+  // Marks column `field` all-null for `rows` rows: an all-ones bitmap and
+  // no typed storage, keeping its schema-derived representation (the
+  // wire's "nothing was projected here" column costs one byte regardless
+  // of row count).
   void FillAllNull(size_t field, size_t rows);
 
  private:

@@ -119,6 +119,7 @@ class Linter {
     CheckExactDistinct();
     CheckSamplingError();
     CheckSamplingShardedEstimate();
+    CheckSampledJoin();
     CheckFullFleet();
     CheckDeadProjection();
     CheckIneffectiveFilter();
@@ -363,6 +364,31 @@ class Linter {
          "instance reports the Eq. 1 ratio scale without bounds for grouped "
          "plans",
          span);
+  }
+
+  // --- (p) scrubql-sampled-join ---------------------------------------------
+  //
+  // SAMPLE EVENTS draws each source's events independently at the agents,
+  // so a joined tuple survives only when both of its events were sampled
+  // (probability p^2), while Eq. 1 scales COUNT/SUM by 1/p: the joined
+  // answer comes out about p times the truth, and nothing in the row
+  // (completeness 1.000) says so. Host sampling on a join is refused at
+  // analysis; this is the event-sampled case that still runs. A warning,
+  // not an error: the query is well-formed, and admission is unchanged.
+  void CheckSampledJoin() {
+    if (!aq_.is_join() || q_.event_sample_rate >= 1.0) {
+      return;
+    }
+    const double p = q_.event_sample_rate;
+    Emit(LintSeverity::kWarning, lint_rules::kSampledJoin,
+         StrFormat("SAMPLE EVENTS %.4g%% on a join samples each source "
+                   "independently, so a joined tuple survives at p^2 "
+                   "(%.4g%%) but COUNT/SUM scale it by only 1/p: the joined "
+                   "answer comes out about %.4g%% of the true value while "
+                   "completeness reads 1.000. Drop SAMPLE EVENTS, or read "
+                   "the result as a lower bound",
+                   p * 100, p * p * 100, p * 100),
+         q_.spans.sample_events);
   }
 
   // --- (d) scrubql-full-fleet -----------------------------------------------

@@ -92,6 +92,10 @@ inline constexpr std::string_view kNullComparison =
 // fidelity < 1. Only fires when a budget is configured.
 inline constexpr std::string_view kWindowStateBudget =
     "scrubql-window-state-budget";
+// (p) SAMPLE EVENTS on a join: each source is sampled independently, so
+// joined tuples survive at p^2 but COUNT/SUM scale by 1/p, and the answer
+// under-counts by about p with completeness 1.000. Warning only.
+inline constexpr std::string_view kSampledJoin = "scrubql-sampled-join";
 }  // namespace lint_rules
 
 struct Diagnostic {

@@ -181,15 +181,18 @@ Value ApplyBinaryOp(BinaryOp op, const Value& lhs, const Value& rhs) {
     }
     const bool integral = lhs.is_int() && rhs.is_int();
     if (integral && op != BinaryOp::kDiv) {
-      const int64_t a = lhs.AsInt();
-      const int64_t b = rhs.AsInt();
+      // Integer arithmetic wraps in two's complement. Event values are
+      // outside input, and signed overflow would be undefined behaviour,
+      // so the operation runs on the unsigned bit patterns.
+      const auto a = static_cast<uint64_t>(lhs.AsInt());
+      const auto b = static_cast<uint64_t>(rhs.AsInt());
       switch (op) {
         case BinaryOp::kAdd:
-          return Value(a + b);
+          return Value(static_cast<int64_t>(a + b));
         case BinaryOp::kSub:
-          return Value(a - b);
+          return Value(static_cast<int64_t>(a - b));
         case BinaryOp::kMul:
-          return Value(a * b);
+          return Value(static_cast<int64_t>(a * b));
         default:
           break;
       }
@@ -249,7 +252,9 @@ Value ApplyUnaryOp(UnaryOp op, const Value& operand) {
       return Value::Null();
     }
     if (operand.is_int()) {
-      return Value(-operand.AsInt());
+      // Wraps like the binary operators: -INT64_MIN is INT64_MIN.
+      return Value(static_cast<int64_t>(
+          0 - static_cast<uint64_t>(operand.AsInt())));
     }
     return Value(-operand.AsDoubleExact());
   }
@@ -764,6 +769,24 @@ constexpr size_t kInlineRegs = 16;
 
 template <typename Loader>
 Value RunWithScratch(const ExprProgram& p, const Loader& loader) {
+  // A lone load into the result register (the common group-key, aggregate
+  // argument and select shape) returns the loader's value as RunProgram
+  // would leave it, without building the register file.
+  if (p.insts.size() == 1 && p.insts[0].dst == p.result) {
+    const IrInst& in = p.insts[0];
+    switch (in.op) {
+      case IrOp::kLoadField:
+        return loader.LoadField(
+            in.a, in.b,
+            in.imm < 0 ? nullptr : &p.paths[static_cast<size_t>(in.imm)]);
+      case IrOp::kLoadRequestId:
+        return loader.LoadRequestId(in.a);
+      case IrOp::kLoadTimestamp:
+        return loader.LoadTimestamp(in.a);
+      default:
+        break;
+    }
+  }
   if (p.num_regs <= kInlineRegs) {
     Value regs[kInlineRegs];
     return RunProgram(p, loader, regs);

@@ -143,6 +143,13 @@ bool RunCompareKernel(const ColumnBatch& batch, size_t field, BinaryOp op,
     return false;
   }
   const bool null_keep = NullCellKeep(op, literal, field_on_lhs);
+  if (col.all_null) {
+    // No typed storage behind the bitmap: every row takes the null verdict.
+    if (!null_keep) {
+      selection->clear();
+    }
+    return true;
+  }
 
   if (literal.is_null()) {
     // Against a null literal the verdict depends only on each cell's
@@ -263,9 +270,8 @@ void FoldColumns(const std::vector<const ExprProgram*>& programs,
     const ExprProgram& prog = *programs[p];
     std::vector<Value>& vals = out->values[p];
     vals.resize(selected);
-    // Single-instruction programs (the dominant group-key / aggregate-arg
-    // shape after lowering) gather as one typed contiguous loop instead of
-    // setting up the interpreter per row.
+    // Single-instruction programs gather as one contiguous loop instead of
+    // running the interpreter per row.
     if (prog.insts.size() == 1 && prog.insts[0].dst == prog.result) {
       const IrInst& in = prog.insts[0];
       if (in.op == IrOp::kConst) {
@@ -292,26 +298,11 @@ void FoldColumns(const std::vector<const ExprProgram*>& programs,
         const ColumnBatch::Column& col = batch.column(in.b);
         switch (col.rep) {
           case ColumnBatch::Rep::kBool:
-            for (size_t i = 0; i < selected; ++i) {
-              const size_t r = row_at(i);
-              vals[i] = BitmapGet(col.nulls, r) ? Value()
-                                                : Value(col.bools[r] != 0);
-            }
-            continue;
           case ColumnBatch::Rep::kInt:
-            for (size_t i = 0; i < selected; ++i) {
-              const size_t r = row_at(i);
-              vals[i] =
-                  BitmapGet(col.nulls, r) ? Value() : Value(col.ints[r]);
-            }
-            continue;
           case ColumnBatch::Rep::kDouble:
-            for (size_t i = 0; i < selected; ++i) {
-              const size_t r = row_at(i);
-              vals[i] =
-                  BitmapGet(col.nulls, r) ? Value() : Value(col.doubles[r]);
-            }
-            continue;
+            // Central reads these in place (ChunkEvalCache); anyone else
+            // gets the interpreter below.
+            break;
           case ColumnBatch::Rep::kString:
             for (size_t i = 0; i < selected; ++i) {
               const size_t r = row_at(i);

@@ -2,8 +2,9 @@
 //
 // RunCompareKernel is the branch-free selection-vector loop behind
 // EvalProgramPredicateBatch's `field <cmp> literal` fast path (the
-// agent-flush hot loop), and FoldColumns gathers group keys and aggregate
-// arguments for a whole selection at once at central. Both execute lowered
+// agent-flush hot loop), and FoldColumns materializes the group keys and
+// aggregate arguments central's ChunkEvalCache cannot read in place from a
+// typed column, for a whole selection at once. Both execute lowered
 // ExprPrograms' semantics exactly: the kernels probe ApplyBinaryOp for every
 // verdict they cannot read off a typed column, and FoldColumns falls back to
 // EvalProgramColumns for anything but a single load or constant.
@@ -34,7 +35,9 @@ namespace scrub {
 //   * string columns vs string literals,
 //   * dictionary columns vs any literal (one ApplyBinaryOp per dictionary
 //     entry builds a per-code verdict table, then rows compare codes),
-//   * any typed (non-generic) column vs a null literal (constant verdicts).
+//   * any typed (non-generic) column vs a null literal (constant verdicts),
+//   * any typed all-null column off the wire (a dropped column, which has
+//     no storage behind its bitmap) vs any literal: the null verdict.
 // Returns false — selection untouched — when no kernel matches; callers fall
 // back to interpreting the program per row.
 bool RunCompareKernel(const ColumnBatch& batch, size_t field, BinaryOp op,
@@ -50,11 +53,13 @@ struct FoldedColumns {
 };
 
 // Evaluates every program at every selected row in one pass per program.
-// Programs that are a single LoadField / LoadRequestId / LoadTimestamp /
-// Const instruction gather straight from the typed column storage (no
-// per-row interpreter setup); everything else falls back to
-// EvalProgramColumns row by row. Pure computation — no charges, no stats —
-// so callers may precompute speculatively without observable effects.
+// Programs that are a single Const, LoadRequestId, LoadTimestamp, or
+// path-free LoadField over a string, dict or generic column gather straight
+// from the column storage (no per-row interpreter); everything else —
+// including loads of int, double and bool columns, which central reads in
+// place instead — runs EvalProgramColumns row by row. Pure computation — no
+// charges, no stats — so callers may precompute speculatively without
+// observable effects.
 void FoldColumns(const std::vector<const ExprProgram*>& programs,
                  const ColumnBatch& batch, const uint32_t* selection,
                  size_t selected, FoldedColumns* out);

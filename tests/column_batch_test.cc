@@ -232,7 +232,25 @@ TEST_F(ColumnBatchTest, ProjectionMaskShipsDroppedColumnsAsNull) {
     EXPECT_TRUE(decoded->IsNull(3, r));
     EXPECT_TRUE(decoded->IsNull(4, r));
     EXPECT_EQ(decoded->ValueAt(1, r), Value(static_cast<int64_t>(r)));
+    EXPECT_TRUE(decoded->ValueAt(0, r).is_null());
+    EXPECT_TRUE(decoded->ValueAt(3, r).is_null());
+    EXPECT_TRUE(decoded->ValueAt(4, r).is_null());
+    // A dropped column holds no storage, yet every row-semantics reader
+    // answers as for a null cell.
+    const Event e = decoded->MaterializeEvent(r);
+    EXPECT_TRUE(e.field(0).is_null());
+    EXPECT_TRUE(e.field(4).is_null());
+    EXPECT_EQ(e.field(2), Value(2.0));
+    EXPECT_EQ(decoded->RowWireSize(r), e.WireSize());
   }
+  for (const size_t f : {0u, 3u, 4u}) {
+    const ColumnBatch::Column& col = decoded->column(f);
+    EXPECT_TRUE(col.all_null);
+    EXPECT_EQ(col.rep, ColumnBatch::RepFor(schema_->field(f).type));
+    EXPECT_TRUE(col.bools.empty() && col.offsets.empty() &&
+                col.generic.empty());
+  }
+  EXPECT_FALSE(decoded->column(1).all_null);
 }
 
 TEST_F(ColumnBatchTest, AllNullColumnCostsOneTagByte) {

@@ -5,6 +5,7 @@
 // values, same bounds, same emission order.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -790,6 +791,262 @@ TEST_F(GroupTableTest, ManyGroupsAcrossChunksFoldLikeTheReference) {
                                        std::min(len, all.size() - start)));
   }
   ExpectMatchesReference(query, events, RunRows(query, pieces));
+}
+
+// ChunkEvalCache: typed reads of int, double and bool columns in place,
+// everything else materialized once per chunk. Either way a slot's value at
+// every position must be exactly what the interpreter computes at that row,
+// down to the Value's class, NaN and the sign of zero.
+class FoldCacheTest : public ExecutorTest {
+ protected:
+  enum Field { kFlag, kNum, kReal, kNote, kTag, kDrift, kDevice };
+
+  FoldCacheTest() {
+    probe_schema_ = *EventSchema::Builder("probe")
+                         .AddField("flag", FieldType::kBool)
+                         .AddField("num", FieldType::kLong)
+                         .AddField("real", FieldType::kDouble)
+                         .AddField("note", FieldType::kString)
+                         .AddField("tag", FieldType::kString)
+                         .AddField("drift", FieldType::kLong)
+                         .AddField("device", FieldType::kObject)
+                         .Build();
+    EXPECT_TRUE(registry_.Register(probe_schema_).ok());
+  }
+
+  // 40 rows with nulls in every column. `real` cycles NaN, -0.0, +0.0,
+  // null, a plain value and infinity; `drift` is an int column until row 17
+  // carries 1.0, which boxes it to kGeneric.
+  std::vector<Event> ProbeEvents() const {
+    const char* const tags[] = {"US", "FR", "DE"};
+    const double reals[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                            0.0, 0.0, 0.25,
+                            std::numeric_limits<double>::infinity()};
+    std::vector<Event> events;
+    for (int r = 0; r < 40; ++r) {
+      Event e(probe_schema_, static_cast<uint64_t>(1000 + r),
+              static_cast<TimeMicros>(100 + r));
+      if (r % 3 != 0) {
+        e.SetField(kFlag, Value(r % 2 == 0));
+      }
+      if (r == 5) {
+        e.SetField(kNum, Value(std::numeric_limits<int64_t>::min()));
+      } else if (r % 4 != 1) {
+        e.SetField(kNum, Value(static_cast<int64_t>(r * 37 - 500)));
+      }
+      if (r % 6 != 3) {
+        e.SetField(kReal, Value(reals[r % 6] * (r % 6 == 4 ? r : 1)));
+      }
+      if (r % 5 != 2) {
+        e.SetField(kNote, Value("note-" + std::to_string(r * r)));
+      }
+      if (r % 7 != 3) {
+        e.SetField(kTag, Value(tags[r % 3]));
+      }
+      if (r == 17) {
+        e.SetField(kDrift, Value(1.0));
+      } else if (r % 5 != 4) {
+        e.SetField(kDrift, Value(static_cast<int64_t>(r % 3)));
+      }
+      if (r % 4 != 0) {
+        NestedObject device;
+        if (r % 4 != 3) {
+          device.fields.emplace_back("os", Value(r % 2 == 0 ? "ios" : "tv"));
+        }
+        e.SetField(kDevice, Value(std::move(device)));
+      }
+      events.push_back(std::move(e));
+    }
+    return events;
+  }
+
+  // The probe rows as appended; as decoded off the wire (where `tag`
+  // arrives dictionary-encoded); and decoded with every column but `tag`
+  // and `drift` projected away (all_null columns with no storage).
+  std::vector<std::shared_ptr<const ColumnBatch>> ProbeBatches() const {
+    const auto built = ToColumns(probe_schema_, ProbeEvents());
+    auto off_the_wire = [&](const std::vector<bool>* keep) {
+      std::string wire;
+      EncodeColumnBatch(*built, nullptr, built->rows(), keep, &wire);
+      Result<ColumnBatch> decoded = DecodeColumnBatch(registry_, wire);
+      EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+      return std::make_shared<const ColumnBatch>(std::move(*decoded));
+    };
+    const std::vector<bool> keep_tag_and_drift = {false, false, false, false,
+                                                  true,  true,  false};
+    return {built, off_the_wire(nullptr), off_the_wire(&keep_tag_and_drift)};
+  }
+
+  // Same class and, for doubles, the same bits (NaN, -0.0 vs +0.0).
+  static bool SameValue(const Value& a, const Value& b) {
+    if (a.is_double() || b.is_double()) {
+      return a.is_double() && b.is_double() &&
+             std::bit_cast<uint64_t>(a.AsDoubleExact()) ==
+                 std::bit_cast<uint64_t>(b.AsDoubleExact());
+    }
+    return a.is_null() == b.is_null() && a.is_bool() == b.is_bool() &&
+           a.is_int() == b.is_int() && a.is_string() == b.is_string() &&
+           a.is_object() == b.is_object() && a == b;
+  }
+
+  // The contract for a typed read: one path-free LoadField over an int,
+  // double or bool column.
+  static bool TypedRead(const ExprProgram& p, const ColumnBatch& batch) {
+    if (p.insts.size() != 1 || p.insts[0].op != IrOp::kLoadField ||
+        p.insts[0].imm >= 0) {
+      return false;
+    }
+    const ColumnBatch::Rep rep = batch.column(p.insts[0].b).rep;
+    return rep == ColumnBatch::Rep::kInt ||
+           rep == ColumnBatch::Rep::kDouble ||
+           rep == ColumnBatch::Rep::kBool;
+  }
+
+  // Builds the cache over `selection` and checks every (slot, position)
+  // against EvalProgramColumns at that row. `programs` is the plan's slot
+  // list (null = argument-less aggregate).
+  void ExpectCacheMatches(const CentralPlan& plan,
+                          const std::vector<const ExprProgram*>& programs,
+                          const ColumnBatch& batch, const uint32_t* selection,
+                          size_t selected) {
+    ChunkEvalCache cache;
+    cache.Build(plan, batch, selection, selected);
+    for (size_t slot = 0; slot < programs.size(); ++slot) {
+      if (programs[slot] == nullptr) {
+        continue;
+      }
+      const ExprProgram& p = *programs[slot];
+      const bool typed = TypedRead(p, batch);
+      for (size_t pos = 0; pos < selected; ++pos) {
+        const size_t row = selection != nullptr ? selection[pos] : pos;
+        Value scratch(std::string("stale"));
+        const Value& got = cache.At(slot, pos, scratch);
+        const Value want = EvalProgramColumns(p, batch, row);
+        EXPECT_TRUE(SameValue(got, want))
+            << "slot " << slot << " row " << row << ": got "
+            << got.ToString() << " want " << want.ToString();
+        EXPECT_EQ(&got == &scratch, typed) << "slot " << slot;
+      }
+    }
+  }
+
+  SchemaPtr probe_schema_;
+};
+
+TEST_F(FoldCacheTest, EveryRepReadsLikeTheInterpreter) {
+  std::vector<std::string> ignored;
+  const QueryState q = StateFor(
+      "SELECT probe.flag, probe.num, probe.real, probe.note, probe.tag, "
+      "probe.drift, probe.device.os, probe.num + 1, probe.real * 2.0, "
+      "probe.flag AND probe.num > 0 FROM probe WINDOW 1 s DURATION 1 s;",
+      1, &ignored);
+  ASSERT_FALSE(q.plan.aggregate_mode);
+  std::vector<const ExprProgram*> programs;
+  for (const ExprProgram& p : q.plan.raw_select_programs) {
+    programs.push_back(&p);
+  }
+  ASSERT_EQ(programs.size(), 10u);
+  // The path load and the three expressions are not single loads.
+  EXPECT_EQ(programs[6]->insts.size(), 1u);
+  EXPECT_GE(programs[6]->insts[0].imm, 0);
+  for (size_t j = 7; j < programs.size(); ++j) {
+    EXPECT_GT(programs[j]->insts.size(), 1u);
+  }
+
+  const auto batches = ProbeBatches();
+  // Every Rep is covered: bool, int, double, string, dict (off the wire)
+  // and generic (the drifted int column, and the object column).
+  const ColumnBatch& built = *batches[0];
+  const ColumnBatch& decoded = *batches[1];
+  EXPECT_EQ(built.column(kFlag).rep, ColumnBatch::Rep::kBool);
+  EXPECT_EQ(built.column(kNum).rep, ColumnBatch::Rep::kInt);
+  EXPECT_EQ(built.column(kReal).rep, ColumnBatch::Rep::kDouble);
+  EXPECT_EQ(built.column(kNote).rep, ColumnBatch::Rep::kString);
+  EXPECT_EQ(built.column(kDrift).rep, ColumnBatch::Rep::kGeneric);
+  EXPECT_EQ(built.column(kDevice).rep, ColumnBatch::Rep::kGeneric);
+  EXPECT_EQ(decoded.column(kFlag).rep, ColumnBatch::Rep::kBool);
+  EXPECT_EQ(decoded.column(kNum).rep, ColumnBatch::Rep::kInt);
+  EXPECT_EQ(decoded.column(kReal).rep, ColumnBatch::Rep::kDouble);
+  EXPECT_EQ(decoded.column(kTag).rep, ColumnBatch::Rep::kDict);
+  EXPECT_EQ(decoded.column(kDrift).rep, ColumnBatch::Rep::kGeneric);
+  const ColumnBatch& dropped = *batches[2];
+  for (const Field f : {kFlag, kNum, kReal, kNote, kDevice}) {
+    EXPECT_TRUE(dropped.column(f).all_null) << f;
+  }
+  EXPECT_EQ(dropped.column(kNum).rep, ColumnBatch::Rep::kInt);
+
+  const std::vector<uint32_t> sparse = {0, 3, 4, 9, 17, 18, 29, 31, 39};
+  for (const auto& batch : batches) {
+    ExpectCacheMatches(q.plan, programs, *batch, nullptr, batch->rows());
+    ExpectCacheMatches(q.plan, programs, *batch, sparse.data(),
+                       sparse.size());
+  }
+}
+
+TEST_F(FoldCacheTest, AggregateSlotsReadLikeTheInterpreter) {
+  // Group keys at slots 0..2, then one slot per aggregate; COUNT(*) leaves
+  // its slot empty.
+  std::vector<std::string> ignored;
+  const QueryState q = StateFor(
+      "SELECT probe.num, probe.tag, probe.flag, COUNT(*), SUM(probe.real), "
+      "MIN(probe.note), MAX(probe.drift), SUM(probe.num * 2) FROM probe "
+      "GROUP BY probe.num, probe.tag, probe.flag WINDOW 1 s DURATION 1 s;",
+      1, &ignored);
+  ASSERT_TRUE(q.plan.aggregate_mode);
+  std::vector<const ExprProgram*> programs;
+  for (const ExprProgram& g : q.plan.group_by_programs) {
+    programs.push_back(&g);
+  }
+  for (const AggregateSpec& spec : q.plan.aggregates) {
+    programs.push_back(spec.has_arg ? &spec.arg_program : nullptr);
+  }
+  ASSERT_EQ(programs.size(), 8u);
+  EXPECT_EQ(programs[3], nullptr);
+  const std::vector<uint32_t> sparse = {1, 2, 5, 17, 20, 33};
+  for (const auto& batch : ProbeBatches()) {
+    ExpectCacheMatches(q.plan, programs, *batch, nullptr, batch->rows());
+    ExpectCacheMatches(q.plan, programs, *batch, sparse.data(),
+                       sparse.size());
+  }
+}
+
+TEST_F(FoldCacheTest, KeyDriftingFromIntToDoubleKeepsOneGroup) {
+  // The same key arrives as int 1 through a typed read, then as int 1 and
+  // double 1.0 from a column the drift boxed (appended and off the wire):
+  // one group, keyed by its first arrival's representation.
+  const char* query =
+      "SELECT probe.drift, COUNT(*) FROM probe GROUP BY probe.drift "
+      "WINDOW 1 s DURATION 1 s;";
+  std::vector<Event> ints;
+  std::vector<Event> drifted;
+  for (int r = 0; r < 6; ++r) {
+    Event e(probe_schema_, static_cast<uint64_t>(r),
+            static_cast<TimeMicros>(100 + r));
+    e.SetField(kDrift, Value(int64_t{1}));
+    ints.push_back(e);
+    if (r % 2 == 1) {
+      e.SetField(kDrift, Value(1.0));
+    }
+    drifted.push_back(std::move(e));
+  }
+  const auto typed = ToColumns(probe_schema_, ints);
+  const auto boxed = ToColumns(probe_schema_, drifted);
+  ASSERT_EQ(typed->column(kDrift).rep, ColumnBatch::Rep::kInt);
+  ASSERT_EQ(boxed->column(kDrift).rep, ColumnBatch::Rep::kGeneric);
+  std::string wire;
+  EncodeColumnBatch(*boxed, nullptr, boxed->rows(), nullptr, &wire);
+  Result<ColumnBatch> decoded = DecodeColumnBatch(registry_, wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const auto from_wire =
+      std::make_shared<const ColumnBatch>(std::move(*decoded));
+  const std::vector<ResultRow> rows =
+      RunRows(query, {{HostId{0}, InputChunk::Columns(typed, nullptr, 0)},
+                      {HostId{0}, InputChunk::Columns(boxed, nullptr, 0)},
+                      {HostId{0}, InputChunk::Columns(from_wire, nullptr, 0)}});
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_TRUE(rows[0].values[0].is_int());
+  EXPECT_EQ(rows[0].values[0], Value(int64_t{1}));
+  EXPECT_EQ(rows[0].values[1], Value(int64_t{18}));
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Expression-IR unit tests: the structural verifier's rejection contract,
 // install-time constant folding, abstract-interpreter classification and
 // notes, conjunct-set contradiction/redundancy detection, disassembly, and
-// the columnar batch kernel agreeing with row evaluation.
+// the columnar batch kernel agreeing with row evaluation, and the
+// single-load path agreeing with the register interpreter.
 
 #include "src/plan/expr_ir.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -375,6 +377,97 @@ TEST_F(ExprIrTest, PredicateBatchMatchesRowEvaluation) {
         << "row " << i;
   }
   EXPECT_EQ(selection, expected);
+}
+
+// ---------------------------------------------------------------------------
+// Single-load path: a program that is one load into its result register
+// returns the loader's value without the register file.
+
+TEST_F(ExprIrTest, SingleLoadMixedWithAbsentSlotIsNull) {
+  const SchemaPtr imp = *EventSchema::Builder("imp")
+                             .AddField("cost", FieldType::kDouble)
+                             .Build();
+  Result<ExprProgram> cost = LowerExpr(*Expr::MakeFieldRef("imp", "cost"),
+                                       {"bid", "imp"}, {schema_, imp});
+  ASSERT_TRUE(cost.ok()) << cost.status().ToString();
+  ASSERT_EQ(cost->insts.size(), 1u);
+  ASSERT_EQ(cost->insts[0].a, 1);  // loads from the second source
+  ColumnBatch bids(schema_);
+  bids.AppendEvent(MakeBid(1, 7, 2.5, "US"));
+  ColumnBatch imps(imp);
+  Event e(imp, 1, 1001);
+  e.SetField(0, Value(0.75));
+  imps.AppendEvent(e);
+  const TupleSlot absent[] = {{&bids, 0}, {nullptr, 0}};
+  EXPECT_TRUE(EvalProgramMixed(*cost, absent).is_null());
+  const TupleSlot present[] = {{&bids, 0}, {&imps, 0}};
+  EXPECT_EQ(EvalProgramMixed(*cost, present), Value(0.75));
+}
+
+TEST_F(ExprIrTest, SingleLoadPathMatchesTheGeneralInterpreter) {
+  const SchemaPtr ev = *EventSchema::Builder("ev")
+                            .AddField("device", FieldType::kObject)
+                            .Build();
+  ExprPtr ref = Expr::MakeFieldRef("ev", "device");
+  ref->path = {"os"};
+  Result<ExprProgram> path = LowerExpr(*ref, {"ev"}, {ev});
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  ASSERT_EQ(path->insts.size(), 1u);
+  ASSERT_GE(path->insts[0].imm, 0);
+  // The same load run by the register interpreter: a second copy of the
+  // instruction into a second register makes the program two long.
+  ExprProgram general = *path;
+  IrInst again = general.insts[0];
+  again.dst = 1;
+  general.insts.push_back(again);
+  general.num_regs = 2;
+  general.result = 1;
+
+  ColumnBatch batch(ev);
+  std::vector<Event> events;
+  for (int i = 0; i < 4; ++i) {
+    Event e(ev, static_cast<uint64_t>(i), 1000);
+    if (i == 1) {
+      e.SetField(0, Value(NestedObject{{{"os", Value("ios")}}}));
+    } else if (i == 2) {
+      e.SetField(0, Value(NestedObject{{{"os", Value(int64_t{5})}}}));
+    } else if (i == 3) {
+      e.SetField(0, Value(NestedObject{{{"model", Value("x")}}}));
+    }
+    batch.AppendEvent(e);
+    events.push_back(std::move(e));
+  }
+  for (uint32_t i = 0; i < events.size(); ++i) {
+    const Value want = TreeEvalSingle(*ref, events[i]);
+    EXPECT_EQ(EvalProgramSingle(*path, events[i]), want) << "row " << i;
+    EXPECT_EQ(EvalProgramSingle(general, events[i]), want) << "row " << i;
+    EXPECT_EQ(EvalProgramColumns(*path, batch, i),
+              EvalProgramColumns(general, batch, i))
+        << "row " << i;
+    const TupleSlot slot[] = {{&batch, i}};
+    EXPECT_EQ(EvalProgramMixed(*path, slot), want) << "row " << i;
+    EXPECT_EQ(EvalProgramMixed(general, slot), want) << "row " << i;
+  }
+}
+
+// Event values are outside input: integer overflow wraps in two's
+// complement instead of being undefined (the sanitizer build would abort).
+TEST_F(ExprIrTest, IntegerArithmeticWrapsInTwosComplement) {
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(ApplyBinaryOp(BinaryOp::kMul, Value(min), Value(int64_t{2})),
+            Value(int64_t{0}));
+  EXPECT_EQ(ApplyBinaryOp(BinaryOp::kAdd, Value(max), Value(int64_t{1})),
+            Value(min));
+  EXPECT_EQ(ApplyBinaryOp(BinaryOp::kSub, Value(min), Value(int64_t{1})),
+            Value(max));
+  EXPECT_EQ(ApplyBinaryOp(BinaryOp::kMul, Value(max), Value(max)),
+            Value(int64_t{1}));
+  EXPECT_EQ(ApplyUnaryOp(UnaryOp::kNegate, Value(min)), Value(min));
+  EXPECT_EQ(ApplyUnaryOp(UnaryOp::kNegate, Value(max)), Value(min + 1));
+  EXPECT_EQ(ApplyBinaryOp(BinaryOp::kMul, Value(int64_t{-3}),
+                          Value(int64_t{7})),
+            Value(int64_t{-21}));
 }
 
 }  // namespace

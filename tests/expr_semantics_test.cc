@@ -427,7 +427,7 @@ class CompareKernelTest : public ::testing::Test {
     if (col.rep == ColumnBatch::Rep::kGeneric) {
       return false;
     }
-    if (literal.is_null()) {
+    if (literal.is_null() || col.all_null) {
       return true;
     }
     switch (col.rep) {
@@ -448,6 +448,12 @@ class CompareKernelTest : public ::testing::Test {
   // bare kernel keep exactly the oracle's rows, in order.
   void ExpectMatchesOracle(const ColumnBatch& batch, size_t field,
                            const std::vector<Value>& literals) {
+    ExpectMatchesOracle(batch, field, literals, events_);
+  }
+  // The same against `events`, the rows `batch` holds.
+  void ExpectMatchesOracle(const ColumnBatch& batch, size_t field,
+                           const std::vector<Value>& literals,
+                           const std::vector<Event>& events) {
     static constexpr BinaryOp kOps[] = {BinaryOp::kEq, BinaryOp::kNe,
                                         BinaryOp::kLt, BinaryOp::kLe,
                                         BinaryOp::kGt, BinaryOp::kGe};
@@ -472,7 +478,7 @@ class CompareKernelTest : public ::testing::Test {
 
           std::vector<uint32_t> expected;
           for (const uint32_t r : start) {
-            if (TreePredicateSingle(*cmp, events_[r])) {
+            if (TreePredicateSingle(*cmp, events[r])) {
               expected.push_back(r);
             }
           }
@@ -537,6 +543,30 @@ TEST_F(CompareKernelTest, DictionaryColumnFromTheWire) {
                       {Value("beta"), Value("alpha"), Value(""),
                        Value("zzz"), Value(int64_t{1}), Value(2.0),
                        Value::Null()});
+}
+
+TEST_F(CompareKernelTest, DroppedColumnsFromTheWireTakeTheNullVerdict) {
+  // Every column projected away: the decoder keeps each column's schema
+  // representation but no storage behind the all-ones bitmap, so the
+  // kernel must answer from the bitmap alone, as the oracle does on rows
+  // whose fields are all null.
+  const std::vector<bool> keep(schema_->field_count(), false);
+  std::string payload;
+  EncodeColumnBatch(batch_, nullptr, batch_.rows(), &keep, &payload);
+  Result<ColumnBatch> decoded = DecodeColumnBatch(registry_, payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  std::vector<Event> nulled;
+  for (const Event& e : events_) {
+    nulled.emplace_back(schema_, e.request_id(), e.timestamp());
+  }
+  const std::vector<Value> literals = {Value(int64_t{0}), Value(1.5),
+                                       Value(-0.0), Value("a"), Value(true),
+                                       Value::Null()};
+  for (const size_t field : {kInt, kDouble, kString, kTag, kBool, kDrifted}) {
+    ASSERT_TRUE(decoded->column(field).all_null) << field;
+    ASSERT_NE(decoded->column(field).rep, ColumnBatch::Rep::kGeneric);
+    ExpectMatchesOracle(*decoded, field, literals, nulled);
+  }
 }
 
 TEST_F(CompareKernelTest, BoolAndGenericColumnsFallBack) {

@@ -641,5 +641,50 @@ TEST_F(LintTest, SelectivityOfDisjunctionAndInList) {
               1e-9);
 }
 
+// --- (p) scrubql-sampled-join ------------------------------------------------
+
+class SampledJoinLintTest : public LintTest {
+ protected:
+  SampledJoinLintTest() {
+    EXPECT_TRUE(registry_
+                    .Register(*EventSchema::Builder("impression")
+                                   .AddField("cost", FieldType::kDouble)
+                                   .Build())
+                    .ok());
+  }
+};
+
+TEST_F(SampledJoinLintTest, FiresOnEventSampledJoin) {
+  const std::string q =
+      "SELECT COUNT(*), SUM(impression.cost) FROM bid, impression "
+      "WINDOW 10 s DURATION 60 s SAMPLE EVENTS 25%;";
+  const std::vector<Diagnostic> diags = Lint(q);
+  const auto hits = WithRule(diags, lint_rules::kSampledJoin);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].severity, LintSeverity::kWarning);
+  EXPECT_NE(hits[0].message.find("each source independently"),
+            std::string::npos)
+      << hits[0].message;
+  EXPECT_NE(hits[0].message.find("p^2 (6.25%)"), std::string::npos)
+      << hits[0].message;
+  EXPECT_NE(hits[0].message.find("1/p"), std::string::npos)
+      << hits[0].message;
+  EXPECT_NE(SpanText(q, hits[0].span).find("SAMPLE EVENTS"),
+            std::string::npos);
+  // A warning: admission (errors only) is unchanged.
+  EXPECT_FALSE(HasLintErrors(diags));
+}
+
+TEST_F(SampledJoinLintTest, QuietOnSampledSingleSourceAndUnsampledJoin) {
+  EXPECT_TRUE(WithRule(Lint("SELECT COUNT(*) FROM bid WINDOW 10 s "
+                            "DURATION 60 s SAMPLE EVENTS 25%;"),
+                       lint_rules::kSampledJoin)
+                  .empty());
+  EXPECT_TRUE(WithRule(Lint("SELECT COUNT(*) FROM bid, impression "
+                            "WINDOW 10 s DURATION 60 s;"),
+                       lint_rules::kSampledJoin)
+                  .empty());
+}
+
 }  // namespace
 }  // namespace scrub

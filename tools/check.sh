@@ -130,6 +130,19 @@ else
        --gtest_filter='GroupTableTest.*' > /dev/null; then
     fail "group table tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/executor_test --gtest_filter='GroupTableTest.*')"
   fi
+  # The fold cache's typed reads hold raw pointers into one chunk's column
+  # storage and selection: a read that outlives its chunk, or that reads a
+  # boxed column as typed, only shows under ASan, so its fixture runs by
+  # name.
+  note "fold cache under ASan+UBSan"
+  if ! "${BUILD_DIR}/tests/executor_test" --gtest_list_tests \
+       --gtest_filter='FoldCacheTest.*' 2>/dev/null | grep -q '^  '; then
+    fail "FoldCacheTest fixture missing from executor_test"
+  elif ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+       "${BUILD_DIR}/tests/executor_test" \
+       --gtest_filter='FoldCacheTest.*' > /dev/null; then
+    fail "fold cache tests failed under sanitizers (re-run: ${BUILD_DIR}/tests/executor_test --gtest_filter='FoldCacheTest.*')"
+  fi
   # The agent's per-type routes hold raw pointers into its query table and
   # its staging batches: a route left stale by a remove or a retirement is
   # a use-after-free that only ASan reports, so the dispatch and shared
